@@ -1,6 +1,12 @@
-"""End-to-end acceptance checks tying the solvers, simulators, and oracles
-together on the worked example (V = 0, S = |x|, S* = log(1+|x|), hbar = 1,
-T = 1) and on the endpoint-pinning pipeline.
+"""Acceptance checks, each defined once with its gate, and the ten
+end-to-end criteria built from them.
+
+The checks (the oracle band error, the x = 0 stopping-column test, value
+dominance and the drift-reversal error) and their gates live here. ``cli``
+builds, runs and persists an experiment, then calls these checks on its
+results; the criteria call them on the worked example (V = 0, S = |x|,
+S* = log(1+|x|), hbar = 1, T = 1; see ``analytic.WORKED_EXAMPLE``) and on
+the endpoint-pinning pipeline.
 
 Each criterion is a function returning a CriterionResult; ``run_all`` runs
 them in order. Expensive artifacts (the fine-grid solves, ensembles, oracle
@@ -16,24 +22,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import analytic, hjb, schrodinger, simulate, stopping
+from . import analytic, core, hjb, schrodinger, simulate, stopping
 from .core import (
-    CONTINUATION,
+    BACKWARD,
+    FORWARD,
     STOPPING,
     ProblemSpec,
     RegionMask,
     ScalarField,
     SpaceTimeGrid,
-    build_grid,
-    gradient_rows,
 )
 
-HBAR = 1.0
-T = 1.0
+HBAR = analytic.WORKED_EXAMPLE["hbar"]
+T = 2 * analytic.WORKED_EXAMPLE["half_horizon"]
 BIG_NX, BIG_NT = 601, 2001
 #: evaluation slices common to all refinement levels (multiples of 0.008)
 SLICE_TIMES = (-0.5, -0.34, -0.14, 0.06, 0.26, 0.46)
 BAND = (0.1, 2.5)
+
+#: Gates shared by the criteria and the checks ``bernstein run`` embeds.
+BAND_TOL = 1e-2  # relative error of U against the oracle on the band
+DOMINANCE_TOL = 1e-6  # max(U - H~): stopping never costs more
+STRICT_GAP = 1e-3  # H~ - U at (0, 1); both carry O(dx^2 + dt) error
+REVERSAL_TOL = 1e-3  # scaled drift-reversal error
+MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
 
 
 @dataclass(frozen=True)
@@ -45,36 +57,104 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        extra = ", ".join(f"{k}={v}" for k, v in self.details.items()
-                          if not isinstance(v, (list, dict)))
+        extra = ", ".join(
+            f"{k}=[{', '.join(map(str, v))}]" if isinstance(v, list) else f"{k}={v}"
+            for k, v in self.details.items())
         return f"{status} criterion {self.number}: {self.name} ({extra})"
+
+
+# ---------------------------------------------------------------------------
+# Checks
+
+
+def sec7_oracle(orientation: str, hbar: float, T: float):
+    """The worked example's quadrature oracle for eta (forward) or eta*
+    (backward), as a function of (t, x)."""
+    f = (analytic.sec7_eta_forward if orientation == FORWARD
+         else analytic.sec7_eta_backward)
+    return lambda t, x: f(t, x, hbar, T)
+
+
+def band_error(sol: hjb.EtaSolution, hbar: float, rows, oracle,
+               lo=BAND[0], hi=BAND[1]) -> float:
+    """Relative infinity-norm error of U = -hbar log(eta) against an oracle
+    over the band lo <= |x| <= hi.
+
+    ``rows`` holds (k, t) pairs: the grid row to sample and the time passed
+    to ``oracle(t, x)``, which returns the reference eta.
+    """
+    grid = sol.eta.grid
+    sel = (np.abs(grid.xs) >= lo - 1e-12) & (np.abs(grid.xs) <= hi + 1e-12)
+    xs = grid.xs[sel]
+    worst = 0.0
+    for k, t in rows:
+        u = -hbar * np.log(sol.eta.values[k, sel])
+        for j, x in enumerate(xs):
+            ref = -hbar * math.log(oracle(t, x))
+            worst = max(worst, abs(u[j] - ref) / max(abs(ref), 1e-12))
+    return worst
+
+
+def stopping_columns(sol: hjb.EtaSolution):
+    """Distinct stopped x positions over the solved rows, whether the data
+    row is fully stopped, and whether the solved rows stop exactly on the
+    x = 0 column."""
+    flags = sol.mask.flags
+    grid = sol.eta.grid
+    data_row = -1 if sol.orientation == FORWARD else 0
+    solved = np.delete(flags, data_row, axis=0)
+    cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
+    full = bool(np.all(flags[data_row] == STOPPING))
+    exact = bool(np.all(
+        (solved == STOPPING) == (np.abs(grid.xs) < grid.dx / 2)[None, :]
+    ))
+    return cols, full, exact
+
+
+def value_dominance(stopped: ScalarField, classical: ScalarField):
+    """max(U - H~) over the grid for the stopped value U and the
+    fixed-horizon value H~, and the gain H~ - U at the node nearest
+    (t, x) = (0, 1)."""
+    grid = stopped.grid
+    worst = float(np.max(stopped.values - classical.values))
+    j = int(np.argmin(np.abs(grid.xs - 1.0)))
+    k = int(np.argmin(np.abs(grid.ts - 0.0)))
+    return worst, float(classical.values[k, j] - stopped.values[k, j])
+
+
+def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
+                         rho: ScalarField, hbar: float):
+    """Scaled infinity error of B - hbar d/dx log(rho), with
+    B = hbar d/dx log(eta), against -hbar d/dx log(eta*), over the nodes
+    where rho is resolved; returns (error, nodes checked)."""
+    grid = rho.grid
+    drift = ScalarField(grid, hbar * core.gradient_rows(np.log(eta.values), grid.dx))
+    rev = simulate.reversed_drift(drift, rho, hbar)
+    target = -hbar * core.gradient_rows(np.log(eta_star.values), grid.dx)
+    fin = np.isfinite(rev.values)
+    dev = float(np.max(np.abs(rev.values[fin] - target[fin])))
+    scale = max(1.0, float(np.max(np.abs(target[fin]))))
+    return dev / scale, int(np.sum(fin))
+
+
+# ---------------------------------------------------------------------------
+# Criteria
 
 
 @lru_cache(maxsize=None)
 def example_spec() -> ProblemSpec:
-    return ProblemSpec(
-        hbar=HBAR,
-        half_horizon=T / 2,
-        potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        terminal_cost=lambda x: np.abs(np.asarray(x, dtype=float)),
-        initial_cost=lambda x: np.log1p(np.abs(np.asarray(x, dtype=float))),
-        x_min=-3.0,
-        x_max=3.0,
-    )
+    return ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
 
 
 @lru_cache(maxsize=None)
 def _solve(orientation: str, nx: int, nt: int):
     spec = example_spec()
-    grid = build_grid(spec, nx, nt)
-    cfg = hjb.SolverConfig()
+    grid = core.build_grid(spec, nx, nt)
+    solve = (hjb.solve_forward_obstacle if orientation == FORWARD
+             else hjb.solve_backward_obstacle)
     t0 = time.perf_counter()
-    if orientation == "forward":
-        sol = hjb.solve_forward_obstacle(spec, grid, cfg)
-    else:
-        sol = hjb.solve_backward_obstacle(spec, grid, cfg)
-    runtime = time.perf_counter() - t0
-    return sol, runtime
+    sol = solve(spec, grid, hjb.SolverConfig())
+    return sol, time.perf_counter() - t0
 
 
 _ORACLE = {}
@@ -83,9 +163,7 @@ _ORACLE = {}
 def _oracle_eta(orientation: str, t: float, x: float) -> float:
     key = (orientation, round(t, 12), round(x, 12))
     if key not in _ORACLE:
-        f = (analytic.sec7_eta_forward if orientation == "forward"
-             else analytic.sec7_eta_backward)
-        _ORACLE[key] = f(t, x, HBAR, T)
+        _ORACLE[key] = sec7_oracle(orientation, HBAR, T)(t, x)
     return _ORACLE[key]
 
 
@@ -96,30 +174,20 @@ def _slice_index(grid: SpaceTimeGrid, t: float) -> int:
     return k
 
 
-def _band_error(sol: hjb.EtaSolution, orientation: str,
-                lo=BAND[0], hi=BAND[1]) -> float:
-    """Relative infinity-norm error of U = -hbar log(eta) against the
-    quadrature oracle over the band lo <= |x| <= hi, sampled on the
-    common evaluation slices."""
-    grid = sol.eta.grid
-    sel = (np.abs(grid.xs) >= lo - 1e-12) & (np.abs(grid.xs) <= hi + 1e-12)
-    xs = grid.xs[sel]
-    worst = 0.0
-    for t in SLICE_TIMES:
-        k = _slice_index(grid, t)
-        u = -HBAR * np.log(sol.eta.values[k, sel])
-        for j, x in enumerate(xs):
-            ref = -HBAR * math.log(_oracle_eta(orientation, t, x))
-            worst = max(worst, abs(u[j] - ref) / max(abs(ref), 1e-12))
-    return worst
+def _band_error(sol: hjb.EtaSolution) -> float:
+    """The band error on the common evaluation slices, memoised oracle."""
+    rows = [(_slice_index(sol.eta.grid, t), t) for t in SLICE_TIMES]
+    return band_error(sol, HBAR, rows,
+                      lambda t, x: _oracle_eta(sol.orientation, t, x))
 
 
 def criterion_1() -> CriterionResult:
-    fwd, t_fwd = _solve("forward", BIG_NX, BIG_NT)
-    bwd, t_bwd = _solve("backward", BIG_NX, BIG_NT)
-    err_f = _band_error(fwd, "forward")
-    err_b = _band_error(bwd, "backward")
-    ok = err_f <= 1e-2 and err_b <= 1e-2 and t_fwd <= 60 and t_bwd <= 60
+    fwd, t_fwd = _solve(FORWARD, BIG_NX, BIG_NT)
+    bwd, t_bwd = _solve(BACKWARD, BIG_NX, BIG_NT)
+    err_f = _band_error(fwd)
+    err_b = _band_error(bwd)
+    ok = (err_f <= BAND_TOL and err_b <= BAND_TOL
+          and t_fwd <= 60 and t_bwd <= 60)
     return CriterionResult(1, "fine-grid oracle agreement", ok, {
         "forward_rel_err": f"{err_f:.3e}",
         "backward_rel_err": f"{err_b:.3e}",
@@ -128,25 +196,9 @@ def criterion_1() -> CriterionResult:
     })
 
 
-def _stopping_columns(sol: hjb.EtaSolution, data_row: int):
-    """Distinct stopped x positions over the solved rows, and whether the
-    data row is fully stopped."""
-    flags = sol.mask.flags
-    grid = sol.eta.grid
-    solved = np.delete(flags, data_row, axis=0)
-    cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
-    full = bool(np.all(flags[data_row] == STOPPING))
-    exact = bool(np.all(
-        (solved == STOPPING) == (np.abs(grid.xs) < grid.dx / 2)[None, :]
-    ))
-    return cols, full, exact
-
-
 def criterion_2() -> CriterionResult:
-    fwd, _ = _solve("forward", BIG_NX, BIG_NT)
-    bwd, _ = _solve("backward", BIG_NX, BIG_NT)
-    cols_f, full_f, exact_f = _stopping_columns(fwd, data_row=-1)
-    cols_b, full_b, exact_b = _stopping_columns(bwd, data_row=0)
+    cols_f, full_f, exact_f = stopping_columns(_solve(FORWARD, BIG_NX, BIG_NT)[0])
+    cols_b, full_b, exact_b = stopping_columns(_solve(BACKWARD, BIG_NX, BIG_NT)[0])
     ok = exact_f and full_f and exact_b and full_b
     return CriterionResult(2, "free boundary is exactly the x=0 column", ok, {
         "forward_stop_columns": cols_f,
@@ -161,7 +213,7 @@ def criterion_3() -> CriterionResult:
     tol = hjb.SolverConfig().psor_tol
     out = {}
     ok = True
-    for orientation in ("forward", "backward"):
+    for orientation in (FORWARD, BACKWARD):
         sol, _ = _solve(orientation, BIG_NX, BIG_NT)
         res = hjb.lcp_residual(sol, spec, sol.eta.grid)
         norm = float(np.max(np.abs(res.values)))
@@ -173,7 +225,7 @@ def criterion_3() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _big_value() -> hjb.ValueSolution:
-    sol, _ = _solve("forward", BIG_NX, BIG_NT)
+    sol, _ = _solve(FORWARD, BIG_NX, BIG_NT)
     return hjb.value_from_eta(sol, HBAR)
 
 
@@ -224,7 +276,7 @@ def _erf_survival_pde() -> float:
     mask = RegionMask(grid, flags)
     drift = ScalarField(grid, np.zeros((grid.nt, grid.nx)))
     prob = stopping.SurvivalProblem(
-        orientation="forward", threshold=0.5, drift=drift, mask=mask, hbar=1.0,
+        orientation=FORWARD, threshold=0.5, drift=drift, mask=mask, hbar=1.0,
     )
     sol = stopping.solve_q(prob)
     j = int(round((1.0 - xs[0]) / grid.dx))
@@ -235,7 +287,7 @@ def _erf_survival_pde() -> float:
 def _q_solution() -> stopping.SurvivalSolution:
     val = _big_value()
     prob = stopping.SurvivalProblem(
-        orientation="forward", threshold=0.25, drift=val.drift,
+        orientation=FORWARD, threshold=0.25, drift=val.drift,
         mask=val.mask, hbar=HBAR,
     )
     return stopping.solve_q(prob)
@@ -294,16 +346,12 @@ def _schrodinger_pipeline():
     marg = schrodinger.MarginalPair(
         xs=xs, p_init=gauss(xs, -1.0, 0.35), p_final=gauss(xs, 1.0, 0.35),
     )
-    K = schrodinger.kernel_matrix(grid, hbar, ts[0], ts[-1])
-    factors = schrodinger.sinkhorn_solve(marg, K, tol=1e-8, max_iter=500)
-    eta = schrodinger.propagate_eta(factors, grid, hbar)
-    eta_star = schrodinger.propagate_eta_star(factors, grid, hbar)
-    rho = schrodinger.bernstein_density(eta, eta_star)
-    return grid, hbar, marg, K, factors, eta, eta_star, rho
+    return (grid, hbar,
+            *schrodinger.pin_endpoints(marg, grid, hbar, tol=1e-8, max_iter=500))
 
 
 def criterion_6() -> CriterionResult:
-    grid, hbar, marg, K, factors, eta, eta_star, rho = _schrodinger_pipeline()
+    grid, hbar, factors, eta, eta_star, rho = _schrodinger_pipeline()
     masses = schrodinger.slice_mass(rho)
     mass_dev = float(np.max(np.abs(masses - 1.0)))
 
@@ -321,7 +369,7 @@ def criterion_6() -> CriterionResult:
     )
     gauge_dev = float(np.max(np.abs(rho2.values - rho.values)))
     ok = (factors.final_marginal_error <= 1e-8 and factors.iterations <= 500
-          and mass_dev <= 1e-6 and gauge_dev <= 1e-12)
+          and mass_dev <= MASS_TOL and gauge_dev <= 1e-12)
     return CriterionResult(6, "endpoint-pinning integral system", ok, {
         "iterations": factors.iterations,
         "marginal_residual": f"{factors.final_marginal_error:.2e}",
@@ -331,18 +379,11 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    grid, hbar, marg, K, factors, eta, eta_star, rho = _schrodinger_pipeline()
-    fwd_drift = ScalarField(
-        grid, hbar * gradient_rows(np.log(eta.values), grid.dx))
-    rev = simulate.reversed_drift(fwd_drift, rho, hbar)
-    target = -hbar * gradient_rows(np.log(eta_star.values), grid.dx)
-    fin = np.isfinite(rev.values)
-    dev = float(np.max(np.abs(rev.values[fin] - target[fin])))
-    scale = max(1.0, float(np.max(np.abs(target[fin]))))
-    ok = dev / scale <= 1e-3
-    return CriterionResult(7, "drift reversal identity", ok, {
-        "scaled_inf_error": f"{dev / scale:.2e}",
-        "nodes_checked": int(np.sum(fin)),
+    _, hbar, _, eta, eta_star, rho = _schrodinger_pipeline()
+    err, nodes = drift_reversal_error(eta, eta_star, rho, hbar)
+    return CriterionResult(7, "drift reversal identity", err <= REVERSAL_TOL, {
+        "scaled_inf_error": f"{err:.2e}",
+        "nodes_checked": nodes,
     })
 
 
@@ -364,18 +405,10 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    spec = example_spec()
-    fwd, _ = _solve("forward", BIG_NX, BIG_NT)
-    grid = fwd.eta.grid
-    classical = hjb.classical_value(spec, grid, "forward")
-    u = -HBAR * np.log(fwd.eta.values)
-    gap = u - classical.value.values
-    worst = float(np.max(gap))
-    j = int(round((1.0 - grid.xs[0]) / grid.dx))
-    k = _slice_index(grid, 0.0)
-    strict_gap = float(classical.value.values[k, j] - u[k, j])
-    combined_tol = 1e-3  # both fields carry O(dx^2 + dt) discretization error
-    ok = worst <= 1e-6 and strict_gap > combined_tol
+    fwd, _ = _solve(FORWARD, BIG_NX, BIG_NT)
+    classical = hjb.classical_value(example_spec(), fwd.eta.grid, FORWARD)
+    worst, strict_gap = value_dominance(_big_value().value, classical.value)
+    ok = worst <= DOMINANCE_TOL and strict_gap > STRICT_GAP
     return CriterionResult(9, "stopping strictly improves the fixed-horizon value",
                            ok, {
         "max_U_minus_Htilde": f"{worst:.2e}",
@@ -385,8 +418,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     levels = [(151, 126), (301, 501), (601, 2001)]
-    errs = [_band_error(_solve("forward", nx, nt)[0], "forward")
-            for nx, nt in levels]
+    errs = [_band_error(_solve(FORWARD, nx, nt)[0]) for nx, nt in levels]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     ok = all(o >= 1.0 for o in orders)
     return CriterionResult(10, "grid convergence order", ok, {

@@ -87,10 +87,86 @@ def bernstein_transition(s, x, t, y, u, z, p: KernelParams) -> float:
 # The worked example. The solved fields below are even in x, so both branches
 # of the printed formulas are handled through |x|.
 
+#: The worked example as a problem document for ``ProblemSpec.from_json``;
+#: the oracles below solve it exactly.
+WORKED_EXAMPLE = {
+    "hbar": 1.0,
+    "half_horizon": 0.5,
+    "x_min": -3.0,
+    "x_max": 3.0,
+    "potential": "zero",
+    "terminal_cost": "abs",
+    "initial_cost": "log1p_abs",
+}
+
 
 def _check_forward_time(t, T):
     if not -T / 2 <= t <= T / 2:
         raise ValueError(f"t={t} outside horizon [-{T/2}, {T/2}]")
+
+
+# Data of the two orientations at y >= 0: exp(-S/hbar) with S = |y| at
+# t = T/2, and exp(-S*/hbar) with S* = log(1+|y|) at t = -T/2. Each oracle
+# below is one formula in theta, the time elapsed from its data slice.
+
+def _forward_data(y, hbar):
+    return math.exp(-y / hbar)
+
+
+def _backward_data(y, hbar):
+    return (1.0 + y) ** (-1.0 / hbar)
+
+
+def _stopped_eta(theta, x, hbar, data, q):
+    # image-term formula for the heat flow with eta = 1 on x = 0
+    xa = abs(x)
+    if theta == 0:
+        return data(xa, hbar)
+    if xa == 0:
+        return 1.0
+    s2 = hbar * theta
+    norm = math.sqrt(2 * math.pi * s2)
+
+    def f(y):
+        k = math.exp(-((xa - y) ** 2) / (2 * s2)) - math.exp(
+            -((xa + y) ** 2) / (2 * s2)
+        )
+        return k / norm * (data(y, hbar) - 1.0)
+
+    upper = xa + q.tail_sigmas * math.sqrt(s2)
+    return 1.0 + _quad(f, 0.0, upper, q)
+
+
+def _free_eta(theta, x, hbar, data, q):
+    # free-space heat flow of the data
+    if theta == 0:
+        return data(abs(x), hbar)
+    s2 = hbar * theta
+    norm = math.sqrt(2 * math.pi * s2)
+
+    def f(y):
+        return math.exp(-((x - y) ** 2) / (2 * s2)) / norm * data(abs(y), hbar)
+
+    half = abs(x) + q.tail_sigmas * math.sqrt(s2)
+    return _quad(f, -half, half, q)
+
+
+def _stopped_deta_dx(theta, x, hbar, data, q):
+    # differentiation under the integral; d/dx eta is odd in x
+    s2 = hbar * theta
+    norm = math.sqrt(2 * math.pi * s2)
+    xa = abs(x)
+
+    def f(y):
+        a, b = xa - y, xa + y
+        k = -(a / s2) * math.exp(-a * a / (2 * s2)) + (b / s2) * math.exp(
+            -b * b / (2 * s2)
+        )
+        return k / norm * (data(y, hbar) - 1.0)
+
+    upper = xa + q.tail_sigmas * math.sqrt(s2)
+    v = _quad(f, 0.0, upper, q)
+    return v if x > 0 else -v
 
 
 def sec7_eta_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -100,23 +176,7 @@ def sec7_eta_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float
     Evaluated by adaptive quadrature of the image-term integral formula.
     """
     _check_forward_time(t, T)
-    theta = T / 2 - t
-    xa = abs(x)
-    if theta == 0:
-        return math.exp(-xa / hbar)
-    if xa == 0:
-        return 1.0
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-
-    def f(y):
-        k = math.exp(-((xa - y) ** 2) / (2 * s2)) - math.exp(
-            -((xa + y) ** 2) / (2 * s2)
-        )
-        return k / norm * (math.exp(-y / hbar) - 1.0)
-
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    return 1.0 + _quad(f, 0.0, upper, q)
+    return _stopped_eta(T / 2 - t, x, hbar, _forward_data, q)
 
 
 def sec7_eta_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -125,95 +185,19 @@ def sec7_eta_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> floa
     Boundary data: eta*(t, 0) = 1 and eta*(-T/2, x) = (1+|x|)^(-1/hbar).
     """
     _check_forward_time(t, T)
-    theta = t + T / 2
-    xa = abs(x)
-    if theta == 0:
-        return (1.0 + xa) ** (-1.0 / hbar)
-    if xa == 0:
-        return 1.0
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-
-    def f(y):
-        k = math.exp(-((xa - y) ** 2) / (2 * s2)) - math.exp(
-            -((xa + y) ** 2) / (2 * s2)
-        )
-        return k / norm * ((1.0 + y) ** (-1.0 / hbar) - 1.0)
-
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    return 1.0 + _quad(f, 0.0, upper, q)
+    return _stopped_eta(t + T / 2, x, hbar, _backward_data, q)
 
 
 def sec7_classical_eta(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Free-space (no stopping) transformed value, terminal data exp(-|x|/hbar)."""
     _check_forward_time(t, T)
-    theta = T / 2 - t
-    if theta == 0:
-        return math.exp(-abs(x) / hbar)
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-
-    def f(y):
-        return math.exp(-((x - y) ** 2) / (2 * s2)) / norm * math.exp(-abs(y) / hbar)
-
-    half = abs(x) + q.tail_sigmas * math.sqrt(s2)
-    return _quad(f, -half, half, q)
+    return _free_eta(T / 2 - t, x, hbar, _forward_data, q)
 
 
 def sec7_classical_eta_star(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Free-space backward transformed value, initial data (1+|x|)^(-1/hbar)."""
     _check_forward_time(t, T)
-    theta = t + T / 2
-    if theta == 0:
-        return (1.0 + abs(x)) ** (-1.0 / hbar)
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-
-    def f(y):
-        return (
-            math.exp(-((x - y) ** 2) / (2 * s2)) / norm
-            * (1.0 + abs(y)) ** (-1.0 / hbar)
-        )
-
-    half = abs(x) + q.tail_sigmas * math.sqrt(s2)
-    return _quad(f, -half, half, q)
-
-
-def _deta_forward_dx(t, x, hbar, T, q):
-    # differentiation under the integral; d/dx eta is odd in x
-    theta = T / 2 - t
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-    xa = abs(x)
-
-    def f(y):
-        a, b = xa - y, xa + y
-        k = -(a / s2) * math.exp(-a * a / (2 * s2)) + (b / s2) * math.exp(
-            -b * b / (2 * s2)
-        )
-        return k / norm * (math.exp(-y / hbar) - 1.0)
-
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    v = _quad(f, 0.0, upper, q)
-    return v if x > 0 else -v
-
-
-def _deta_backward_dx(t, x, hbar, T, q):
-    theta = t + T / 2
-    s2 = hbar * theta
-    norm = math.sqrt(2 * math.pi * s2)
-    xa = abs(x)
-
-    def f(y):
-        a, b = xa - y, xa + y
-        k = -(a / s2) * math.exp(-a * a / (2 * s2)) + (b / s2) * math.exp(
-            -b * b / (2 * s2)
-        )
-        return k / norm * ((1.0 + y) ** (-1.0 / hbar) - 1.0)
-
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    v = _quad(f, 0.0, upper, q)
-    return v if x > 0 else -v
+    return _free_eta(t + T / 2, x, hbar, _backward_data, q)
 
 
 def _verify_log_derivative(drift, eta_at, t, x, hbar, fd_step, fd_tol):
@@ -241,7 +225,7 @@ def sec7_drift_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
     if not -T / 2 <= t < T / 2:
         raise ValueError(f"t={t} must be interior, before T/2")
     eta = sec7_eta_forward(t, x, hbar, T, q)
-    b = hbar * _deta_forward_dx(t, x, hbar, T, q) / eta
+    b = hbar * _stopped_deta_dx(T / 2 - t, x, hbar, _forward_data, q) / eta
     if verify:
         _verify_log_derivative(
             b, lambda tt, xx: sec7_eta_forward(tt, xx, hbar, T, q),
@@ -258,7 +242,7 @@ def sec7_drift_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
     if not -T / 2 < t <= T / 2:
         raise ValueError(f"t={t} must be interior, after -T/2")
     eta = sec7_eta_backward(t, x, hbar, T, q)
-    b = -hbar * _deta_backward_dx(t, x, hbar, T, q) / eta
+    b = -hbar * _stopped_deta_dx(t + T / 2, x, hbar, _backward_data, q) / eta
     if verify:
         _verify_log_derivative(
             -b, lambda tt, xx: sec7_eta_backward(tt, xx, hbar, T, q),

@@ -16,6 +16,12 @@ import numpy as np
 CONTINUATION = 0
 STOPPING = 1
 
+#: Orientations. The forward problem holds data at t = T/2 and is solved
+#: downward in time; the backward one is its time mirror, with data at
+#: t = -T/2, solved upward.
+FORWARD = "forward"
+BACKWARD = "backward"
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver or quadrature failed to reach its tolerance."""

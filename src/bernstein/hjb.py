@@ -17,7 +17,9 @@ from typing import Literal
 import numpy as np
 
 from .core import (
+    BACKWARD,
     CONTINUATION,
+    FORWARD,
     STOPPING,
     ConvergenceError,
     ProblemSpec,
@@ -27,9 +29,6 @@ from .core import (
     gradient_rows,
     region_from_eta,
 )
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 #: Truncation boundary treatments at x_min / x_max.
 #:   "extrapolate" -- log-linear extrapolation from the two interior neighbors
@@ -133,36 +132,40 @@ def _free_boundary_trace(flags, xs):
     return trace
 
 
-def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
-                    orientation: str) -> EtaSolution:
-    xs, ts = grid.xs, grid.ts
-    dt, dx = grid.dt, grid.dx
+def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
+    """The orientation's stopping cost on the nodes, its obstacle
+    exp(-cost/hbar), and the implicit step matrix: ``diag`` on the diagonal
+    and -lam off it."""
     hbar = spec.hbar
     cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
-    svals = np.asarray(cost(xs), dtype=float)
+    svals = np.asarray(cost(grid.xs), dtype=float)
     with np.errstate(over="ignore"):
         psi = np.exp(-svals / hbar)
     if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
         raise ValueError("obstacle exp(-cost/hbar) must be strictly positive")
-    vvals = np.asarray(spec.potential(xs), dtype=float)
-
-    lam = hbar * dt / (2 * dx * dx)
-    diag = 1.0 + dt * vvals / hbar + 2 * lam
+    vvals = np.asarray(spec.potential(grid.xs), dtype=float)
+    lam = hbar * grid.dt / (2 * grid.dx * grid.dx)
+    diag = 1.0 + grid.dt * vvals / hbar + 2 * lam
     if np.any(diag <= 0):
         raise ValueError("potential too negative for this time step (diag <= 0)")
+    return svals, psi, diag, lam
 
-    eta = np.empty((grid.nt, grid.nx))
-    sweeps = 0
+
+def _rows(grid: SpaceTimeGrid, orientation: str):
+    """(row, previous row) pairs in marching order, away from the data row."""
     if orientation == FORWARD:
-        eta[-1] = psi
-        steps = range(grid.nt - 2, -1, -1)
-        prev = lambda k: k + 1
-    else:
-        eta[0] = psi
-        steps = range(1, grid.nt)
-        prev = lambda k: k - 1
-    for k in steps:
-        e, sw = _psor_step(eta[prev(k)], psi, diag, lam, cfg, warm=eta[prev(k)])
+        return [(k, k + 1) for k in range(grid.nt - 2, -1, -1)]
+    return [(k, k - 1) for k in range(1, grid.nt)]
+
+
+def _march(grid, orientation, data, obstacle, diag, lam, cfg: SolverConfig):
+    """Implicit Euler march of the LCP from the data row; returns eta and
+    the total PSOR sweeps."""
+    eta = np.empty((grid.nt, grid.nx))
+    eta[-1 if orientation == FORWARD else 0] = data
+    sweeps = 0
+    for k, kp in _rows(grid, orientation):
+        e, sw = _psor_step(eta[kp], obstacle, diag, lam, cfg, warm=eta[kp])
         if np.any(e <= 0):
             raise ConvergenceError(
                 "nonpositive eta produced; check dt/dx ratio and that the "
@@ -170,7 +173,13 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
             )
         eta[k] = e
         sweeps += sw
+    return eta, sweeps
 
+
+def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
+                    orientation: str) -> EtaSolution:
+    svals, psi, diag, lam = _operator(spec, grid, orientation)
+    eta, sweeps = _march(grid, orientation, psi, psi, diag, lam, cfg)
     field_ = ScalarField(grid, eta)
     obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
     mask = region_from_eta(field_, obstacle,
@@ -178,7 +187,7 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
     return EtaSolution(
         eta=field_,
         mask=mask,
-        boundary=_free_boundary_trace(mask.flags, xs),
+        boundary=_free_boundary_trace(mask.flags, grid.xs),
         orientation=orientation,
         stopping_cost=svals,
         psor_sweeps=sweeps,
@@ -229,25 +238,11 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
     scaled by the step right-hand side. Boundary-condition rows/columns are
     zero by construction.
     """
-    xs = grid.xs
-    dt, dx = grid.dt, grid.dx
-    hbar = spec.hbar
-    cost = spec.terminal_cost if sol.orientation == FORWARD else spec.initial_cost
-    psi = np.exp(-np.asarray(cost(xs), dtype=float) / hbar)
-    vvals = np.asarray(spec.potential(xs), dtype=float)
-    lam = hbar * dt / (2 * dx * dx)
-    diag = 1.0 + dt * vvals / hbar + 2 * lam
-
+    _, psi, diag, lam = _operator(spec, grid, sol.orientation)
     eta = sol.eta.values
     out = np.zeros_like(eta)
-    if sol.orientation == FORWARD:
-        solved = range(grid.nt - 1)
-        prev = lambda k: k + 1
-    else:
-        solved = range(1, grid.nt)
-        prev = lambda k: k - 1
-    for k in solved:
-        e, b = eta[k], eta[prev(k)]
+    for k, kp in _rows(grid, sol.orientation):
+        e, b = eta[k], eta[kp]
         r = diag[1:-1] * e[1:-1] - lam * (e[:-2] + e[2:]) - b[1:-1]
         scale = max(1.0, float(np.max(np.abs(b))))
         out[k, 1:-1] = np.minimum(r, e[1:-1] - psi[1:-1]) / scale
@@ -261,32 +256,11 @@ def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
     Solves the pure terminal-value (or initial-value) problem through the
     exponential transform; every node is CONTINUATION.
     """
-    xs = grid.xs
-    hbar = spec.hbar
-    cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
-    svals = np.asarray(cost(xs), dtype=float)
-    data = np.exp(-svals / hbar)
-    vvals = np.asarray(spec.potential(xs), dtype=float)
-    lam = hbar * grid.dt / (2 * grid.dx * grid.dx)
-    diag = 1.0 + grid.dt * vvals / hbar + 2 * lam
-
+    _, data, diag, lam = _operator(spec, grid, orientation)
     # obstacle far below the solution: projection never binds
-    floor = np.full(grid.nx, 1e-300)
-    eta = np.empty((grid.nt, grid.nx))
-    if orientation == FORWARD:
-        eta[-1] = data
-        steps = range(grid.nt - 2, -1, -1)
-        prev = lambda k: k + 1
-    else:
-        eta[0] = data
-        steps = range(1, grid.nt)
-        prev = lambda k: k - 1
-    for k in steps:
-        eta[k], _ = _psor_step(eta[prev(k)], floor, diag, lam, cfg, warm=eta[prev(k)])
-
-    fld = ScalarField(grid, eta)
-    value = ScalarField(grid, -hbar * np.log(eta))
-    sign = 1.0 if orientation == FORWARD else -1.0
-    drift = ScalarField(grid, sign * hbar * gradient_rows(np.log(eta), grid.dx))
+    eta, _ = _march(grid, orientation, data, np.full(grid.nx, 1e-300),
+                    diag, lam, cfg)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
-    return ValueSolution(value=value, drift=drift, mask=mask, orientation=orientation)
+    sol = EtaSolution(eta=ScalarField(grid, eta), mask=mask, boundary=[],
+                      orientation=orientation)
+    return value_from_eta(sol, spec.hbar)

@@ -186,35 +186,34 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
     )
 
 
+def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
+    # kernel integrals of the factor held on data_row (0 or -1) over every
+    # other row, accumulated in the log domain to avoid underflow when the
+    # time span hbar * |t - t_data| is small
+    xs, ts = grid.xs, grid.ts
+    log_factor = np.log(factor)
+    out = np.empty((grid.nt, grid.nx))
+    out[data_row] = factor
+    for k in range(grid.nt - 1) if data_row == -1 else range(1, grid.nt):
+        lk = _log_kernel(xs, xs, hbar, abs(ts[k] - ts[data_row]), grid.dx)
+        out[k] = np.exp(logsumexp(lk + log_factor[None, :], axis=1))
+    return ScalarField(grid, out)
+
+
 def propagate_eta(factors: SchrodingerFactors, grid: SpaceTimeGrid,
                   hbar: float) -> ScalarField:
     """eta(t, x) = integral of h(t, x, T/2, z) eta_final(z) dz.
 
     The final row is the stored factor exactly; earlier rows are kernel
-    integrals accumulated in the log domain to avoid underflow when
-    hbar * (T/2 - t) is small.
+    integrals accumulated in the log domain.
     """
-    xs, ts = grid.xs, grid.ts
-    log_final = np.log(factors.eta_final)
-    out = np.empty((grid.nt, grid.nx))
-    out[-1] = factors.eta_final
-    for k in range(grid.nt - 1):
-        lk = _log_kernel(xs, xs, hbar, ts[-1] - ts[k], grid.dx)
-        out[k] = np.exp(logsumexp(lk + log_final[None, :], axis=1))
-    return ScalarField(grid, out)
+    return _propagate(factors.eta_final, grid, hbar, -1)
 
 
 def propagate_eta_star(factors: SchrodingerFactors, grid: SpaceTimeGrid,
                        hbar: float) -> ScalarField:
     """eta*(t, x) = integral of eta*_init(y) h(-T/2, y, t, x) dy."""
-    xs, ts = grid.xs, grid.ts
-    log_init = np.log(factors.eta_star_init)
-    out = np.empty((grid.nt, grid.nx))
-    out[0] = factors.eta_star_init
-    for k in range(1, grid.nt):
-        lk = _log_kernel(xs, xs, hbar, ts[k] - ts[0], grid.dx)
-        out[k] = np.exp(logsumexp(lk + log_init[None, :], axis=1))
-    return ScalarField(grid, out)
+    return _propagate(factors.eta_star_init, grid, hbar, 0)
 
 
 def bernstein_density(eta: ScalarField, eta_star: ScalarField) -> ScalarField:
@@ -226,6 +225,20 @@ def bernstein_density(eta: ScalarField, eta_star: ScalarField) -> ScalarField:
     if np.any(rho < 0):
         raise ValueError("negative density entries; factors must be positive")
     return ScalarField(eta.grid, rho)
+
+
+def pin_endpoints(m: MarginalPair, grid: SpaceTimeGrid, hbar: float,
+                  tol: float, max_iter: int):
+    """Pin both marginals across the grid's horizon: the horizon kernel, the
+    Sinkhorn factors, both propagated factors and the density.
+
+    Returns (factors, eta, eta_star, rho).
+    """
+    K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
+    factors = sinkhorn_solve(m, K, tol=tol, max_iter=max_iter)
+    eta = propagate_eta(factors, grid, hbar)
+    eta_star = propagate_eta_star(factors, grid, hbar)
+    return factors, eta, eta_star, bernstein_density(eta, eta_star)
 
 
 def slice_mass(fld: ScalarField) -> np.ndarray:

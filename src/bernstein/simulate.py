@@ -11,6 +11,7 @@ regardless of chunking or parallel schedule.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -21,6 +22,8 @@ from scipy import stats
 from scipy.linalg import solve_banded
 
 from .core import (
+    BACKWARD,
+    FORWARD,
     STOPPING,
     ProblemSpec,
     RegionMask,
@@ -30,9 +33,6 @@ from .core import (
 )
 from .analytic import KernelParams, bernstein_transition
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -40,7 +40,6 @@ class SimConfig:
     n_paths: int
     seed: int
     start: tuple  # (t0, x0)
-    orientation: str = FORWARD
     chunk_size: int = 20000
     bridge_correction: bool = True
     checkpoints: tuple = ()
@@ -50,8 +49,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.orientation not in (FORWARD, BACKWARD):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -106,13 +103,13 @@ def _interp_field_at(fld: ScalarField, t: float, xq: np.ndarray) -> np.ndarray:
     return np.interp(xq, xs, row)
 
 
-def _point_barriers(mask: RegionMask, terminal_row: int) -> np.ndarray:
+def _point_barriers(mask: RegionMask) -> np.ndarray:
     """Spatial positions whose node column is STOPPING at every solved time.
 
     Width-one stopping columns are measure-zero for the simulated paths, so
     they are handled by crossing detection rather than nearest-node lookup.
     """
-    flags = np.delete(mask.flags, terminal_row, axis=0)
+    flags = mask.flags[:-1]  # the solved rows; the last holds the data
     full = np.all(flags == STOPPING, axis=0)
     bars = []
     for j in np.nonzero(full)[0]:
@@ -123,11 +120,11 @@ def _point_barriers(mask: RegionMask, terminal_row: int) -> np.ndarray:
     return np.asarray(bars)
 
 
-def _thick_mask(mask: RegionMask, barriers, terminal_row: int):
+def _thick_mask(mask: RegionMask, barriers):
     """Stopping-region lookup with point-barrier columns and the terminal
     row removed; None when nothing is left (pure barrier problem)."""
     flags = mask.flags.copy()
-    flags[terminal_row] = 0
+    flags[-1] = 0
     for b in barriers:
         j = int(np.argmin(np.abs(mask.grid.xs - b)))
         flags[:, j] = 0
@@ -285,44 +282,7 @@ def simulate_forward(spec: ProblemSpec, drift: ScalarField,
     per-step crossing tests. ``barrier`` adds an explicit point barrier when
     no mask is supplied.
     """
-    t0, x0 = cfg.start
-    T2 = spec.half_horizon
-    if not -T2 <= t0 < T2:
-        raise ValueError(f"start time {t0} outside horizon")
-    barriers = [] if barrier is None else [float(barrier)]
-    thick = None
-    tgrid = None
-    if mask is not None:
-        bars = _point_barriers(mask, terminal_row=-1)
-        barriers = sorted(set(barriers) | set(bars.tolist()))
-        thick = _thick_mask(mask, barriers, terminal_row=-1)
-        tgrid = mask.grid
-
-    if any(abs(x0 - b) == 0 for b in barriers):
-        # degenerate start on the boundary: stopped immediately
-        z = np.full(cfg.n_paths, float(x0))
-        return PathEnsemble(
-            orientation=FORWARD, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
-            stop_time=np.full(cfg.n_paths, float(t0)), stopped_state=z,
-            action_value=np.asarray(spec.terminal_cost(z), dtype=float),
-            hit_flag=np.ones(cfg.n_paths, dtype=bool),
-        )
-
-    st, ss, av, hf, cps = _simulate_core(
-        spec.potential, spec.terminal_cost, t0, T2, x0, drift,
-        thick, tgrid, barriers, spec.hbar, cfg,
-    )
-    return PathEnsemble(
-        orientation=FORWARD, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
-        stop_time=st, stopped_state=ss, action_value=av, hit_flag=hf,
-        checkpoints=cps,
-    )
-
-
-def _flip_field(fld: ScalarField) -> ScalarField:
-    # time reflection s -> -s on the symmetric horizon, with sign flip
-    return ScalarField(fld.grid, -fld.values[::-1].copy(),
-                       allow_nan=fld.allow_nan)
+    return _simulate(spec, FORWARD, drift, mask, cfg, barrier)
 
 
 def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
@@ -335,48 +295,55 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
     into a forward one with drift -b*(-s, x); times are mapped back
     afterwards, so stop_time is the actual tau* in original time.
     """
-    t0, x0 = cfg.start
-    T2 = spec.half_horizon
-    if not -T2 < t0 <= T2:
+    return _simulate(spec, BACKWARD, drift_star, mask_star, cfg, barrier)
+
+
+def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
+              barrier) -> PathEnsemble:
+    """Both orientations: a backward run is flipped in time, s = -t, and
+    then simulated forward from -t0 to T/2."""
+    start = cfg.start
+    t0, x0 = start
+    fwd = orientation == FORWARD
+    s0 = t0 if fwd else -t0
+    if not -spec.half_horizon <= s0 < spec.half_horizon:
         raise ValueError(f"start time {t0} outside horizon")
-    flipped_drift = None if drift_star is None else _flip_field(drift_star)
-    flipped_mask = None
-    if mask_star is not None:
-        flipped_mask = RegionMask(mask_star.grid, mask_star.flags[::-1].copy())
-    fcfg = SimConfig(
-        dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed, start=(-t0, x0),
-        orientation=FORWARD, chunk_size=cfg.chunk_size,
-        bridge_correction=cfg.bridge_correction,
-        checkpoints=tuple(-c for c in cfg.checkpoints),
-    )
+    cost = spec.terminal_cost if fwd else spec.initial_cost
+    if not fwd:
+        if drift is not None:
+            # the flipped drift is -b*(-s, x)
+            drift = ScalarField(drift.grid, -drift.values[::-1].copy(),
+                                allow_nan=drift.allow_nan)
+        if mask is not None:
+            mask = RegionMask(mask.grid, mask.flags[::-1].copy())
+        cfg = dataclasses.replace(cfg, start=(s0, x0),
+                                  checkpoints=tuple(-c for c in cfg.checkpoints))
+
     barriers = [] if barrier is None else [float(barrier)]
-    thick = None
-    tgrid = None
-    if flipped_mask is not None:
-        bars = _point_barriers(flipped_mask, terminal_row=-1)
+    thick = tgrid = None
+    if mask is not None:
+        bars = _point_barriers(mask)
         barriers = sorted(set(barriers) | set(bars.tolist()))
-        thick = _thick_mask(flipped_mask, barriers, terminal_row=-1)
-        tgrid = flipped_mask.grid
+        thick = _thick_mask(mask, barriers)
+        tgrid = mask.grid
 
     if any(abs(x0 - b) == 0 for b in barriers):
+        # degenerate start on the boundary: stopped immediately
         z = np.full(cfg.n_paths, float(x0))
-        return PathEnsemble(
-            orientation=BACKWARD, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
-            stop_time=np.full(cfg.n_paths, float(t0)), stopped_state=z,
-            action_value=np.asarray(spec.initial_cost(z), dtype=float),
-            hit_flag=np.ones(cfg.n_paths, dtype=bool),
+        st, ss, av, hf, cps = (np.full(cfg.n_paths, float(s0)), z,
+                               np.asarray(cost(z), dtype=float),
+                               np.ones(cfg.n_paths, dtype=bool), {})
+    else:
+        st, ss, av, hf, cps = _simulate_core(
+            spec.potential, cost, s0, spec.half_horizon, x0, drift,
+            thick, tgrid, barriers, spec.hbar, cfg,
         )
-
-    st, ss, av, hf, cps = _simulate_core(
-        spec.potential, spec.initial_cost, -t0, T2, x0, flipped_drift,
-        thick, tgrid, barriers, spec.hbar, fcfg,
-    )
-    cps = {-c: v for c, v in cps.items()}
-    for c in cps:
-        cps[c] = (-cps[c][0], cps[c][1])
+    if not fwd:
+        st = -st
+        cps = {-c: (-tt, xx) for c, (tt, xx) in cps.items()}
     return PathEnsemble(
-        orientation=BACKWARD, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
-        stop_time=-st, stopped_state=ss, action_value=av, hit_flag=hf,
+        orientation=orientation, start=start, dt=cfg.dt, seed=cfg.seed,
+        stop_time=st, stopped_state=ss, action_value=av, hit_flag=hf,
         checkpoints=cps,
     )
 

@@ -20,15 +20,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .core import (
+    BACKWARD,
     CONTINUATION,
+    FORWARD,
     STOPPING,
     RegionMask,
     ScalarField,
     SpaceTimeGrid,
 )
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
 _CODE = {ZERO: 0, ONE: 1, PDE: 2}
@@ -101,23 +100,19 @@ def classify_lemma3(t, x, threshold, mask: RegionMask,
     k, j = _node_index(mask.grid, t, x)
     in_stop = mask.flags[k, j] == STOPPING
     t_bar, t_low = continuation_time_bounds(mask)
-    if orientation == FORWARD:
-        if in_stop:
-            return ONE if t > threshold else ZERO
-        if t >= threshold:
-            return ONE
-        if not np.isnan(t_bar[j]) and threshold >= t_bar[j]:
-            return ZERO
-        return PDE
-    if orientation == BACKWARD:
-        if in_stop:
-            return ONE if t < threshold else ZERO
-        if t <= threshold:
-            return ONE
-        if not np.isnan(t_low[j]) and threshold <= t_low[j]:
-            return ZERO
-        return PDE
-    raise ValueError(f"unknown orientation {orientation!r}")
+    if orientation not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    # the forward rules in time s = t (forward) or s = -t (backward)
+    sign = 1.0 if orientation == FORWARD else -1.0
+    s, s_thr = sign * t, sign * threshold
+    s_last = t_bar[j] if orientation == FORWARD else -t_low[j]
+    if in_stop:
+        return ONE if s > s_thr else ZERO
+    if s >= s_thr:
+        return ONE
+    if not np.isnan(s_last) and s_thr >= s_last:
+        return ZERO
+    return PDE
 
 
 def _implicit_slice(q_prev, b, diric, hbar, dt, dx, marching_up):
@@ -131,13 +126,10 @@ def _implicit_slice(q_prev, b, diric, hbar, dt, dx, marching_up):
     D = hbar / 2
     mu = dt * D / (dx * dx)
     # advection upwinding chosen so off-diagonal entries stay nonpositive
-    # in both marching directions
-    if marching_up:
-        up = dt * np.maximum(b, 0.0) / dx
-        dn = dt * np.maximum(-b, 0.0) / dx
-    else:
-        up = dt * np.maximum(-b, 0.0) / dx
-        dn = dt * np.maximum(b, 0.0) / dx
+    # in both marching directions; marching down reverses the drift
+    sb = b if marching_up else -b
+    up = dt * np.maximum(sb, 0.0) / dx
+    dn = dt * np.maximum(-sb, 0.0) / dx
     ab = np.zeros((3, nx))
     ab[1] = 1.0 + 2 * mu + up + dn
     ab[0, 1:] = -(mu + dn[:-1])   # coefficient of q_{i+1} in row i
@@ -184,12 +176,9 @@ def solve_q(problem: SurvivalProblem, max_principle_tol: float = 1e-9
     fwd = problem.orientation == FORWARD
 
     # closed-form side of the threshold
-    if fwd:
-        q[kT + 1:] = 1.0
-        codes[kT + 1:] = _CODE[ONE]
-    else:
-        q[:kT] = 1.0
-        codes[:kT] = _CODE[ONE]
+    beyond = slice(kT + 1, None) if fwd else slice(None, kT)
+    q[beyond] = 1.0
+    codes[beyond] = _CODE[ONE]
     # threshold slice: 1 on continuation, 0 on the stopping set
     q[kT] = np.where(stop[kT], 0.0, 1.0)
     codes[kT] = np.where(stop[kT], _CODE[ZERO], _CODE[ONE])

@@ -6,7 +6,7 @@ the criteria share the fine-grid solves and ensembles within this process.
 
 import pytest
 
-from bernstein.acceptance import ALL_CRITERIA
+from bernstein.acceptance import ALL_CRITERIA, CriterionResult
 
 NAMES = {
     1: "oracle_band_agreement",
@@ -28,3 +28,10 @@ def test_criterion(number, capsys):
     with capsys.disabled():
         print(result.line())
     assert result.passed, result.details
+
+
+def test_line_prints_list_details():
+    result = CriterionResult(10, "grid convergence order", True, {
+        "errors": ["5.77e-03", "1.39e-03"], "orders": ["2.05"], "n": 2})
+    assert result.line() == ("PASS criterion 10: grid convergence order "
+                             "(errors=[5.77e-03, 1.39e-03], orders=[2.05], n=2)")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,7 @@ class TestManifests:
         cfg = {"experiment": "sec7-forward", "nx": 151, "nt": 126}
         man = run_experiment(cfg, str(tmp_path), 0)
         assert man["all_checks_passed"], man["checks"]
+        assert set(man["versions"]) == {"bernstein", "numpy", "scipy", "python"}
         assert man["checks"]["oracle_agreement"]
         assert man["checks"]["stopping_set_is_origin_column"]
         # every listed artifact exists and hashes as recorded
@@ -113,6 +115,17 @@ class TestManifests:
             rep = json.load(fh)
         assert rep["marginal_residual"] <= 1e-8
         assert max(abs(m - 1) for m in rep["slice_masses"]) <= 1e-6
+
+    def test_schrodinger_reports_kernel_resolution(self, tmp_path):
+        # at hbar = 0.05 on 201 nodes the kernel next to the endpoint slices
+        # is narrower than one node spacing
+        cfg = {"experiment": "schrodinger", "hbar": 0.05}
+        run_experiment(cfg, str(tmp_path), 0)
+        with open(tmp_path / "schrodinger_report.json") as fh:
+            rep = json.load(fh)
+        assert rep["kernel_sd_over_dx"] == pytest.approx(
+            math.sqrt(0.05 * 0.02) / 0.04)
+        assert rep["kernel_sd_over_dx"] < 1
 
     def test_bridge_small(self, tmp_path):
         cfg = {"experiment": "bridge-test", "n_seeds": 3,

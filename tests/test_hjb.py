@@ -18,7 +18,12 @@ from bernstein.hjb import (
     solve_forward_obstacle,
     value_from_eta,
 )
-from bernstein.analytic import sec7_eta_backward, sec7_eta_forward
+from bernstein.analytic import (
+    sec7_classical_eta,
+    sec7_classical_eta_star,
+    sec7_eta_backward,
+    sec7_eta_forward,
+)
 
 
 def zero(x):
@@ -217,6 +222,23 @@ class TestClassicalValue:
         k = int(np.argmin(np.abs(grid.ts)))
         j = int(np.argmin(np.abs(grid.xs - 1.0)))
         assert -gap[k, j] == pytest.approx(0.0891351458, abs=2e-3)
+
+    @pytest.mark.parametrize("orientation,oracle", [
+        ("forward", sec7_classical_eta),
+        ("backward", sec7_classical_eta_star),
+    ])
+    def test_oracle_agreement(self, orientation, oracle):
+        # relative error of U in the infinity norm over the band
+        # 0.1 <= |x| <= 2.5, every fifth row; 1.2e-3 forward and 8.7e-3
+        # backward at this resolution
+        spec = make_spec()
+        grid = build_grid(spec, 151, 126)
+        band = (np.abs(grid.xs) >= 0.1) & (np.abs(grid.xs) <= 2.5)
+        val = classical_value(spec, grid, orientation)
+        u = val.value.values[::5][:, band]
+        ref = np.array([[-math.log(oracle(t, x, 1.0, 1.0)) for x in grid.xs[band]]
+                        for t in grid.ts[::5]])
+        assert np.max(np.abs(u - ref)) / np.max(np.abs(ref)) <= 1e-2
 
 
 class TestErrors:

@@ -73,8 +73,7 @@ class TestBrownianBaseline:
 
     def test_backward_zero_drift_mean(self):
         spec = make_spec()
-        cfg = SimConfig(dt=1e-3, n_paths=4000, seed=3, start=(0.5, 0.7),
-                        orientation="backward")
+        cfg = SimConfig(dt=1e-3, n_paths=4000, seed=3, start=(0.5, 0.7))
         ens = simulate_backward(spec, None, None, cfg)
         assert abs(ens.stopped_state.mean() - 0.7) <= 3 * math.sqrt(1.0 / 4000)
         assert np.all(ens.stop_time == -0.5)
@@ -153,6 +152,20 @@ class TestBarrierStopping:
         assert np.all(ens.hit_flag)
         assert np.all(ens.action_value == 0.0)
 
+    def test_backward_degenerate_start_on_barrier(self):
+        # the backward x = 0 stopping column is a point barrier; a start on
+        # it stops at once, with state 0 and action S*(0) = 0
+        spec = make_spec()
+        grid = build_grid(spec, 61, 41)
+        val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
+        cfg = SimConfig(dt=1e-3, n_paths=10, seed=8, start=(0.25, 0.0))
+        ens = simulate_backward(spec, val.drift, val.mask, cfg)
+        assert ens.orientation == "backward"
+        assert np.all(ens.stop_time == 0.25)
+        assert np.all(ens.stopped_state == 0.0)
+        assert np.all(ens.hit_flag)
+        assert np.all(ens.action_value == 0.0)
+
 
 class TestOptimalPolicy:
     def test_boundary_hits_land_on_zero(self, sec7_value):
@@ -171,8 +184,7 @@ class TestOptimalPolicy:
         bval = value_from_eta(bsol, mirrored.hbar)
         n = 4000
         fcfg = SimConfig(dt=1e-3, n_paths=n, seed=11, start=(-0.5, 1.0))
-        bcfg = SimConfig(dt=1e-3, n_paths=n, seed=12, start=(0.5, 1.0),
-                         orientation="backward")
+        bcfg = SimConfig(dt=1e-3, n_paths=n, seed=12, start=(0.5, 1.0))
         fens = simulate_forward(spec, val.drift, val.mask, fcfg)
         bens = simulate_backward(mirrored, bval.drift, bval.mask, bcfg)
         assert np.all(bens.stop_time >= -0.5) and np.all(bens.stop_time <= 0.5)
@@ -296,11 +308,6 @@ class TestConfigValidation:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0, n_paths=1, seed=0, start=(0, 0))
-
-    def test_bad_orientation(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=1e-3, n_paths=1, seed=0, start=(0, 0),
-                      orientation="sideways")
 
     def test_start_outside_horizon(self):
         spec = make_spec()
