@@ -18,7 +18,6 @@ resolves as --out, then $BERNSTEIN_OUT, then the config's "out" field, then
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -55,14 +54,23 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
+def _csv_rows(path: str, header: str, ts, rows) -> str:
+    """CSV of one row per time: t, then the row's floats, each written as
+    its repr, as ``csv.writer`` writes them. No cell needs quoting, and
+    lines end in csv's "\\r\\n"."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(
+            ",".join([repr(t), *map(repr, np.asarray(row, dtype=float).tolist())])
+            + "\r\n"
+            for t, row in zip(ts.tolist(), rows))
+    return path
+
+
 def field_to_csv(fld: ScalarField, path: str) -> str:
     """Matrix CSV: first row is x nodes, first column is t nodes."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t\\x"] + [repr(float(x)) for x in fld.grid.xs])
-        for k, t in enumerate(fld.grid.ts):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in fld.values[k]])
-    return path
+    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
+    return _csv_rows(path, header, fld.grid.ts, fld.values)
 
 
 def compare_report(a: ScalarField, b: ScalarField, x_abs_min=None,
@@ -110,12 +118,8 @@ def _oracle_band_error(sol, spec, n_slices=5) -> float:
 
 
 def _boundary_csv(sol, path: str) -> str:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "free_boundary_positions"])
-        for t, bnd in zip(sol.eta.grid.ts, sol.boundary):
-            w.writerow([repr(float(t))] + [repr(float(b)) for b in bnd])
-    return path
+    return _csv_rows(path, "t,free_boundary_positions", sol.eta.grid.ts,
+                     sol.boundary)
 
 
 def _run_sec7(orientation, cfg, out, seed):
@@ -246,7 +250,8 @@ def _run_stopping(cfg, out, seed):
     files.append(stopping.martingale_report_json(
         mart, os.path.join(out, "martingale.json")))
     files.append(_write_json(
-        {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold},
+        {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
+         "ensemble": ens.summary()},
         os.path.join(out, "survival_compare.json"),
     ))
     checks = {
@@ -277,7 +282,11 @@ def _run_bridge(cfg, out, seed):
 
 
 def _run_convergence(cfg, out, seed):
-    spec, _, _, scfg = _problem(cfg)
+    spec, is_default, _, scfg = _problem(cfg)
+    if not is_default:
+        raise ValueError(
+            "convergence-study needs the worked example's closed-form oracle; "
+            "drop the \"spec\" field to run it")
     levels = [tuple(lv) for lv in cfg.get("levels",
                                           [(151, 126), (301, 501), (601, 2001)])]
     rows = []

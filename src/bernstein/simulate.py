@@ -5,7 +5,13 @@ and the statistical two-sided Markov (bridge) test.
 
 Reproducibility contract: every path owns a counter-based RNG stream keyed
 by (seed, path index), so ensembles are bit-identical for a given config
-regardless of chunking or parallel schedule.
+regardless of chunking or parallel schedule. Path i's stream is
+``Generator(Philox(key=[seed, i]))`` (Salmon et al., SC'11): its normals,
+then, when a point barrier needs the bridge test, its uniforms. One Philox
+is re-keyed for each path by resetting its state to key (seed, i), counter 0
+and an empty buffer; that is the same stream, bit for bit, without building
+a generator per path. The drift lookup computes np.interp's interval from
+the uniform grid spacing and returns np.interp's bits.
 """
 
 from __future__ import annotations
@@ -92,6 +98,44 @@ class PathEnsemble:
         return out
 
 
+def _interp_uniform(xs: np.ndarray, fp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xs, fp)`` bit for bit, for uniformly spaced ``xs``.
+
+    The interval index comes from ``(x - xs[0]) / dx`` instead of a binary
+    search. A grid is uniform to 1e-9 relative (``SpaceTimeGrid``), so that
+    estimate is at most one off, and one comparison against ``xs`` in each
+    direction yields the binary search's interval. The value then follows
+    np.interp's own rules: ``slope*(x - xs[j]) + fp[j]``, the node value at
+    an exact node, the end values outside the hull, NaN for a NaN ``x``, and
+    the retry from the right node when the formula gives NaN.
+    """
+    n = xs.size
+    xc = np.clip(x, xs[0], xs[-1])  # outside the hull -> the end node
+    j = np.fmin((xc - xs[0]) / (xs[1] - xs[0]), n - 2).astype(np.intp)
+    xj, xj1 = xs.take(j), xs.take(j + 1)
+    off = (xj > xc) | (xj1 <= xc)
+    if off.any():
+        o = np.nonzero(off)[0]
+        j[o] += np.where(xj[o] > xc[o], -1, 1)
+        xj[o] = xs.take(j[o])  # j == n - 1 only at xc == xs[-1], a node
+    slopes = np.empty(n)
+    slopes[:-1] = np.diff(fp) / np.diff(xs)
+    slopes[-1] = 0.0
+    fj = fp.take(j)
+    out = slopes.take(j) * (xc - xj) + fj
+    node = xj == xc
+    np.copyto(out, fj, where=node)
+    bad = np.isnan(out)
+    if bad.any():
+        b = np.nonzero(bad & ~node)[0]
+        jb, xb = j[b], xc[b]
+        retry = slopes[jb] * (xb - xs[jb + 1]) + fp[jb + 1]
+        flat = np.isnan(retry) & (fp[jb] == fp[jb + 1])
+        retry[flat] = fp[jb[flat]]
+        out[b] = np.where(np.isnan(xb), x[b], retry)
+    return out
+
+
 def _interp_field_at(fld: ScalarField, t: float, xq: np.ndarray) -> np.ndarray:
     """Vectorized bilinear lookup of a field at one time, many positions."""
     ts, xs = fld.grid.ts, fld.grid.xs
@@ -100,7 +144,7 @@ def _interp_field_at(fld: ScalarField, t: float, xq: np.ndarray) -> np.ndarray:
     wt = (t - ts[it]) / (ts[it + 1] - ts[it])
     wt = min(max(wt, 0.0), 1.0)
     row = (1 - wt) * fld.values[it] + wt * fld.values[it + 1]
-    return np.interp(xq, xs, row)
+    return _interp_uniform(xs, row, np.asarray(xq, dtype=float))
 
 
 def _point_barriers(mask: RegionMask) -> np.ndarray:
@@ -133,20 +177,87 @@ def _thick_mask(mask: RegionMask, barriers):
     return flags
 
 
-def _path_streams(seed, lo, hi, n_steps, want_uniform):
-    normals = np.empty((hi - lo, n_steps))
-    uniforms = np.empty((hi - lo, n_steps)) if want_uniform else None
-    for i in range(lo, hi):
-        g = np.random.Generator(np.random.Philox(key=[seed, i]))
-        normals[i - lo] = g.standard_normal(n_steps)
-        if want_uniform:
-            uniforms[i - lo] = g.random(n_steps)
-    return normals, uniforms
+#: paths drawn into a contiguous block before it is copied into the
+#: step-major draw array; writing one path straight into a column strides
+#: across the whole chunk
+_STREAM_BLOCK = 64
+
+
+def _path_streams(seed, lo, draws):
+    """Fill ``draws[:, :, p]`` with the stream of path lo + p, a row a step.
+
+    ``draws`` is (kinds, n_steps, n_paths): kind 0 holds the normals, and
+    kind 1, when present, the uniforms drawn after them. Path i draws from
+    ``Generator(Philox(key=[seed, i]))``. One Philox serves all paths: for
+    each, its state is reset to key (seed, i), counter 0 and an empty
+    buffer, which is that stream without building a generator per path.
+    """
+    kinds, n_steps, n = draws.shape
+    bits = np.random.Philox(key=[seed, lo])
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    block = np.empty((kinds, _STREAM_BLOCK, n_steps))
+    for b_lo in range(0, n, _STREAM_BLOCK):
+        b_hi = min(b_lo + _STREAM_BLOCK, n)
+        for p in range(b_lo, b_hi):
+            key[1] = lo + p
+            bits.state = fresh
+            gen.standard_normal(out=block[0, p - b_lo])
+            if kinds == 2:
+                gen.random(out=block[1, p - b_lo])
+        draws[:, :, b_lo:b_hi] = block[:, :b_hi - b_lo].transpose(0, 2, 1)
+
+
+def _crossings(xo, xn, u, barriers, hbar, h):
+    """Steps xo -> xn that cross a point barrier.
+
+    A sign change crosses, and so does a step that straddles no barrier
+    when its uniform ``u`` is below the conditional bridge crossing
+    probability exp(-2 d0 d1 / (hbar h)); ``u`` is None without the bridge
+    correction. Of several barriers crossed, the first in sorted order
+    counts. Returns the crossed mask, the crossing positions, their barriers
+    and the fraction theta of the step at the crossing: linear in d0, d1
+    for a sign change, 1/2 for a bridge crossing.
+    """
+    crossed = bar_of = None
+    for bar in barriers:
+        prod = (xo - bar) * (xn - bar)
+        hits = prod <= 0
+        if u is not None:
+            # Past prod = 20 hbar h the probability is below exp(-40), under
+            # 2**-53; a uniform from Generator.random is 0 or at least 2**-53,
+            # so there only u == 0 can fall below it. exp runs on the rest.
+            near = np.nonzero((prod > 0) & ((prod <= 20 * hbar * h) | (u == 0)))[0]
+            hits[near] = u[near] < np.exp(-2 * prod[near] / (hbar * h))
+        if crossed is None:
+            crossed, first = hits, bar
+            continue
+        new = hits & ~crossed
+        if new.any():
+            if bar_of is None:
+                bar_of = np.full(xo.size, first)
+            bar_of[new] = bar
+            crossed |= new
+    c = np.nonzero(crossed)[0]
+    bars = bar_of[c] if bar_of is not None else np.full(c.size, first)
+    d0, d1 = xo[c] - bars, xn[c] - bars
+    theta = np.where(d0 * d1 <= 0,
+                     np.abs(d0) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300),
+                     0.5)
+    return crossed, c, bars, theta
 
 
 def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
                    thick_grid, barriers, hbar, cfg: SimConfig):
-    """Forward-time Euler--Maruyama engine shared by both orientations."""
+    """Forward-time Euler--Maruyama engine shared by both orientations.
+
+    A chunk keeps its live paths packed: ``live`` holds their indices in
+    the chunk, and x, b, f and a their position, drift, running-cost
+    integrand and action so far. A path that stops writes its record and
+    leaves the packed arrays. The drift at the start of a step is the one
+    looked up at the end of the step before.
+    """
     n_steps = max(1, int(math.ceil((t_end - t0) / cfg.dt - 1e-12)))
     barriers = np.asarray(barriers, dtype=float)
     want_u = cfg.bridge_correction and barriers.size > 0
@@ -159,113 +270,89 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
     cp_time = {c: np.empty(cfg.n_paths) for c in cps}
     cp_state = {c: np.empty(cfg.n_paths) for c in cps}
 
+    def drift_at(t, xq):
+        return (_interp_field_at(drift, t, xq) if drift is not None
+                else np.zeros(xq.size))
+
+    def running(bq, xq):
+        return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
+
+    # one draw buffer, reused by every chunk
+    draws = np.empty((2 if want_u else 1, n_steps,
+                      min(cfg.chunk_size, cfg.n_paths)))
     for lo in range(0, cfg.n_paths, cfg.chunk_size):
         hi = min(lo + cfg.chunk_size, cfg.n_paths)
-        normals, uniforms = _path_streams(cfg.seed, lo, hi, n_steps, want_u)
-        m = hi - lo
-        x = np.full(m, float(x0))
-        alive = np.ones(m, dtype=bool)
-        tau = np.full(m, t_end)
-        state = np.empty(m)
-        act = np.zeros(m)
-        hitf = np.zeros(m, dtype=bool)
-        b = (_interp_field_at(drift, t0, x) if drift is not None
-             else np.zeros(m))
-        f_prev = 0.5 * b * b + np.asarray(potential(x), dtype=float)
-        cp_done = {c: False for c in cps}
+        chunk = draws[:, :, :hi - lo]
+        _path_streams(cfg.seed, lo, chunk)
+        normals, uniforms = chunk[0], (chunk[1] if want_u else None)
+        tau, state = stop_time[lo:hi], stopped_state[lo:hi]
+        act, hitf = action[lo:hi], hit[lo:hi]
+        live = np.arange(hi - lo)
+        x = np.full(live.size, float(x0))
+        b = drift_at(t0, x)
+        f = running(b, x)
+        a = np.zeros(live.size)
+        pending = list(cps)
 
         t = t0
         for k in range(n_steps):
+            if live.size == 0:
+                break
             h = min(cfg.dt, t_end - t)
             t_next = t + h
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            xo = x[idx]
-            bo = (_interp_field_at(drift, t, xo) if drift is not None
-                  else np.zeros(idx.size))
-            xn = xo + bo * h + math.sqrt(hbar * h) * normals[idx, k]
+            xn = x + b * h + math.sqrt(hbar * h) * normals[k][live]
 
-            # point-barrier crossings: sign change, plus the conditional
-            # bridge crossing probability exp(-2 d0 d1 / (hbar h)) for steps
-            # that straddle the barrier without changing sign
-            crossed = np.zeros(idx.size, dtype=bool)
-            theta = np.ones(idx.size)
-            bar_of = np.empty(idx.size)
-            for bar in barriers:
-                d0, d1 = xo - bar, xn - bar
-                sc = d0 * d1 <= 0
-                new = sc & ~crossed
-                theta[new] = np.abs(d0[new]) / np.maximum(
-                    np.abs(d0[new]) + np.abs(d1[new]), 1e-300
-                )
-                if want_u:
-                    p = np.exp(-2 * np.maximum(d0 * d1, 0.0) / (hbar * h))
-                    bc = (~sc) & (uniforms[idx, k] < p) & ~crossed
-                    theta[bc] = 0.5
-                    new = new | bc
-                bar_of[new] = bar
-                crossed |= new
+            if barriers.size:
+                u = uniforms[k][live] if want_u else None
+                crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
+                if c.size:
+                    g = live[c]
+                    tau[g] = t + theta * h
+                    state[g] = bars
+                    act[g] = a[c] + (f[c] * theta * h
+                                     + np.asarray(cost(bars), dtype=float))
+                    hitf[g] = True
+                    keep = ~crossed
+                    live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
 
-            fi = f_prev[idx]
-            if np.any(crossed):
-                c = np.nonzero(crossed)[0]
-                g = idx[c]
-                tau[g] = t + theta[c] * h
-                state[g] = bar_of[c]
-                act[g] += fi[c] * theta[c] * h + np.asarray(
-                    cost(bar_of[c]), dtype=float
-                )
-                hitf[g] = True
-                alive[g] = False
-
-            live = ~crossed
-            gl = idx[live]
-            x[gl] = xn[live]
-            bn = (_interp_field_at(drift, t_next, xn[live])
-                  if drift is not None else np.zeros(gl.size))
-            fn = 0.5 * bn * bn + np.asarray(potential(xn[live]), dtype=float)
-            act[gl] += 0.5 * (fi[live] + fn) * h
-            f_prev[gl] = fn
+            x = xn
+            b = drift_at(t_next, x)
+            fn = running(b, x)
+            a += 0.5 * (f + fn) * h
+            f = fn
 
             # thick stopping regions: nearest-node region lookup
-            if thick_flags is not None and gl.size:
+            if thick_flags is not None and live.size:
                 ts_, xs_ = thick_grid.ts, thick_grid.xs
                 it = min(max(int(np.searchsorted(ts_, t_next, side="right")) - 1,
                              0), ts_.size - 1)
                 if it + 1 < ts_.size and abs(ts_[it + 1] - t_next) < abs(ts_[it] - t_next):
                     it += 1
-                jx = np.clip(np.rint((x[gl] - xs_[0]) / thick_grid.dx).astype(int),
+                jx = np.clip(np.rint((x - xs_[0]) / thick_grid.dx).astype(int),
                              0, xs_.size - 1)
                 inside = thick_flags[it, jx] == STOPPING
                 if np.any(inside):
-                    g = gl[inside]
+                    g = live[inside]
                     tau[g] = t_next
-                    state[g] = x[g]
-                    act[g] += np.asarray(cost(x[g]), dtype=float)
+                    state[g] = x[inside]
+                    act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
                     hitf[g] = True
-                    alive[g] = False
+                    keep = ~inside
+                    live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
 
-            for c in cps:
-                if not cp_done[c] and t_next >= c - 1e-12:
-                    cp_time[c][lo:hi] = np.minimum(tau, c)
-                    snap = np.where(alive, x, state)
-                    cp_state[c][lo:hi] = snap
-                    cp_done[c] = True
+            while pending and t_next >= pending[0] - 1e-12:
+                c = pending.pop(0)
+                cp_time[c][lo:hi] = np.minimum(tau, c)
+                cp_state[c][lo:hi] = state
+                cp_state[c][lo + live] = x
             t = t_next
 
-        g = np.nonzero(alive)[0]
-        if g.size:
-            state[g] = x[g]
-            act[g] += np.asarray(cost(x[g]), dtype=float)
-        for c in cps:
-            if not cp_done[c]:
-                cp_time[c][lo:hi] = np.minimum(tau, c)
-                cp_state[c][lo:hi] = np.where(alive, x, state)
-        stop_time[lo:hi] = tau
-        stopped_state[lo:hi] = state
-        action[lo:hi] = act
-        hit[lo:hi] = hitf
+        if live.size:
+            state[live] = x
+            act[live] = a + np.asarray(cost(x), dtype=float)
+        for c in pending:
+            cp_time[c][lo:hi] = np.minimum(tau, c)
+            cp_state[c][lo:hi] = state
 
     checkpoints = {c: (cp_time[c], cp_state[c]) for c in cps}
     return stop_time, stopped_state, action, hit, checkpoints
@@ -328,11 +415,14 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
         tgrid = mask.grid
 
     if any(abs(x0 - b) == 0 for b in barriers):
-        # degenerate start on the boundary: stopped immediately
+        # degenerate start on the boundary: stopped immediately, so every
+        # checkpoint sees the start
         z = np.full(cfg.n_paths, float(x0))
-        st, ss, av, hf, cps = (np.full(cfg.n_paths, float(s0)), z,
-                               np.asarray(cost(z), dtype=float),
-                               np.ones(cfg.n_paths, dtype=bool), {})
+        st, ss, av, hf = (np.full(cfg.n_paths, float(s0)), z,
+                          np.asarray(cost(z), dtype=float),
+                          np.ones(cfg.n_paths, dtype=bool))
+        cps = {c: (np.full(cfg.n_paths, min(float(s0), c)), z.copy())
+               for c in cfg.checkpoints}
     else:
         st, ss, av, hf, cps = _simulate_core(
             spec.potential, cost, s0, spec.half_horizon, x0, drift,

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from bernstein import analytic
 from bernstein.cli import (
     EXPERIMENTS,
     _sha256,
@@ -154,6 +155,10 @@ class TestManifests:
         assert man["all_checks_passed"], man["checks"]
         assert (tmp_path / "q_sweep.csv").exists()
         assert (tmp_path / "martingale.json").exists()
+        with open(tmp_path / "survival_compare.json") as fh:
+            ens = json.load(fh)["ensemble"]
+        assert ens["action_value"]["stderr"] > 0
+        assert 0 < ens["boundary_hit_fraction"] < 1
 
 
 class TestMain:
@@ -166,6 +171,18 @@ class TestMain:
         assert (tmp_path / "envout" / "manifest.json").exists()
         out = capsys.readouterr().out
         assert "PASS lcp_residual" in out
+
+    def test_convergence_rejects_custom_spec(self, tmp_path):
+        # the study scores each level against the worked example's oracle,
+        # which says nothing about another problem
+        spec = dict(analytic.WORKED_EXAMPLE,
+                    terminal_cost={"name": "abs", "scale": 2})
+        cfgp = write_config(tmp_path, {"experiment": "convergence-study",
+                                       "levels": [[151, 126], [301, 501]],
+                                       "spec": spec})
+        with pytest.raises(ValueError, match="closed-form oracle"):
+            main(["run", cfgp, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out" / "convergence.json").exists()
 
     def test_out_flag_beats_env(self, tmp_path, monkeypatch):
         cfgp = write_config(tmp_path, {"experiment": "sec7-forward",

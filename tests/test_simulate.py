@@ -15,6 +15,8 @@ from bernstein.hjb import solve_backward_obstacle, solve_forward_obstacle, value
 from bernstein.simulate import (
     PathEnsemble,
     SimConfig,
+    _interp_uniform,
+    _path_streams,
     action_estimate,
     bridge_markov_test,
     fokker_planck,
@@ -90,6 +92,25 @@ class TestDeterminism:
         assert np.array_equal(a.stop_time, b.stop_time)
         assert np.array_equal(a.action_value, b.action_value)
 
+    def test_backward_checkpoints_do_not_depend_on_chunking(self):
+        spec = make_spec()
+        grid = build_grid(spec, 61, 41)
+        val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
+        base = dict(dt=2e-3, n_paths=700, seed=4, start=(0.5, 0.8),
+                    checkpoints=(0.3, 0.0, -0.2))
+        a, *others = [simulate_backward(spec, val.drift, val.mask,
+                                        SimConfig(**base, chunk_size=cs))
+                      for cs in (37, 500, 700)]
+        assert a.hit_flag.any() and not a.hit_flag.all()
+        assert set(a.checkpoints) == {0.3, 0.0, -0.2}
+        for b in others:
+            for name in ("stop_time", "stopped_state", "action_value",
+                         "hit_flag"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            for c, (tt, xx) in a.checkpoints.items():
+                assert np.array_equal(tt, b.checkpoints[c][0])
+                assert np.array_equal(xx, b.checkpoints[c][1])
+
     def test_same_seed_identical(self):
         spec = make_spec()
         cfg = SimConfig(dt=2e-3, n_paths=300, seed=9, start=(-0.5, 1.0))
@@ -158,13 +179,59 @@ class TestBarrierStopping:
         spec = make_spec()
         grid = build_grid(spec, 61, 41)
         val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
-        cfg = SimConfig(dt=1e-3, n_paths=10, seed=8, start=(0.25, 0.0))
+        cfg = SimConfig(dt=1e-3, n_paths=10, seed=8, start=(0.25, 0.0),
+                        checkpoints=(0.1, 0.4))
         ens = simulate_backward(spec, val.drift, val.mask, cfg)
         assert ens.orientation == "backward"
         assert np.all(ens.stop_time == 0.25)
         assert np.all(ens.stopped_state == 0.0)
         assert np.all(ens.hit_flag)
         assert np.all(ens.action_value == 0.0)
+        # a backward checkpoint c sees the path at max(c, tau*)
+        for c, t_seen in ((0.1, 0.25), (0.4, 0.4)):
+            tt, xx = ens.checkpoints[c]
+            assert np.all(tt == t_seen) and np.all(xx == 0.0)
+
+
+class TestFastPath:
+    """The engine's drift lookup and RNG streams against the library calls
+    they stand in for, bit for bit."""
+
+    @pytest.mark.parametrize("lo, hi, n, jitter", [
+        (-3.0, 3.0, 301, 0.0), (-4.0, 4.0, 601, 0.0), (-3.0, 3.0, 301, 1e-11),
+    ])
+    def test_lookup_equals_np_interp(self, lo, hi, n, jitter):
+        rng = np.random.default_rng(n)
+        xs = np.linspace(lo, hi, n)
+        # a grid uniform only to round-off, as SpaceTimeGrid admits
+        xs[1:-1] += jitter * (xs[1] - xs[0]) * rng.uniform(-1, 1, n - 2)
+        holes = rng.normal(size=n)
+        holes[[3, 4, 50, n - 1]] = np.nan
+        holes[[10, 11, 30]] = np.inf
+        holes[20] = -np.inf
+        rows = [rng.normal(size=n), np.cumsum(rng.normal(size=n)), holes,
+                np.where(np.arange(n) % 2, -0.0, 0.0)]
+        ends = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                lo - 5.0, hi + 5.0, -np.inf, np.inf, np.nan]
+        xq = np.concatenate([rng.uniform(lo - 1, hi + 1, 100000), xs,
+                             np.nextafter(xs, np.inf),
+                             np.nextafter(xs, -np.inf), ends])
+        for fp in rows:
+            with np.errstate(invalid="ignore"):
+                got = _interp_uniform(xs, fp, xq)
+            assert got.tobytes() == np.interp(xq, xs, fp).tobytes()
+
+    def test_streams_equal_per_path_generators(self):
+        seed, lo, n_steps, n = 20260823, 70, 257, 130  # over two blocks
+        draws = np.empty((2, n_steps, n))
+        _path_streams(seed, lo, draws)
+        for p in range(n):
+            g = np.random.Generator(np.random.Philox(key=[seed, lo + p]))
+            assert np.array_equal(draws[0, :, p], g.standard_normal(n_steps))
+            assert np.array_equal(draws[1, :, p], g.random(n_steps))
+        normals = np.empty((1, n_steps, 5))
+        _path_streams(seed, lo, normals)
+        assert np.array_equal(normals[0], draws[0, :, :5])
 
 
 class TestOptimalPolicy:

@@ -242,6 +242,24 @@ class TestAgainstMonteCarlo:
         report = martingale_check(out, ens, cps)
         assert report["all_within_3_stderr"], report
 
+    def test_martingale_on_degenerate_start(self):
+        # a start on the x = 0 barrier stops at once; every checkpoint still
+        # records the start, so q along the paths is q at the start
+        spec = make_spec()
+        grid = build_grid(spec, 151, 201)
+        sol = solve_forward_obstacle(spec, grid)
+        val = value_from_eta(sol, spec.hbar)
+        out = solve_q(SurvivalProblem("forward", 0.25, val.drift, sol.mask,
+                                      spec.hbar))
+        cfg = SimConfig(dt=1e-3, n_paths=10, seed=0, start=(-0.5, 0.0),
+                        checkpoints=(0.1,))
+        ens = simulate_forward(spec, val.drift, val.mask, cfg)
+        tt, xx = ens.checkpoints[0.1]
+        assert np.all(tt == -0.5) and np.all(xx == 0.0)
+        report = martingale_check(out, ens, (0.1,))
+        assert report["all_within_3_stderr"], report
+        assert abs(report["checkpoints"][0]["difference"]) <= 1e-12
+
     def test_missing_checkpoint_raises(self, solved):
         spec, grid, sol, val = solved
         p = SurvivalProblem("forward", 0.25, val.drift, sol.mask, spec.hbar)
