@@ -202,6 +202,8 @@ def _run_schrodinger(cfg, out, seed):
             {
                 "iterations": factors.iterations,
                 "marginal_residual": factors.final_marginal_error,
+                # one marginal residual per Sinkhorn iteration
+                "residual_trace": factors.residual_trace.tolist(),
                 "slice_masses": masses.tolist(),
                 "drift_reversal_scaled_err": rev_err,
                 # below 1 the kernel next to the endpoint slices is

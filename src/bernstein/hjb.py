@@ -105,6 +105,7 @@ def _psor_step(rhs, psi, diag, lam, cfg: SolverConfig, warm):
     odd = np.arange(1, nx - 1, 2)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     omega = cfg.psor_omega
+    trace = []
     for sweep in range(1, cfg.psor_max_iter + 1):
         if cfg.boundary == "extrapolate":
             _extrapolate_boundary(e, psi)
@@ -115,12 +116,13 @@ def _psor_step(rhs, psi, diag, lam, cfg: SolverConfig, warm):
             e[idx] = np.maximum(psi[idx], (1 - omega) * e[idx] + omega * gs)
         r = diag[1:-1] * e[1:-1] - lam * (e[:-2] + e[2:]) - rhs[1:-1]
         res = float(np.max(np.abs(np.minimum(r, e[1:-1] - psi[1:-1]))))
+        trace.append(res)
         if res <= cfg.psor_tol * scale:
             return e, sweep
     raise ConvergenceError(
         f"projected SOR did not reach tol {cfg.psor_tol:g} in "
         f"{cfg.psor_max_iter} sweeps (last residual {res:.3g})",
-        residual_trace=[res],
+        residual_trace=trace,
     )
 
 

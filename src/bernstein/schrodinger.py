@@ -10,6 +10,17 @@ with K the discretized heat kernel over the horizon. The factors are unique
 up to the scalar gauge (c*eta*, eta/c) and are found by Sinkhorn / iterative
 proportional fitting. Propagating the factors across the horizon with the
 kernel yields eta(t,x), eta*(t,x) and the process density rho = eta * eta*.
+
+On the uniform grid the kernel between two nodes depends only on their
+offset i - j, so ``log_kernel`` builds it once per time span over the
+offsets -(nx-1) ... nx-1; ``kernel_matrix`` is its exponential indexed by
+i - j. A factor f is propagated over every time slice at once: with
+F[m, i] = f[i + m - (nx-1)] / max f the Hankel matrix of the zero-padded
+factor, the slices are the rows of G @ F times max f, where row k of G is the
+offset kernel for the span |t_k - t_data|. The sum holds to round-off while
+f / max f stays far above the underflow threshold; a factor whose log spans
+more than LINEAR_LOG_RANGE is summed slice by slice in the log domain from
+the same offset-kernel rows.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
 from .core import ConvergenceError, ScalarField, SpaceTimeGrid
@@ -106,6 +118,27 @@ class SchrodingerFactors:
             object.__setattr__(self, name, arr)
 
 
+def log_kernel(grid: SpaceTimeGrid, hbar: float, span) -> np.ndarray:
+    """Gaussian log-kernel log(h * dx) over the node offsets for a time span.
+
+    h = exp(-d^2 / (2 hbar span)) / sqrt(2 pi hbar span) at the distance
+    d = xs[|o|] - xs[0], signed as o, of the offsets o = -(nx-1) ... nx-1;
+    on the uniform grid the kernel between nodes i and j is entry
+    i - j + nx - 1. An array of spans gives one row per span.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    x = grid.xs - grid.xs[0]
+    d = np.concatenate((-x[:0:-1], x))
+    var = hbar * np.asarray(span, dtype=float)[..., None]
+    return -d * d / (2 * var) - 0.5 * np.log(2 * np.pi * var) + np.log(grid.dx)
+
+
+def _toeplitz(row, n):
+    # the n x n view M[i, j] = row[i - j + n - 1] of a row over node offsets
+    return sliding_window_view(row, n)[:, ::-1]
+
+
 def kernel_matrix(grid: SpaceTimeGrid, hbar: float, s: float, t: float) -> np.ndarray:
     """Discretized heat kernel K[i, j] = h(s, xs[i], t, xs[j]) * dx.
 
@@ -114,18 +147,8 @@ def kernel_matrix(grid: SpaceTimeGrid, hbar: float, s: float, t: float) -> np.nd
     """
     if not t > s:
         raise ValueError(f"kernel_matrix needs t > s, got s={s}, t={t}")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    xs = grid.xs
-    var = hbar * (t - s)
-    d = xs[:, None] - xs[None, :]
-    return np.exp(-d * d / (2 * var)) / np.sqrt(2 * np.pi * var) * grid.dx
-
-
-def _log_kernel(xs_out, xs_in, hbar, dt_span, dx):
-    var = hbar * dt_span
-    d = xs_out[:, None] - xs_in[None, :]
-    return -d * d / (2 * var) - 0.5 * np.log(2 * np.pi * var) + np.log(dx)
+    return np.ascontiguousarray(
+        _toeplitz(np.exp(log_kernel(grid, hbar, t - s)), grid.nx))
 
 
 def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
@@ -186,17 +209,43 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
     )
 
 
+#: a factor whose log spans at most this is propagated by a matrix product
+#: of f / max f >= e^-600: each slice sum is at least its diagonal term, far
+#: above the products that underflow (below e^-708). Wider factors are
+#: summed in the log domain.
+LINEAR_LOG_RANGE = 600.0
+#: kernel rows built at a time, so that no (nt - 1) x (2 nx - 1) array is held
+_BLOCK = 32
+
+
 def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
     # kernel integrals of the factor held on data_row (0 or -1) over every
-    # other row, accumulated in the log domain to avoid underflow when the
-    # time span hbar * |t - t_data| is small
-    xs, ts = grid.xs, grid.ts
-    log_factor = np.log(factor)
-    out = np.empty((grid.nt, grid.nx))
+    # other row: out[k, i] = sum_j g_k[i - j] f[j] with g_k the offset
+    # kernel for the span |t_k - t_data|
+    nt, nx, ts = grid.nt, grid.nx, grid.ts
+    log_f = np.log(factor)
+    out = np.empty((nt, nx))
     out[data_row] = factor
-    for k in range(grid.nt - 1) if data_row == -1 else range(1, grid.nt):
-        lk = _log_kernel(xs, xs, hbar, abs(ts[k] - ts[data_row]), grid.dx)
-        out[k] = np.exp(logsumexp(lk + log_factor[None, :], axis=1))
+    start, stop = (0, nt - 1) if data_row == -1 else (1, nt)
+    linear = np.ptp(log_f) <= LINEAR_LOG_RANGE
+    if linear:
+        # Hankel matrix F[m, i] = f[i + m - (nx - 1)] of the zero-padded
+        # factor over its maximum; the kernel is even in the offset, so
+        # the rows g_k @ F are the integrals
+        fmax = float(np.max(factor))
+        padded = np.zeros(3 * nx - 2)
+        padded[nx - 1:2 * nx - 1] = factor / fmax
+        hankel = np.ascontiguousarray(sliding_window_view(padded, nx))
+    for b in range(start, stop, _BLOCK):
+        rows = slice(b, min(b + _BLOCK, stop))
+        g = log_kernel(grid, hbar, np.abs(ts[rows] - ts[data_row]))
+        if linear:
+            np.exp(g, out=g)
+            np.matmul(g, hankel, out=out[rows])
+            out[rows] *= fmax
+        else:
+            for k, gk in zip(range(rows.start, rows.stop), g):
+                out[k] = np.exp(logsumexp(_toeplitz(gk, nx) + log_f, axis=1))
     return ScalarField(grid, out)
 
 
@@ -205,7 +254,7 @@ def propagate_eta(factors: SchrodingerFactors, grid: SpaceTimeGrid,
     """eta(t, x) = integral of h(t, x, T/2, z) eta_final(z) dz.
 
     The final row is the stored factor exactly; earlier rows are kernel
-    integrals accumulated in the log domain.
+    integrals, one matrix product over the node offsets.
     """
     return _propagate(factors.eta_final, grid, hbar, -1)
 

@@ -65,7 +65,9 @@ class PathEnsemble:
 
     hit_flag is True when the path stopped at the free boundary, False when
     it ran to the horizon. checkpoints maps each requested checkpoint time c
-    to per-path arrays (min(c, stop_time), state at that time).
+    to per-path arrays (time, state at that time). The time is
+    min(t_c, stop_time), where t_c is the end of the step that reaches c:
+    c itself when c lies on the step lattice.
     """
 
     orientation: str
@@ -340,9 +342,12 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
                     keep = ~inside
                     live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
 
+            # a checkpoint sees the state at the end of the step that
+            # reaches it, or at the stop for a path stopped before then
             while pending and t_next >= pending[0] - 1e-12:
                 c = pending.pop(0)
-                cp_time[c][lo:hi] = np.minimum(tau, c)
+                t_seen = c if abs(t_next - c) <= 1e-12 else t_next
+                cp_time[c][lo:hi] = np.minimum(tau, t_seen)
                 cp_state[c][lo:hi] = state
                 cp_state[c][lo + live] = x
             t = t_next
@@ -351,7 +356,7 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
             state[live] = x
             act[live] = a + np.asarray(cost(x), dtype=float)
         for c in pending:
-            cp_time[c][lo:hi] = np.minimum(tau, c)
+            cp_time[c][lo:hi] = tau
             cp_state[c][lo:hi] = state
 
     checkpoints = {c: (cp_time[c], cp_state[c]) for c in cps}

@@ -116,6 +116,8 @@ class TestManifests:
             rep = json.load(fh)
         assert rep["marginal_residual"] <= 1e-8
         assert max(abs(m - 1) for m in rep["slice_masses"]) <= 1e-6
+        assert len(rep["residual_trace"]) == rep["iterations"]
+        assert rep["residual_trace"][-1] == rep["marginal_residual"]
 
     def test_schrodinger_reports_kernel_resolution(self, tmp_path):
         # at hbar = 0.05 on 201 nodes the kernel next to the endpoint slices

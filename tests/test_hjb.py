@@ -6,6 +6,7 @@ import pytest
 from bernstein.core import (
     CONTINUATION,
     STOPPING,
+    ConvergenceError,
     ProblemSpec,
     ScalarField,
     build_grid,
@@ -260,3 +261,13 @@ class TestErrors:
         sol = solve_forward_obstacle(spec, grid, SolverConfig(boundary="obstacle"))
         psi = np.exp(-np.abs(grid.xs))
         assert np.allclose(sol.eta.values[:, 0], psi[0])
+
+    def test_psor_failure_carries_every_sweep_residual(self):
+        spec = make_spec()
+        grid = build_grid(spec, 101, 51)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_forward_obstacle(spec, grid, SolverConfig(psor_max_iter=3))
+        trace = exc.value.residual_trace
+        assert len(trace) == 3
+        assert all(math.isfinite(r) and r > 0 for r in trace)
+        assert f"last residual {trace[-1]:.3g}" in str(exc.value)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from bernstein.core import ConvergenceError, SpaceTimeGrid
 from bernstein.schrodinger import (
+    LINEAR_LOG_RANGE,
     MarginalPair,
     SchrodingerFactors,
     bernstein_density,
@@ -26,6 +28,28 @@ def make_grid(nx=201, nt=21, half=4.0, T2=0.5):
 
 def gauss(xs, mu, sd):
     return np.exp(-((xs - mu) ** 2) / (2 * sd * sd)) / (sd * math.sqrt(2 * math.pi))
+
+
+def dense_kernel(grid, hbar, span):
+    d = grid.xs[:, None] - grid.xs[None, :]
+    var = hbar * span
+    return np.exp(-d * d / (2 * var)) / np.sqrt(2 * np.pi * var) * grid.dx
+
+
+def logsumexp_rows(factor, grid, hbar, data_row):
+    """Reference propagation: every other row of the grid as a dense
+    kernel integral over the node differences, summed in the log domain."""
+    xs, ts = grid.xs, grid.ts
+    d = xs[:, None] - xs[None, :]
+    log_f = np.log(factor)
+    out = np.empty((grid.nt, grid.nx))
+    out[data_row] = factor
+    for k in range(grid.nt - 1) if data_row == -1 else range(1, grid.nt):
+        var = hbar * abs(ts[k] - ts[data_row])
+        lk = (-d * d / (2 * var) - 0.5 * np.log(2 * np.pi * var)
+              + np.log(grid.dx))
+        out[k] = np.exp(logsumexp(lk + log_f[None, :], axis=1))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +78,23 @@ class TestKernelMatrix:
     def test_positive(self):
         K = kernel_matrix(make_grid(nx=51), 1.0, 0.0, 0.3)
         assert np.all(K > 0)
+
+    def test_matches_dense_formula(self):
+        # the log-kernel agrees with the one over the node differences to
+        # round-off relative to its own size, and both underflow together
+        grid = make_grid(nx=301)
+        for hbar, span in ((0.5, 1.0), (0.05, 0.02)):
+            K = kernel_matrix(grid, hbar, 0.0, span)
+            ref = dense_kernel(grid, hbar, span)
+            pos = ref > 1e-300
+            log_ref = np.log(ref[pos])
+            err = np.abs(np.log(K[pos]) - log_ref) / np.maximum(1, np.abs(log_ref))
+            assert np.max(err) <= 1e-13
+            assert np.all(K[~pos] <= 1e-290)
+
+    def test_toeplitz(self):
+        K = kernel_matrix(make_grid(nx=51), 1.0, 0.0, 0.3)
+        assert np.array_equal(K[1:, 1:], K[:-1, :-1])
 
     def test_time_ordering(self):
         with pytest.raises(ValueError):
@@ -136,6 +177,43 @@ class TestPropagation:
         eta_star = propagate_eta_star(factors, grid, hbar)
         assert np.array_equal(eta.values[-1], factors.eta_final)
         assert np.array_equal(eta_star.values[0], factors.eta_star_init)
+
+    @pytest.mark.parametrize("hbar, nx, nt", [
+        (0.5, 601, 301), (0.1, 401, 201), (0.05, 401, 51), (0.5, 201, 51)])
+    def test_matches_logsumexp_reference(self, hbar, nx, nt):
+        grid = make_grid(nx=nx, nt=nt)
+        marg = MarginalPair(xs=grid.xs, p_init=gauss(grid.xs, -1, 0.35),
+                            p_final=gauss(grid.xs, 1, 0.35))
+        K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
+        factors = sinkhorn_solve(marg, K, tol=1e-8, max_iter=500)
+        for propagate, factor, row in (
+                (propagate_eta, factors.eta_final, -1),
+                (propagate_eta_star, factors.eta_star_init, 0)):
+            # these factors take the matrix-product path
+            assert np.ptp(np.log(factor)) <= LINEAR_LOG_RANGE
+            got = propagate(factors, grid, hbar).values
+            ref = logsumexp_rows(factor, grid, hbar, row)
+            assert np.array_equal(got[row], factor)
+            assert np.max(np.abs(got / ref - 1)) <= 1e-12
+
+    def test_wide_log_range_matches_logsumexp_reference(self):
+        # a factor spanning more than the doubles' exponent range relative
+        # to its maximum goes through the log-domain path
+        grid = make_grid(nx=401, nt=51)
+        hbar = 0.5
+        xs = grid.xs
+        factors = SchrodingerFactors(
+            eta_star_init=np.exp(300 - 40 * (xs + 0.5) ** 2 - 3 * xs),
+            eta_final=np.exp(300 - 40 * (xs - 0.5) ** 2 + 3 * xs),
+            iterations=1, final_marginal_error=0.0)
+        for propagate, factor, row in (
+                (propagate_eta, factors.eta_final, -1),
+                (propagate_eta_star, factors.eta_star_init, 0)):
+            assert np.ptp(np.log(factor)) > 745
+            got = propagate(factors, grid, hbar).values
+            ref = logsumexp_rows(factor, grid, hbar, row)
+            assert np.array_equal(got[row], factor)
+            assert np.max(np.abs(got / ref - 1)) <= 1e-12
 
     def test_heat_equation_residuals(self):
         # dual heat flows on a 401x401 sampling; the residual of the checking

@@ -129,6 +129,37 @@ class TestDeterminism:
         assert not np.array_equal(a.stopped_state, b.stopped_state)
 
 
+class TestCheckpoints:
+    """A checkpoint's recorded time is the time its recorded state belongs
+    to. Under drift 1 and almost no noise a path is x0 + (t - t0), so the
+    pair (time, state) shows which time the state was taken at."""
+
+    def _drift_one(self, spec):
+        grid = build_grid(spec, 61, 11)
+        return ScalarField(grid, np.ones((grid.nt, grid.nx)))
+
+    @pytest.mark.parametrize("simulate, sign", [(simulate_forward, 1.0),
+                                                (simulate_backward, -1.0)])
+    def test_time_matches_state(self, simulate, sign):
+        spec = make_spec(hbar=1e-12, terminal_cost=zero, initial_cost=zero)
+        t0, x0, dt = -0.4037 * sign, 0.0, 3e-3
+        on_lattice = t0 + sign * 100 * dt
+        cfg = SimConfig(dt=dt, n_paths=200, seed=3, start=(t0, x0),
+                        checkpoints=(0.0, on_lattice))
+        ens = simulate(spec, self._drift_one(spec), None, cfg)
+        for c in cfg.checkpoints:
+            tt, xx = ens.checkpoints[c]
+            # the off-lattice checkpoint 0.0 is seen at the end of the step
+            # that reaches it, 0.0013 past it in the run's direction
+            assert np.all(sign * (tt - c) >= -1e-12)
+            assert np.all(sign * (tt - c) < dt)
+            assert np.max(np.abs(xx - (x0 + (tt - t0)))) <= 1e-5
+        tt, _ = ens.checkpoints[0.0]
+        assert np.allclose(tt, 0.0013 * sign, rtol=0, atol=1e-12)
+        tt, _ = ens.checkpoints[on_lattice]
+        assert np.max(np.abs(tt - on_lattice)) <= 1e-12
+
+
 class TestBarrierStopping:
     def test_stopped_exactly_on_barrier(self):
         spec = make_spec()
