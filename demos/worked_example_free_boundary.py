@@ -30,7 +30,8 @@ grid = build_grid(spec, nx=301, nt=501)
 sol = solve_forward_obstacle(spec, grid)
 val = value_from_eta(sol, spec.hbar)
 res = lcp_residual(sol, spec, grid)
-print(f"projected SOR sweeps: {sol.psor_sweeps}")
+print(f"banded solves per time step: mean {sol.step_solves.mean():.4f}, "
+      f"max {sol.step_solves.max()}")
 print(f"complementarity residual: {np.max(np.abs(res.values)):.3e}")
 
 # the stopping set for this example is exactly the x = 0 column

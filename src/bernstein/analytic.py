@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from .core import ConvergenceError
@@ -250,11 +249,3 @@ def sec7_drift_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
         )
     return b
 
-
-def oracle_table(eval_fn, ts, xs) -> np.ndarray:
-    """Tabulate a pointwise oracle over a time/space node set."""
-    out = np.empty((len(ts), len(xs)))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            out[i, j] = eval_fn(t, x)
-    return out

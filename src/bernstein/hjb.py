@@ -4,17 +4,19 @@ value problems.
 The nonlinear equations are linearized exactly by the exponential transform
 eta = exp(-U/hbar), which turns each problem into a linear complementarity
 (obstacle) problem for a heat operator with potential. Time stepping is
-implicit Euler; the obstacle constraint is enforced by projected SOR with a
-fixed red-black sweep order, so results are deterministic.
+implicit Euler; each step is solved directly by the primal-dual active-set
+method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2003), almost always in
+one tridiagonal solve, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 from typing import Literal
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     BACKWARD,
@@ -31,27 +33,26 @@ from .core import (
 )
 
 #: Truncation boundary treatments at x_min / x_max.
-#:   "extrapolate" -- log-linear extrapolation from the two interior neighbors
-#:                    (exact for the far-field exp(a x + c) profile), floored
-#:                    at the obstacle.
-#:   "obstacle"    -- Dirichlet eta = obstacle (far field treated as stopped).
+#:   "extrapolate" -- the data-ratio row e_0 = max(psi_0, e_1 psi_0 / psi_1),
+#:                    mirrored at x_max; the ratio is capped at 1 where it
+#:                    would cost the step matrix its M-matrix property.
+#:   "obstacle"    -- Dirichlet eta = obstacle (far field treated as stopped),
+#:                    an always-active row.
 BoundaryMode = Literal["extrapolate", "obstacle"]
+
+#: An active-set step also stops at this scaled complementarity residual, as
+#: round-off alone flips degenerate nodes (eta = psi, zero multiplier).
+_STOP_TOL = 1e-12
+_MAX_SOLVES = 50  # per time step, then ConvergenceError
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    psor_tol: float = 1e-10
-    psor_omega: float = 1.5
-    psor_max_iter: int = 2000
     region_abs_tol: float = 1e-9
     region_rel_tol: float = 1e-8
     boundary: str = "extrapolate"
 
     def __post_init__(self):
-        if not 0 < self.psor_omega < 2:
-            raise ValueError("psor_omega must lie in (0, 2)")
-        if self.psor_tol <= 0:
-            raise ValueError("psor_tol must be positive")
         if self.boundary not in ("extrapolate", "obstacle"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
 
@@ -59,6 +60,9 @@ class SolverConfig:
     def from_json(cls, doc) -> "SolverConfig":
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown solver settings {unknown}")
         return cls(**doc)
 
     def to_dict(self):
@@ -74,7 +78,13 @@ class EtaSolution:
     boundary: list = field(compare=False)
     orientation: str = FORWARD
     stopping_cost: np.ndarray = None  # S (or S*) sampled on xs
-    psor_sweeps: int = 0
+    step_solves: np.ndarray = None  # banded solves per step, marching order
+
+    @property
+    def psor_sweeps(self) -> int:
+        """Total banded solves of the march, under the name ``bench/``
+        reads."""
+        return 0 if self.step_solves is None else int(np.sum(self.step_solves))
 
 
 @dataclass(frozen=True)
@@ -85,47 +95,6 @@ class ValueSolution:
     orientation: str = FORWARD
 
 
-def _extrapolate_boundary(e, psi):
-    # log-linear continuation of the interior profile, floored at the obstacle
-    r0 = min(max(e[1] / e[2], 1e-3), 1e3)
-    r1 = min(max(e[-2] / e[-3], 1e-3), 1e3)
-    e[0] = max(psi[0], e[1] * r0)
-    e[-1] = max(psi[-1], e[-2] * r1)
-
-
-def _psor_step(rhs, psi, diag, lam, cfg: SolverConfig, warm):
-    """Solve one implicit step of the LCP: A e >= rhs, e >= psi, complementary.
-
-    A is tridiagonal with ``diag`` on the diagonal and -lam off it. Red-black
-    projected SOR; stops on the scaled complementarity residual.
-    """
-    nx = rhs.size
-    e = warm.copy()
-    even = np.arange(2, nx - 1, 2)
-    odd = np.arange(1, nx - 1, 2)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    omega = cfg.psor_omega
-    trace = []
-    for sweep in range(1, cfg.psor_max_iter + 1):
-        if cfg.boundary == "extrapolate":
-            _extrapolate_boundary(e, psi)
-        else:
-            e[0], e[-1] = psi[0], psi[-1]
-        for idx in (even, odd):
-            gs = (rhs[idx] + lam * (e[idx - 1] + e[idx + 1])) / diag[idx]
-            e[idx] = np.maximum(psi[idx], (1 - omega) * e[idx] + omega * gs)
-        r = diag[1:-1] * e[1:-1] - lam * (e[:-2] + e[2:]) - rhs[1:-1]
-        res = float(np.max(np.abs(np.minimum(r, e[1:-1] - psi[1:-1]))))
-        trace.append(res)
-        if res <= cfg.psor_tol * scale:
-            return e, sweep
-    raise ConvergenceError(
-        f"projected SOR did not reach tol {cfg.psor_tol:g} in "
-        f"{cfg.psor_max_iter} sweeps (last residual {res:.3g})",
-        residual_trace=trace,
-    )
-
-
 def _free_boundary_trace(flags, xs):
     trace = []
     for row in flags:
@@ -134,10 +103,14 @@ def _free_boundary_trace(flags, xs):
     return trace
 
 
-def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
+def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
+              boundary: str = "extrapolate"):
     """The orientation's stopping cost on the nodes, its obstacle
-    exp(-cost/hbar), and the implicit step matrix: ``diag`` on the diagonal
-    and -lam off it."""
+    psi = exp(-cost/hbar), and the implicit step matrix in ``solve_banded``'s
+    (1, 1) layout: rows -lam, 1 + dt V/hbar + 2 lam, -lam inside, with
+    lam = hbar dt / (2 dx^2), and the far-field rows e_0 - r e_1 (mirrored at
+    x_max) with right-hand side 0. r is psi_0 / psi_1 for "extrapolate", and
+    0 for "obstacle", where the obstacle alone sets the edge node."""
     hbar = spec.hbar
     cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
     svals = np.asarray(cost(grid.xs), dtype=float)
@@ -146,11 +119,19 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
         raise ValueError("obstacle exp(-cost/hbar) must be strictly positive")
     vvals = np.asarray(spec.potential(grid.xs), dtype=float)
-    lam = hbar * grid.dt / (2 * grid.dx * grid.dx)
-    diag = 1.0 + grid.dt * vvals / hbar + 2 * lam
-    if np.any(diag <= 0):
+    off = np.full(grid.nx, -hbar * grid.dt / (2 * grid.dx * grid.dx))  # -lam
+    ab = np.array([off, 1.0 + grid.dt * vvals / hbar - 2 * off, off])
+    if np.any(ab[1] <= 0):
         raise ValueError("potential too negative for this time step (diag <= 0)")
-    return svals, psi, diag, lam
+    ab[1, [0, -1]] = 1.0
+    ab[0, 1] = ab[2, -2] = 0.0
+    if boundary == "extrapolate":
+        ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
+        # an M-matrix iff every LU pivot is positive; the symmetric matrix
+        # with the same off-diagonal products has the same pivots
+        if lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2] != 0:
+            ab[0, 1], ab[2, -2] = max(ab[0, 1], -1.0), max(ab[2, -2], -1.0)
+    return svals, psi, ab
 
 
 def _rows(grid: SpaceTimeGrid, orientation: str):
@@ -160,28 +141,52 @@ def _rows(grid: SpaceTimeGrid, orientation: str):
     return [(k, k - 1) for k in range(1, grid.nt)]
 
 
-def _march(grid, orientation, data, obstacle, diag, lam, cfg: SolverConfig):
-    """Implicit Euler march of the LCP from the data row; returns eta and
-    the total PSOR sweeps."""
+def _march(grid, orientation, data, psi, ab):
+    """Implicit Euler march from the data row of the LCP A e >= b, e >= psi,
+    complementary, b being the previous row with 0 on the far-field rows.
+    From the previous step's active set (at first {data <= psi}), solve with
+    the active rows set to psi, then set active = {A e - b + psi - e > 0},
+    until the set repeats or the scaled complementarity residual is at most
+    _STOP_TOL. Returns eta and the banded solves of each step."""
     eta = np.empty((grid.nt, grid.nx))
     eta[-1 if orientation == FORWARD else 0] = data
-    sweeps = 0
+    active, factored, solves = data <= psi, None, []
     for k, kp in _rows(grid, orientation):
-        e, sw = _psor_step(eta[kp], obstacle, diag, lam, cfg, warm=eta[kp])
-        if np.any(e <= 0):
-            raise ConvergenceError(
-                "nonpositive eta produced; check dt/dx ratio and that the "
-                "potential is bounded below"
-            )
-        eta[k] = e
-        sweeps += sw
-    return eta, sweeps
+        scale = max(1.0, float(np.max(np.abs(eta[kp]))))
+        b = eta[kp].copy()
+        b[[0, -1]] = 0.0
+        trace = []
+        while True:
+            if not np.array_equal(active, factored):
+                m = ab.copy()  # each active row made the identity row
+                m[1, active] = 1.0
+                m[0, 1:][active[:-1]] = m[2, :-1][active[1:]] = 0.0
+                lu, factored = lapack.dgttrf(m[2, :-1], m[1], m[0, 1:])[:5], active
+            e = lapack.dgttrs(*lu, np.where(active, psi, b))[0]
+            mult = ab[1] * e - b
+            mult[:-1] += ab[0, 1:] * e[1:]
+            mult[1:] += ab[2, :-1] * e[:-1]
+            trace.append(float(np.max(np.abs(np.minimum(mult, e - psi)))) / scale)
+            new = mult + (psi - e) > 0
+            if trace[-1] <= _STOP_TOL or np.array_equal(new, active):
+                break
+            if len(trace) == _MAX_SOLVES:
+                raise ConvergenceError(
+                    f"active-set step did not settle in {_MAX_SOLVES} solves "
+                    f"(last residual {trace[-1]:.3g})", residual_trace=trace)
+            active = new
+        if not np.all(e > 0):
+            raise ConvergenceError("nonpositive eta produced; check dt/dx "
+                                   "ratio and that the potential is bounded below")
+        eta[k], active = e, new
+        solves.append(len(trace))
+    return eta, np.array(solves)
 
 
 def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
                     orientation: str) -> EtaSolution:
-    svals, psi, diag, lam = _operator(spec, grid, orientation)
-    eta, sweeps = _march(grid, orientation, psi, psi, diag, lam, cfg)
+    svals, psi, ab = _operator(spec, grid, orientation, cfg.boundary)
+    eta, solves = _march(grid, orientation, psi, psi, ab)
     field_ = ScalarField(grid, eta)
     obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
     mask = region_from_eta(field_, obstacle,
@@ -192,7 +197,7 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
         boundary=_free_boundary_trace(mask.flags, grid.xs),
         orientation=orientation,
         stopping_cost=svals,
-        psor_sweeps=sweeps,
+        step_solves=solves,
     )
 
 
@@ -240,12 +245,12 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
     scaled by the step right-hand side. Boundary-condition rows/columns are
     zero by construction.
     """
-    _, psi, diag, lam = _operator(spec, grid, sol.orientation)
+    _, psi, ab = _operator(spec, grid, sol.orientation)
     eta = sol.eta.values
     out = np.zeros_like(eta)
     for k, kp in _rows(grid, sol.orientation):
         e, b = eta[k], eta[kp]
-        r = diag[1:-1] * e[1:-1] - lam * (e[:-2] + e[2:]) - b[1:-1]
+        r = ab[1, 1:-1] * e[1:-1] + ab[0, 2:] * e[2:] + ab[2, :-2] * e[:-2] - b[1:-1]
         scale = max(1.0, float(np.max(np.abs(b))))
         out[k, 1:-1] = np.minimum(r, e[1:-1] - psi[1:-1]) / scale
     return ScalarField(grid, out)
@@ -258,10 +263,12 @@ def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
     Solves the pure terminal-value (or initial-value) problem through the
     exponential transform; every node is CONTINUATION.
     """
-    _, data, diag, lam = _operator(spec, grid, orientation)
-    # obstacle far below the solution: projection never binds
-    eta, _ = _march(grid, orientation, data, np.full(grid.nx, 1e-300),
-                    diag, lam, cfg)
+    _, data, ab = _operator(spec, grid, orientation, cfg.boundary)
+    # an obstacle of 0 never binds; "obstacle" holds the edges at the data
+    floor = np.zeros(grid.nx)
+    if cfg.boundary == "obstacle":
+        floor[[0, -1]] = data[[0, -1]]
+    eta, _ = _march(grid, orientation, data, floor, ab)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
     sol = EtaSolution(eta=ScalarField(grid, eta), mask=mask, boundary=[],
                       orientation=orientation)

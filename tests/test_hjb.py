@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from bernstein import hjb
+from bernstein.acceptance import LCP_TOL, stopping_columns
 from bernstein.core import (
     CONTINUATION,
     STOPPING,
@@ -10,6 +12,7 @@ from bernstein.core import (
     ProblemSpec,
     ScalarField,
     build_grid,
+    function_from_spec,
 )
 from bernstein.hjb import (
     SolverConfig,
@@ -45,6 +48,15 @@ def make_spec(**kw):
     return ProblemSpec(**base)
 
 
+def lu_pivots(ab):
+    """Pivots of the LU without row exchanges of a tridiagonal matrix in
+    solve_banded's (1, 1) layout."""
+    piv = [ab[1, 0]]
+    for i in range(1, ab.shape[1]):
+        piv.append(ab[1, i] - ab[2, i - 1] * ab[0, i] / piv[-1])
+    return piv
+
+
 @pytest.fixture(scope="module")
 def medium_forward():
     spec = make_spec()
@@ -61,12 +73,14 @@ def medium_backward():
 
 class TestSolverConfig:
     def test_from_json(self):
-        cfg = SolverConfig.from_json('{"psor_tol": 1e-9, "psor_omega": 1.2}')
-        assert cfg.psor_tol == 1e-9 and cfg.psor_omega == 1.2
+        cfg = SolverConfig.from_json('{"boundary": "obstacle", "region_rel_tol": 1e-7}')
+        assert cfg.boundary == "obstacle" and cfg.region_rel_tol == 1e-7
+        assert SolverConfig.from_json(cfg.to_dict()) == cfg
 
-    def test_omega_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(psor_omega=2.5)
+    @pytest.mark.parametrize("key", ["psor_tol", "psor_omega", "psor_max_iter"])
+    def test_from_json_names_removed_psor_key(self, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            SolverConfig.from_json({key: 1, "boundary": "extrapolate"})
 
     def test_unknown_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -184,7 +198,7 @@ class TestLcpResidual:
     def test_converged_run_small(self, medium_forward):
         spec, grid, sol = medium_forward
         res = lcp_residual(sol, spec, grid)
-        assert np.max(np.abs(res.values)) <= 10 * SolverConfig().psor_tol
+        assert np.max(np.abs(res.values)) <= LCP_TOL
 
     def test_obstacle_everywhere_is_zero(self):
         spec = make_spec(terminal_cost=zero)
@@ -262,12 +276,71 @@ class TestErrors:
         psi = np.exp(-np.abs(grid.xs))
         assert np.allclose(sol.eta.values[:, 0], psi[0])
 
-    def test_psor_failure_carries_every_sweep_residual(self):
+    def test_step_cap_carries_every_solve_residual(self, monkeypatch):
+        # the first step starts from the all-active data row and needs a
+        # second solve, which a cap of one solve forbids
+        monkeypatch.setattr(hjb, "_MAX_SOLVES", 1)
         spec = make_spec()
         grid = build_grid(spec, 101, 51)
         with pytest.raises(ConvergenceError) as exc:
-            solve_forward_obstacle(spec, grid, SolverConfig(psor_max_iter=3))
+            solve_forward_obstacle(spec, grid)
         trace = exc.value.residual_trace
-        assert len(trace) == 3
-        assert all(math.isfinite(r) and r > 0 for r in trace)
+        assert len(trace) == 1
+        assert all(math.isfinite(r) and r > LCP_TOL for r in trace)
         assert f"last residual {trace[-1]:.3g}" in str(exc.value)
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("cost,mean_solves", [
+        # every node degenerate: eta = obstacle with a zero multiplier
+        ({"name": "constant", "value": 0.5}, 1.0),
+        # psi_0 / psi_1 = exp(2 dx) > 1 at x_min
+        ({"name": "linear", "slope": 2.0}, 1.002),
+        # the obstacle rises to the x_max edge
+        ({"name": "quadratic", "center": 2.9}, 1.042),
+    ])
+    @pytest.mark.parametrize("solve", [solve_forward_obstacle,
+                                       solve_backward_obstacle])
+    def test_registered_costs_reach_the_gate(self, cost, mean_solves, solve):
+        f = function_from_spec(cost)
+        spec = make_spec(terminal_cost=f, initial_cost=f)
+        grid = build_grid(spec, 301, 501)
+        sol = solve(spec, grid)
+        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+        assert sol.step_solves.size == grid.nt - 1
+        assert sol.psor_sweeps == sol.step_solves.sum()
+        assert sol.step_solves.mean() <= mean_solves + 1e-9
+        psi = np.exp(-f(grid.xs))
+        e = sol.eta.values
+        assert np.all(e >= psi * (1 - 1e-12))
+        # the far-field rows, which lcp_residual does not score
+        _, _, ab = hjb._operator(spec, grid, sol.orientation)
+        assert np.allclose(e[:, 0], np.maximum(psi[0], -ab[0, 1] * e[:, 1]),
+                           rtol=1e-12, atol=0)
+        assert np.allclose(e[:, -1], np.maximum(psi[-1], -ab[2, -2] * e[:, -2]),
+                           rtol=1e-12, atol=0)
+
+    def test_ratio_capped_where_m_matrix_fails(self):
+        # psi_0 / psi_1 = exp(0.4) at dt = 0.5, dx = 0.2: the raw far-field
+        # row leaves the step matrix without positive pivots
+        spec = make_spec(terminal_cost=function_from_spec(
+            {"name": "linear", "slope": 2.0}))
+        grid = build_grid(spec, 31, 3)
+        _, psi, ab = hjb._operator(spec, grid, "forward")
+        assert ab[0, 1] == -1.0 and ab[2, -2] == -psi[-1] / psi[-2]
+        assert min(lu_pivots(ab)) > 0
+        ab[0, 1] = -psi[0] / psi[1]
+        assert min(lu_pivots(ab)) <= 0
+        sol = solve_forward_obstacle(spec, grid)
+        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+        e = sol.eta.values[0]
+        assert e[0] == pytest.approx(max(psi[0], e[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("nx,nt", [(151, 251), (201, 401), (241, 801)])
+    def test_backward_edges_not_floored_on_coarse_grids(self, nx, nt):
+        # the far-field row keeps the x = +-3 edge nodes above the obstacle,
+        # so only the x = 0 column is stopped
+        spec = make_spec()
+        sol = solve_backward_obstacle(spec, build_grid(spec, nx, nt))
+        cols, full, exact = stopping_columns(sol)
+        assert exact and full, cols
