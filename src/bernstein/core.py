@@ -263,28 +263,25 @@ def build_grid(spec: ProblemSpec, nx: int, nt: int) -> SpaceTimeGrid:
     )
 
 
-def interpolate(fld: ScalarField, t: float, x: float) -> float:
-    """Bilinear interpolation in (t, x); exact at nodes, errors out of hull."""
+def interpolate(fld: ScalarField, t, x):
+    """Bilinear interpolation in (t, x) at a point, or at arrays of points
+    broadcast together; exact at nodes, errors out of hull."""
     ts, xs = fld.grid.ts, fld.grid.xs
-    eps_t = 1e-12 * max(1.0, abs(ts[0]), abs(ts[-1]))
-    eps_x = 1e-12 * max(1.0, abs(xs[0]), abs(xs[-1]))
-    if not (ts[0] - eps_t <= t <= ts[-1] + eps_t):
-        raise ValueError(f"time {t} outside grid hull [{ts[0]}, {ts[-1]}]")
-    if not (xs[0] - eps_x <= x <= xs[-1] + eps_x):
-        raise ValueError(f"position {x} outside grid hull [{xs[0]}, {xs[-1]}]")
-    it = min(int(np.searchsorted(ts, t, side="right")) - 1, ts.size - 2)
-    ix = min(int(np.searchsorted(xs, x, side="right")) - 1, xs.size - 2)
-    it = max(it, 0)
-    ix = max(ix, 0)
-    wt = (t - ts[it]) / (ts[it + 1] - ts[it])
-    wx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
-    wt = min(max(wt, 0.0), 1.0)
-    wx = min(max(wx, 0.0), 1.0)
+    tq, xq = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    for name, q, nodes in (("time", tq, ts), ("position", xq, xs)):
+        eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
+        out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
+        if np.any(out):
+            raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
+                             f"[{nodes[0]}, {nodes[-1]}]")
+    it = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, ts.size - 2)
+    ix = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, xs.size - 2)
+    wt = np.clip((tq - ts[it]) / (ts[it + 1] - ts[it]), 0.0, 1.0)
+    wx = np.clip((xq - xs[ix]) / (xs[ix + 1] - xs[ix]), 0.0, 1.0)
     v = fld.values
-    return float(
-        (1 - wt) * ((1 - wx) * v[it, ix] + wx * v[it, ix + 1])
-        + wt * ((1 - wx) * v[it + 1, ix] + wx * v[it + 1, ix + 1])
-    )
+    vals = ((1 - wt) * ((1 - wx) * v[it, ix] + wx * v[it, ix + 1])
+            + wt * ((1 - wx) * v[it + 1, ix] + wx * v[it + 1, ix + 1]))
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def gradient_rows(values: np.ndarray, dx: float) -> np.ndarray:

@@ -1,0 +1,363 @@
+"""The experiment layer shared by ``bernstein run`` and ``bernstein check``.
+
+Each experiment is one function ``(cfg, seed) -> Result``: it builds its
+inputs from the config, runs its pipeline and judges what it produced with
+the checks and gates defined here. It writes nothing; ``cli`` persists a
+result, and the acceptance criteria read the same results at each
+experiment's default config.
+
+The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
+snapped to its nearest grid row and scored against the worked example's
+quadrature oracle at that row's time, over the band ``BAND`` of |x|. The
+oracle is memoised per point, so grids that share rows share its values.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import analytic, core, hjb, schrodinger, simulate, stopping
+from .core import (
+    BACKWARD,
+    FORWARD,
+    STOPPING,
+    ProblemSpec,
+    ScalarField,
+    SpaceTimeGrid,
+    build_grid,
+)
+
+HBAR = analytic.WORKED_EXAMPLE["hbar"]
+T = 2 * analytic.WORKED_EXAMPLE["half_horizon"]
+#: band-error slices, snapped to the nearest grid row (multiples of 0.008,
+#: so grid rows on every refinement level of the convergence study)
+SLICE_TIMES = (-0.5, -0.34, -0.14, 0.06, 0.26, 0.46)
+BAND = (0.1, 2.5)
+
+#: Gates of the checks, shared by ``bernstein run`` and the criteria.
+BAND_TOL = 1e-2  # relative error of U against the oracle on the band
+DOMINANCE_TOL = 1e-6  # max(U - H~): stopping never costs more
+STRICT_GAP = 1e-3  # H~ - U at (0, 1); both carry O(dx^2 + dt) error
+REVERSAL_TOL = 1e-3  # scaled drift-reversal error
+MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
+LCP_TOL = 1e-9  # scaled complementarity residual of an obstacle solve
+
+
+# ---------------------------------------------------------------------------
+# Checks
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_eta(orientation: str, t: float, x: float) -> float:
+    """The worked example's quadrature oracle for eta (forward) or eta*
+    (backward) at (t, x), memoised."""
+    f = (analytic.sec7_eta_forward if orientation == FORWARD
+         else analytic.sec7_eta_backward)
+    return f(t, x, HBAR, T)
+
+
+def band_errors(sol: hjb.EtaSolution) -> list:
+    """The oracle band error of a worked-example solve, slice by slice:
+    (row time, relative infinity-norm error of U = -hbar log(eta) over
+    BAND[0] <= |x| <= BAND[1]) for each slice of SLICE_TIMES, snapped to its
+    nearest grid row."""
+    grid = sol.eta.grid
+    sel = ((np.abs(grid.xs) >= BAND[0] - 1e-12)
+           & (np.abs(grid.xs) <= BAND[1] + 1e-12))
+    rows = sorted({int(np.argmin(np.abs(grid.ts - t))) for t in SLICE_TIMES})
+    out = []
+    for k in rows:
+        t = float(grid.ts[k])
+        u = -HBAR * np.log(sol.eta.values[k, sel])
+        ref = np.array([-HBAR * math.log(oracle_eta(sol.orientation, t, x))
+                        for x in grid.xs[sel].tolist()])
+        out.append((t, float(np.max(np.abs(u - ref)
+                                    / np.maximum(np.abs(ref), 1e-12)))))
+    return out
+
+
+def stopping_columns(sol: hjb.EtaSolution):
+    """Distinct stopped x positions over the solved rows, whether the data
+    row is fully stopped, and whether the solved rows stop exactly on the
+    x = 0 column."""
+    flags = sol.mask.flags
+    grid = sol.eta.grid
+    data_row = -1 if sol.orientation == FORWARD else 0
+    solved = np.delete(flags, data_row, axis=0)
+    cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
+    full = bool(np.all(flags[data_row] == STOPPING))
+    exact = bool(np.all(
+        (solved == STOPPING) == (np.abs(grid.xs) < grid.dx / 2)[None, :]
+    ))
+    return cols, full, exact
+
+
+def value_dominance(stopped: ScalarField, classical: ScalarField):
+    """max(U - H~) over the grid for the stopped value U and the
+    fixed-horizon value H~, and the gain H~ - U at the node nearest
+    (t, x) = (0, 1)."""
+    grid = stopped.grid
+    worst = float(np.max(stopped.values - classical.values))
+    j = int(np.argmin(np.abs(grid.xs - 1.0)))
+    k = int(np.argmin(np.abs(grid.ts - 0.0)))
+    return worst, float(classical.values[k, j] - stopped.values[k, j])
+
+
+def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
+                         rho: ScalarField, hbar: float):
+    """Scaled infinity error of B - hbar d/dx log(rho), with
+    B = hbar d/dx log(eta), against -hbar d/dx log(eta*), over the nodes
+    where rho is resolved; returns (error, nodes checked)."""
+    grid = rho.grid
+    drift = ScalarField(grid, hbar * core.gradient_rows(np.log(eta.values), grid.dx))
+    rev = simulate.reversed_drift(drift, rho, hbar)
+    target = -hbar * core.gradient_rows(np.log(eta_star.values), grid.dx)
+    fin = np.isfinite(rev.values)
+    dev = float(np.max(np.abs(rev.values[fin] - target[fin])))
+    scale = max(1.0, float(np.max(np.abs(target[fin]))))
+    return dev / scale, int(np.sum(fin))
+
+
+def compare_report(a: ScalarField, b: ScalarField, x_abs_min=None,
+                   x_abs_max=None) -> dict:
+    """Difference norms between two fields on a common grid.
+
+    Reports the infinity norm, the grid-scaled 2-norm, and the same two
+    restricted to the band x_abs_min <= |x| <= x_abs_max when given.
+    """
+    if not (np.array_equal(a.grid.xs, b.grid.xs)
+            and np.array_equal(a.grid.ts, b.grid.ts)):
+        raise ValueError("fields must share a grid")
+    d = a.values - b.values
+    out = {
+        "inf_norm": float(np.max(np.abs(d))),
+        "scaled_2_norm": float(np.sqrt(np.mean(d * d))),
+    }
+    if x_abs_min is not None or x_abs_max is not None:
+        lo = 0.0 if x_abs_min is None else x_abs_min
+        hi = np.inf if x_abs_max is None else x_abs_max
+        sel = (np.abs(a.grid.xs) >= lo) & (np.abs(a.grid.xs) <= hi)
+        dr = d[:, sel]
+        out["restricted_inf_norm"] = float(np.max(np.abs(dr)))
+        out["restricted_scaled_2_norm"] = float(np.sqrt(np.mean(dr * dr)))
+        out["restriction"] = [lo, None if hi == np.inf else hi]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Experiments
+
+
+@dataclass(frozen=True)
+class Result:
+    """What one experiment produced: its JSON reports and fields (written
+    as matrix CSVs), each keyed by file name; its named checks; and what
+    else its pipeline built, for the artifacts that are neither and for the
+    criteria. No timing goes into a report."""
+
+    reports: dict
+    checks: dict
+    fields: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
+
+
+def _problem(cfg):
+    """Spec, whether it is the worked example, grid and solver config."""
+    doc = cfg.get("spec")
+    spec = ProblemSpec.from_json(doc or analytic.WORKED_EXAMPLE)
+    grid = build_grid(spec, int(cfg.get("nx", 601)), int(cfg.get("nt", 2001)))
+    return spec, doc is None, grid, hjb.SolverConfig.from_json(cfg.get("solver", {}))
+
+
+def sec7(orientation, cfg, seed=0) -> Result:
+    """One obstacle solve, its value and drift, judged by its complementarity
+    residual and, on the worked example, by the oracle band error and the
+    x = 0 stopping column."""
+    spec, is_default, grid, scfg = _problem(cfg)
+    solve = (hjb.solve_forward_obstacle if orientation == FORWARD
+             else hjb.solve_backward_obstacle)
+    t0 = time.perf_counter()
+    sol = solve(spec, grid, scfg)
+    solve_s = time.perf_counter() - t0
+    val = hjb.value_from_eta(sol, spec.hbar)
+    res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec, grid).values)))
+    checks = {"lcp_residual": res_norm <= LCP_TOL}
+    report = {"lcp_residual": res_norm,
+              "solves_per_step_mean": float(np.mean(sol.step_solves)),
+              "solves_per_step_max": int(np.max(sol.step_solves))}
+    data = {"solution": sol, "value": val, "solve_s": solve_s}
+    if is_default:
+        data["stop_columns"], full, exact = stopping_columns(sol)
+        slices = band_errors(sol)
+        err = max(e for _, e in slices)
+        report.update(oracle_band_rel_err=err,
+                      band_slice_times=[t for t, _ in slices],
+                      band_slice_rel_err=[e for _, e in slices],
+                      data_row_stopped=full, origin_column_exact=exact)
+        checks["oracle_agreement"] = err <= BAND_TOL
+        checks["stopping_set_is_origin_column"] = full and exact
+    return Result(
+        fields={"eta.csv": sol.eta, "value.csv": val.value, "drift.csv": val.drift},
+        reports={"oracle_compare.json": report}, checks=checks, data=data)
+
+
+def classical_compare(cfg, seed=0) -> Result:
+    """The stopped value against the fixed-horizon one: dominance and a
+    strict gain at (0, 1)."""
+    spec, _, grid, scfg = _problem(cfg)
+    sol = hjb.solve_forward_obstacle(spec, grid, scfg)
+    stopped = hjb.value_from_eta(sol, spec.hbar)
+    classical = hjb.classical_value(spec, grid, FORWARD, scfg)
+    report = compare_report(stopped.value, classical.value, *BAND)
+    worst, gap = value_dominance(stopped.value, classical.value)
+    report.update(max_U_minus_Htilde=worst, gap_at_t0_x1=gap)
+    return Result(
+        fields={"value_stopped.csv": stopped.value,
+                "value_classical.csv": classical.value},
+        reports={"compare.json": report},
+        checks={"dominance": worst <= DOMINANCE_TOL,
+                "strict_improvement": gap > STRICT_GAP})
+
+
+def pinning(cfg, seed=0) -> Result:
+    """Endpoint pinning of two marginals: Sinkhorn factors, propagated
+    factors and density, judged by convergence, slice mass and the
+    drift-reversal identity."""
+    hbar = float(cfg.get("hbar", 0.5))
+    nx = int(cfg.get("nx", 201))
+    nt = int(cfg.get("nt", 51))
+    x_min = float(cfg.get("x_min", -4.0))
+    x_max = float(cfg.get("x_max", 4.0))
+    T2 = float(cfg.get("half_horizon", 0.5))
+    tol = float(cfg.get("tol", 1e-8))
+    grid = SpaceTimeGrid(xs=np.linspace(x_min, x_max, nx),
+                         ts=np.linspace(-T2, T2, nt))
+    if "marginals_csv" in cfg:
+        marg = schrodinger.MarginalPair.from_csv(*cfg["marginals_csv"])
+        if not np.allclose(marg.xs, grid.xs):
+            raise ValueError("marginal CSV nodes do not match the grid")
+    else:
+        mi = cfg.get("init_marginal", {"mean": -1.0, "sd": 0.35})
+        mf = cfg.get("final_marginal", {"mean": 1.0, "sd": 0.35})
+
+        def gauss(m):
+            return np.exp(-((grid.xs - m["mean"]) ** 2) / (2 * m["sd"] ** 2))
+
+        marg = schrodinger.MarginalPair(xs=grid.xs, p_init=gauss(mi),
+                                        p_final=gauss(mf))
+    factors, eta, eta_star, rho = schrodinger.pin_endpoints(
+        marg, grid, hbar, tol=tol, max_iter=int(cfg.get("max_iter", 500)))
+    masses = schrodinger.slice_mass(rho)
+    mass_dev = float(np.max(np.abs(masses - 1.0)))
+    rev_err, nodes = drift_reversal_error(eta, eta_star, rho, hbar)
+    report = {
+        "iterations": factors.iterations,
+        "marginal_residual": factors.final_marginal_error,
+        # one marginal residual per Sinkhorn iteration
+        "residual_trace": factors.residual_trace.tolist(),
+        "slice_masses": masses.tolist(),
+        "drift_reversal_scaled_err": rev_err,
+        # below 1 the kernel next to the endpoint slices is
+        # narrower than a node spacing, and slice masses drift
+        "kernel_sd_over_dx": math.sqrt(hbar * grid.dt) / grid.dx,
+    }
+    return Result(
+        fields={"rho.csv": rho}, reports={"schrodinger_report.json": report},
+        checks={"sinkhorn_converged": factors.final_marginal_error <= tol,
+                "mass_conservation": mass_dev <= MASS_TOL,
+                "drift_reversal": rev_err <= REVERSAL_TOL},
+        data={"factors": factors, "hbar": hbar, "tol": tol,
+              "mass_deviation": mass_dev, "reversal_nodes": nodes})
+
+
+def stopping_dist(cfg, seed=0) -> Result:
+    """Survival functions of the optimally stopped forward process against
+    a Monte Carlo ensemble: the survival probability at the start and the
+    martingale property of q along the paths."""
+    spec, _, grid, scfg = _problem(cfg)
+    sol = hjb.solve_forward_obstacle(spec, grid, scfg)
+    val = hjb.value_from_eta(sol, spec.hbar)
+    sols = [stopping.solve_q(stopping.SurvivalProblem(
+                orientation=FORWARD, threshold=float(thr), drift=val.drift,
+                mask=val.mask, hbar=spec.hbar))
+            for thr in cfg.get("thresholds", [0.25])]
+
+    checkpoints = tuple(cfg.get("checkpoints", (-0.3, -0.1, 0.1, 0.2)))
+    start = tuple(cfg.get("start", (-spec.half_horizon, 1.0)))
+    sim = simulate.SimConfig(
+        dt=float(cfg.get("dt", 1e-3)), n_paths=int(cfg.get("n_paths", 20000)),
+        seed=seed, start=start, checkpoints=checkpoints,
+    )
+    ens = simulate.simulate_forward(spec, val.drift, val.mask, sim)
+    qsol = sols[0]
+    emp = stopping.empirical_survival(ens, qsol.threshold)
+    j = int(np.argmin(np.abs(grid.xs - start[1])))
+    k = int(np.argmin(np.abs(grid.ts - start[0])))
+    q0 = float(qsol.q.values[k, j])
+    mart = stopping.martingale_check(qsol, ens, checkpoints)
+    return Result(
+        reports={"survival_compare.json": {
+            "q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
+            "ensemble": ens.summary()}},
+        checks={"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
+                "martingale": mart["all_within_3_stderr"]},
+        data={"value": val, "q_solutions": sols, "ensemble": ens,
+              "martingale": mart})
+
+
+def bridge_test(cfg, seed=0) -> Result:
+    """The two-sided Markov bridge chi-square test over consecutive seeds;
+    all but one must pass."""
+    n_seeds = int(cfg.get("n_seeds", 20))
+    reports = []
+    passes = 0
+    for i in range(n_seeds):
+        rep = simulate.bridge_markov_test(
+            s=float(cfg.get("s", 0.0)), x=float(cfg.get("x", 0.0)),
+            u=float(cfg.get("u", 1.0)), z=float(cfg.get("z", 0.0)),
+            t=float(cfg.get("t", 0.5)), hbar=float(cfg.get("hbar", 1.0)),
+            n_paths=int(cfg.get("n_paths", 100000)),
+            n_bins=int(cfg.get("n_bins", 30)), seed=seed + i,
+        )
+        passes += rep["passed"]
+        reports.append({"seed": seed + i, "p_value": rep["p_value"],
+                        "passed": rep["passed"]})
+    return Result(reports={"bridge_test.json": {"runs": reports, "passes": passes}},
+                  checks={"bridge_pass_rate": passes >= n_seeds - 1})
+
+
+def convergence_study(cfg, seed=0) -> Result:
+    """The forward band error on refined grids; each refinement must gain
+    at least first order."""
+    spec, is_default, _, scfg = _problem(cfg)
+    if not is_default:
+        raise ValueError(
+            "convergence-study needs the worked example's closed-form oracle; "
+            "drop the \"spec\" field to run it")
+    levels = [tuple(lv) for lv in cfg.get("levels",
+                                          [(151, 126), (301, 501), (601, 2001)])]
+    errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(
+                spec, build_grid(spec, int(nx), int(nt)), scfg)))
+            for nx, nt in levels]
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    rows = [{"nx": nx, "nt": nt, "band_rel_err": e}
+            for (nx, nt), e in zip(levels, errs)]
+    return Result(reports={"convergence.json": {"levels": rows, "orders": orders}},
+                  checks={"order_at_least_1": all(o >= 1.0 for o in orders)})
+
+
+#: experiment name -> experiment(cfg, seed) -> Result
+RUNNERS = {
+    "sec7-forward": functools.partial(sec7, FORWARD),
+    "sec7-backward": functools.partial(sec7, BACKWARD),
+    "sec7-classical-compare": classical_compare,
+    "schrodinger": pinning,
+    "stopping-dist": stopping_dist,
+    "bridge-test": bridge_test,
+    "convergence-study": convergence_study,
+}

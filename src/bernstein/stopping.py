@@ -27,6 +27,7 @@ from .core import (
     RegionMask,
     ScalarField,
     SpaceTimeGrid,
+    interpolate,
 )
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
@@ -205,27 +206,21 @@ def solve_q(problem: SurvivalProblem, max_principle_tol: float = 1e-9
     )
 
 
-def _interp_many(fld: ScalarField, ts_q, xs_q):
-    """Bilinear interpolation at arrays of (t, x) query points."""
-    ts, xs = fld.grid.ts, fld.grid.xs
-    it = np.clip(np.searchsorted(ts, ts_q, side="right") - 1, 0, ts.size - 2)
-    ix = np.clip(np.searchsorted(xs, xs_q, side="right") - 1, 0, xs.size - 2)
-    wt = np.clip((ts_q - ts[it]) / (ts[it + 1] - ts[it]), 0.0, 1.0)
-    wx = np.clip((xs_q - xs[ix]) / (xs[ix + 1] - xs[ix]), 0.0, 1.0)
-    v = fld.values
-    return ((1 - wt) * ((1 - wx) * v[it, ix] + wx * v[it, ix + 1])
-            + wt * ((1 - wx) * v[it + 1, ix] + wx * v[it + 1, ix + 1]))
-
-
 def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
     """Check that q evaluated along stopped paths has constant mean.
 
     For each checkpoint c, compares the sample mean of q(c ^ stop_time,
     state) against q at the ensemble start; the difference should be within
-    a few standard errors under the simulated law.
+    a few standard errors under the simulated law. States outside the
+    grid's x range take q at the nearest edge node.
     """
+    xs = solution.q.grid.xs
+
+    def q_at(t, x):
+        return interpolate(solution.q, t, np.clip(x, xs[0], xs[-1]))
+
     t0, x0 = ensemble.start
-    q0 = float(_interp_many(solution.q, np.array([t0]), np.array([x0]))[0])
+    q0 = q_at(t0, x0)
     rows = []
     for c in checkpoints:
         if c not in ensemble.checkpoints:
@@ -233,7 +228,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
                 f"checkpoint {c} was not recorded during simulation"
             )
         tt, xx = ensemble.checkpoints[c]
-        vals = _interp_many(solution.q, tt, xx)
+        vals = q_at(tt, xx)
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         rows.append({

@@ -5,16 +5,16 @@ import os
 import numpy as np
 import pytest
 
-from bernstein import analytic
+from bernstein import acceptance, analytic, experiments
 from bernstein.cli import (
     EXPERIMENTS,
     _sha256,
-    compare_report,
     field_to_csv,
     main,
     run_experiment,
 )
 from bernstein.core import ScalarField, SpaceTimeGrid
+from bernstein.experiments import SLICE_TIMES, compare_report
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -148,6 +148,45 @@ class TestManifests:
             rep = json.load(fh)
         assert len(rep["orders"]) == 1
         assert man["checks"]["order_at_least_1"]
+
+    def test_convergence_matches_criterion_10(self, tmp_path):
+        # one band schedule: the study and criterion 10 score the same rows
+        cfg = {"experiment": "convergence-study",
+               "levels": [[151, 126], [301, 501]]}
+        run_experiment(cfg, str(tmp_path), 0)
+        with open(tmp_path / "convergence.json") as fh:
+            rep = json.load(fh)
+        errors = [f"{lv['band_rel_err']:.2e}" for lv in rep["levels"]]
+        assert errors == acceptance.criterion_10().details["errors"][:2]
+
+    def test_band_schedule_recorded(self, tmp_path):
+        cfg = {"experiment": "sec7-forward", "nx": 101, "nt": 81}
+        run_experiment(cfg, str(tmp_path), 0)
+        with open(tmp_path / "oracle_compare.json") as fh:
+            rep = json.load(fh)
+        ts = np.linspace(-0.5, 0.5, 81)
+        nearest = [float(ts[np.argmin(np.abs(ts - t))]) for t in SLICE_TIMES]
+        assert rep["band_slice_times"] == nearest
+        assert len(rep["band_slice_rel_err"]) == len(nearest)
+        assert max(rep["band_slice_rel_err"]) == rep["oracle_band_rel_err"]
+
+    def test_stopping_set_check_has_both_parts(self, tmp_path):
+        cfg = {"experiment": "sec7-backward", "nx": 151, "nt": 251}
+        man = run_experiment(cfg, str(tmp_path), 0)
+        with open(tmp_path / "oracle_compare.json") as fh:
+            rep = json.load(fh)
+        assert rep["data_row_stopped"] is True
+        assert rep["origin_column_exact"] is True
+        assert man["checks"]["stopping_set_is_origin_column"]
+
+    def test_stopping_set_check_needs_stopped_data_row(self, tmp_path,
+                                                       monkeypatch):
+        exact_columns = experiments.stopping_columns
+        monkeypatch.setattr(experiments, "stopping_columns",
+                            lambda sol: (exact_columns(sol)[0], False, True))
+        cfg = {"experiment": "sec7-backward", "nx": 151, "nt": 251}
+        man = run_experiment(cfg, str(tmp_path), 0)
+        assert not man["checks"]["stopping_set_is_origin_column"]
 
     def test_stopping_small(self, tmp_path):
         cfg = {"experiment": "stopping-dist", "nx": 151, "nt": 101,

@@ -119,6 +119,31 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="5.0"):
             interpolate(f, 0.5, 5.0)
 
+    def test_arrays_equal_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 61), ts=np.linspace(-0.5, 0.5, 41))
+        f = ScalarField(grid, rng.standard_normal((41, 61)))
+        ts = np.concatenate([rng.uniform(-0.5, 0.5, 500), grid.ts[[0, 7, -1]],
+                             [-0.5, 0.5, 0.5]])
+        xs = np.concatenate([rng.uniform(-3, 3, 500), grid.xs[[0, 30, -1]],
+                             [3.0, -3.0, 3.0]])
+        vals = interpolate(f, ts, xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == ts.shape
+        scalar = [interpolate(f, float(t), float(x)) for t, x in zip(ts, xs)]
+        assert all(isinstance(v, float) for v in scalar)
+        assert vals.tobytes() == np.array(scalar).tobytes()
+        # a scalar time broadcasts against an array of positions
+        row = interpolate(f, 0.1, xs)
+        assert row.tobytes() == np.array(
+            [interpolate(f, 0.1, float(x)) for x in xs]).tobytes()
+
+    def test_array_out_of_hull_names_coordinate(self):
+        f = small_field(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="position 5.0"):
+            interpolate(f, np.array([0.5, 0.5]), np.array([0.5, 5.0]))
+        with pytest.raises(ValueError, match="time -1.0"):
+            interpolate(f, np.array([-1.0, 0.5]), 0.5)
+
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)
     def test_monotone_between_nodes(self, t, x):

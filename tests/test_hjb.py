@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bernstein import hjb
-from bernstein.acceptance import LCP_TOL, stopping_columns
+from bernstein.experiments import LCP_TOL, stopping_columns
 from bernstein.core import (
     CONTINUATION,
     STOPPING,

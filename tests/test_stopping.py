@@ -13,7 +13,7 @@ from bernstein.core import (
     build_grid,
 )
 from bernstein.hjb import solve_forward_obstacle, value_from_eta
-from bernstein.simulate import SimConfig, simulate_forward
+from bernstein.simulate import PathEnsemble, SimConfig, simulate_forward
 from bernstein.stopping import (
     ONE,
     PDE,
@@ -259,6 +259,26 @@ class TestAgainstMonteCarlo:
         report = martingale_check(out, ens, (0.1,))
         assert report["all_within_3_stderr"], report
         assert abs(report["checkpoints"][0]["difference"]) <= 1e-12
+
+    def test_martingale_states_outside_hull(self, solved):
+        # checkpoint states beyond the grid's x range take q at the edge node
+        spec, grid, sol, val = solved
+        out = solve_q(SurvivalProblem("forward", 0.25, val.drift, sol.mask,
+                                      spec.hbar))
+        n = 4
+        xx = np.array([-5.0, -3.5, 3.2, 7.0])
+        ens = PathEnsemble(
+            orientation="forward", start=(-0.5, 1.0), dt=1e-3, seed=0,
+            stop_time=np.full(n, 0.5), stopped_state=xx, action_value=np.zeros(n),
+            hit_flag=np.zeros(n, dtype=bool),
+            checkpoints={0.1: (np.full(n, 0.1), xx)})
+        report = martingale_check(out, ens, (0.1,))
+        k = int(np.argmin(np.abs(grid.ts - 0.1)))
+        edges = out.q.values[k, [0, 0, -1, -1]]
+        assert report["checkpoints"][0]["mean"] == pytest.approx(
+            float(np.mean(edges)), rel=0, abs=1e-15)
+        j = int(np.argmin(np.abs(grid.xs - 1.0)))
+        assert report["q_at_start"] == out.q.values[0, j]
 
     def test_missing_checkpoint_raises(self, solved):
         spec, grid, sol, val = solved
