@@ -25,7 +25,6 @@ from .core import (
 )
 from .analytic import (
     KernelParams,
-    QuadratureConfig,
     bernstein_transition,
     heat_kernel,
     sec7_classical_eta,

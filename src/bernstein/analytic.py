@@ -15,47 +15,31 @@ from scipy import integrate
 
 from .core import ConvergenceError
 
-V_ZERO = "V_ZERO"
+#: Quadrature settings of every oracle: absolute and relative tolerance, the
+#: integration range in standard deviations of the kernel past |x|, and
+#: scipy's subinterval limit.
+QUAD_ABS_TOL = 1e-11
+QUAD_REL_TOL = 1e-10
+TAIL_SIGMAS = 10.0
+MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
 class KernelParams:
     hbar: float
-    convention: str = V_ZERO
 
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.convention != V_ZERO:
-            raise ValueError(f"unsupported kernel convention {self.convention!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-    tail_sigmas: float = 10.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.tail_sigmas < 6:
-            raise ValueError("tail_sigmas must be >= 6")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
-
-def _quad(f, a, b, q: QuadratureConfig) -> float:
+def _quad(f, a, b) -> float:
     val, err = integrate.quad(
-        f, a, b, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions
+        f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=MAX_SUBDIVISIONS
     )
     if not math.isfinite(val):
         raise ConvergenceError(f"quadrature returned non-finite value on [{a}, {b}]")
-    if err > 100 * max(q.abs_tol, q.rel_tol * abs(val)):
+    if err > 100 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(val)):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3g} exceeds tolerance for "
             f"value {val:.6g} on [{a}, {b}]"
@@ -116,7 +100,7 @@ def _backward_data(y, hbar):
     return (1.0 + y) ** (-1.0 / hbar)
 
 
-def _stopped_eta(theta, x, hbar, data, q):
+def _stopped_eta(theta, x, hbar, data):
     # image-term formula for the heat flow with eta = 1 on x = 0
     xa = abs(x)
     if theta == 0:
@@ -132,11 +116,11 @@ def _stopped_eta(theta, x, hbar, data, q):
         )
         return k / norm * (data(y, hbar) - 1.0)
 
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    return 1.0 + _quad(f, 0.0, upper, q)
+    upper = xa + TAIL_SIGMAS * math.sqrt(s2)
+    return 1.0 + _quad(f, 0.0, upper)
 
 
-def _free_eta(theta, x, hbar, data, q):
+def _free_eta(theta, x, hbar, data):
     # free-space heat flow of the data
     if theta == 0:
         return data(abs(x), hbar)
@@ -146,11 +130,11 @@ def _free_eta(theta, x, hbar, data, q):
     def f(y):
         return math.exp(-((x - y) ** 2) / (2 * s2)) / norm * data(abs(y), hbar)
 
-    half = abs(x) + q.tail_sigmas * math.sqrt(s2)
-    return _quad(f, -half, half, q)
+    half = abs(x) + TAIL_SIGMAS * math.sqrt(s2)
+    return _quad(f, -half, half)
 
 
-def _stopped_deta_dx(theta, x, hbar, data, q):
+def _stopped_deta_dx(theta, x, hbar, data):
     # differentiation under the integral; d/dx eta is odd in x
     s2 = hbar * theta
     norm = math.sqrt(2 * math.pi * s2)
@@ -163,40 +147,40 @@ def _stopped_deta_dx(theta, x, hbar, data, q):
         )
         return k / norm * (data(y, hbar) - 1.0)
 
-    upper = xa + q.tail_sigmas * math.sqrt(s2)
-    v = _quad(f, 0.0, upper, q)
+    upper = xa + TAIL_SIGMAS * math.sqrt(s2)
+    v = _quad(f, 0.0, upper)
     return v if x > 0 else -v
 
 
-def sec7_eta_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sec7_eta_forward(t, x, hbar, T) -> float:
     """The transformed value function of the forward free-boundary problem.
 
     Boundary data: eta(t, 0) = 1 for all t and eta(T/2, x) = exp(-|x|/hbar).
     Evaluated by adaptive quadrature of the image-term integral formula.
     """
     _check_forward_time(t, T)
-    return _stopped_eta(T / 2 - t, x, hbar, _forward_data, q)
+    return _stopped_eta(T / 2 - t, x, hbar, _forward_data)
 
 
-def sec7_eta_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sec7_eta_backward(t, x, hbar, T) -> float:
     """Transformed value function of the backward free-boundary problem.
 
     Boundary data: eta*(t, 0) = 1 and eta*(-T/2, x) = (1+|x|)^(-1/hbar).
     """
     _check_forward_time(t, T)
-    return _stopped_eta(t + T / 2, x, hbar, _backward_data, q)
+    return _stopped_eta(t + T / 2, x, hbar, _backward_data)
 
 
-def sec7_classical_eta(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sec7_classical_eta(t, x, hbar, T) -> float:
     """Free-space (no stopping) transformed value, terminal data exp(-|x|/hbar)."""
     _check_forward_time(t, T)
-    return _free_eta(T / 2 - t, x, hbar, _forward_data, q)
+    return _free_eta(T / 2 - t, x, hbar, _forward_data)
 
 
-def sec7_classical_eta_star(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sec7_classical_eta_star(t, x, hbar, T) -> float:
     """Free-space backward transformed value, initial data (1+|x|)^(-1/hbar)."""
     _check_forward_time(t, T)
-    return _free_eta(t + T / 2, x, hbar, _backward_data, q)
+    return _free_eta(t + T / 2, x, hbar, _backward_data)
 
 
 def _verify_log_derivative(drift, eta_at, t, x, hbar, fd_step, fd_tol):
@@ -212,8 +196,8 @@ def _verify_log_derivative(drift, eta_at, t, x, hbar, fd_step, fd_tol):
         )
 
 
-def sec7_drift_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
-                       verify=True, fd_step=1e-5, fd_tol=1e-4) -> float:
+def sec7_drift_forward(t, x, hbar, T, verify=True, fd_step=1e-5,
+                       fd_tol=1e-4) -> float:
     """Optimal forward drift hbar * d/dx log(eta); pushes the state toward 0.
 
     Evaluated by differentiating under the integral and, when ``verify`` is
@@ -223,28 +207,28 @@ def sec7_drift_forward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
         raise ValueError("drift is undefined on the stopping boundary x = 0")
     if not -T / 2 <= t < T / 2:
         raise ValueError(f"t={t} must be interior, before T/2")
-    eta = sec7_eta_forward(t, x, hbar, T, q)
-    b = hbar * _stopped_deta_dx(T / 2 - t, x, hbar, _forward_data, q) / eta
+    eta = sec7_eta_forward(t, x, hbar, T)
+    b = hbar * _stopped_deta_dx(T / 2 - t, x, hbar, _forward_data) / eta
     if verify:
         _verify_log_derivative(
-            b, lambda tt, xx: sec7_eta_forward(tt, xx, hbar, T, q),
+            b, lambda tt, xx: sec7_eta_forward(tt, xx, hbar, T),
             t, x, hbar, fd_step, fd_tol,
         )
     return b
 
 
-def sec7_drift_backward(t, x, hbar, T, q: QuadratureConfig = DEFAULT_QUAD,
-                        verify=True, fd_step=1e-5, fd_tol=1e-4) -> float:
+def sec7_drift_backward(t, x, hbar, T, verify=True, fd_step=1e-5,
+                        fd_tol=1e-4) -> float:
     """Optimal backward drift -hbar * d/dx log(eta*)."""
     if x == 0:
         raise ValueError("drift is undefined on the stopping boundary x = 0")
     if not -T / 2 < t <= T / 2:
         raise ValueError(f"t={t} must be interior, after -T/2")
-    eta = sec7_eta_backward(t, x, hbar, T, q)
-    b = -hbar * _stopped_deta_dx(t + T / 2, x, hbar, _backward_data, q) / eta
+    eta = sec7_eta_backward(t, x, hbar, T)
+    b = -hbar * _stopped_deta_dx(t + T / 2, x, hbar, _backward_data) / eta
     if verify:
         _verify_log_derivative(
-            -b, lambda tt, xx: sec7_eta_backward(tt, xx, hbar, T, q),
+            -b, lambda tt, xx: sec7_eta_backward(tt, xx, hbar, T),
             t, x, hbar, fd_step, fd_tol,
         )
     return b

@@ -5,15 +5,16 @@ Usage:
     bernstein check [--criteria N [N ...]]
 
 ``run`` resolves the config, seed and output directory, runs the named
-experiment from ``experiments`` (which builds, solves and judges it), and
-persists what it returned: every field through ``field_to_csv``, every
-report as JSON, the experiment's other artifacts, and a manifest listing
-each emitted file with its sha256 hash, the effective config, and the
-pass/fail status of the experiment's checks. The exit status is nonzero iff
-any check fails. The output directory resolves as --out, then
-$BERNSTEIN_OUT, then the config's "out" field, then ./out. ``check`` runs
-the acceptance criteria, which run the same experiments. A run writes
-files only from here.
+experiment from ``experiments`` (which builds, solves and judges it and
+returns every artifact it emits), and writes what it returned: every field
+through ``field_to_csv``, every report as JSON with sorted keys, every table
+through ``_csv_rows``, and a manifest listing each written file with its
+sha256 hash, the effective config, and the pass/fail status of the
+experiment's checks. The exit status is nonzero iff any check fails. The
+output directory resolves as --out, then $BERNSTEIN_OUT, then the config's
+"out" field, then ./out. ``check`` runs the acceptance criteria, which run
+the same experiments and write nothing. This is the only module of the
+package that writes a file, so the artifact formats are decided here alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, acceptance, experiments, schrodinger, stopping
+from . import __version__, acceptance, experiments
 from .core import ScalarField
 
 
@@ -46,16 +47,17 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
-def _csv_rows(path: str, header: str, ts, rows) -> str:
-    """CSV of one row per time: t, then the row's floats, each written as
-    its repr, as ``csv.writer`` writes them. No cell needs quoting, and
-    lines end in csv's "\\r\\n"."""
+def _csv_rows(path: str, header: str, first, rows) -> str:
+    """CSV of one line per entry of the array ``first`` (a time, a node or
+    a threshold): the entry, then its row's floats, each written as its
+    repr, as ``csv.writer`` writes them. No cell needs quoting, and lines
+    end in csv's "\\r\\n"."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         fh.writelines(
-            ",".join([repr(t), *map(repr, np.asarray(row, dtype=float).tolist())])
+            ",".join([repr(v), *map(repr, np.asarray(row, dtype=float).tolist())])
             + "\r\n"
-            for t, row in zip(ts.tolist(), rows))
+            for v, row in zip(first.tolist(), rows))
     return path
 
 
@@ -63,26 +65,6 @@ def field_to_csv(fld: ScalarField, path: str) -> str:
     """Matrix CSV: first row is x nodes, first column is t nodes."""
     header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
     return _csv_rows(path, header, fld.grid.ts, fld.values)
-
-
-def _other_files(name, result, out: str) -> list:
-    """Write the artifacts that are neither fields nor JSON reports."""
-    d = result.data
-    if name in ("sec7-forward", "sec7-backward"):
-        sol = d["solution"]
-        return [_csv_rows(os.path.join(out, "free_boundary.csv"),
-                          "t,free_boundary_positions", sol.eta.grid.ts,
-                          sol.boundary)]
-    if name == "schrodinger":
-        return schrodinger.write_factors(
-            d["factors"], result.fields["rho.csv"].grid.xs,
-            os.path.join(out, "schrodinger"), d["tol"])
-    if name == "stopping-dist":
-        return [stopping.threshold_sweep_csv(d["q_solutions"],
-                                             os.path.join(out, "q_sweep.csv")),
-                stopping.martingale_report_json(
-                    d["martingale"], os.path.join(out, "martingale.json"))]
-    return []
 
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
@@ -101,7 +83,8 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
              for fname, fld in result.fields.items()]
     files += [_write_json(doc, os.path.join(out_dir, fname))
               for fname, doc in result.reports.items()]
-    files += _other_files(name, result, out_dir)
+    files += [_csv_rows(os.path.join(out_dir, fname), *table)
+              for fname, table in result.tables.items()]
 
     manifest = {
         "experiment": name,

@@ -2,9 +2,10 @@
 
 Each experiment is one function ``(cfg, seed) -> Result``: it builds its
 inputs from the config, runs its pipeline and judges what it produced with
-the checks and gates defined here. It writes nothing; ``cli`` persists a
-result, and the acceptance criteria read the same results at each
-experiment's default config.
+the checks and gates defined here. It returns every artifact it emits, keyed
+by file name, and writes nothing; ``cli`` writes a result's files, and the
+acceptance criteria read the same results at each experiment's default
+config.
 
 The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
 snapped to its nearest grid row and scored against the worked example's
@@ -155,14 +156,16 @@ def compare_report(a: ScalarField, b: ScalarField, x_abs_min=None,
 
 @dataclass(frozen=True)
 class Result:
-    """What one experiment produced: its JSON reports and fields (written
-    as matrix CSVs), each keyed by file name; its named checks; and what
-    else its pipeline built, for the artifacts that are neither and for the
-    criteria. No timing goes into a report."""
+    """What one experiment produced. Its artifacts, each keyed by file name:
+    JSON ``reports``, ``fields`` (matrix CSVs) and ``tables``, each table a
+    ``(header, first_column, rows)`` CSV of one line per first-column entry.
+    Its named checks. In ``data``, what else its pipeline built, for the
+    criteria. No timing goes into an artifact."""
 
     reports: dict
     checks: dict
     fields: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
 
 
@@ -190,7 +193,7 @@ def sec7(orientation, cfg, seed=0) -> Result:
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
               "solves_per_step_max": int(np.max(sol.step_solves))}
-    data = {"solution": sol, "value": val, "solve_s": solve_s}
+    data = {"solve_s": solve_s}
     if is_default:
         data["stop_columns"], full, exact = stopping_columns(sol)
         slices = band_errors(sol)
@@ -203,6 +206,8 @@ def sec7(orientation, cfg, seed=0) -> Result:
         checks["stopping_set_is_origin_column"] = full and exact
     return Result(
         fields={"eta.csv": sol.eta, "value.csv": val.value, "drift.csv": val.drift},
+        tables={"free_boundary.csv": ("t,free_boundary_positions", grid.ts,
+                                      sol.boundary)},
         reports={"oracle_compare.json": report}, checks=checks, data=data)
 
 
@@ -266,12 +271,24 @@ def pinning(cfg, seed=0) -> Result:
         # narrower than a node spacing, and slice masses drift
         "kernel_sd_over_dx": math.sqrt(hbar * grid.dt) / grid.dx,
     }
+    meta = {
+        "iterations": factors.iterations,
+        "final_marginal_error": factors.final_marginal_error,
+        "tolerance": tol,
+        "gauge": "eta_star_init equals 1 at the middle node",
+        "monotone_residuals": bool(factors.monotone),
+    }
     return Result(
-        fields={"rho.csv": rho}, reports={"schrodinger_report.json": report},
+        fields={"rho.csv": rho},
+        tables={"schrodinger_factors.csv": (
+            "x,eta_star_init,eta_final", grid.xs,
+            np.column_stack((factors.eta_star_init, factors.eta_final)))},
+        reports={"schrodinger_report.json": report,
+                 "schrodinger_factors.json": meta},
         checks={"sinkhorn_converged": factors.final_marginal_error <= tol,
                 "mass_conservation": mass_dev <= MASS_TOL,
                 "drift_reversal": rev_err <= REVERSAL_TOL},
-        data={"factors": factors, "hbar": hbar, "tol": tol,
+        data={"factors": factors, "hbar": hbar,
               "mass_deviation": mass_dev, "reversal_nodes": nodes})
 
 
@@ -300,14 +317,20 @@ def stopping_dist(cfg, seed=0) -> Result:
     k = int(np.argmin(np.abs(grid.ts - start[0])))
     q0 = float(qsol.q.values[k, j])
     mart = stopping.martingale_check(qsol, ens, checkpoints)
+    # long format: one line (threshold, t, x, q) per solution and node
+    tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
+    sweep = np.concatenate([np.column_stack((tt.ravel(), xx.ravel(),
+                                             s.q.values.ravel())) for s in sols])
+    survival = {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
+                "ensemble": ens.summary()}
     return Result(
-        reports={"survival_compare.json": {
-            "q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
-            "ensemble": ens.summary()}},
+        tables={"q_sweep.csv": ("threshold,t,x,q",
+                                np.repeat([s.threshold for s in sols], tt.size),
+                                sweep)},
+        reports={"survival_compare.json": survival, "martingale.json": mart},
         checks={"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
                 "martingale": mart["all_within_3_stderr"]},
-        data={"value": val, "q_solutions": sols, "ensemble": ens,
-              "martingale": mart})
+        data={"value": val, "q_solutions": sols, "ensemble": ens})
 
 
 def bridge_test(cfg, seed=0) -> Result:

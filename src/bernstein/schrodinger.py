@@ -26,7 +26,6 @@ the same offset-kernel rows.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,28 +292,3 @@ def pin_endpoints(m: MarginalPair, grid: SpaceTimeGrid, hbar: float,
 def slice_mass(fld: ScalarField) -> np.ndarray:
     """Trapezoid mass of every time slice."""
     return np.trapezoid(fld.values, fld.grid.xs, axis=1)
-
-
-def write_factors(factors: SchrodingerFactors, xs: np.ndarray, prefix: str,
-                  tol: float = None) -> list:
-    """Emit factors as CSV plus a JSON metadata sidecar; returns paths written."""
-    csv_path = f"{prefix}_factors.csv"
-    meta_path = f"{prefix}_factors.json"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "eta_star_init", "eta_final"])
-        for x, a, b in zip(xs, factors.eta_star_init, factors.eta_final):
-            w.writerow([repr(float(x)), repr(float(a)), repr(float(b))])
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "iterations": factors.iterations,
-                "final_marginal_error": factors.final_marginal_error,
-                "tolerance": tol,
-                "gauge": "eta_star_init equals 1 at the middle node",
-                "monotone_residuals": bool(factors.monotone),
-            },
-            fh,
-            indent=2,
-        )
-    return [csv_path, meta_path]

@@ -16,9 +16,7 @@ the uniform grid spacing and returns np.interp's bits.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -587,38 +585,3 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins,
         "sample_mean": float(np.mean(zt)),
         "sample_var": float(np.var(zt, ddof=1)),
     }
-
-
-def write_ensemble(ensemble: PathEnsemble, prefix: str, per_path: bool = False,
-                   max_rows: int = 10000) -> list:
-    """Emit a JSON summary and, optionally, capped per-path CSV records."""
-    paths = []
-    meta_path = f"{prefix}_ensemble.json"
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "orientation": ensemble.orientation,
-                "start": list(ensemble.start),
-                "dt": ensemble.dt,
-                "seed": ensemble.seed,
-                "n_paths": ensemble.n_paths,
-                "summary": ensemble.summary(),
-            },
-            fh,
-            indent=2,
-        )
-    paths.append(meta_path)
-    if per_path:
-        csv_path = f"{prefix}_paths.csv"
-        n = min(ensemble.n_paths, max_rows)
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path", "stop_time", "stopped_state", "action_value",
-                        "hit_flag"])
-            for i in range(n):
-                w.writerow([i, repr(float(ensemble.stop_time[i])),
-                            repr(float(ensemble.stopped_state[i])),
-                            repr(float(ensemble.action_value[i])),
-                            int(ensemble.hit_flag[i])])
-        paths.append(csv_path)
-    return paths

@@ -4,15 +4,15 @@ For the optimally stopped process, q(t, x) = P(stop time > threshold | state
 x at time t) solves an advection-diffusion problem on the continuation
 region with unit data on the threshold slice and zero data on the stopping
 set; the mirrored backward function q*(t, x) = P(backward stop time <
-threshold) marches in the opposite direction. Nodes covered by the
-closed-form case analysis (value 0 or 1 without any PDE solve) are filled
-directly and the PDE is solved only on the remainder.
+threshold) marches in the opposite direction. ``solve_q`` fills the slices
+past the threshold and the threshold slice itself from the closed-form case
+analysis (value 0 or 1 without any PDE solve), then marches every slice
+before the threshold in full, with zero data on its stopping nodes; a node
+the case analysis (``classify_lemma3``) settles is not skipped there.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -255,23 +255,3 @@ def empirical_survival(ensemble, threshold: float) -> dict:
     n = hits.size
     p = float(np.mean(hits))
     return {"estimate": p, "stderr": math.sqrt(max(p * (1 - p), 1e-300) / n)}
-
-
-def threshold_sweep_csv(solutions, path) -> str:
-    """Emit a long-format CSV (threshold, t, x, q) over several solutions."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "t", "x", "q"])
-        for sol in solutions:
-            grid = sol.q.grid
-            for k, t in enumerate(grid.ts):
-                for j, x in enumerate(grid.xs):
-                    w.writerow([repr(float(sol.threshold)), repr(float(t)),
-                                repr(float(x)), repr(float(sol.q.values[k, j]))])
-    return path
-
-
-def martingale_report_json(report: dict, path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    return path

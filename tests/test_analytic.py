@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from bernstein.analytic import (
-    DEFAULT_QUAD,
     KernelParams,
     bernstein_transition,
     heat_kernel,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bernstein import acceptance, analytic, experiments
+from bernstein import acceptance, analytic, experiments, stopping
 from bernstein.cli import (
     EXPERIMENTS,
     _sha256,
@@ -15,6 +15,23 @@ from bernstein.cli import (
 )
 from bernstein.core import ScalarField, SpaceTimeGrid
 from bernstein.experiments import SLICE_TIMES, compare_report
+
+
+#: one small config per experiment
+TINY = {
+    "sec7-forward": {"nx": 151, "nt": 126},
+    "sec7-backward": {"nx": 101, "nt": 81},
+    "sec7-classical-compare": {"nx": 101, "nt": 81},
+    "schrodinger": {"nx": 101, "nt": 21},
+    "stopping-dist": {"nx": 151, "nt": 101, "thresholds": [0.25, 0.1],
+                      "n_paths": 5000, "dt": 2e-3, "checkpoints": [-0.2, 0.1]},
+    "bridge-test": {"n_seeds": 3, "n_paths": 20000, "n_bins": 10},
+    "convergence-study": {"levels": [[151, 126], [301, 501]]},
+}
+
+
+def tiny(name):
+    return dict(TINY[name], experiment=name)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -69,8 +86,7 @@ def test_unknown_experiment_names_choices(tmp_path):
 
 class TestManifests:
     def test_sec7_forward_small(self, tmp_path):
-        cfg = {"experiment": "sec7-forward", "nx": 151, "nt": 126}
-        man = run_experiment(cfg, str(tmp_path), 0)
+        man = run_experiment(tiny("sec7-forward"), str(tmp_path), 0)
         assert man["all_checks_passed"], man["checks"]
         assert set(man["versions"]) == {"bernstein", "numpy", "scipy", "python"}
         assert man["checks"]["oracle_agreement"]
@@ -103,14 +119,13 @@ class TestManifests:
         assert man["checks"]["lcp_residual"]
 
     def test_rerun_is_deterministic(self, tmp_path):
-        cfg = {"experiment": "sec7-backward", "nx": 101, "nt": 81}
+        cfg = tiny("sec7-backward")
         a = run_experiment(cfg, str(tmp_path / "a"), 0)
         b = run_experiment(cfg, str(tmp_path / "b"), 0)
         assert a["files"] == b["files"]
 
     def test_schrodinger_small(self, tmp_path):
-        cfg = {"experiment": "schrodinger", "nx": 101, "nt": 21}
-        man = run_experiment(cfg, str(tmp_path), 0)
+        man = run_experiment(tiny("schrodinger"), str(tmp_path), 0)
         assert man["all_checks_passed"], man["checks"]
         with open(tmp_path / "schrodinger_report.json") as fh:
             rep = json.load(fh)
@@ -131,9 +146,7 @@ class TestManifests:
         assert rep["kernel_sd_over_dx"] < 1
 
     def test_bridge_small(self, tmp_path):
-        cfg = {"experiment": "bridge-test", "n_seeds": 3,
-               "n_paths": 20000, "n_bins": 10}
-        man = run_experiment(cfg, str(tmp_path), 100)
+        man = run_experiment(tiny("bridge-test"), str(tmp_path), 100)
         with open(tmp_path / "bridge_test.json") as fh:
             rep = json.load(fh)
         assert len(rep["runs"]) == 3
@@ -141,9 +154,7 @@ class TestManifests:
         assert man["checks"]["bridge_pass_rate"]
 
     def test_convergence_small(self, tmp_path):
-        cfg = {"experiment": "convergence-study",
-               "levels": [[151, 126], [301, 501]]}
-        man = run_experiment(cfg, str(tmp_path), 0)
+        man = run_experiment(tiny("convergence-study"), str(tmp_path), 0)
         with open(tmp_path / "convergence.json") as fh:
             rep = json.load(fh)
         assert len(rep["orders"]) == 1
@@ -151,9 +162,7 @@ class TestManifests:
 
     def test_convergence_matches_criterion_10(self, tmp_path):
         # one band schedule: the study and criterion 10 score the same rows
-        cfg = {"experiment": "convergence-study",
-               "levels": [[151, 126], [301, 501]]}
-        run_experiment(cfg, str(tmp_path), 0)
+        run_experiment(tiny("convergence-study"), str(tmp_path), 0)
         with open(tmp_path / "convergence.json") as fh:
             rep = json.load(fh)
         errors = [f"{lv['band_rel_err']:.2e}" for lv in rep["levels"]]
@@ -189,10 +198,7 @@ class TestManifests:
         assert not man["checks"]["stopping_set_is_origin_column"]
 
     def test_stopping_small(self, tmp_path):
-        cfg = {"experiment": "stopping-dist", "nx": 151, "nt": 101,
-               "thresholds": [0.25], "n_paths": 5000, "dt": 2e-3,
-               "checkpoints": [-0.2, 0.1]}
-        man = run_experiment(cfg, str(tmp_path), 5)
+        man = run_experiment(tiny("stopping-dist"), str(tmp_path), 5)
         assert man["all_checks_passed"], man["checks"]
         assert (tmp_path / "q_sweep.csv").exists()
         assert (tmp_path / "martingale.json").exists()
@@ -200,6 +206,78 @@ class TestManifests:
             ens = json.load(fh)["ensemble"]
         assert ens["action_value"]["stderr"] > 0
         assert 0 < ens["boundary_hit_fraction"] < 1
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """Each experiment run once by ``run_experiment`` at its TINY config:
+    name -> (output directory, manifest, the Result that was written)."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in EXPERIMENTS:
+            kept = []
+
+            def keep(cfg, seed, runner=experiments.RUNNERS[name]):
+                kept.append(runner(cfg, seed))
+                return kept[-1]
+
+            mp.setitem(experiments.RUNNERS, name, keep)
+            out = tmp_path_factory.mktemp(name)
+            man = run_experiment(tiny(name), str(out), 5)
+            runs[name] = (out, man, kept[0])
+    return runs
+
+
+class TestArtifacts:
+    """The files ``run_experiment`` writes, read back."""
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_out_dir_holds_exactly_the_manifest_files(self, tiny_runs, name):
+        out, man, _ = tiny_runs[name]
+        assert sorted(os.listdir(out)) == sorted([*man["files"], "manifest.json"])
+        for fname, digest in man["files"].items():
+            assert _sha256(str(out / fname)) == digest
+
+    def test_q_sweep_csv(self, tiny_runs):
+        out, _, res = tiny_runs["stopping-dist"]
+        sols = res.data["q_solutions"]
+        grid = sols[0].q.grid
+        with open(out / "q_sweep.csv", newline="") as fh:
+            lines = fh.readlines()
+        assert lines[0] == "threshold,t,x,q\r\n"
+        assert len(sols) == 2
+        assert len(lines) == 1 + 2 * grid.nt * grid.nx
+        table = np.loadtxt(out / "q_sweep.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0],
+                              np.repeat([0.25, 0.1], grid.nt * grid.nx))
+        assert np.array_equal(table[: grid.nt * grid.nx, 1],
+                              np.repeat(grid.ts, grid.nx))
+        assert np.array_equal(table[:, 3], np.concatenate(
+            [s.q.values.ravel() for s in sols]))
+
+    def test_schrodinger_factors_csv(self, tiny_runs):
+        out, _, res = tiny_runs["schrodinger"]
+        factors = res.data["factors"]
+        with open(out / "schrodinger_factors.csv") as fh:
+            assert fh.readline().strip() == "x,eta_star_init,eta_final"
+        x, eta_star_init, eta_final = np.loadtxt(
+            out / "schrodinger_factors.csv", delimiter=",", skiprows=1,
+            unpack=True)
+        assert np.array_equal(x, res.fields["rho.csv"].grid.xs)
+        assert np.array_equal(eta_star_init, factors.eta_star_init)
+        assert np.array_equal(eta_final, factors.eta_final)
+        with open(out / "schrodinger_factors.json") as fh:
+            meta = json.load(fh)
+        assert meta["iterations"] == factors.iterations
+        assert meta["final_marginal_error"] == factors.final_marginal_error
+
+    def test_martingale_json(self, tiny_runs):
+        out, _, res = tiny_runs["stopping-dist"]
+        expected = stopping.martingale_check(
+            res.data["q_solutions"][0], res.data["ensemble"],
+            TINY["stopping-dist"]["checkpoints"])
+        with open(out / "martingale.json") as fh:
+            assert json.load(fh) == expected
 
 
 class TestMain:

@@ -17,7 +17,6 @@ from bernstein.schrodinger import (
     propagate_eta_star,
     sinkhorn_solve,
     slice_mass,
-    write_factors,
 )
 
 
@@ -272,9 +271,3 @@ class TestPropagation:
         eta_star = propagate_eta_star(factors, other, hbar)
         with pytest.raises(ValueError, match="same grid"):
             bernstein_density(eta, eta_star)
-
-
-def test_write_factors(tmp_path, pipeline):
-    grid, _, _, _, factors = pipeline
-    paths = write_factors(factors, grid.xs, str(tmp_path / "run"), tol=1e-10)
-    assert all((tmp_path / p.split("/")[-1]).exists() for p in paths)

@@ -23,7 +23,6 @@ from bernstein.simulate import (
     reversed_drift,
     simulate_backward,
     simulate_forward,
-    write_ensemble,
 )
 
 
@@ -412,14 +411,3 @@ class TestConfigValidation:
         cfg = SimConfig(dt=1e-3, n_paths=1, seed=0, start=(0.7, 0.0))
         with pytest.raises(ValueError, match="horizon"):
             simulate_forward(spec, None, None, cfg)
-
-
-def test_write_ensemble(tmp_path):
-    spec = make_spec()
-    cfg = SimConfig(dt=1e-2, n_paths=50, seed=0, start=(-0.5, 1.0))
-    ens = simulate_forward(spec, None, None, cfg, barrier=0.0)
-    paths = write_ensemble(ens, str(tmp_path / "run"), per_path=True, max_rows=10)
-    for p in paths:
-        assert (tmp_path / p.split("/")[-1]).exists()
-    with open(paths[1]) as fh:
-        assert len(fh.readlines()) == 11

@@ -23,9 +23,7 @@ from bernstein.stopping import (
     continuation_time_bounds,
     empirical_survival,
     martingale_check,
-    martingale_report_json,
     solve_q,
-    threshold_sweep_csv,
 )
 
 
@@ -302,32 +300,3 @@ class TestEmpiricalSurvival:
         cfg = SimConfig(dt=1e-2, n_paths=50, seed=1, start=(-0.5, 0.0))
         ens = simulate_forward(spec, val.drift, val.mask, cfg)
         assert empirical_survival(ens, 0.0)["estimate"] == 0.0
-
-
-class TestOutputs:
-    def test_threshold_sweep_csv(self, tmp_path):
-        spec = make_spec(x_min=0.0, x_max=2.0)
-        grid = build_grid(spec, 11, 11)
-        mask, _ = mask_with_origin_column(grid)
-        drift = ScalarField(grid, np.zeros((grid.nt, grid.nx)))
-        sols = [solve_q(SurvivalProblem("forward", t, drift, mask, 1.0))
-                for t in (0.0, 0.2)]
-        path = threshold_sweep_csv(sols, tmp_path / "sweep.csv")
-        with open(path) as fh:
-            lines = fh.readlines()
-        assert lines[0].strip() == "threshold,t,x,q"
-        assert len(lines) == 1 + 2 * grid.nt * grid.nx
-
-    def test_martingale_report_json(self, tmp_path, solved):
-        spec, grid, sol, val = solved
-        p = SurvivalProblem("forward", 0.25, val.drift, sol.mask, spec.hbar)
-        out = solve_q(p)
-        cfg = SimConfig(dt=1e-2, n_paths=100, seed=0, start=(-0.5, 1.0),
-                        checkpoints=(0.0,))
-        ens = simulate_forward(spec, val.drift, val.mask, cfg)
-        report = martingale_check(out, ens, (0.0,))
-        path = martingale_report_json(report, tmp_path / "mart.json")
-        import json
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert "q_at_start" in doc and doc["checkpoints"]
