@@ -45,7 +45,6 @@ from .schrodinger import (
 )
 from .hjb import (
     EtaSolution,
-    SolverConfig,
     ValueSolution,
     classical_value,
     lcp_residual,

@@ -4,9 +4,10 @@ Usage:
     bernstein run <config.json> [--out DIR] [--seed N]
     bernstein check [--criteria N [N ...]]
 
-``run`` resolves the config, seed and output directory, runs the named
-experiment from ``experiments`` (which builds, solves and judges it and
-returns every artifact it emits), and writes what it returned: every field
+``run`` resolves the config, seed and output directory, rejects any config
+key that neither it nor the named experiment reads, runs the experiment
+from ``experiments`` (which builds, solves and judges it and returns every
+artifact it emits), and writes what it returned: every field
 through ``field_to_csv``, every report as JSON with sorted keys, every table
 through ``_csv_rows``, and a manifest listing each written file with its
 sha256 hash, the effective config, and the pass/fail status of the
@@ -68,15 +69,24 @@ def field_to_csv(fld: ScalarField, path: str) -> str:
 
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
+#: config keys of every experiment, read here
+TOP_KEYS = {"experiment", "out", "seed"}
 
 
 def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
-    """Run one named experiment; returns the manifest document."""
+    """Run one named experiment; returns the manifest document. A config key
+    that neither this module nor the experiment reads raises before the
+    run."""
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {name!r}; valid choices: {', '.join(EXPERIMENTS)}"
         )
+    valid = TOP_KEYS | experiments.CONFIG_KEYS[name]
+    unknown = sorted(set(cfg) - valid)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} for {name}; "
+                         f"valid keys: {', '.join(sorted(valid))}")
     result = experiments.RUNNERS[name](cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     files = [field_to_csv(fld, os.path.join(out_dir, fname))

@@ -146,29 +146,6 @@ class ProblemSpec:
         except KeyError as exc:
             raise ValueError(f"problem document is missing field {exc}") from exc
 
-    def validate_regularity(self, n_samples=512, lipschitz_bound=1e6):
-        """Sampled sanity diagnostics for the cost/potential functions.
-
-        Checks that V is bounded below, S and S* are finite, and the sampled
-        difference quotients of all three stay below ``lipschitz_bound``.
-        These are diagnostics on user-supplied black boxes, not guarantees.
-        """
-        xs = np.linspace(self.x_min, self.x_max, n_samples)
-        for name, f in (
-            ("potential", self.potential),
-            ("terminal_cost", self.terminal_cost),
-            ("initial_cost", self.initial_cost),
-        ):
-            vals = np.asarray(f(xs), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"{name} is non-finite on the truncated domain")
-            quot = np.abs(np.diff(vals)) / np.diff(xs)
-            if np.max(quot) > lipschitz_bound:
-                raise ValueError(
-                    f"{name} sampled difference quotient {np.max(quot):.3g} "
-                    f"exceeds bound {lipschitz_bound:.3g}"
-                )
-
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -282,6 +259,12 @@ def interpolate(fld: ScalarField, t, x):
     vals = ((1 - wt) * ((1 - wx) * v[it, ix] + wx * v[it, ix + 1])
             + wt * ((1 - wx) * v[it + 1, ix] + wx * v[it + 1, ix + 1]))
     return float(vals) if np.ndim(vals) == 0 else vals
+
+
+def mean_stderr(samples):
+    """Sample mean and standard error (ddof = 1) of a 1-d sample, as floats."""
+    v = np.asarray(samples)
+    return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(v.size))
 
 
 def gradient_rows(values: np.ndarray, dx: float) -> np.ndarray:

@@ -169,23 +169,28 @@ class Result:
     data: dict = field(default_factory=dict)
 
 
-def _problem(cfg):
-    """Spec, whether it is the worked example, grid and solver config."""
+def _spec(cfg):
+    """The config's problem and whether it is the worked example."""
     doc = cfg.get("spec")
-    spec = ProblemSpec.from_json(doc or analytic.WORKED_EXAMPLE)
+    return ProblemSpec.from_json(doc or analytic.WORKED_EXAMPLE), doc is None
+
+
+def _problem(cfg):
+    """Spec, whether it is the worked example, and grid."""
+    spec, is_default = _spec(cfg)
     grid = build_grid(spec, int(cfg.get("nx", 601)), int(cfg.get("nt", 2001)))
-    return spec, doc is None, grid, hjb.SolverConfig.from_json(cfg.get("solver", {}))
+    return spec, is_default, grid
 
 
 def sec7(orientation, cfg, seed=0) -> Result:
     """One obstacle solve, its value and drift, judged by its complementarity
     residual and, on the worked example, by the oracle band error and the
     x = 0 stopping column."""
-    spec, is_default, grid, scfg = _problem(cfg)
+    spec, is_default, grid = _problem(cfg)
     solve = (hjb.solve_forward_obstacle if orientation == FORWARD
              else hjb.solve_backward_obstacle)
     t0 = time.perf_counter()
-    sol = solve(spec, grid, scfg)
+    sol = solve(spec, grid)
     solve_s = time.perf_counter() - t0
     val = hjb.value_from_eta(sol, spec.hbar)
     res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec, grid).values)))
@@ -214,10 +219,10 @@ def sec7(orientation, cfg, seed=0) -> Result:
 def classical_compare(cfg, seed=0) -> Result:
     """The stopped value against the fixed-horizon one: dominance and a
     strict gain at (0, 1)."""
-    spec, _, grid, scfg = _problem(cfg)
-    sol = hjb.solve_forward_obstacle(spec, grid, scfg)
+    spec, _, grid = _problem(cfg)
+    sol = hjb.solve_forward_obstacle(spec, grid)
     stopped = hjb.value_from_eta(sol, spec.hbar)
-    classical = hjb.classical_value(spec, grid, FORWARD, scfg)
+    classical = hjb.classical_value(spec, grid, FORWARD)
     report = compare_report(stopped.value, classical.value, *BAND)
     worst, gap = value_dominance(stopped.value, classical.value)
     report.update(max_U_minus_Htilde=worst, gap_at_t0_x1=gap)
@@ -296,8 +301,8 @@ def stopping_dist(cfg, seed=0) -> Result:
     """Survival functions of the optimally stopped forward process against
     a Monte Carlo ensemble: the survival probability at the start and the
     martingale property of q along the paths."""
-    spec, _, grid, scfg = _problem(cfg)
-    sol = hjb.solve_forward_obstacle(spec, grid, scfg)
+    spec, _, grid = _problem(cfg)
+    sol = hjb.solve_forward_obstacle(spec, grid)
     val = hjb.value_from_eta(sol, spec.hbar)
     sols = [stopping.solve_q(stopping.SurvivalProblem(
                 orientation=FORWARD, threshold=float(thr), drift=val.drift,
@@ -357,7 +362,7 @@ def bridge_test(cfg, seed=0) -> Result:
 def convergence_study(cfg, seed=0) -> Result:
     """The forward band error on refined grids; each refinement must gain
     at least first order."""
-    spec, is_default, _, scfg = _problem(cfg)
+    spec, is_default = _spec(cfg)
     if not is_default:
         raise ValueError(
             "convergence-study needs the worked example's closed-form oracle; "
@@ -365,7 +370,7 @@ def convergence_study(cfg, seed=0) -> Result:
     levels = [tuple(lv) for lv in cfg.get("levels",
                                           [(151, 126), (301, 501), (601, 2001)])]
     errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(
-                spec, build_grid(spec, int(nx), int(nt)), scfg)))
+                spec, build_grid(spec, int(nx), int(nt)))))
             for nx, nt in levels]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     rows = [{"nx": nx, "nt": nt, "band_rel_err": e}
@@ -383,4 +388,20 @@ RUNNERS = {
     "stopping-dist": stopping_dist,
     "bridge-test": bridge_test,
     "convergence-study": convergence_study,
+}
+
+_GRID_KEYS = {"spec", "nx", "nt"}
+#: experiment name -> the config keys it reads
+CONFIG_KEYS = {
+    "sec7-forward": _GRID_KEYS,
+    "sec7-backward": _GRID_KEYS,
+    "sec7-classical-compare": _GRID_KEYS,
+    "schrodinger": {"hbar", "nx", "nt", "x_min", "x_max", "half_horizon",
+                    "tol", "max_iter", "marginals_csv", "init_marginal",
+                    "final_marginal"},
+    "stopping-dist": _GRID_KEYS | {"thresholds", "checkpoints", "start", "dt",
+                                   "n_paths"},
+    "bridge-test": {"n_seeds", "s", "x", "u", "z", "t", "hbar", "n_paths",
+                    "n_bins"},
+    "convergence-study": {"spec", "levels"},
 }

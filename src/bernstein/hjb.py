@@ -6,14 +6,15 @@ eta = exp(-U/hbar), which turns each problem into a linear complementarity
 (obstacle) problem for a heat operator with potential. Time stepping is
 implicit Euler; each step is solved directly by the primal-dual active-set
 method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2003), almost always in
-one tridiagonal solve, so results are deterministic.
+one tridiagonal solve, so results are deterministic. The truncation edges
+carry the data-ratio far-field row e_0 = max(psi_0, e_1 psi_0 / psi_1),
+mirrored at x_max, and are rows of the LCP like any other: the solver and
+``lcp_residual`` both score them. Nothing here is tunable.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict, fields
-from typing import Literal
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,41 +33,14 @@ from .core import (
     region_from_eta,
 )
 
-#: Truncation boundary treatments at x_min / x_max.
-#:   "extrapolate" -- the data-ratio row e_0 = max(psi_0, e_1 psi_0 / psi_1),
-#:                    mirrored at x_max; the ratio is capped at 1 where it
-#:                    would cost the step matrix its M-matrix property.
-#:   "obstacle"    -- Dirichlet eta = obstacle (far field treated as stopped),
-#:                    an always-active row.
-BoundaryMode = Literal["extrapolate", "obstacle"]
-
 #: An active-set step also stops at this scaled complementarity residual, as
 #: round-off alone flips degenerate nodes (eta = psi, zero multiplier).
 _STOP_TOL = 1e-12
 _MAX_SOLVES = 50  # per time step, then ConvergenceError
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    region_abs_tol: float = 1e-9
-    region_rel_tol: float = 1e-8
-    boundary: str = "extrapolate"
-
-    def __post_init__(self):
-        if self.boundary not in ("extrapolate", "obstacle"):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
-
-    @classmethod
-    def from_json(cls, doc) -> "SolverConfig":
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown solver settings {unknown}")
-        return cls(**doc)
-
-    def to_dict(self):
-        return asdict(self)
+#: A node is STOPPING when eta - psi <= max(_REGION_ABS_TOL,
+#: _REGION_REL_TOL * psi).
+_REGION_ABS_TOL = 1e-9
+_REGION_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -103,14 +77,13 @@ def _free_boundary_trace(flags, xs):
     return trace
 
 
-def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
-              boundary: str = "extrapolate"):
+def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     """The orientation's stopping cost on the nodes, its obstacle
     psi = exp(-cost/hbar), and the implicit step matrix in ``solve_banded``'s
     (1, 1) layout: rows -lam, 1 + dt V/hbar + 2 lam, -lam inside, with
     lam = hbar dt / (2 dx^2), and the far-field rows e_0 - r e_1 (mirrored at
-    x_max) with right-hand side 0. r is psi_0 / psi_1 for "extrapolate", and
-    0 for "obstacle", where the obstacle alone sets the edge node."""
+    x_max) with right-hand side 0, where r = psi_0 / psi_1, capped at 1 where
+    it would cost the step matrix its M-matrix property."""
     hbar = spec.hbar
     cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
     svals = np.asarray(cost(grid.xs), dtype=float)
@@ -124,13 +97,11 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
     if np.any(ab[1] <= 0):
         raise ValueError("potential too negative for this time step (diag <= 0)")
     ab[1, [0, -1]] = 1.0
-    ab[0, 1] = ab[2, -2] = 0.0
-    if boundary == "extrapolate":
-        ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
-        # an M-matrix iff every LU pivot is positive; the symmetric matrix
-        # with the same off-diagonal products has the same pivots
-        if lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2] != 0:
-            ab[0, 1], ab[2, -2] = max(ab[0, 1], -1.0), max(ab[2, -2], -1.0)
+    ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
+    # an M-matrix iff every LU pivot is positive; the symmetric matrix
+    # with the same off-diagonal products has the same pivots
+    if lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2] != 0:
+        ab[0, 1], ab[2, -2] = max(ab[0, 1], -1.0), max(ab[2, -2], -1.0)
     return svals, psi, ab
 
 
@@ -183,14 +154,14 @@ def _march(grid, orientation, data, psi, ab):
     return eta, np.array(solves)
 
 
-def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
+def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
                     orientation: str) -> EtaSolution:
-    svals, psi, ab = _operator(spec, grid, orientation, cfg.boundary)
+    svals, psi, ab = _operator(spec, grid, orientation)
     eta, solves = _march(grid, orientation, psi, psi, ab)
     field_ = ScalarField(grid, eta)
     obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
     mask = region_from_eta(field_, obstacle,
-                           tol=cfg.region_rel_tol, abs_tol=cfg.region_abs_tol)
+                           tol=_REGION_REL_TOL, abs_tol=_REGION_ABS_TOL)
     return EtaSolution(
         eta=field_,
         mask=mask,
@@ -201,14 +172,14 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid, cfg: SolverConfig,
     )
 
 
-def solve_forward_obstacle(spec, grid, cfg: SolverConfig = SolverConfig()):
+def solve_forward_obstacle(spec, grid):
     """March eta from t = T/2 down to -T/2 enforcing eta >= exp(-S/hbar)."""
-    return _solve_obstacle(spec, grid, cfg, FORWARD)
+    return _solve_obstacle(spec, grid, FORWARD)
 
 
-def solve_backward_obstacle(spec, grid, cfg: SolverConfig = SolverConfig()):
+def solve_backward_obstacle(spec, grid):
     """March eta* from t = -T/2 up to T/2 enforcing eta* >= exp(-S*/hbar)."""
-    return _solve_obstacle(spec, grid, cfg, BACKWARD)
+    return _solve_obstacle(spec, grid, BACKWARD)
 
 
 def value_from_eta(sol: EtaSolution, hbar: float) -> ValueSolution:
@@ -241,9 +212,10 @@ def value_from_eta(sol: EtaSolution, hbar: float) -> ValueSolution:
 def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> ScalarField:
     """Nodewise scaled complementarity residual of a solved obstacle problem.
 
-    At each solved node, min(discrete operator residual, eta - obstacle),
-    scaled by the step right-hand side. Boundary-condition rows/columns are
-    zero by construction.
+    At every node of every solved row, min(row of A e - b, eta - obstacle),
+    scaled by max(1, |previous row|): the heat-operator rows inside, and at
+    the edges the far-field rows e_0 - r e_1 and their mirror at x_max, with
+    right-hand side 0. The data row is not solved and reads 0.
     """
     _, psi, ab = _operator(spec, grid, sol.orientation)
     eta = sol.eta.values
@@ -253,22 +225,21 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
         r = ab[1, 1:-1] * e[1:-1] + ab[0, 2:] * e[2:] + ab[2, :-2] * e[:-2] - b[1:-1]
         scale = max(1.0, float(np.max(np.abs(b))))
         out[k, 1:-1] = np.minimum(r, e[1:-1] - psi[1:-1]) / scale
+        far = np.array([e[0] + ab[0, 1] * e[1], e[-1] + ab[2, -2] * e[-2]])
+        out[k, [0, -1]] = np.minimum(far, e[[0, -1]] - psi[[0, -1]]) / scale
     return ScalarField(grid, out)
 
 
-def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str,
-                    cfg: SolverConfig = SolverConfig()) -> ValueSolution:
+def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid,
+                    orientation: str) -> ValueSolution:
     """Fixed-horizon value function: same stepping with the obstacle disabled.
 
     Solves the pure terminal-value (or initial-value) problem through the
     exponential transform; every node is CONTINUATION.
     """
-    _, data, ab = _operator(spec, grid, orientation, cfg.boundary)
-    # an obstacle of 0 never binds; "obstacle" holds the edges at the data
-    floor = np.zeros(grid.nx)
-    if cfg.boundary == "obstacle":
-        floor[[0, -1]] = data[[0, -1]]
-    eta, _ = _march(grid, orientation, data, floor, ab)
+    _, data, ab = _operator(spec, grid, orientation)
+    # an obstacle of 0 never binds
+    eta, _ = _march(grid, orientation, data, np.zeros(grid.nx), ab)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
     sol = EtaSolution(eta=ScalarField(grid, eta), mask=mask, boundary=[],
                       orientation=orientation)

@@ -34,6 +34,7 @@ from .core import (
     ScalarField,
     SpaceTimeGrid,
     gradient_rows,
+    mean_stderr,
 )
 from .analytic import KernelParams, bernstein_transition
 
@@ -89,11 +90,8 @@ class PathEnsemble:
     def summary(self) -> dict:
         out = {}
         for name in ("stop_time", "stopped_state", "action_value"):
-            v = getattr(self, name)
-            out[name] = {
-                "mean": float(np.mean(v)),
-                "stderr": float(np.std(v, ddof=1) / math.sqrt(v.size)),
-            }
+            mean, stderr = mean_stderr(getattr(self, name))
+            out[name] = {"mean": mean, "stderr": stderr}
         out["boundary_hit_fraction"] = float(np.mean(self.hit_flag))
         return out
 
@@ -391,13 +389,18 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
 def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
               barrier) -> PathEnsemble:
     """Both orientations: a backward run is flipped in time, s = -t, and
-    then simulated forward from -t0 to T/2."""
+    then simulated forward from -t0 to T/2. A checkpoint must not lie
+    before the start in that marching time."""
     start = cfg.start
     t0, x0 = start
     fwd = orientation == FORWARD
     s0 = t0 if fwd else -t0
     if not -spec.half_horizon <= s0 < spec.half_horizon:
         raise ValueError(f"start time {t0} outside horizon")
+    for c in cfg.checkpoints:
+        if (c if fwd else -c) < s0:
+            raise ValueError(f"checkpoint {c} lies before the start time {t0} "
+                             f"of the {orientation} run")
     cost = spec.terminal_cost if fwd else spec.initial_cost
     if not fwd:
         if drift is not None:
@@ -424,8 +427,7 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
         st, ss, av, hf = (np.full(cfg.n_paths, float(s0)), z,
                           np.asarray(cost(z), dtype=float),
                           np.ones(cfg.n_paths, dtype=bool))
-        cps = {c: (np.full(cfg.n_paths, min(float(s0), c)), z.copy())
-               for c in cfg.checkpoints}
+        cps = {c: (st.copy(), z.copy()) for c in cfg.checkpoints}
     else:
         st, ss, av, hf, cps = _simulate_core(
             spec.potential, cost, s0, spec.half_horizon, x0, drift,
@@ -443,23 +445,24 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
 
 def action_estimate(ensemble: PathEnsemble) -> dict:
     """Sample mean and standard error of the per-path action values."""
-    v = ensemble.action_value
-    return {
-        "mean": float(np.mean(v)),
-        "stderr": float(np.std(v, ddof=1) / math.sqrt(v.size)),
-    }
+    mean, stderr = mean_stderr(ensemble.action_value)
+    return {"mean": mean, "stderr": stderr}
 
 
-def reversed_drift(drift: ScalarField, rho: ScalarField, hbar: float,
-                   floor: float = 1e-12) -> ScalarField:
+#: density at or below which ``reversed_drift`` flags a node NaN
+_RHO_FLOOR = 1e-12
+
+
+def reversed_drift(drift: ScalarField, rho: ScalarField,
+                   hbar: float) -> ScalarField:
     """Time-reversed drift B* = B - hbar * d/dx log(rho).
 
-    Nodes where rho <= floor are flagged NaN rather than extrapolated.
+    Nodes where rho <= _RHO_FLOOR are flagged NaN rather than extrapolated.
     """
     if np.all(rho.values <= 0):
         raise ValueError("rho is nonpositive everywhere")
     grid = rho.grid
-    safe = np.where(rho.values > floor, rho.values, np.nan)
+    safe = np.where(rho.values > _RHO_FLOOR, rho.values, np.nan)
     grad_log = gradient_rows(np.log(safe), grid.dx)
     return ScalarField(grid, drift.values - hbar * grad_log, allow_nan=True)
 
@@ -522,14 +525,19 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
     return ScalarField(grid, out)
 
 
-def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins,
-                       seed=0, n_steps=8, significance=0.01) -> dict:
+#: sub-steps of the bridge sampler from s to t, and the test's level
+_BRIDGE_STEPS = 8
+_SIGNIFICANCE = 0.01
+
+
+def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins, seed=0) -> dict:
     """Chi-square test of the pinned midpoint law against h*h/h.
 
     Pinned paths are generated by exact sequential bridge sampling from s to
-    t given the endpoint (u, z); the empirical histogram of Z_t over
-    equal-probability bins is compared to bin masses of the two-sided
-    transition density integrated by fixed-order Gauss quadrature.
+    t given the endpoint (u, z) in _BRIDGE_STEPS sub-steps; the empirical
+    histogram of Z_t over equal-probability bins is compared to bin masses
+    of the two-sided transition density integrated by fixed-order Gauss
+    quadrature. It passes at p > _SIGNIFICANCE.
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
@@ -538,9 +546,9 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins,
 
     # sequential exact bridge: at each sub-step the conditional law given the
     # current state and the endpoint is Gaussian
-    times = np.linspace(s, t, n_steps + 1)
+    times = np.linspace(s, t, _BRIDGE_STEPS + 1)
     zt = np.full(n_paths, float(x))
-    for k in range(n_steps):
+    for k in range(_BRIDGE_STEPS):
         tk, tk1 = times[k], times[k + 1]
         w = (tk1 - tk) / (u - tk)
         mean = zt + w * (z - zt)
@@ -578,8 +586,8 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins,
         "statistic": statistic,
         "dof": dof,
         "p_value": p_value,
-        "passed": bool(p_value > significance),
-        "significance": significance,
+        "passed": bool(p_value > _SIGNIFICANCE),
+        "significance": _SIGNIFICANCE,
         "counts": counts.tolist(),
         "expected": expected.tolist(),
         "sample_mean": float(np.mean(zt)),

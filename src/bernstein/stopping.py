@@ -28,10 +28,13 @@ from .core import (
     ScalarField,
     SpaceTimeGrid,
     interpolate,
+    mean_stderr,
 )
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
 _CODE = {ZERO: 0, ONE: 1, PDE: 2}
+#: a march value outside [-tol, 1 + tol] raises; values within are clamped
+_MAX_PRINCIPLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,14 +156,13 @@ def _implicit_slice(q_prev, b, diric, hbar, dt, dx, marching_up):
     return solve_banded((1, 1), ab, rhs)
 
 
-def solve_q(problem: SurvivalProblem, max_principle_tol: float = 1e-9
-            ) -> SurvivalSolution:
+def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """Solve for the survival function on the full grid.
 
     Forward orientation marches from the threshold slice down to the start
     of the horizon; backward marches up to its end. Slices on the other side
     of the threshold are filled from the closed-form case analysis. Maximum
-    principle violations beyond ``max_principle_tol`` raise, values within
+    principle violations beyond ``_MAX_PRINCIPLE_TOL`` raise, values within
     it are clamped to [0, 1].
     """
     grid = problem.mask.grid
@@ -191,7 +193,7 @@ def solve_q(problem: SurvivalProblem, max_principle_tol: float = 1e-9
         sol = _implicit_slice(q[prev(k)], b, stop[k], problem.hbar,
                               grid.dt, grid.dx, marching_up=not fwd)
         lo, hi = float(np.min(sol)), float(np.max(sol))
-        if lo < -max_principle_tol or hi > 1 + max_principle_tol:
+        if lo < -_MAX_PRINCIPLE_TOL or hi > 1 + _MAX_PRINCIPLE_TOL:
             raise ValueError(
                 f"maximum principle violated at t={ts[k]:.6g}: "
                 f"range [{lo:.3g}, {hi:.3g}]"
@@ -228,9 +230,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
                 f"checkpoint {c} was not recorded during simulation"
             )
         tt, xx = ensemble.checkpoints[c]
-        vals = q_at(tt, xx)
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+        mean, stderr = mean_stderr(q_at(tt, xx))
         rows.append({
             "checkpoint": float(c),
             "mean": mean,

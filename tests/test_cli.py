@@ -208,24 +208,65 @@ class TestManifests:
         assert 0 < ens["boundary_hit_fraction"] < 1
 
 
+class KeyLog(dict):
+    """A config that logs every key the experiment looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 @pytest.fixture(scope="module")
 def tiny_runs(tmp_path_factory):
     """Each experiment run once by ``run_experiment`` at its TINY config:
-    name -> (output directory, manifest, the Result that was written)."""
+    name -> (output directory, manifest, the Result that was written, the
+    config keys the experiment looked up)."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         for name in EXPERIMENTS:
             kept = []
 
             def keep(cfg, seed, runner=experiments.RUNNERS[name]):
-                kept.append(runner(cfg, seed))
-                return kept[-1]
+                log = KeyLog(cfg)
+                kept.append((runner(log, seed), log.read))
+                return kept[-1][0]
 
             mp.setitem(experiments.RUNNERS, name, keep)
             out = tmp_path_factory.mktemp(name)
             man = run_experiment(tiny(name), str(out), 5)
-            runs[name] = (out, man, kept[0])
+            runs[name] = (out, man, *kept[0])
     return runs
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_keys_are_the_keys_read(self, tiny_runs, name):
+        # every key an experiment looks up is accepted, and no other
+        assert tiny_runs[name][3] == experiments.CONFIG_KEYS[name]
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("stopping-dist", "n_path", 100),
+        ("stopping-dist", "solver", {"boundary": "obstacle"}),
+        # a key of another experiment
+        ("sec7-forward", "thresholds", [0.25]),
+    ], ids=["n_path", "solver", "thresholds"])
+    def test_unknown_key_raises_before_the_run(self, tmp_path, name, key, value):
+        cfg = dict(tiny(name), **{key: value})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            run_experiment(cfg, str(tmp_path / "out"), 0)
+        assert not (tmp_path / "out").exists()
 
 
 class TestArtifacts:
@@ -233,13 +274,13 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_out_dir_holds_exactly_the_manifest_files(self, tiny_runs, name):
-        out, man, _ = tiny_runs[name]
+        out, man, _, _ = tiny_runs[name]
         assert sorted(os.listdir(out)) == sorted([*man["files"], "manifest.json"])
         for fname, digest in man["files"].items():
             assert _sha256(str(out / fname)) == digest
 
     def test_q_sweep_csv(self, tiny_runs):
-        out, _, res = tiny_runs["stopping-dist"]
+        out, _, res, _ = tiny_runs["stopping-dist"]
         sols = res.data["q_solutions"]
         grid = sols[0].q.grid
         with open(out / "q_sweep.csv", newline="") as fh:
@@ -256,7 +297,7 @@ class TestArtifacts:
             [s.q.values.ravel() for s in sols]))
 
     def test_schrodinger_factors_csv(self, tiny_runs):
-        out, _, res = tiny_runs["schrodinger"]
+        out, _, res, _ = tiny_runs["schrodinger"]
         factors = res.data["factors"]
         with open(out / "schrodinger_factors.csv") as fh:
             assert fh.readline().strip() == "x,eta_star_init,eta_final"
@@ -272,7 +313,7 @@ class TestArtifacts:
         assert meta["final_marginal_error"] == factors.final_marginal_error
 
     def test_martingale_json(self, tiny_runs):
-        out, _, res = tiny_runs["stopping-dist"]
+        out, _, res, _ = tiny_runs["stopping-dist"]
         expected = stopping.martingale_check(
             res.data["q_solutions"][0], res.data["ensemble"],
             TINY["stopping-dist"]["checkpoints"])
@@ -305,11 +346,13 @@ class TestMain:
 
     def test_out_flag_beats_env(self, tmp_path, monkeypatch):
         cfgp = write_config(tmp_path, {"experiment": "sec7-forward",
-                                       "nx": 101, "nt": 81})
+                                       "nx": 101, "nt": 81,
+                                       "out": str(tmp_path / "cfgout")})
         monkeypatch.setenv("BERNSTEIN_OUT", str(tmp_path / "envout"))
         main(["run", cfgp, "--out", str(tmp_path / "flagout")])
         assert (tmp_path / "flagout" / "manifest.json").exists()
         assert not (tmp_path / "envout").exists()
+        assert not (tmp_path / "cfgout").exists()
 
     def test_seed_override_recorded(self, tmp_path):
         cfgp = write_config(tmp_path, {"experiment": "bridge-test",

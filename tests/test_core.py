@@ -66,14 +66,6 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="unknown function"):
             function_from_spec("no_such_thing")
 
-    def test_validate_regularity_flags_blowup(self):
-        spec = make_spec(potential=lambda x: 1e7 * np.sign(x))
-        with pytest.raises(ValueError):
-            spec.validate_regularity()
-
-    def test_validate_regularity_passes_example(self):
-        make_spec().validate_regularity()
-
 
 class TestBuildGrid:
     def test_endpoint_construction(self):

@@ -15,7 +15,6 @@ from bernstein.core import (
     function_from_spec,
 )
 from bernstein.hjb import (
-    SolverConfig,
     classical_value,
     lcp_residual,
     solve_backward_obstacle,
@@ -69,22 +68,6 @@ def medium_backward():
     spec = make_spec()
     grid = build_grid(spec, 301, 501)
     return spec, grid, solve_backward_obstacle(spec, grid)
-
-
-class TestSolverConfig:
-    def test_from_json(self):
-        cfg = SolverConfig.from_json('{"boundary": "obstacle", "region_rel_tol": 1e-7}')
-        assert cfg.boundary == "obstacle" and cfg.region_rel_tol == 1e-7
-        assert SolverConfig.from_json(cfg.to_dict()) == cfg
-
-    @pytest.mark.parametrize("key", ["psor_tol", "psor_omega", "psor_max_iter"])
-    def test_from_json_names_removed_psor_key(self, key):
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            SolverConfig.from_json({key: 1, "boundary": "extrapolate"})
-
-    def test_unknown_boundary(self):
-        with pytest.raises(ValueError, match="boundary"):
-            SolverConfig(boundary="periodic")
 
 
 class TestTrivialProblems:
@@ -219,6 +202,24 @@ class TestLcpResidual:
         assert abs(res.values[k, j]) > 1.0
         assert abs(res.values[k, j - 5]) < 1e-3
 
+    @pytest.mark.parametrize("push", [1e-6, -1e-6])
+    @pytest.mark.parametrize("j", [0, -1])
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_far_field_rows_scored(self, request, orientation, j, push):
+        # a solved edge node sits at max(psi, r e_next); pushed off it, the
+        # far-field row (up) or the obstacle row (down) is violated
+        spec, grid, sol = request.getfixturevalue(f"medium_{orientation}")
+        k = grid.nt // 2
+        assert abs(lcp_residual(sol, spec, grid).values[k, j]) <= LCP_TOL
+        pushed = sol.eta.values.copy()
+        pushed[k, j] += push
+        fake = type(sol)(eta=ScalarField(grid, pushed), mask=sol.mask,
+                         boundary=sol.boundary, orientation=orientation,
+                         stopping_cost=sol.stopping_cost)
+        res = lcp_residual(fake, spec, grid).values
+        assert abs(res[k, j]) > LCP_TOL
+        assert res[k, j] == pytest.approx(push, rel=1e-3)
+
 
 class TestClassicalValue:
     def test_terminal_data(self):
@@ -269,13 +270,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="positive"):
             solve_forward_obstacle(spec, grid)
 
-    def test_obstacle_boundary_mode_runs(self):
-        spec = make_spec()
-        grid = build_grid(spec, 101, 51)
-        sol = solve_forward_obstacle(spec, grid, SolverConfig(boundary="obstacle"))
-        psi = np.exp(-np.abs(grid.xs))
-        assert np.allclose(sol.eta.values[:, 0], psi[0])
-
     def test_step_cap_carries_every_solve_residual(self, monkeypatch):
         # the first step starts from the all-active data row and needs a
         # second solve, which a cap of one solve forbids
@@ -313,7 +307,8 @@ class TestActiveSet:
         psi = np.exp(-f(grid.xs))
         e = sol.eta.values
         assert np.all(e >= psi * (1 - 1e-12))
-        # the far-field rows, which lcp_residual does not score
+        # the far-field rows, which lcp_residual scores as well:
+        # e_0 = max(psi_0, r e_1), mirrored at x_max
         _, _, ab = hjb._operator(spec, grid, sol.orientation)
         assert np.allclose(e[:, 0], np.maximum(psi[0], -ab[0, 1] * e[:, 1]),
                            rtol=1e-12, atol=0)

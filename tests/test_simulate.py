@@ -210,7 +210,7 @@ class TestBarrierStopping:
         grid = build_grid(spec, 61, 41)
         val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
         cfg = SimConfig(dt=1e-3, n_paths=10, seed=8, start=(0.25, 0.0),
-                        checkpoints=(0.1, 0.4))
+                        checkpoints=(0.1, 0.25))
         ens = simulate_backward(spec, val.drift, val.mask, cfg)
         assert ens.orientation == "backward"
         assert np.all(ens.stop_time == 0.25)
@@ -218,9 +218,9 @@ class TestBarrierStopping:
         assert np.all(ens.hit_flag)
         assert np.all(ens.action_value == 0.0)
         # a backward checkpoint c sees the path at max(c, tau*)
-        for c, t_seen in ((0.1, 0.25), (0.4, 0.4)):
+        for c in cfg.checkpoints:
             tt, xx = ens.checkpoints[c]
-            assert np.all(tt == t_seen) and np.all(xx == 0.0)
+            assert np.all(tt == 0.25) and np.all(xx == 0.0)
 
 
 class TestFastPath:
@@ -411,3 +411,15 @@ class TestConfigValidation:
         cfg = SimConfig(dt=1e-3, n_paths=1, seed=0, start=(0.7, 0.0))
         with pytest.raises(ValueError, match="horizon"):
             simulate_forward(spec, None, None, cfg)
+
+    @pytest.mark.parametrize("simulate, sign", [(simulate_forward, 1.0),
+                                                (simulate_backward, -1.0)])
+    @pytest.mark.parametrize("x0", [1.0, 0.0])  # 0.0 starts on the barrier
+    def test_checkpoint_before_start(self, simulate, sign, x0):
+        # a checkpoint the run never reaches has no state to record
+        spec = make_spec()
+        c = -0.3 * sign
+        cfg = SimConfig(dt=1e-2, n_paths=10, seed=0, start=(0.0, x0),
+                        checkpoints=(0.2 * sign, c))
+        with pytest.raises(ValueError, match=f"checkpoint {c} "):
+            simulate(spec, None, None, cfg, barrier=0.0)

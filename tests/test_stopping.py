@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bernstein import stopping
 from bernstein.core import (
     CONTINUATION,
     STOPPING,
@@ -208,11 +209,12 @@ class TestSolveQ:
                 elif label == ZERO:
                     assert out.q.values[k, j] == pytest.approx(0.0, abs=1e-12)
 
-    def test_max_principle_guard(self, solved):
+    def test_max_principle_guard(self, solved, monkeypatch):
         spec, grid, sol, val = solved
         p = SurvivalProblem("forward", 0.25, val.drift, sol.mask, spec.hbar)
+        monkeypatch.setattr(stopping, "_MAX_PRINCIPLE_TOL", -1.0)
         with pytest.raises(ValueError, match="maximum principle"):
-            solve_q(p, max_principle_tol=-1.0)
+            solve_q(p)
 
 
 class TestAgainstMonteCarlo:
