@@ -11,21 +11,28 @@ artifact it emits), and writes what it returned: every field
 through ``field_to_csv``, every report as JSON with sorted keys, every table
 through ``_csv_rows``, and a manifest listing each written file with its
 sha256 hash, the effective config, and the pass/fail status of the
-experiment's checks. The exit status is nonzero iff any check fails. The
-output directory resolves as --out, then $BERNSTEIN_OUT, then the config's
-"out" field, then ./out. ``check`` runs the acceptance criteria, which run
-the same experiments and write nothing. This is the only module of the
-package that writes a file, so the artifact formats are decided here alone.
+experiment's checks. A large CSV is written in row blocks by forked
+writers, one per usable CPU, with the same bytes as one writer. The exit
+status is 1 if any check fails, and 2 on a config error, which prints one
+line and no traceback. The output directory resolves as --out, then
+$BERNSTEIN_OUT, then the config's "out" field, then ./out. ``check`` runs
+the acceptance criteria, which run the same experiments and write nothing.
+This is the only module of the package that writes a file, so the artifact
+formats are decided here alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import platform
+import shutil
+import signal
 import sys
+import traceback
 
 import numpy as np
 import scipy
@@ -48,17 +55,100 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
+#: a table of fewer cells is written by one process: one fork costs
+#: milliseconds, formatting one cell about half a microsecond
+_SPLIT_CELLS = 100_000
+
+
+def _write_rows(fh, first, rows) -> None:
+    """One line per entry of the array ``first`` (a time, a node or a
+    threshold): the entry, then its row's floats, each written as its repr,
+    as ``csv.writer`` writes them. No cell needs quoting, and lines end in
+    csv's "\\r\\n"."""
+    fh.writelines(
+        ",".join([repr(v), *map(repr, np.asarray(row, dtype=float).tolist())])
+        + "\r\n"
+        for v, row in zip(first.tolist(), rows))
+
+
+def _row_blocks(rows) -> list:
+    """The first row of each block of ``rows``, then the row count: one
+    block per usable CPU for a large rectangular table, else one block."""
+    n = len(rows)
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or not isinstance(rows, np.ndarray) or rows.ndim != 2
+            or rows.size < _SPLIT_CELLS):
+        return [0, n]
+    k = min(len(os.sched_getaffinity(0)), n)
+    return [n * i // k for i in range(k + 1)]
+
+
+def _write_part(part: str, first, rows) -> None:
+    """Body of a forked block writer: writes ``part`` and never returns."""
+    code = 1
+    try:
+        try:
+            with open(part, "w", newline="") as fh:
+                _write_rows(fh, first, rows)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 def _csv_rows(path: str, header: str, first, rows) -> str:
-    """CSV of one line per entry of the array ``first`` (a time, a node or
-    a threshold): the entry, then its row's floats, each written as its
-    repr, as ``csv.writer`` writes them. No cell needs quoting, and lines
-    end in csv's "\\r\\n"."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(
-            ",".join([repr(v), *map(repr, np.asarray(row, dtype=float).tolist())])
-            + "\r\n"
-            for v, row in zip(first.tolist(), rows))
+    """CSV of the line ``header``, then ``_write_rows`` of ``first`` and
+    ``rows``.
+
+    A large rectangular table is cut into contiguous row blocks, one per
+    usable CPU. A forked child writes each block after the first to
+    ``<path>.part<i>`` while this process writes the header and the first
+    block; the parts are then appended in order and removed. Every block
+    goes through ``_write_rows``, so the bytes do not depend on the number
+    of blocks. If a child fails, or this process raises while children
+    run, every child is reaped and every part and ``path`` itself are
+    removed before the error propagates.
+
+    The fork is safe although the process may hold BLAS threads: a child
+    calls no BLAS and takes no library lock, it only reprs floats and
+    writes its own file, and it leaves through ``os._exit``, so it runs no
+    exit handler and flushes no inherited buffer. From Python 3.12 on,
+    ``os.fork`` warns in a process with threads; that warning is left to
+    the caller's filters.
+    """
+    bounds = _row_blocks(rows)
+    parts = [f"{path}.part{i}" for i in range(1, len(bounds) - 1)]
+    children = []  # (pid, part) of each child not yet reaped
+    try:
+        for i, part in enumerate(parts, start=1):
+            pid = os.fork()
+            if pid == 0:
+                _write_part(part, first[bounds[i]:bounds[i + 1]],
+                            rows[bounds[i]:bounds[i + 1]])
+            children.append((pid, part))
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\r\n")
+            _write_rows(fh, first[:bounds[1]], rows[:bounds[1]])
+        with open(path, "ab") as fh:
+            while children:
+                pid, part = children.pop(0)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    raise OSError(f"writing {path}: the writer of {part} "
+                                  f"exited with status {code}")
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+                os.remove(part)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for leftover in (*parts, path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(leftover)
+        raise
     return path
 
 
@@ -74,19 +164,20 @@ TOP_KEYS = {"experiment", "out", "seed"}
 
 
 def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
-    """Run one named experiment; returns the manifest document. A config key
-    that neither this module nor the experiment reads raises before the
-    run."""
+    """Run one named experiment; returns the manifest document. An unknown
+    experiment, or a config key that neither this module nor the experiment
+    reads, raises ``ConfigError`` before the run."""
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
-        raise ValueError(
+        raise experiments.ConfigError(
             f"unknown experiment {name!r}; valid choices: {', '.join(EXPERIMENTS)}"
         )
     valid = TOP_KEYS | experiments.CONFIG_KEYS[name]
     unknown = sorted(set(cfg) - valid)
     if unknown:
-        raise ValueError(f"unknown config keys {unknown} for {name}; "
-                         f"valid keys: {', '.join(sorted(valid))}")
+        raise experiments.ConfigError(
+            f"unknown config keys {unknown} for {name}; "
+            f"valid keys: {', '.join(sorted(valid))}")
     result = experiments.RUNNERS[name](cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     files = [field_to_csv(fld, os.path.join(out_dir, fname))
@@ -147,7 +238,11 @@ def main(argv=None) -> int:
     out_dir = (args.out or os.environ.get("BERNSTEIN_OUT")
                or cfg.get("out") or "out")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    manifest = run_experiment(cfg, out_dir, seed)
+    try:
+        manifest = run_experiment(cfg, out_dir, seed)
+    except experiments.ConfigError as exc:
+        print(f"bernstein: error: {exc}", file=sys.stderr)
+        return 2
     for name, ok in manifest["checks"].items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")

@@ -49,6 +49,12 @@ MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
 LCP_TOL = 1e-9  # scaled complementarity residual of an obstacle solve
 
 
+class ConfigError(ValueError):
+    """A config that names no experiment, holds a key the experiment does
+    not read, or asks an experiment for what it cannot do; raised before
+    anything is computed."""
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -364,7 +370,7 @@ def convergence_study(cfg, seed=0) -> Result:
     at least first order."""
     spec, is_default = _spec(cfg)
     if not is_default:
-        raise ValueError(
+        raise ConfigError(
             "convergence-study needs the worked example's closed-form oracle; "
             "drop the \"spec\" field to run it")
     levels = [tuple(lv) for lv in cfg.get("levels",

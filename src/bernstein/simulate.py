@@ -291,6 +291,11 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
         f = running(b, x)
         a = np.zeros(live.size)
         pending = list(cps)
+        # a checkpoint at the start sees every path at its start
+        while pending and pending[0] <= t0 + 1e-12:
+            c = pending.pop(0)
+            cp_time[c][lo:hi] = t0
+            cp_state[c][lo:hi] = x0
 
         t = t0
         for k in range(n_steps):

@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from bernstein import acceptance, analytic, experiments, stopping
+from bernstein import acceptance, analytic, cli, experiments, stopping
 from bernstein.cli import (
     EXPERIMENTS,
+    _csv_rows,
     _sha256,
     field_to_csv,
     main,
@@ -82,6 +83,77 @@ def test_field_to_csv(tmp_path):
 def test_unknown_experiment_names_choices(tmp_path):
     with pytest.raises(ValueError, match="sec7-forward"):
         run_experiment({"experiment": "nope"}, str(tmp_path), 0)
+
+
+class TestCsvWriter:
+    """``_csv_rows`` above the split threshold, where forked writers write
+    all row blocks after the first."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        n_rows, n_cols = 401, 257
+        assert n_rows * n_cols > cli._SPLIT_CELLS
+        rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
+        rows[::7, :len(self.SPECIAL)] = self.SPECIAL
+        rows[3, -len(self.SPECIAL):] = self.SPECIAL
+        return np.arange(n_rows) * 3 - 40, rows
+
+    def expected(self, first, rows):
+        return "h,x\r\n" + "".join(
+            ",".join(map(repr, [v, *row])) + "\r\n"
+            for v, row in zip(first.tolist(), rows.tolist()))
+
+    def write(self, path, first, rows, monkeypatch, n_cpu):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpu)))
+        _csv_rows(str(path), "h,x", first, rows)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("n_cpu", [1, 2, 5])
+    def test_bytes_are_the_reprs(self, tmp_path, monkeypatch, table, n_cpu):
+        # the same bytes, serial on one CPU and in blocks on several
+        first, rows = table
+        text = self.write(tmp_path / "t.csv", first, rows, monkeypatch, n_cpu)
+        assert text == self.expected(first, rows)
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_failed_child_leaves_nothing(self, tmp_path, monkeypatch, table):
+        parent = os.getpid()
+        write_rows = cli._write_rows
+
+        def fail_in_child(fh, first, rows):
+            if os.getpid() != parent:
+                raise RuntimeError("block writer failed")
+            write_rows(fh, first, rows)
+
+        monkeypatch.setattr(cli, "_write_rows", fail_in_child)
+        path = tmp_path / "t.csv"
+        with pytest.raises(OSError, match="t.csv"):
+            self.write(path, *table, monkeypatch, 3)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_parent_reaps_children(self, tmp_path, monkeypatch, table):
+        def fail_in_parent(fh, first, rows):
+            raise RuntimeError("parent writer failed")
+
+        pids, fork = [], os.fork
+
+        def logged_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli, "_write_rows", fail_in_parent)
+        monkeypatch.setattr(os, "fork", logged_fork)
+        with pytest.raises(RuntimeError, match="parent writer failed"):
+            self.write(tmp_path / "t.csv", *table, monkeypatch, 3)
+        assert os.listdir(tmp_path) == []
+        assert len(pids) == 2
+        for pid in pids:  # each child was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestManifests:
@@ -332,7 +404,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert "PASS lcp_residual" in out
 
-    def test_convergence_rejects_custom_spec(self, tmp_path):
+    def test_convergence_rejects_custom_spec(self, tmp_path, capsys):
         # the study scores each level against the worked example's oracle,
         # which says nothing about another problem
         spec = dict(analytic.WORKED_EXAMPLE,
@@ -340,9 +412,35 @@ class TestMain:
         cfgp = write_config(tmp_path, {"experiment": "convergence-study",
                                        "levels": [[151, 126], [301, 501]],
                                        "spec": spec})
-        with pytest.raises(ValueError, match="closed-form oracle"):
-            main(["run", cfgp, "--out", str(tmp_path / "out")])
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bernstein: error: convergence-study needs the "
+                              "worked example's closed-form oracle")
         assert not (tmp_path / "out" / "convergence.json").exists()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"experiment": "nope"}, "unknown experiment 'nope'"),
+        ({"experiment": "sec7-forward", "n_x": 31}, "unknown config keys ['n_x']"),
+    ], ids=["experiment", "key"])
+    def test_config_error_is_one_line(self, tmp_path, capsys, cfg, message):
+        cfgp = write_config(tmp_path, cfg)
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bernstein: error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_error_in_the_computation_propagates(self, tmp_path, monkeypatch):
+        # only config errors become an exit status; anything the run
+        # raises keeps its traceback
+        def broken(cfg, seed):
+            raise ValueError("solver failed")
+
+        monkeypatch.setitem(experiments.RUNNERS, "sec7-forward", broken)
+        cfgp = write_config(tmp_path, {"experiment": "sec7-forward"})
+        with pytest.raises(ValueError, match="solver failed"):
+            main(["run", cfgp, "--out", str(tmp_path / "out")])
 
     def test_out_flag_beats_env(self, tmp_path, monkeypatch):
         cfgp = write_config(tmp_path, {"experiment": "sec7-forward",

@@ -158,6 +158,35 @@ class TestCheckpoints:
         tt, _ = ens.checkpoints[on_lattice]
         assert np.max(np.abs(tt - on_lattice)) <= 1e-12
 
+    @pytest.mark.parametrize("simulate, t0", [(simulate_forward, -0.5),
+                                              (simulate_backward, 0.5)])
+    def test_checkpoint_at_start(self, simulate, t0):
+        # a checkpoint at the start is seen before the first step
+        spec = make_spec()
+        cfg = SimConfig(dt=1e-2, n_paths=500, seed=4, start=(t0, 1.0),
+                        checkpoints=(t0,))
+        ens = simulate(spec, None, None, cfg, barrier=0.0)
+        tt, xx = ens.checkpoints[t0]
+        assert np.all(tt == t0) and np.all(xx == 1.0)
+
+    def test_start_checkpoint_leaves_later_ones_alone(self, sec7_value):
+        # the monte_carlo benchmark ensemble's checkpoints, with and
+        # without one at the start: every other record is bit-identical
+        spec, val = sec7_value
+        later = (-0.3, -0.1, 0.1, 0.2)
+        base = dict(dt=1e-3, n_paths=2000, seed=20260823, start=(-0.5, 1.0))
+        a = simulate_forward(spec, val.drift, val.mask,
+                             SimConfig(**base, checkpoints=later))
+        b = simulate_forward(spec, val.drift, val.mask,
+                             SimConfig(**base, checkpoints=(-0.5, *later)))
+        for name in ("stop_time", "stopped_state", "action_value", "hit_flag"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for c in later:
+            assert np.array_equal(a.checkpoints[c][0], b.checkpoints[c][0])
+            assert np.array_equal(a.checkpoints[c][1], b.checkpoints[c][1])
+        tt, xx = b.checkpoints[-0.5]
+        assert np.all(tt == -0.5) and np.all(xx == 1.0)
+
 
 class TestBarrierStopping:
     def test_stopped_exactly_on_barrier(self):
