@@ -40,8 +40,7 @@ cfg = SimConfig(dt=1e-3, n_paths=20000, seed=1, start=(-0.5, 1.0),
                 checkpoints=(-0.2, 0.0, 0.2))
 ens = simulate_forward(spec, val.drift, val.mask, cfg)
 est = action_estimate(ens)
-k = int(np.argmin(np.abs(grid.ts + 0.5)))
-j = int(np.argmin(np.abs(grid.xs - 1.0)))
+k, j = grid.nearest_row(-0.5), grid.nearest_column(1.0)
 print(f"value function U(-1/2, 1): {val.value.values[k, j]:.4f}")
 print(f"Monte Carlo action:        {est['mean']:.4f} +/- {est['stderr']:.4f}")
 print(f"boundary hit fraction:     {ens.hit_flag.mean():.3f}")

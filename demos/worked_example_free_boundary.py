@@ -35,22 +35,19 @@ print(f"banded solves per time step: mean {sol.step_solves.mean():.4f}, "
 print(f"complementarity residual: {np.max(np.abs(res.values)):.3e}")
 
 # the stopping set for this example is exactly the x = 0 column
-j0 = int(np.argmin(np.abs(grid.xs)))
 print(f"free boundary brackets the origin at every solved slice: "
       f"{all(b[0] < 0 < b[1] for b in sol.boundary[:-1])}")
 
 # pointwise agreement with the quadrature oracle
 print("\n   t      x     U (grid)   U (oracle)   rel err")
 for t, x in [(-0.5, 1.0), (0.0, 0.5), (0.0, 1.0), (0.25, 2.0)]:
-    k = int(np.argmin(np.abs(grid.ts - t)))
-    j = int(np.argmin(np.abs(grid.xs - x)))
-    u = val.value.values[k, j]
+    u = val.value.values[grid.nearest_row(t), grid.nearest_column(x)]
     ref = -math.log(sec7_eta_forward(t, x, spec.hbar, 2 * spec.half_horizon))
     print(f"{t:6.2f} {x:6.2f} {u:11.6f} {ref:11.6f} {abs(u - ref) / ref:10.2e}")
 
 # the optimal drift pushes mass away from the stopping set and saturates
 # at +-1 in the far field
-k = int(np.argmin(np.abs(grid.ts)))
+k = grid.nearest_row(0.0)
 for x in (0.25, 1.0, 2.5):
-    j = int(np.argmin(np.abs(grid.xs - x)))
-    print(f"drift at (0, {x}): {val.drift.values[k, j]:+.4f}")
+    print(f"drift at (0, {x}): "
+          f"{val.drift.values[k, grid.nearest_column(x)]:+.4f}")

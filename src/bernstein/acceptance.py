@@ -143,8 +143,7 @@ def _erf_survival_pde() -> float:
         orientation=FORWARD, threshold=0.5, drift=drift, mask=mask, hbar=1.0,
     )
     sol = stopping.solve_q(prob)
-    j = int(round((1.0 - xs[0]) / grid.dx))
-    return float(sol.q.values[0, j])
+    return float(sol.q.values[0, grid.nearest_column(1.0)])
 
 
 def criterion_5() -> CriterionResult:
@@ -173,8 +172,7 @@ def criterion_5() -> CriterionResult:
                                  start=(-T / 2, x0))
         e = simulate.simulate_forward(spec, val.drift, val.mask, cfg)
         emp = stopping.empirical_survival(e, qsol.threshold)
-        j = int(round((x0 - grid.xs[0]) / grid.dx))
-        q0 = float(qsol.q.values[0, j])
+        q0 = float(qsol.q.values[0, grid.nearest_column(x0)])
         agree.append(abs(emp["estimate"] - q0) <= 3 * emp["stderr"])
         details[f"survival_x{x0}"] = (
             f"pde {q0:.4f} vs mc {emp['estimate']:.4f} "

@@ -183,53 +183,39 @@ def sec7_classical_eta_star(t, x, hbar, T) -> float:
     return _free_eta(t + T / 2, x, hbar, _backward_data)
 
 
-def _verify_log_derivative(drift, eta_at, t, x, hbar, fd_step, fd_tol):
-    # cross-check the in-integral derivative against a centered log difference;
-    # the printed drift expressions are sign-fragile, so both routes must agree
-    lo = eta_at(t, x - fd_step)
-    hi = eta_at(t, x + fd_step)
-    fd = hbar * (math.log(hi) - math.log(lo)) / (2 * fd_step)
-    if abs(fd - drift) > fd_tol * max(1.0, abs(drift)):
-        raise ConvergenceError(
-            f"drift evaluations disagree at (t={t}, x={x}): "
-            f"integral route {drift:.10g} vs log-difference {fd:.10g}"
-        )
+#: step and relative tolerance of the centered log difference that
+#: cross-checks each drift evaluation
+_FD_STEP = 1e-5
+_FD_TOL = 1e-4
 
 
-def sec7_drift_forward(t, x, hbar, T, verify=True, fd_step=1e-5,
-                       fd_tol=1e-4) -> float:
-    """Optimal forward drift hbar * d/dx log(eta); pushes the state toward 0.
-
-    Evaluated by differentiating under the integral and, when ``verify`` is
-    set, cross-checked against a centered difference of log(eta).
-    """
+def _log_derivative(theta, x, hbar, data):
+    # hbar d/dx log(eta) by differentiating under the integral, cross-checked
+    # against a centered log difference: the printed drift expressions are
+    # sign-fragile, so both routes must agree
     if x == 0:
         raise ValueError("drift is undefined on the stopping boundary x = 0")
+    g = (hbar * _stopped_deta_dx(theta, x, hbar, data)
+         / _stopped_eta(theta, x, hbar, data))
+    lo, hi = (_stopped_eta(theta, x + d, hbar, data) for d in (-_FD_STEP, _FD_STEP))
+    fd = hbar * (math.log(hi) - math.log(lo)) / (2 * _FD_STEP)
+    if abs(fd - g) > _FD_TOL * max(1.0, abs(g)):
+        raise ConvergenceError(
+            f"drift evaluations disagree at (theta={theta}, x={x}): "
+            f"integral route {g:.10g} vs log-difference {fd:.10g}"
+        )
+    return g
+
+
+def sec7_drift_forward(t, x, hbar, T) -> float:
+    """Optimal forward drift hbar * d/dx log(eta); pushes the state toward 0."""
     if not -T / 2 <= t < T / 2:
         raise ValueError(f"t={t} must be interior, before T/2")
-    eta = sec7_eta_forward(t, x, hbar, T)
-    b = hbar * _stopped_deta_dx(T / 2 - t, x, hbar, _forward_data) / eta
-    if verify:
-        _verify_log_derivative(
-            b, lambda tt, xx: sec7_eta_forward(tt, xx, hbar, T),
-            t, x, hbar, fd_step, fd_tol,
-        )
-    return b
+    return _log_derivative(T / 2 - t, x, hbar, _forward_data)
 
 
-def sec7_drift_backward(t, x, hbar, T, verify=True, fd_step=1e-5,
-                        fd_tol=1e-4) -> float:
+def sec7_drift_backward(t, x, hbar, T) -> float:
     """Optimal backward drift -hbar * d/dx log(eta*)."""
-    if x == 0:
-        raise ValueError("drift is undefined on the stopping boundary x = 0")
     if not -T / 2 < t <= T / 2:
         raise ValueError(f"t={t} must be interior, after -T/2")
-    eta = sec7_eta_backward(t, x, hbar, T)
-    b = -hbar * _stopped_deta_dx(t + T / 2, x, hbar, _backward_data) / eta
-    if verify:
-        _verify_log_derivative(
-            -b, lambda tt, xx: sec7_eta_backward(tt, xx, hbar, T),
-            t, x, hbar, fd_step, fd_tol,
-        )
-    return b
-
+    return -_log_derivative(t + T / 2, x, hbar, _backward_data)

@@ -186,6 +186,39 @@ class SpaceTimeGrid:
     def dt(self) -> float:
         return float(self.ts[1] - self.ts[0])
 
+    def nearest_row(self, t):
+        """Index of the time node nearest t, a scalar or an array, as
+        ``np.argmin(np.abs(ts - t))`` picks it for a finite t: the lower on
+        a tie. An infinite t gets the near end."""
+        return _nearest(self.ts, t)
+
+    def nearest_column(self, x):
+        """Index of the x node nearest x, picked likewise."""
+        return _nearest(self.xs, x)
+
+
+def _cell(nodes: np.ndarray, q: np.ndarray):
+    """``np.searchsorted(nodes, q, side="right") - 1`` for uniformly spaced
+    ``nodes`` and a 1-d ``q`` in their hull, and the nodes there (n - 1 only
+    at q == nodes[-1]). The index is estimated from the spacing; a grid is
+    uniform to 1e-9 relative (``SpaceTimeGrid``), so the estimate is at most
+    one off, and one comparison with each neighbouring node corrects it."""
+    e = q - nodes[0]
+    e /= nodes[1] - nodes[0]
+    j = np.fmin(e, nodes.size - 2, out=e).astype(np.intp)
+    j -= nodes.take(j) > q
+    j += nodes[1:].take(j) <= q
+    return j, nodes.take(j)
+
+
+def _nearest(nodes: np.ndarray, q):
+    """The node of q's cell or the next one, whichever is strictly nearer;
+    an int for a scalar q."""
+    qc = np.clip(np.asarray(q, dtype=float), nodes[0], nodes[-1]).ravel()
+    j = np.minimum(_cell(nodes, qc)[0], nodes.size - 2)
+    j += np.abs(nodes.take(j + 1) - qc) < np.abs(qc - nodes.take(j))
+    return int(j[0]) if np.ndim(q) == 0 else j.reshape(np.shape(q))
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -241,24 +274,62 @@ def build_grid(spec: ProblemSpec, nx: int, nt: int) -> SpaceTimeGrid:
 
 
 def interpolate(fld: ScalarField, t, x):
-    """Bilinear interpolation in (t, x) at a point, or at arrays of points
-    broadcast together; exact at nodes, errors out of hull."""
+    """Linear interpolation in (t, x) at a point, or at arrays of points
+    broadcast together; exact at nodes, errors out of hull (a coordinate
+    within 1e-12 relative of it reads the end node).
+
+    The two time rows around t are blended, and the blend is read in x by
+    ``np.interp``'s rules, bit for bit: ``slope*(x - x_j) + f_j``, the node
+    value at an exact node, and, where that is NaN, the same from the right
+    node. A scalar t blends its rows once: the same arithmetic per element.
+    """
     ts, xs = fld.grid.ts, fld.grid.xs
-    tq, xq = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    for name, q, nodes in (("time", tq, ts), ("position", xq, xs)):
-        eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
-        out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
-        if np.any(out):
-            raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
-                             f"[{nodes[0]}, {nodes[-1]}]")
-    it = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, ts.size - 2)
-    ix = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, xs.size - 2)
-    wt = np.clip((tq - ts[it]) / (ts[it + 1] - ts[it]), 0.0, 1.0)
-    wx = np.clip((xq - xs[ix]) / (xs[ix + 1] - xs[ix]), 0.0, 1.0)
+    qs = []
+    for name, q, nodes in (("time", t, ts), ("position", x, xs)):
+        q = np.asarray(q, dtype=float)
+        if q.size and not (nodes[0] <= q.min() and q.max() <= nodes[-1]):
+            eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
+            out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
+            if out.any():
+                raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
+                                 f"[{nodes[0]}, {nodes[-1]}]")
+            q = np.clip(q, nodes[0], nodes[-1])
+        qs.append(q)
+    tq, xq = qs
+    shape = np.broadcast_shapes(tq.shape, xq.shape) if tq.ndim else xq.shape
+    xc = np.broadcast_to(xq, shape).ravel() if tq.ndim else xq.ravel()
+    j, xj = _cell(xs, xc)
     v = fld.values
-    vals = ((1 - wt) * ((1 - wx) * v[it, ix] + wx * v[it, ix + 1])
-            + wt * ((1 - wx) * v[it + 1, ix] + wx * v[it + 1, ix + 1]))
-    return float(vals) if np.ndim(vals) == 0 else vals
+    # j == n - 1 only at the last node, whose value the node rule below
+    # sets: any slope serves there
+    if tq.ndim == 0:
+        k = min(int(np.searchsorted(ts, tq, side="right")) - 1, ts.size - 2)
+        w = (tq - ts[k]) / (ts[k + 1] - ts[k])
+        row = (1 - w) * v[k] + w * v[k + 1]
+        at, slope = row.take, (np.diff(row) / np.diff(xs)).take(j, mode="clip")
+    else:
+        tc = np.broadcast_to(tq, shape).ravel()
+        it = np.minimum(np.searchsorted(ts, tc, side="right") - 1, ts.size - 2)
+        wt = (tc - ts[it]) / (ts[it + 1] - ts[it])
+
+        def at(k):
+            return (1 - wt) * v[it, k] + wt * v[it + 1, k]
+        cell = np.minimum(j, xs.size - 2)
+        slope = (at(cell + 1) - at(cell)) / (xs.take(cell + 1) - xs.take(cell))
+    fj = at(j)
+    vals = xc - xj  # slope * (x - x_j) + f_j, in place
+    vals *= slope
+    vals += fj
+    node = xj == xc
+    np.copyto(vals, fj, where=node)
+    if vals.size and np.isnan(vals.min()):  # the minimum is NaN iff one is
+        b = np.nonzero(np.isnan(vals) & ~node)[0]  # none at the last node
+        f1 = at(np.minimum(j + 1, xs.size - 1))[b]
+        retry = slope[b] * (xc[b] - xs.take(j[b] + 1)) + f1
+        flat = np.isnan(retry) & (fj[b] == f1)
+        retry[flat] = fj[b][flat]
+        vals[b] = retry
+    return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
 def mean_stderr(samples):

@@ -76,7 +76,7 @@ def band_errors(sol: hjb.EtaSolution) -> list:
     grid = sol.eta.grid
     sel = ((np.abs(grid.xs) >= BAND[0] - 1e-12)
            & (np.abs(grid.xs) <= BAND[1] + 1e-12))
-    rows = sorted({int(np.argmin(np.abs(grid.ts - t))) for t in SLICE_TIMES})
+    rows = sorted(set(grid.nearest_row(SLICE_TIMES).tolist()))
     out = []
     for k in rows:
         t = float(grid.ts[k])
@@ -110,8 +110,7 @@ def value_dominance(stopped: ScalarField, classical: ScalarField):
     (t, x) = (0, 1)."""
     grid = stopped.grid
     worst = float(np.max(stopped.values - classical.values))
-    j = int(np.argmin(np.abs(grid.xs - 1.0)))
-    k = int(np.argmin(np.abs(grid.ts - 0.0)))
+    k, j = grid.nearest_row(0.0), grid.nearest_column(1.0)
     return worst, float(classical.values[k, j] - stopped.values[k, j])
 
 
@@ -255,8 +254,10 @@ def pinning(cfg, seed=0) -> Result:
                          ts=np.linspace(-T2, T2, nt))
     if "marginals_csv" in cfg:
         marg = schrodinger.MarginalPair.from_csv(*cfg["marginals_csv"])
-        if not np.allclose(marg.xs, grid.xs):
-            raise ValueError("marginal CSV nodes do not match the grid")
+        if marg.xs.shape != grid.xs.shape or not np.allclose(marg.xs, grid.xs):
+            raise ConfigError(
+                f"the {marg.xs.size} marginal CSV nodes on [{marg.xs[0]}, "
+                f"{marg.xs[-1]}] are not the grid's {nx} on [{x_min}, {x_max}]")
     else:
         mi = cfg.get("init_marginal", {"mean": -1.0, "sd": 0.35})
         mf = cfg.get("final_marginal", {"mean": 1.0, "sd": 0.35})
@@ -324,10 +325,9 @@ def stopping_dist(cfg, seed=0) -> Result:
     ens = simulate.simulate_forward(spec, val.drift, val.mask, sim)
     qsol = sols[0]
     emp = stopping.empirical_survival(ens, qsol.threshold)
-    j = int(np.argmin(np.abs(grid.xs - start[1])))
-    k = int(np.argmin(np.abs(grid.ts - start[0])))
-    q0 = float(qsol.q.values[k, j])
     mart = stopping.martingale_check(qsol, ens, checkpoints)
+    # q at the exact start, read as the martingale check reads it
+    q0 = mart["q_at_start"]
     # long format: one line (threshold, t, x, q) per solution and node
     tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
     sweep = np.concatenate([np.column_stack((tt.ravel(), xx.ravel(),

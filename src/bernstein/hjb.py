@@ -83,7 +83,8 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     (1, 1) layout: rows -lam, 1 + dt V/hbar + 2 lam, -lam inside, with
     lam = hbar dt / (2 dx^2), and the far-field rows e_0 - r e_1 (mirrored at
     x_max) with right-hand side 0, where r = psi_0 / psi_1, capped at 1 where
-    it would cost the step matrix its M-matrix property."""
+    it would cost the step matrix its M-matrix property. A potential so
+    negative that the step matrix is no M-matrix even so raises."""
     hbar = spec.hbar
     cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
     svals = np.asarray(cost(grid.xs), dtype=float)
@@ -94,14 +95,21 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     vvals = np.asarray(spec.potential(grid.xs), dtype=float)
     off = np.full(grid.nx, -hbar * grid.dt / (2 * grid.dx * grid.dx))  # -lam
     ab = np.array([off, 1.0 + grid.dt * vvals / hbar - 2 * off, off])
-    if np.any(ab[1] <= 0):
-        raise ValueError("potential too negative for this time step (diag <= 0)")
     ab[1, [0, -1]] = 1.0
     ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
-    # an M-matrix iff every LU pivot is positive; the symmetric matrix
-    # with the same off-diagonal products has the same pivots
-    if lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2] != 0:
+
+    def bad_pivot():
+        # an M-matrix iff every LU pivot is positive; the symmetric matrix
+        # with the same off-diagonal products has the same pivots, and
+        # dpttrf returns 1 + the row of the first one <= 0
+        return lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2]
+    if bad_pivot():
         ab[0, 1], ab[2, -2] = max(ab[0, 1], -1.0), max(ab[2, -2], -1.0)
+        if bad_pivot():
+            raise ValueError(
+                "potential too negative for this time step: the LU pivot (the "
+                f"diagonal after elimination) of row {bad_pivot() - 1} of the "
+                "step matrix is <= 0, so it is not an M-matrix")
     return svals, psi, ab
 
 

@@ -10,8 +10,8 @@ regardless of chunking or parallel schedule. Path i's stream is
 then, when a point barrier needs the bridge test, its uniforms. One Philox
 is re-keyed for each path by resetting its state to key (seed, i), counter 0
 and an empty buffer; that is the same stream, bit for bit, without building
-a generator per path. The drift lookup computes np.interp's interval from
-the uniform grid spacing and returns np.interp's bits.
+a generator per path. Paths read the drift through ``core.interpolate``,
+and a thick stopping region at their nearest grid node.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     ScalarField,
     SpaceTimeGrid,
     gradient_rows,
+    interpolate,
     mean_stderr,
 )
 from .analytic import KernelParams, bernstein_transition
@@ -96,55 +97,6 @@ class PathEnsemble:
         return out
 
 
-def _interp_uniform(xs: np.ndarray, fp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xs, fp)`` bit for bit, for uniformly spaced ``xs``.
-
-    The interval index comes from ``(x - xs[0]) / dx`` instead of a binary
-    search. A grid is uniform to 1e-9 relative (``SpaceTimeGrid``), so that
-    estimate is at most one off, and one comparison against ``xs`` in each
-    direction yields the binary search's interval. The value then follows
-    np.interp's own rules: ``slope*(x - xs[j]) + fp[j]``, the node value at
-    an exact node, the end values outside the hull, NaN for a NaN ``x``, and
-    the retry from the right node when the formula gives NaN.
-    """
-    n = xs.size
-    xc = np.clip(x, xs[0], xs[-1])  # outside the hull -> the end node
-    j = np.fmin((xc - xs[0]) / (xs[1] - xs[0]), n - 2).astype(np.intp)
-    xj, xj1 = xs.take(j), xs.take(j + 1)
-    off = (xj > xc) | (xj1 <= xc)
-    if off.any():
-        o = np.nonzero(off)[0]
-        j[o] += np.where(xj[o] > xc[o], -1, 1)
-        xj[o] = xs.take(j[o])  # j == n - 1 only at xc == xs[-1], a node
-    slopes = np.empty(n)
-    slopes[:-1] = np.diff(fp) / np.diff(xs)
-    slopes[-1] = 0.0
-    fj = fp.take(j)
-    out = slopes.take(j) * (xc - xj) + fj
-    node = xj == xc
-    np.copyto(out, fj, where=node)
-    bad = np.isnan(out)
-    if bad.any():
-        b = np.nonzero(bad & ~node)[0]
-        jb, xb = j[b], xc[b]
-        retry = slopes[jb] * (xb - xs[jb + 1]) + fp[jb + 1]
-        flat = np.isnan(retry) & (fp[jb] == fp[jb + 1])
-        retry[flat] = fp[jb[flat]]
-        out[b] = np.where(np.isnan(xb), x[b], retry)
-    return out
-
-
-def _interp_field_at(fld: ScalarField, t: float, xq: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear lookup of a field at one time, many positions."""
-    ts, xs = fld.grid.ts, fld.grid.xs
-    it = int(np.searchsorted(ts, t, side="right")) - 1
-    it = min(max(it, 0), ts.size - 2)
-    wt = (t - ts[it]) / (ts[it + 1] - ts[it])
-    wt = min(max(wt, 0.0), 1.0)
-    row = (1 - wt) * fld.values[it] + wt * fld.values[it + 1]
-    return _interp_uniform(xs, row, np.asarray(xq, dtype=float))
-
-
 def _point_barriers(mask: RegionMask) -> np.ndarray:
     """Spatial positions whose node column is STOPPING at every solved time.
 
@@ -163,16 +115,12 @@ def _point_barriers(mask: RegionMask) -> np.ndarray:
 
 
 def _thick_mask(mask: RegionMask, barriers):
-    """Stopping-region lookup with point-barrier columns and the terminal
-    row removed; None when nothing is left (pure barrier problem)."""
+    """The mask with point-barrier columns and the terminal row removed;
+    None when nothing is left (pure barrier problem)."""
     flags = mask.flags.copy()
     flags[-1] = 0
-    for b in barriers:
-        j = int(np.argmin(np.abs(mask.grid.xs - b)))
-        flags[:, j] = 0
-    if not np.any(flags == STOPPING):
-        return None
-    return flags
+    flags[:, mask.grid.nearest_column(np.asarray(barriers))] = 0
+    return RegionMask(mask.grid, flags) if np.any(flags == STOPPING) else None
 
 
 #: paths drawn into a contiguous block before it is copied into the
@@ -246,8 +194,8 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     return crossed, c, bars, theta
 
 
-def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
-                   thick_grid, barriers, hbar, cfg: SimConfig):
+def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
+                   hbar, cfg: SimConfig):
     """Forward-time Euler--Maruyama engine shared by both orientations.
 
     A chunk keeps its live paths packed: ``live`` holds their indices in
@@ -269,8 +217,10 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
     cp_state = {c: np.empty(cfg.n_paths) for c in cps}
 
     def drift_at(t, xq):
-        return (_interp_field_at(drift, t, xq) if drift is not None
-                else np.zeros(xq.size))
+        if drift is None:
+            return np.zeros(xq.size)
+        xs = drift.grid.xs  # a path off the grid reads the drift at its edge
+        return interpolate(drift, t, np.clip(xq, xs[0], xs[-1]))
 
     def running(bq, xq):
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
@@ -325,15 +275,9 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick_flags,
             f = fn
 
             # thick stopping regions: nearest-node region lookup
-            if thick_flags is not None and live.size:
-                ts_, xs_ = thick_grid.ts, thick_grid.xs
-                it = min(max(int(np.searchsorted(ts_, t_next, side="right")) - 1,
-                             0), ts_.size - 1)
-                if it + 1 < ts_.size and abs(ts_[it + 1] - t_next) < abs(ts_[it] - t_next):
-                    it += 1
-                jx = np.clip(np.rint((x - xs_[0]) / thick_grid.dx).astype(int),
-                             0, xs_.size - 1)
-                inside = thick_flags[it, jx] == STOPPING
+            if thick is not None and live.size:
+                inside = thick.flags[thick.grid.nearest_row(t_next),
+                                     thick.grid.nearest_column(x)] == STOPPING
                 if np.any(inside):
                     g = live[inside]
                     tau[g] = t_next
@@ -418,12 +362,11 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
                                   checkpoints=tuple(-c for c in cfg.checkpoints))
 
     barriers = [] if barrier is None else [float(barrier)]
-    thick = tgrid = None
+    thick = None
     if mask is not None:
         bars = _point_barriers(mask)
         barriers = sorted(set(barriers) | set(bars.tolist()))
         thick = _thick_mask(mask, barriers)
-        tgrid = mask.grid
 
     if any(abs(x0 - b) == 0 for b in barriers):
         # degenerate start on the boundary: stopped immediately, so every
@@ -436,7 +379,7 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     else:
         st, ss, av, hf, cps = _simulate_core(
             spec.potential, cost, s0, spec.half_horizon, x0, drift,
-            thick, tgrid, barriers, spec.hbar, cfg,
+            thick, barriers, spec.hbar, cfg,
         )
     if not fwd:
         st = -st
@@ -491,7 +434,7 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
     out = np.empty((nt, nx))
     out[0] = rho0
     for k in range(1, nt):
-        b = (_interp_field_at(drift, grid.ts[k], grid.xs)
+        b = (interpolate(drift, grid.ts[k], grid.xs)
              if drift is not None else np.zeros(nx))
         peclet = np.max(np.abs(b)) * dx / max(D, 1e-300)
         if peclet > 2:

@@ -26,7 +26,6 @@ from .core import (
     STOPPING,
     RegionMask,
     ScalarField,
-    SpaceTimeGrid,
     interpolate,
     mean_stderr,
 )
@@ -82,16 +81,6 @@ def continuation_time_bounds(mask: RegionMask):
     return t_bar, t_low
 
 
-def _node_index(grid: SpaceTimeGrid, t, x):
-    k = int(np.argmin(np.abs(grid.ts - t)))
-    j = int(np.argmin(np.abs(grid.xs - x)))
-    if abs(grid.ts[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not a grid node")
-    if abs(grid.xs[j] - x) > 1e-9 * max(1.0, abs(x)):
-        raise ValueError(f"position {x} is not a grid node")
-    return k, j
-
-
 def classify_lemma3(t, x, threshold, mask: RegionMask,
                     orientation: str = FORWARD) -> str:
     """Closed-form case analysis of the survival function at a grid node.
@@ -101,7 +90,11 @@ def classify_lemma3(t, x, threshold, mask: RegionMask,
     continuation time left beyond the threshold; PDE otherwise. The backward
     rules are the time mirror.
     """
-    k, j = _node_index(mask.grid, t, x)
+    k, j = mask.grid.nearest_row(t), mask.grid.nearest_column(x)
+    for name, q, node in (("time", t, mask.grid.ts[k]),
+                          ("position", x, mask.grid.xs[j])):
+        if abs(node - q) > 1e-9 * max(1.0, abs(q)):
+            raise ValueError(f"{name} {q} is not a grid node")
     in_stop = mask.flags[k, j] == STOPPING
     t_bar, t_low = continuation_time_bounds(mask)
     if orientation not in (FORWARD, BACKWARD):
@@ -167,11 +160,9 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """
     grid = problem.mask.grid
     ts, xs = grid.ts, grid.xs
-    kT = int(np.argmin(np.abs(ts - problem.threshold)))
+    kT = grid.nearest_row(problem.threshold)
     if abs(ts[kT] - problem.threshold) > 1e-9 * max(1.0, abs(problem.threshold)):
-        raise ValueError(
-            f"threshold {problem.threshold} must coincide with a grid time"
-        )
+        raise ValueError(f"threshold {problem.threshold} is not a grid time")
     flags = problem.mask.flags
     stop = flags == STOPPING
     q = np.empty((grid.nt, grid.nx))

@@ -227,8 +227,8 @@ class TestDrifts:
         assert sec7_drift_backward(0.0, -1.0, 1.0, 1.0) < 0
 
     def test_dual_evaluation_agrees(self):
-        # verify=True already cross-checks; also compare explicitly
-        b = sec7_drift_forward(0.0, 0.5, 1.0, 1.0, verify=False)
+        # every evaluation cross-checks itself; also compare explicitly
+        b = sec7_drift_forward(0.0, 0.5, 1.0, 1.0)
         h = 1e-4
         fd = (
             math.log(sec7_eta_forward(0.0, 0.5 + h, 1, 1))

@@ -14,7 +14,7 @@ from bernstein.cli import (
     main,
     run_experiment,
 )
-from bernstein.core import ScalarField, SpaceTimeGrid
+from bernstein.core import ScalarField, SpaceTimeGrid, interpolate
 from bernstein.experiments import SLICE_TIMES, compare_report
 
 
@@ -269,6 +269,17 @@ class TestManifests:
         man = run_experiment(cfg, str(tmp_path), 0)
         assert not man["checks"]["stopping_set_is_origin_column"]
 
+    def test_survival_reads_q_at_the_exact_start(self):
+        # a start between nodes: the survival report and the martingale check
+        # read q at the same point, by the one interpolator
+        res = experiments.stopping_dist({"nx": 151, "nt": 101, "n_paths": 2000,
+                                         "start": [-0.5, 1.02]}, 5)
+        q_pde = res.reports["survival_compare.json"]["q_pde"]
+        assert q_pde == res.reports["martingale.json"]["q_at_start"]
+        q = res.data["q_solutions"][0].q
+        assert q_pde == interpolate(q, -0.5, 1.02)
+        assert q_pde != q.values[0, q.grid.nearest_column(1.02)]
+
     def test_stopping_small(self, tmp_path):
         man = run_experiment(tiny("stopping-dist"), str(tmp_path), 5)
         assert man["all_checks_passed"], man["checks"]
@@ -429,6 +440,25 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"bernstein: error: {message}")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, lo, hi", [(51, -4.0, 4.0), (201, -3.0, 3.0)],
+                             ids=["node-count", "node-positions"])
+    def test_marginals_off_the_grid_are_a_config_error(self, tmp_path, capsys,
+                                                       n, lo, hi):
+        # the default grid has 201 nodes on [-4, 4]
+        xs = np.linspace(lo, hi, n)
+        paths = []
+        for name, mean in (("init.csv", -1.0), ("final.csv", 1.0)):
+            np.savetxt(tmp_path / name, np.column_stack(
+                (xs, np.exp(-(xs - mean) ** 2))), delimiter=",", header="x,density")
+            paths.append(str(tmp_path / name))
+        cfgp = write_config(tmp_path, {"experiment": "schrodinger",
+                                       "marginals_csv": paths})
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"bernstein: error: the {n} marginal CSV nodes on "
+                       f"[{lo}, {hi}] are not the grid's 201 on [-4.0, 4.0]\n")
         assert not (tmp_path / "out").exists()
 
     def test_error_in_the_computation_propagates(self, tmp_path, monkeypatch):

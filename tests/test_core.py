@@ -146,6 +146,34 @@ class TestInterpolate:
         assert 0.0 - 1e-12 <= val <= 3.0 + 1e-12
 
 
+class TestNearestNode:
+    @pytest.mark.parametrize("lo, hi, n, jitter", [
+        (-3.0, 3.0, 601, 0.0), (-0.5, 0.5, 2001, 0.0), (0.0, 5.0, 11, 0.0),
+        (-3.0, 3.0, 301, 1e-10),
+    ])
+    def test_equals_argmin(self, lo, hi, n, jitter):
+        rng = np.random.default_rng(n)
+        nodes = np.linspace(lo, hi, n)
+        # a grid uniform only to round-off, as SpaceTimeGrid admits
+        nodes[1:-1] += jitter * (nodes[1] - nodes[0]) * rng.uniform(-1, 1, n - 2)
+        grid = SpaceTimeGrid(xs=nodes, ts=nodes)
+        mid = 0.5 * (nodes[:-1] + nodes[1:])  # exact ties on the 0.5-step grid
+        q = np.concatenate([rng.uniform(lo - 1, hi + 1, 5000), nodes, mid,
+                            np.nextafter(mid, np.inf), np.nextafter(mid, -np.inf),
+                            [lo - 7.0, hi + 7.0]])
+        want = np.concatenate([np.argmin(np.abs(nodes[None, :] - c[:, None]), axis=1)
+                               for c in np.array_split(q, q.size // 500)])
+        assert np.array_equal(grid.nearest_column(q), want)
+        assert np.array_equal(grid.nearest_row(q), want)
+        assert np.array_equal(grid.nearest_row(q[:5000].reshape(50, 100)),
+                              want[:5000].reshape(50, 100))
+        for v, k in zip(q[::997], want[::997]):
+            got = grid.nearest_column(float(v))
+            assert type(got) is int and got == k
+        # all distances tie at infinity; the near end is the nearest node
+        assert grid.nearest_column([-np.inf, np.inf]).tolist() == [0, n - 1]
+
+
 class TestGradient:
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)

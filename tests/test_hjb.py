@@ -258,6 +258,25 @@ class TestClassicalValue:
 
 
 class TestErrors:
+    # at 101 x 21 nodes 1 + dt V / hbar is -0.05 at V = -21 and 0.005 at
+    # V = -19.9; the diagonal stays positive on both sides, but only the
+    # second step matrix is an M-matrix
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    @pytest.mark.parametrize("value, solves", [
+        (-21.0, False), (-20.5, False), (-20.0, True), (-19.9, True)])
+    def test_potential_near_the_m_matrix_limit(self, orientation, value, solves):
+        spec = make_spec(potential=function_from_spec(
+            {"name": "constant", "value": value}))
+        grid = build_grid(spec, 101, 21)
+        solve = (solve_forward_obstacle if orientation == "forward"
+                 else solve_backward_obstacle)
+        if not solves:
+            with pytest.raises(ValueError, match="not an M-matrix"):
+                solve(spec, grid)
+            return
+        sol = solve(spec, grid)
+        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+
     def test_negative_potential_blowup_rejected(self):
         spec = make_spec(potential=lambda x: -1e6 * np.ones_like(np.asarray(x, float)))
         grid = build_grid(spec, 31, 11)

@@ -10,12 +10,12 @@ from bernstein.core import (
     SpaceTimeGrid,
     STOPPING,
     build_grid,
+    interpolate,
 )
 from bernstein.hjb import solve_backward_obstacle, solve_forward_obstacle, value_from_eta
 from bernstein.simulate import (
     PathEnsemble,
     SimConfig,
-    _interp_uniform,
     _path_streams,
     action_estimate,
     bridge_markov_test,
@@ -252,6 +252,27 @@ class TestBarrierStopping:
             assert np.all(tt == 0.25) and np.all(xx == 0.0)
 
 
+class TestThickRegion:
+    def test_paths_stop_where_the_nearest_node_stops(self):
+        # stopping wherever |x| >= 1 from t = 0 on, on a grid coarser than
+        # the simulation step; a path stops at the end of the first step whose
+        # nearest node, as argmin picks it, is a stopping node
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 31),
+                             ts=np.linspace(-0.5, 0.5, 11))
+        late = grid.ts >= 0
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[np.ix_(late, np.abs(grid.xs) >= 1 - 1e-12)] = STOPPING
+        cfg = SimConfig(dt=1e-2, n_paths=4000, seed=21, start=(-0.5, 0.3))
+        ens = simulate_forward(make_spec(), None, RegionMask(grid, flags), cfg)
+        hit = ens.hit_flag
+        assert 0.2 < hit.mean() < 0.9
+        k = np.argmin(np.abs(grid.ts[None, :] - ens.stop_time[hit, None]), axis=1)
+        j = np.argmin(np.abs(grid.xs[None, :] - ens.stopped_state[hit, None]),
+                      axis=1)
+        assert np.all(flags[k, j] == STOPPING)
+        assert np.all(ens.stop_time[~hit] == 0.5)
+
+
 class TestFastPath:
     """The engine's drift lookup and RNG streams against the library calls
     they stand in for, bit for bit."""
@@ -264,6 +285,7 @@ class TestFastPath:
         xs = np.linspace(lo, hi, n)
         # a grid uniform only to round-off, as SpaceTimeGrid admits
         xs[1:-1] += jitter * (xs[1] - xs[0]) * rng.uniform(-1, 1, n - 2)
+        grid = SpaceTimeGrid(xs=xs, ts=np.array([0.0, 1.0]))
         holes = rng.normal(size=n)
         holes[[3, 4, 50, n - 1]] = np.nan
         holes[[10, 11, 30]] = np.inf
@@ -271,14 +293,24 @@ class TestFastPath:
         rows = [rng.normal(size=n), np.cumsum(rng.normal(size=n)), holes,
                 np.where(np.arange(n) % 2, -0.0, 0.0)]
         ends = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
-                lo - 5.0, hi + 5.0, -np.inf, np.inf, np.nan]
+                lo - 5.0, hi + 5.0, -np.inf, np.inf]
         xq = np.concatenate([rng.uniform(lo - 1, hi + 1, 100000), xs,
                              np.nextafter(xs, np.inf),
                              np.nextafter(xs, -np.inf), ends])
         for fp in rows:
+            # at t = 1 the time blend is 0 * (-0.0) + 1 * fp: fp, bit for bit
+            fld = ScalarField(grid, np.array([np.full(n, -0.0), fp]),
+                              allow_nan=True)
+            want = np.interp(xq, xs, fp).tobytes()
             with np.errstate(invalid="ignore"):
-                got = _interp_uniform(xs, fp, xq)
-            assert got.tobytes() == np.interp(xq, xs, fp).tobytes()
+                # the engine clips its paths onto the grid first
+                got = interpolate(fld, 1.0, np.clip(xq, lo, hi))
+                per_point = interpolate(fld, np.ones(xq.size), np.clip(xq, lo, hi))
+            assert got.tobytes() == want
+            assert per_point.tobytes() == want
+            for q in (lo - 5.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match=f"position {q} outside"):
+                    interpolate(fld, 1.0, np.append(xs, q))
 
     def test_streams_equal_per_path_generators(self):
         seed, lo, n_steps, n = 20260823, 70, 257, 130  # over two blocks
