@@ -10,9 +10,11 @@ from ``experiments`` (which builds, solves and judges it and returns every
 artifact it emits), and writes what it returned: every field
 through ``field_to_csv``, every report as JSON with sorted keys, every table
 through ``_csv_rows``, and a manifest listing each written file with its
-sha256 hash, the effective config, and the pass/fail status of the
-experiment's checks. A large CSV is written in row blocks by forked
-writers, one per usable CPU, with the same bytes as one writer. The exit
+sha256 hash, the effective config, the pass/fail status of the
+experiment's checks and, apart from those, its ``timings``: the compute
+time, each file's write time and the usable CPU count. A large CSV is
+written in row blocks, one per usable CPU, through ``core.fork_blocks``,
+with the same bytes as one writer. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
 line and no traceback. The output directory resolves as --out, then
 $BERNSTEIN_OUT, then the config's "out" field, then ./out. ``check`` runs
@@ -30,14 +32,13 @@ import json
 import os
 import platform
 import shutil
-import signal
 import sys
-import traceback
+import time
 
 import numpy as np
 import scipy
 
-from . import __version__, acceptance, experiments
+from . import __version__, acceptance, core, experiments
 from .core import ScalarField
 
 
@@ -55,9 +56,9 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
-#: a table of fewer cells is written by one process: one fork costs
-#: milliseconds, formatting one cell about half a microsecond
-_SPLIT_CELLS = 100_000
+#: a row block of fewer cells is not given a process of its own: one fork
+#: costs milliseconds, formatting one cell about half a microsecond
+_MIN_BLOCK_CELLS = 20_000
 
 
 def _write_rows(fh, first, rows) -> None:
@@ -71,80 +72,40 @@ def _write_rows(fh, first, rows) -> None:
         for v, row in zip(first.tolist(), rows))
 
 
-def _row_blocks(rows) -> list:
-    """The first row of each block of ``rows``, then the row count: one
-    block per usable CPU for a large rectangular table, else one block."""
-    n = len(rows)
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or not isinstance(rows, np.ndarray) or rows.ndim != 2
-            or rows.size < _SPLIT_CELLS):
-        return [0, n]
-    k = min(len(os.sched_getaffinity(0)), n)
-    return [n * i // k for i in range(k + 1)]
-
-
-def _write_part(part: str, first, rows) -> None:
-    """Body of a forked block writer: writes ``part`` and never returns."""
-    code = 1
-    try:
-        try:
-            with open(part, "w", newline="") as fh:
-                _write_rows(fh, first, rows)
-            code = 0
-        except BaseException:
-            traceback.print_exc()
-            sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
 def _csv_rows(path: str, header: str, first, rows) -> str:
     """CSV of the line ``header``, then ``_write_rows`` of ``first`` and
     ``rows``.
 
-    A large rectangular table is cut into contiguous row blocks, one per
-    usable CPU. A forked child writes each block after the first to
-    ``<path>.part<i>`` while this process writes the header and the first
-    block; the parts are then appended in order and removed. Every block
-    goes through ``_write_rows``, so the bytes do not depend on the number
-    of blocks. If a child fails, or this process raises while children
-    run, every child is reaped and every part and ``path`` itself are
-    removed before the error propagates.
-
-    The fork is safe although the process may hold BLAS threads: a child
-    calls no BLAS and takes no library lock, it only reprs floats and
-    writes its own file, and it leaves through ``os._exit``, so it runs no
-    exit handler and flushes no inherited buffer. From Python 3.12 on,
-    ``os.fork`` warns in a process with threads; that warning is left to
-    the caller's filters.
+    A rectangular table is cut by ``core.fork_blocks`` into contiguous row
+    blocks of at least ``_MIN_BLOCK_CELLS`` cells, one per usable CPU. This
+    process writes the header and block 0 to ``path``, a forked child each
+    later block to ``<path>.part<lo>`` (``lo`` its first row); the parts are
+    then appended in order and removed. Every block goes through
+    ``_write_rows``, so the bytes do not depend on the number of blocks. If
+    a block fails, every part and ``path`` itself are removed before the
+    error propagates. A child only reprs floats and writes its own file.
     """
-    bounds = _row_blocks(rows)
-    parts = [f"{path}.part{i}" for i in range(1, len(bounds) - 1)]
-    children = []  # (pid, part) of each child not yet reaped
+    rectangular = isinstance(rows, np.ndarray) and rows.ndim == 2
+    min_block = (-(-_MIN_BLOCK_CELLS // max(rows.shape[1], 1)) if rectangular
+                 else len(rows) + 1)
+
+    def write_block(lo, hi):
+        with open(path if lo == 0 else f"{path}.part{lo}", "w",
+                  newline="") as fh:
+            if lo == 0:
+                fh.write(header + "\r\n")
+            _write_rows(fh, first[lo:hi], rows[lo:hi])
+
+    parts = [f"{path}.part{lo}"
+             for lo in core.block_bounds(len(rows), min_block)[1:-1]]
     try:
-        for i, part in enumerate(parts, start=1):
-            pid = os.fork()
-            if pid == 0:
-                _write_part(part, first[bounds[i]:bounds[i + 1]],
-                            rows[bounds[i]:bounds[i + 1]])
-            children.append((pid, part))
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            _write_rows(fh, first[:bounds[1]], rows[:bounds[1]])
+        core.fork_blocks(len(rows), min_block, write_block)
         with open(path, "ab") as fh:
-            while children:
-                pid, part = children.pop(0)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0:
-                    raise OSError(f"writing {path}: the writer of {part} "
-                                  f"exited with status {code}")
+            for part in parts:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)
                 os.remove(part)
     except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for leftover in (*parts, path):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(leftover)
@@ -178,14 +139,24 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
         raise experiments.ConfigError(
             f"unknown config keys {unknown} for {name}; "
             f"valid keys: {', '.join(sorted(valid))}")
+    t0 = time.perf_counter()
     result = experiments.RUNNERS[name](cfg, seed)
+    compute_s = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
-    files = [field_to_csv(fld, os.path.join(out_dir, fname))
-             for fname, fld in result.fields.items()]
-    files += [_write_json(doc, os.path.join(out_dir, fname))
-              for fname, doc in result.reports.items()]
-    files += [_csv_rows(os.path.join(out_dir, fname), *table)
-              for fname, table in result.tables.items()]
+    write_s = {}
+
+    def timed(fname, write):
+        t0 = time.perf_counter()
+        path = write(os.path.join(out_dir, fname))
+        write_s[fname] = time.perf_counter() - t0
+        return path
+
+    files = [timed(f, lambda p: field_to_csv(fld, p))
+             for f, fld in result.fields.items()]
+    files += [timed(f, lambda p: _write_json(doc, p))
+              for f, doc in result.reports.items()]
+    files += [timed(f, lambda p: _csv_rows(p, *table))
+              for f, table in result.tables.items()]
 
     manifest = {
         "experiment": name,
@@ -200,6 +171,8 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
         "files": {os.path.basename(p): _sha256(p) for p in files},
         "checks": {k: bool(v) for k, v in result.checks.items()},
         "all_checks_passed": all(result.checks.values()),
+        "timings": {"compute_s": compute_s, "write_s": write_s,
+                    "cpus": core.usable_cpus()},
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest

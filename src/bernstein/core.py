@@ -1,13 +1,20 @@
-"""Grids, fields, problem specification, region masks, and shared discrete operators.
+"""Grids, fields, problem specification, region masks, shared discrete
+operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
-between parallel workers.
+between parallel workers. ``fork_blocks`` runs a block-wise job on every
+usable CPU; the Monte Carlo engine and the CSV writer both split their work
+through it, into blocks whose results do not depend on the split.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -273,6 +280,21 @@ def build_grid(spec: ProblemSpec, nx: int, nt: int) -> SpaceTimeGrid:
     )
 
 
+def _in_hull(name: str, q, nodes: np.ndarray) -> np.ndarray:
+    """q as a float array, tested against the hull of ``nodes``: a
+    coordinate within 1e-12 relative of it is clipped onto it, one further
+    out raises a ``ValueError`` naming ``name``."""
+    q = np.asarray(q, dtype=float)
+    if q.size and not (nodes[0] <= q.min() and q.max() <= nodes[-1]):
+        eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
+        out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
+        if out.any():
+            raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
+                             f"[{nodes[0]}, {nodes[-1]}]")
+        q = np.clip(q, nodes[0], nodes[-1])
+    return q
+
+
 def interpolate(fld: ScalarField, t, x):
     """Linear interpolation in (t, x) at a point, or at arrays of points
     broadcast together; exact at nodes, errors out of hull (a coordinate
@@ -283,19 +305,23 @@ def interpolate(fld: ScalarField, t, x):
     value at an exact node, and, where that is NaN, the same from the right
     node. A scalar t blends its rows once: the same arithmetic per element.
     """
+    grid = fld.grid
+    return _lookup(fld, _in_hull("time", t, grid.ts),
+                   _in_hull("position", x, grid.xs))
+
+
+def interpolate_in_hull(fld: ScalarField, t, x):
+    """``interpolate`` at positions x that the caller has already put in
+    the grid's x hull, such as the clipped positions of the Monte Carlo
+    engine: t is tested against the hull, x is not, which saves two passes
+    over x. The same values, bit for bit."""
+    return _lookup(fld, _in_hull("time", t, fld.grid.ts),
+                   np.asarray(x, dtype=float))
+
+
+def _lookup(fld: ScalarField, tq: np.ndarray, xq: np.ndarray):
+    """The arithmetic of ``interpolate`` at float arrays in the hull."""
     ts, xs = fld.grid.ts, fld.grid.xs
-    qs = []
-    for name, q, nodes in (("time", t, ts), ("position", x, xs)):
-        q = np.asarray(q, dtype=float)
-        if q.size and not (nodes[0] <= q.min() and q.max() <= nodes[-1]):
-            eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
-            out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
-            if out.any():
-                raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
-                                 f"[{nodes[0]}, {nodes[-1]}]")
-            q = np.clip(q, nodes[0], nodes[-1])
-        qs.append(q)
-    tq, xq = qs
     shape = np.broadcast_shapes(tq.shape, xq.shape) if tq.ndim else xq.shape
     xc = np.broadcast_to(xq, shape).ravel() if tq.ndim else xq.ravel()
     j, xj = _cell(xs, xc)
@@ -371,3 +397,77 @@ def region_from_eta(eta: ScalarField, obstacle: ScalarField,
     thresh = np.maximum(abs_tol, tol * obstacle.values)
     flags = np.where(eta.values - obstacle.values <= thresh, STOPPING, CONTINUATION)
     return RegionMask(eta.grid, flags)
+
+
+# ---------------------------------------------------------------------------
+# Parallel blocks
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity``); 1 where
+    that or ``os.fork`` is missing, so that nothing forks there."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def block_bounds(n: int, min_block: int) -> list:
+    """Bounds [0, ..., n] of the contiguous blocks ``fork_blocks`` cuts
+    range(n) into: one per usable CPU, but none of fewer than ``min_block``
+    items, and at least one."""
+    k = max(1, min(usable_cpus(), n // max(min_block, 1)))
+    return [n * i // k for i in range(k + 1)]
+
+
+def fork_blocks(n: int, min_block: int, fn) -> list:
+    """Run ``fn(lo, hi)`` on each block of ``block_bounds(n, min_block)``,
+    the blocks in parallel, and return the bounds.
+
+    This process runs block 0 while a forked child runs each other block;
+    ``fn`` returns nothing, so a block's results must reach this process
+    through shared memory or a file. A child leaves through ``os._exit``:
+    it runs no exit handler and flushes no inherited buffer. Every child is
+    reaped before this returns or raises. A failed child prints its
+    traceback to stderr and raises ``ChildProcessError`` here, naming its
+    block. On any error here, that one included, every child still running
+    is killed (SIGKILL) and reaped before the error propagates. With one
+    block ``fn(0, n)`` runs here and nothing forks.
+
+    The fork is safe although the process may hold BLAS threads as long as
+    ``fn`` calls no BLAS and takes no library lock in the child. From
+    Python 3.12 on, ``os.fork`` warns in a process with threads; that
+    warning is left to the caller's filters.
+    """
+    bounds = block_bounds(n, min_block)
+    children = []  # (pid, block) of each child not yet reaped
+    try:
+        for i in range(1, len(bounds) - 1):
+            pid = os.fork()
+            if pid == 0:  # the child: run block i, then leave
+                code = 1
+                try:
+                    fn(bounds[i], bounds[i + 1])
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children.append((pid, i))
+        fn(bounds[0], bounds[1])
+        while children:
+            pid, i = children[0]
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(
+                    f"block {i} of {len(bounds) - 1} (items {bounds[i]} to "
+                    f"{bounds[i + 1]} of {n}) exited with status {code}")
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return bounds
+

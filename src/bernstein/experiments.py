@@ -98,9 +98,8 @@ def stopping_columns(sol: hjb.EtaSolution):
     solved = np.delete(flags, data_row, axis=0)
     cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
     full = bool(np.all(flags[data_row] == STOPPING))
-    exact = bool(np.all(
-        (solved == STOPPING) == (np.abs(grid.xs) < grid.dx / 2)[None, :]
-    ))
+    origin = np.arange(grid.nx) == grid.nearest_column(0.0)
+    exact = bool(np.all((solved == STOPPING) == origin[None, :]))
     return cols, full, exact
 
 
@@ -192,6 +191,10 @@ def sec7(orientation, cfg, seed=0) -> Result:
     residual and, on the worked example, by the oracle band error and the
     x = 0 stopping column."""
     spec, is_default, grid = _problem(cfg)
+    if is_default and abs(grid.xs[grid.nearest_column(0.0)]) > 1e-9 * grid.dx:
+        raise ConfigError(
+            f"nx = {grid.nx} puts no node at x = 0, the worked example's "
+            f"stopping column; take an odd nx")
     solve = (hjb.solve_forward_obstacle if orientation == FORWARD
              else hjb.solve_backward_obstacle)
     t0 = time.perf_counter()
@@ -333,7 +336,8 @@ def stopping_dist(cfg, seed=0) -> Result:
     sweep = np.concatenate([np.column_stack((tt.ravel(), xx.ravel(),
                                              s.q.values.ravel())) for s in sols])
     survival = {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
-                "ensemble": ens.summary()}
+                "ensemble": ens.summary(),
+                "q_unclamped_range": list(qsol.unclamped_range)}
     return Result(
         tables={"q_sweep.csv": ("threshold,t,x,q",
                                 np.repeat([s.threshold for s in sols], tt.size),

@@ -5,19 +5,23 @@ and the statistical two-sided Markov (bridge) test.
 
 Reproducibility contract: every path owns a counter-based RNG stream keyed
 by (seed, path index), so ensembles are bit-identical for a given config
-regardless of chunking or parallel schedule. Path i's stream is
+regardless of chunking or of the number of CPUs: the paths run in
+contiguous blocks, one per usable CPU, through ``core.fork_blocks``, and
+each block writes its paths' records alone. Path i's stream is
 ``Generator(Philox(key=[seed, i]))`` (Salmon et al., SC'11): its normals,
 then, when a point barrier needs the bridge test, its uniforms. One Philox
 is re-keyed for each path by resetting its state to key (seed, i), counter 0
 and an empty buffer; that is the same stream, bit for bit, without building
-a generator per path. Paths read the drift through ``core.interpolate``,
-and a thick stopping region at their nearest grid node.
+a generator per path. Paths read the drift through
+``core.interpolate_in_hull`` at positions clipped onto the grid, and a
+thick stopping region at their nearest grid node.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +29,7 @@ import numpy as np
 from scipy import stats
 from scipy.linalg import solve_banded
 
+from . import core
 from .core import (
     BACKWARD,
     FORWARD,
@@ -35,6 +40,7 @@ from .core import (
     SpaceTimeGrid,
     gradient_rows,
     interpolate,
+    interpolate_in_hull,
     mean_stderr,
 )
 from .analytic import KernelParams, bernstein_transition
@@ -194,9 +200,21 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     return crossed, c, bars, theta
 
 
+#: a block of fewer path-steps is not given a process of its own: one fork
+#: costs milliseconds, the engine runs about 2e7 path-steps a second
+_MIN_BLOCK_PATH_STEPS = 1_000_000
+
+
 def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
                    hbar, cfg: SimConfig):
     """Forward-time Euler--Maruyama engine shared by both orientations.
+
+    The paths are cut by ``core.fork_blocks`` into contiguous blocks of at
+    least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU. Each
+    block runs in chunks of ``cfg.chunk_size`` paths with its own draw
+    buffer and writes its slice of the records into one shared anonymous
+    mapping. A forked block calls no BLAS: it runs Philox, ufuncs, the
+    lookups of ``core`` and the problem's cost functions.
 
     A chunk keeps its live paths packed: ``live`` holds their indices in
     the chunk, and x, b, f and a their position, drift, running-cost
@@ -208,104 +226,111 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
     barriers = np.asarray(barriers, dtype=float)
     want_u = cfg.bridge_correction and barriers.size > 0
 
-    stop_time = np.full(cfg.n_paths, t_end)
-    stopped_state = np.empty(cfg.n_paths)
-    action = np.zeros(cfg.n_paths)
-    hit = np.zeros(cfg.n_paths, dtype=bool)
-    cps = sorted(cfg.checkpoints)
-    cp_time = {c: np.empty(cfg.n_paths) for c in cps}
-    cp_state = {c: np.empty(cfg.n_paths) for c in cps}
+    n, cps = cfg.n_paths, sorted(cfg.checkpoints)
+    # every record lives in one shared anonymous mapping, which the forked
+    # path blocks write their slices of
+    rows = 3 + 2 * len(cps)
+    shared = mmap.mmap(-1, n * (8 * rows + 1))
+    rec = np.frombuffer(shared, dtype=float, count=rows * n).reshape(rows, n)
+    hit = np.frombuffer(shared, dtype=bool, count=n, offset=rec.nbytes)
+    stop_time, stopped_state, action = rec[0], rec[1], rec[2]
+    stop_time[:] = t_end
+    cp_time = {c: rec[3 + 2 * i] for i, c in enumerate(cps)}
+    cp_state = {c: rec[4 + 2 * i] for i, c in enumerate(cps)}
 
     def drift_at(t, xq):
         if drift is None:
             return np.zeros(xq.size)
         xs = drift.grid.xs  # a path off the grid reads the drift at its edge
-        return interpolate(drift, t, np.clip(xq, xs[0], xs[-1]))
+        return interpolate_in_hull(drift, t, np.clip(xq, xs[0], xs[-1]))
 
     def running(bq, xq):
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
 
-    # one draw buffer, reused by every chunk
-    draws = np.empty((2 if want_u else 1, n_steps,
-                      min(cfg.chunk_size, cfg.n_paths)))
-    for lo in range(0, cfg.n_paths, cfg.chunk_size):
-        hi = min(lo + cfg.chunk_size, cfg.n_paths)
-        chunk = draws[:, :, :hi - lo]
-        _path_streams(cfg.seed, lo, chunk)
-        normals, uniforms = chunk[0], (chunk[1] if want_u else None)
-        tau, state = stop_time[lo:hi], stopped_state[lo:hi]
-        act, hitf = action[lo:hi], hit[lo:hi]
-        live = np.arange(hi - lo)
-        x = np.full(live.size, float(x0))
-        b = drift_at(t0, x)
-        f = running(b, x)
-        a = np.zeros(live.size)
-        pending = list(cps)
-        # a checkpoint at the start sees every path at its start
-        while pending and pending[0] <= t0 + 1e-12:
-            c = pending.pop(0)
-            cp_time[c][lo:hi] = t0
-            cp_state[c][lo:hi] = x0
-
-        t = t0
-        for k in range(n_steps):
-            if live.size == 0:
-                break
-            h = min(cfg.dt, t_end - t)
-            t_next = t + h
-            xn = x + b * h + math.sqrt(hbar * h) * normals[k][live]
-
-            if barriers.size:
-                u = uniforms[k][live] if want_u else None
-                crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
-                if c.size:
-                    g = live[c]
-                    tau[g] = t + theta * h
-                    state[g] = bars
-                    act[g] = a[c] + (f[c] * theta * h
-                                     + np.asarray(cost(bars), dtype=float))
-                    hitf[g] = True
-                    keep = ~crossed
-                    live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
-
-            x = xn
-            b = drift_at(t_next, x)
-            fn = running(b, x)
-            a += 0.5 * (f + fn) * h
-            f = fn
-
-            # thick stopping regions: nearest-node region lookup
-            if thick is not None and live.size:
-                inside = thick.flags[thick.grid.nearest_row(t_next),
-                                     thick.grid.nearest_column(x)] == STOPPING
-                if np.any(inside):
-                    g = live[inside]
-                    tau[g] = t_next
-                    state[g] = x[inside]
-                    act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
-                    hitf[g] = True
-                    keep = ~inside
-                    live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
-
-            # a checkpoint sees the state at the end of the step that
-            # reaches it, or at the stop for a path stopped before then
-            while pending and t_next >= pending[0] - 1e-12:
+    def run_block(b_lo, b_hi):
+        # one draw buffer, reused by every chunk of the block
+        draws = np.empty((2 if want_u else 1, n_steps,
+                          min(cfg.chunk_size, b_hi - b_lo)))
+        for lo in range(b_lo, b_hi, cfg.chunk_size):
+            hi = min(lo + cfg.chunk_size, b_hi)
+            chunk = draws[:, :, :hi - lo]
+            _path_streams(cfg.seed, lo, chunk)
+            normals, uniforms = chunk[0], (chunk[1] if want_u else None)
+            tau, state = stop_time[lo:hi], stopped_state[lo:hi]
+            act, hitf = action[lo:hi], hit[lo:hi]
+            live = np.arange(hi - lo)
+            x = np.full(live.size, float(x0))
+            b = drift_at(t0, x)
+            f = running(b, x)
+            a = np.zeros(live.size)
+            pending = list(cps)
+            # a checkpoint at the start sees every path at its start
+            while pending and pending[0] <= t0 + 1e-12:
                 c = pending.pop(0)
-                t_seen = c if abs(t_next - c) <= 1e-12 else t_next
-                cp_time[c][lo:hi] = np.minimum(tau, t_seen)
+                cp_time[c][lo:hi] = t0
+                cp_state[c][lo:hi] = x0
+
+            t = t0
+            for k in range(n_steps):
+                if live.size == 0:
+                    break
+                h = min(cfg.dt, t_end - t)
+                t_next = t + h
+                xn = x + b * h + math.sqrt(hbar * h) * normals[k][live]
+
+                if barriers.size:
+                    u = uniforms[k][live] if want_u else None
+                    crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
+                    if c.size:
+                        g = live[c]
+                        tau[g] = t + theta * h
+                        state[g] = bars
+                        act[g] = a[c] + (f[c] * theta * h
+                                         + np.asarray(cost(bars), dtype=float))
+                        hitf[g] = True
+                        keep = ~crossed
+                        live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
+
+                x = xn
+                b = drift_at(t_next, x)
+                fn = running(b, x)
+                a += 0.5 * (f + fn) * h
+                f = fn
+
+                # thick stopping regions: nearest-node region lookup
+                if thick is not None and live.size:
+                    inside = thick.flags[thick.grid.nearest_row(t_next),
+                                         thick.grid.nearest_column(x)] == STOPPING
+                    if np.any(inside):
+                        g = live[inside]
+                        tau[g] = t_next
+                        state[g] = x[inside]
+                        act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
+                        hitf[g] = True
+                        keep = ~inside
+                        live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
+
+                # a checkpoint sees the state at the end of the step that
+                # reaches it, or at the stop for a path stopped before then
+                while pending and t_next >= pending[0] - 1e-12:
+                    c = pending.pop(0)
+                    t_seen = c if abs(t_next - c) <= 1e-12 else t_next
+                    cp_time[c][lo:hi] = np.minimum(tau, t_seen)
+                    cp_state[c][lo:hi] = state
+                    cp_state[c][lo + live] = x
+                t = t_next
+
+            if live.size:
+                state[live] = x
+                act[live] = a + np.asarray(cost(x), dtype=float)
+            for c in pending:
+                cp_time[c][lo:hi] = tau
                 cp_state[c][lo:hi] = state
-                cp_state[c][lo + live] = x
-            t = t_next
 
-        if live.size:
-            state[live] = x
-            act[live] = a + np.asarray(cost(x), dtype=float)
-        for c in pending:
-            cp_time[c][lo:hi] = tau
-            cp_state[c][lo:hi] = state
-
-    checkpoints = {c: (cp_time[c], cp_state[c]) for c in cps}
-    return stop_time, stopped_state, action, hit, checkpoints
+    core.fork_blocks(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps), run_block)
+    checkpoints = {c: (cp_time[c].copy(), cp_state[c].copy()) for c in cps}
+    return (stop_time.copy(), stopped_state.copy(), action.copy(), hit.copy(),
+            checkpoints)
 
 
 def simulate_forward(spec: ProblemSpec, drift: ScalarField,

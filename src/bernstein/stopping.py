@@ -26,7 +26,7 @@ from .core import (
     STOPPING,
     RegionMask,
     ScalarField,
-    interpolate,
+    interpolate_in_hull,
     mean_stderr,
 )
 
@@ -63,6 +63,8 @@ class SurvivalSolution:
     closed_form_region: np.ndarray  # codes 0=ZERO, 1=ONE, 2=PDE per node
     threshold: float
     orientation: str
+    #: [min, max] of the marched values before the clamp to [0, 1]
+    unclamped_range: tuple
 
 
 def continuation_time_bounds(mask: RegionMask):
@@ -179,6 +181,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
 
     steps = range(kT - 1, -1, -1) if fwd else range(kT + 1, grid.nt)
     prev = (lambda k: k + 1) if fwd else (lambda k: k - 1)
+    low, high = math.inf, -math.inf
     for k in steps:
         b = problem.drift.values[k]
         sol = _implicit_slice(q[prev(k)], b, stop[k], problem.hbar,
@@ -189,6 +192,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
                 f"maximum principle violated at t={ts[k]:.6g}: "
                 f"range [{lo:.3g}, {hi:.3g}]"
             )
+        low, high = min(low, lo), max(high, hi)
         q[k] = np.clip(sol, 0.0, 1.0)
         codes[k, stop[k]] = _CODE[ZERO]
     return SurvivalSolution(
@@ -196,6 +200,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
         closed_form_region=codes,
         threshold=problem.threshold,
         orientation=problem.orientation,
+        unclamped_range=(low, high),
     )
 
 
@@ -210,7 +215,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
     xs = solution.q.grid.xs
 
     def q_at(t, x):
-        return interpolate(solution.q, t, np.clip(x, xs[0], xs[-1]))
+        return interpolate_in_hull(solution.q, t, np.clip(x, xs[0], xs[-1]))
 
     t0, x0 = ensemble.start
     q0 = q_at(t0, x0)

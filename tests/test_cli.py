@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bernstein import acceptance, analytic, cli, experiments, stopping
+from bernstein import acceptance, analytic, cli, core, experiments, stopping
 from bernstein.cli import (
     EXPERIMENTS,
     _csv_rows,
@@ -86,15 +86,16 @@ def test_unknown_experiment_names_choices(tmp_path):
 
 
 class TestCsvWriter:
-    """``_csv_rows`` above the split threshold, where forked writers write
-    all row blocks after the first."""
+    """``_csv_rows`` above the split threshold, where ``core.fork_blocks``
+    gives each row block after the first a forked writer."""
 
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
 
     @pytest.fixture(scope="class")
     def table(self):
         n_rows, n_cols = 401, 257
-        assert n_rows * n_cols > cli._SPLIT_CELLS
+        # five blocks at five CPUs
+        assert n_rows * n_cols >= 5 * cli._MIN_BLOCK_CELLS
         rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
         rows[::7, :len(self.SPECIAL)] = self.SPECIAL
         rows[3, -len(self.SPECIAL):] = self.SPECIAL
@@ -128,11 +129,23 @@ class TestCsvWriter:
                 raise RuntimeError("block writer failed")
             write_rows(fh, first, rows)
 
+        pids, fork = [], os.fork
+
+        def logged_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
         monkeypatch.setattr(cli, "_write_rows", fail_in_child)
+        monkeypatch.setattr(os, "fork", logged_fork)
         path = tmp_path / "t.csv"
-        with pytest.raises(OSError, match="t.csv"):
+        with pytest.raises(ChildProcessError, match="block 1 of 3"):
             self.write(path, *table, monkeypatch, 3)
         assert os.listdir(tmp_path) == []
+        assert len(pids) == 2
+        for pid in pids:  # each child was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_failed_parent_reaps_children(self, tmp_path, monkeypatch, table):
         def fail_in_parent(fh, first, rows):
@@ -379,6 +392,27 @@ class TestArtifacts:
         assert np.array_equal(table[:, 3], np.concatenate(
             [s.q.values.ravel() for s in sols]))
 
+    def test_survival_records_the_unclamped_range(self, tiny_runs):
+        out, _, res, _ = tiny_runs["stopping-dist"]
+        qsol = res.data["q_solutions"][0]
+        with open(out / "survival_compare.json") as fh:
+            lo, hi = json.load(fh)["q_unclamped_range"]
+        assert [lo, hi] == list(qsol.unclamped_range)
+        # the clamp to [0, 1] moved each marched value by at most 1e-9
+        assert -1e-9 <= lo <= hi <= 1 + 1e-9
+        marched = qsol.q.values[:qsol.q.grid.nearest_row(qsol.threshold)]
+        assert marched.min() == max(lo, 0.0)
+        assert marched.max() == min(hi, 1.0)
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_timings_sit_beside_the_files(self, tiny_runs, name):
+        _, man, _, _ = tiny_runs[name]
+        timings = man["timings"]
+        assert timings["compute_s"] > 0
+        assert set(timings["write_s"]) == set(man["files"])
+        assert all(s >= 0 for s in timings["write_s"].values())
+        assert timings["cpus"] == core.usable_cpus()
+
     def test_schrodinger_factors_csv(self, tiny_runs):
         out, _, res, _ = tiny_runs["schrodinger"]
         factors = res.data["factors"]
@@ -440,6 +474,17 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"bernstein: error: {message}")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["sec7-forward", "sec7-backward"])
+    def test_even_nx_on_the_worked_example_is_a_config_error(self, tmp_path,
+                                                             capsys, name):
+        # no node at x = 0, the worked example's stopping column
+        cfgp = write_config(tmp_path, {"experiment": name, "nx": 100, "nt": 81})
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("bernstein: error: nx = 100 puts no node at x = 0, the "
+                       "worked example's stopping column; take an odd nx\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n, lo, hi", [(51, -4.0, 4.0), (201, -3.0, 3.0)],

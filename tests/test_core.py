@@ -1,4 +1,8 @@
 import json
+import mmap
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -12,11 +16,15 @@ from bernstein.core import (
     RegionMask,
     ScalarField,
     SpaceTimeGrid,
+    block_bounds,
     build_grid,
+    fork_blocks,
     function_from_spec,
     gradient_x,
     interpolate,
+    interpolate_in_hull,
     region_from_eta,
+    usable_cpus,
 )
 
 
@@ -136,6 +144,17 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="time -1.0"):
             interpolate(f, np.array([-1.0, 0.5]), 0.5)
 
+    def test_in_hull_lookup_tests_time_only(self):
+        rng = np.random.default_rng(4)
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 61), ts=np.linspace(-0.5, 0.5, 41))
+        f = ScalarField(grid, rng.standard_normal((41, 61)))
+        xs = np.concatenate([rng.uniform(-3, 3, 500), grid.xs])
+        for t in (-0.5, 0.123, 0.5):
+            assert (interpolate_in_hull(f, t, xs).tobytes()
+                    == interpolate(f, t, xs).tobytes())
+        with pytest.raises(ValueError, match="time 0.75"):
+            interpolate_in_hull(f, 0.75, xs)
+
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)
     def test_monotone_between_nodes(self, t, x):
@@ -144,6 +163,107 @@ class TestInterpolate:
         f = small_field(v)
         val = interpolate(f, t, x)
         assert 0.0 - 1e-12 <= val <= 3.0 + 1e-12
+
+
+class TestForkBlocks:
+    """``fork_blocks`` on several CPUs (``os.sched_getaffinity`` patched):
+    block 0 runs here, each other block in a forked child."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)))
+        return set_cpus
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids, fork = [], os.fork
+
+        def logged_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        return pids
+
+    def assert_reaped(self, pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("n, min_block, n_cpu, want", [
+        (10, 1, 3, [0, 3, 6, 10]), (10, 4, 3, [0, 5, 10]),
+        (10, 11, 3, [0, 10]), (10, 1, 1, [0, 10]), (2, 1, 3, [0, 1, 2]),
+        (0, 1, 3, [0, 0]),
+    ])
+    def test_bounds(self, cpus, n, min_block, n_cpu, want):
+        cpus(n_cpu)
+        assert usable_cpus() == n_cpu
+        assert block_bounds(n, min_block) == want
+
+    @pytest.mark.parametrize("n_cpu", [1, 2, 3])
+    def test_children_write_shared_memory(self, cpus, forks, n_cpu):
+        cpus(n_cpu)
+        out = np.frombuffer(mmap.mmap(-1, 8 * 100), dtype=float)
+
+        def square(lo, hi):
+            out[lo:hi] = np.arange(lo, hi) ** 2
+
+        assert fork_blocks(100, 10, square) == block_bounds(100, 10)
+        assert np.array_equal(out, np.arange(100.0) ** 2)
+        assert len(forks) == n_cpu - 1
+        self.assert_reaped(forks)
+
+    def test_serial_without_fork(self, cpus, monkeypatch):
+        cpus(4)
+        monkeypatch.delattr(os, "fork")
+        calls = []
+        assert fork_blocks(100, 1, lambda lo, hi: calls.append((lo, hi))) == [0, 100]
+        assert calls == [(0, 100)]
+
+    def test_failed_child_names_its_block(self, cpus, forks, capfd):
+        cpus(3)
+
+        def fail_in_block_2(lo, hi):
+            if lo == 6:
+                raise RuntimeError("block failed")
+
+        with pytest.raises(ChildProcessError,
+                           match=r"block 2 of 3 \(items 6 to 10 of 10\) "
+                                 r"exited with status 1"):
+            fork_blocks(10, 1, fail_in_block_2)
+        assert "RuntimeError: block failed" in capfd.readouterr().err
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+
+    def test_child_killed_by_a_signal(self, cpus, forks):
+        cpus(2)
+
+        def die(lo, hi):
+            if lo:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChildProcessError, match="status -9"):
+            fork_blocks(4, 1, die)
+        self.assert_reaped(forks)
+
+    def test_error_here_kills_and_reaps_every_child(self, cpus, forks):
+        cpus(3)
+
+        def block(lo, hi):
+            if lo == 0:
+                raise KeyError("parent block failed")
+            time.sleep(60)  # killed long before this ends
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="parent block failed"):
+            fork_blocks(3, 1, block)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        self.assert_reaped(forks)
 
 
 class TestNearestNode:

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from bernstein import core, simulate
 from bernstein.core import (
     ProblemSpec,
     RegionMask,
@@ -271,6 +273,76 @@ class TestThickRegion:
                       axis=1)
         assert np.all(flags[k, j] == STOPPING)
         assert np.all(ens.stop_time[~hit] == 0.5)
+
+
+class TestParallelBlocks:
+    """Path blocks, one per usable CPU (``os.sched_getaffinity`` patched),
+    give the serial ensemble bit for bit. 1001 paths in chunks of 150 cut
+    into blocks at 333 and 667 on 3 CPUs, off the chunk boundaries."""
+
+    N_PATHS, CHUNK = 1001, 150
+
+    def ensembles(self, monkeypatch, run):
+        monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
+        out = []
+        for n_cpu in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n_cpu: set(range(n)))
+            assert len(core.block_bounds(self.N_PATHS, 1)) == n_cpu + 1
+            out.append(run(dict(n_paths=self.N_PATHS, chunk_size=self.CHUNK)))
+        return out
+
+    def assert_identical(self, ensembles):
+        first, *others = ensembles
+        for ens in others:
+            for name in ("stop_time", "stopped_state", "action_value",
+                         "hit_flag"):
+                assert (getattr(ens, name).tobytes()
+                        == getattr(first, name).tobytes())
+            assert set(ens.checkpoints) == set(first.checkpoints)
+            for c, (tt, xx) in first.checkpoints.items():
+                assert ens.checkpoints[c][0].tobytes() == tt.tobytes()
+                assert ens.checkpoints[c][1].tobytes() == xx.tobytes()
+
+    def test_forward_optimal_with_checkpoints(self, monkeypatch, sec7_value):
+        # the x = 0 stopping column is a point barrier with bridge uniforms
+        spec, val = sec7_value
+        ens = self.ensembles(monkeypatch, lambda kw: simulate_forward(
+            spec, val.drift, val.mask,
+            SimConfig(dt=2e-3, seed=3, start=(-0.5, 1.0),
+                      checkpoints=(-0.3, 0.1, 0.2), **kw)))
+        assert ens[0].hit_flag.any() and not ens[0].hit_flag.all()
+        self.assert_identical(ens)
+
+    def test_backward_optimal_with_checkpoints(self, monkeypatch):
+        spec = make_spec()
+        grid = build_grid(spec, 61, 41)
+        val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
+        ens = self.ensembles(monkeypatch, lambda kw: simulate_backward(
+            spec, val.drift, val.mask,
+            SimConfig(dt=2e-3, seed=4, start=(0.5, 0.8),
+                      checkpoints=(0.3, 0.0, -0.2), **kw)))
+        assert ens[0].hit_flag.any() and not ens[0].hit_flag.all()
+        self.assert_identical(ens)
+
+    def test_explicit_barrier(self, monkeypatch):
+        ens = self.ensembles(monkeypatch, lambda kw: simulate_forward(
+            make_spec(), None, None,
+            SimConfig(dt=1e-2, seed=7, start=(-0.5, 1.0), **kw), barrier=0.0))
+        assert ens[0].hit_flag.any() and not ens[0].hit_flag.all()
+        self.assert_identical(ens)
+
+    def test_thick_region(self, monkeypatch):
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 31),
+                             ts=np.linspace(-0.5, 0.5, 11))
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[np.ix_(grid.ts >= 0, np.abs(grid.xs) >= 1 - 1e-12)] = STOPPING
+        ens = self.ensembles(monkeypatch, lambda kw: simulate_forward(
+            make_spec(), None, RegionMask(grid, flags),
+            SimConfig(dt=1e-2, seed=21, start=(-0.5, 0.3), checkpoints=(0.2,),
+                      **kw)))
+        assert ens[0].hit_flag.any() and not ens[0].hit_flag.all()
+        self.assert_identical(ens)
 
 
 class TestFastPath:
