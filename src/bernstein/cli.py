@@ -56,9 +56,11 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
-#: a row block of fewer cells is not given a process of its own: one fork
-#: costs milliseconds, formatting one cell about half a microsecond
-_MIN_BLOCK_CELLS = 20_000
+#: a row block of fewer cells is not given a process of its own. On 2 CPUs
+#: two forked blocks first beat one writer at 40 000 to 50 000 cells (about
+#: 0.7 us a cell); below 100 000 the gain is under 25 ms, and a fork costs
+#: more in a parent holding large fields, so tables split from there
+_MIN_BLOCK_CELLS = 50_000
 
 
 def _write_rows(fh, first, rows) -> None:
@@ -76,14 +78,14 @@ def _csv_rows(path: str, header: str, first, rows) -> str:
     """CSV of the line ``header``, then ``_write_rows`` of ``first`` and
     ``rows``.
 
-    A rectangular table is cut by ``core.fork_blocks`` into contiguous row
-    blocks of at least ``_MIN_BLOCK_CELLS`` cells, one per usable CPU. This
-    process writes the header and block 0 to ``path``, a forked child each
-    later block to ``<path>.part<lo>`` (``lo`` its first row); the parts are
-    then appended in order and removed. Every block goes through
-    ``_write_rows``, so the bytes do not depend on the number of blocks. If
-    a block fails, every part and ``path`` itself are removed before the
-    error propagates. A child only reprs floats and writes its own file.
+    A rectangular table is cut by ``core.block_bounds`` into contiguous row
+    blocks of at least ``_MIN_BLOCK_CELLS`` cells, one per usable CPU, and
+    written by ``core.fork_blocks``: this process writes the header and
+    block 0 to ``path``, a forked child each later block to
+    ``<path>.part<lo>`` (``lo`` its first row); the parts are then appended
+    in order and removed. Every block goes through ``_write_rows``, so the
+    bytes do not depend on the number of blocks. If a block fails, every
+    part and ``path`` itself are removed before the error propagates. A child only reprs floats and writes its own file.
     """
     rectangular = isinstance(rows, np.ndarray) and rows.ndim == 2
     min_block = (-(-_MIN_BLOCK_CELLS // max(rows.shape[1], 1)) if rectangular
@@ -96,10 +98,10 @@ def _csv_rows(path: str, header: str, first, rows) -> str:
                 fh.write(header + "\r\n")
             _write_rows(fh, first[lo:hi], rows[lo:hi])
 
-    parts = [f"{path}.part{lo}"
-             for lo in core.block_bounds(len(rows), min_block)[1:-1]]
+    bounds = core.block_bounds(len(rows), min_block)
+    parts = [f"{path}.part{lo}" for lo in bounds[1:-1]]
     try:
-        core.fork_blocks(len(rows), min_block, write_block)
+        core.fork_blocks(bounds, write_block)
         with open(path, "ab") as fh:
             for part in parts:
                 with open(part, "rb") as src:

@@ -2,9 +2,11 @@
 operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
-between parallel workers. ``fork_blocks`` runs a block-wise job on every
-usable CPU; the Monte Carlo engine and the CSV writer both split their work
-through it, into blocks whose results do not depend on the split.
+between parallel workers. ``block_bounds`` cuts a job into contiguous
+blocks, one per usable CPU, and ``fork_blocks`` runs those blocks in
+parallel; the Monte Carlo engine and the CSV writer both split their work
+through them, each deciding its split once, into blocks whose results do
+not depend on the split.
 """
 
 from __future__ import annotations
@@ -310,13 +312,15 @@ def interpolate(fld: ScalarField, t, x):
                    _in_hull("position", x, grid.xs))
 
 
-def interpolate_in_hull(fld: ScalarField, t, x):
-    """``interpolate`` at positions x that the caller has already put in
-    the grid's x hull, such as the clipped positions of the Monte Carlo
-    engine: t is tested against the hull, x is not, which saves two passes
-    over x. The same values, bit for bit."""
+def interpolate_clipped(fld: ScalarField, t, x):
+    """``interpolate`` at positions x clipped onto the grid's x hull, so a
+    position off the grid reads the field at its edge node, as a Monte
+    Carlo path does. t is tested against the hull as by ``interpolate``;
+    x is clipped in one pass and not tested, which saves the two passes of
+    the test. Inside the hull, the values of ``interpolate``, bit for bit."""
+    xs = fld.grid.xs
     return _lookup(fld, _in_hull("time", t, fld.grid.ts),
-                   np.asarray(x, dtype=float))
+                   np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]))
 
 
 def _lookup(fld: ScalarField, tq: np.ndarray, xq: np.ndarray):
@@ -412,16 +416,16 @@ def usable_cpus() -> int:
 
 
 def block_bounds(n: int, min_block: int) -> list:
-    """Bounds [0, ..., n] of the contiguous blocks ``fork_blocks`` cuts
-    range(n) into: one per usable CPU, but none of fewer than ``min_block``
-    items, and at least one."""
+    """Bounds [0, ..., n] of contiguous blocks of range(n) for
+    ``fork_blocks``: one per usable CPU, but none of fewer than
+    ``min_block`` items, and at least one."""
     k = max(1, min(usable_cpus(), n // max(min_block, 1)))
     return [n * i // k for i in range(k + 1)]
 
 
-def fork_blocks(n: int, min_block: int, fn) -> list:
-    """Run ``fn(lo, hi)`` on each block of ``block_bounds(n, min_block)``,
-    the blocks in parallel, and return the bounds.
+def fork_blocks(bounds: list, fn) -> None:
+    """Run ``fn(lo, hi)`` on each block [bounds[i], bounds[i + 1]) of
+    ``bounds`` (as ``block_bounds`` returns them), the blocks in parallel.
 
     This process runs block 0 while a forked child runs each other block;
     ``fn`` returns nothing, so a block's results must reach this process
@@ -431,14 +435,13 @@ def fork_blocks(n: int, min_block: int, fn) -> list:
     traceback to stderr and raises ``ChildProcessError`` here, naming its
     block. On any error here, that one included, every child still running
     is killed (SIGKILL) and reaped before the error propagates. With one
-    block ``fn(0, n)`` runs here and nothing forks.
+    block ``fn(bounds[0], bounds[1])`` runs here and nothing forks.
 
     The fork is safe although the process may hold BLAS threads as long as
     ``fn`` calls no BLAS and takes no library lock in the child. From
     Python 3.12 on, ``os.fork`` warns in a process with threads; that
     warning is left to the caller's filters.
     """
-    bounds = block_bounds(n, min_block)
     children = []  # (pid, block) of each child not yet reaped
     try:
         for i in range(1, len(bounds) - 1):
@@ -463,11 +466,10 @@ def fork_blocks(n: int, min_block: int, fn) -> list:
             if code != 0:
                 raise ChildProcessError(
                     f"block {i} of {len(bounds) - 1} (items {bounds[i]} to "
-                    f"{bounds[i + 1]} of {n}) exited with status {code}")
+                    f"{bounds[i + 1]} of {bounds[-1]}) exited with status "
+                    f"{code}")
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    return bounds
-

@@ -337,7 +337,8 @@ def stopping_dist(cfg, seed=0) -> Result:
                                              s.q.values.ravel())) for s in sols])
     survival = {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
                 "ensemble": ens.summary(),
-                "q_unclamped_range": list(qsol.unclamped_range)}
+                "q_unclamped_range": (list(qsol.unclamped_range)
+                                      if qsol.unclamped_range else None)}
     return Result(
         tables={"q_sweep.csv": ("threshold,t,x,q",
                                 np.repeat([s.threshold for s in sols], tt.size),

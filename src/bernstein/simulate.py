@@ -7,13 +7,14 @@ Reproducibility contract: every path owns a counter-based RNG stream keyed
 by (seed, path index), so ensembles are bit-identical for a given config
 regardless of chunking or of the number of CPUs: the paths run in
 contiguous blocks, one per usable CPU, through ``core.fork_blocks``, and
-each block writes its paths' records alone. Path i's stream is
-``Generator(Philox(key=[seed, i]))`` (Salmon et al., SC'11): its normals,
-then, when a point barrier needs the bridge test, its uniforms. One Philox
-is re-keyed for each path by resetting its state to key (seed, i), counter 0
-and an empty buffer; that is the same stream, bit for bit, without building
-a generator per path. Paths read the drift through
-``core.interpolate_in_hull`` at positions clipped onto the grid, and a
+each block writes its paths' records alone. The blocks share
+``chunk_size``, so the draws held at once do not grow with the CPU count.
+Path i's stream is ``Generator(Philox(key=[seed, i]))`` (Salmon et al.,
+SC'11): its normals, then, when a point barrier needs the bridge test, its
+uniforms. One Philox is re-keyed for each path by resetting its state to
+key (seed, i), counter 0 and an empty buffer; that is the same stream, bit
+for bit, without building a generator per path. Paths read the drift through
+``core.interpolate_clipped``, at positions clipped onto the grid, and a
 thick stopping region at their nearest grid node.
 """
 
@@ -40,7 +41,7 @@ from .core import (
     SpaceTimeGrid,
     gradient_rows,
     interpolate,
-    interpolate_in_hull,
+    interpolate_clipped,
     mean_stderr,
 )
 from .analytic import KernelParams, bernstein_transition
@@ -200,8 +201,9 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     return crossed, c, bars, theta
 
 
-#: a block of fewer path-steps is not given a process of its own: one fork
-#: costs milliseconds, the engine runs about 2e7 path-steps a second
+#: a block of fewer path-steps (paths times steps) is not given a process
+#: of its own. On 2 CPUs, two forked blocks were slower than one process up
+#: to 6e5 path-steps in all and faster from 1e6 on
 _MIN_BLOCK_PATH_STEPS = 1_000_000
 
 
@@ -209,12 +211,14 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
                    hbar, cfg: SimConfig):
     """Forward-time Euler--Maruyama engine shared by both orientations.
 
-    The paths are cut by ``core.fork_blocks`` into contiguous blocks of at
-    least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU. Each
-    block runs in chunks of ``cfg.chunk_size`` paths with its own draw
-    buffer and writes its slice of the records into one shared anonymous
-    mapping. A forked block calls no BLAS: it runs Philox, ufuncs, the
-    lookups of ``core`` and the problem's cost functions.
+    The paths are cut by ``core.block_bounds`` into contiguous blocks of at
+    least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU, and run
+    by ``core.fork_blocks``. Each of the k blocks runs in chunks of
+    ``cfg.chunk_size // k`` paths (at least one) with its own draw buffer,
+    so ``cfg.chunk_size`` bounds the draws of the whole run, and writes its
+    slice of the records into one shared anonymous mapping. A forked block
+    calls no BLAS: it runs Philox, ufuncs, the lookups of ``core`` and the
+    problem's cost functions.
 
     A chunk keeps its live paths packed: ``live`` holds their indices in
     the chunk, and x, b, f and a their position, drift, running-cost
@@ -241,18 +245,23 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
     def drift_at(t, xq):
         if drift is None:
             return np.zeros(xq.size)
-        xs = drift.grid.xs  # a path off the grid reads the drift at its edge
-        return interpolate_in_hull(drift, t, np.clip(xq, xs[0], xs[-1]))
+        # a path off the grid reads the drift at its edge
+        return interpolate_clipped(drift, t, xq)
 
     def running(bq, xq):
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
 
+    bounds = core.block_bounds(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps))
+    # the blocks share cfg.chunk_size paths of draws between them, so the
+    # run holds no more draws at any CPU count than on one
+    chunk_size = max(1, cfg.chunk_size // (len(bounds) - 1))
+
     def run_block(b_lo, b_hi):
         # one draw buffer, reused by every chunk of the block
         draws = np.empty((2 if want_u else 1, n_steps,
-                          min(cfg.chunk_size, b_hi - b_lo)))
-        for lo in range(b_lo, b_hi, cfg.chunk_size):
-            hi = min(lo + cfg.chunk_size, b_hi)
+                          min(chunk_size, b_hi - b_lo)))
+        for lo in range(b_lo, b_hi, chunk_size):
+            hi = min(lo + chunk_size, b_hi)
             chunk = draws[:, :, :hi - lo]
             _path_streams(cfg.seed, lo, chunk)
             normals, uniforms = chunk[0], (chunk[1] if want_u else None)
@@ -327,7 +336,7 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
                 cp_time[c][lo:hi] = tau
                 cp_state[c][lo:hi] = state
 
-    core.fork_blocks(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps), run_block)
+    core.fork_blocks(bounds, run_block)
     checkpoints = {c: (cp_time[c].copy(), cp_state[c].copy()) for c in cps}
     return (stop_time.copy(), stopped_state.copy(), action.copy(), hit.copy(),
             checkpoints)

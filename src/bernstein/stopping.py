@@ -26,7 +26,7 @@ from .core import (
     STOPPING,
     RegionMask,
     ScalarField,
-    interpolate_in_hull,
+    interpolate_clipped,
     mean_stderr,
 )
 
@@ -63,8 +63,9 @@ class SurvivalSolution:
     closed_form_region: np.ndarray  # codes 0=ZERO, 1=ONE, 2=PDE per node
     threshold: float
     orientation: str
-    #: [min, max] of the marched values before the clamp to [0, 1]
-    unclamped_range: tuple
+    #: [min, max] of the marched values before the clamp to [0, 1]; None
+    #: when no slice was marched (a threshold on the horizon's first row)
+    unclamped_range: tuple | None
 
 
 def continuation_time_bounds(mask: RegionMask):
@@ -200,7 +201,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
         closed_form_region=codes,
         threshold=problem.threshold,
         orientation=problem.orientation,
-        unclamped_range=(low, high),
+        unclamped_range=(low, high) if steps else None,
     )
 
 
@@ -212,13 +213,8 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
     a few standard errors under the simulated law. States outside the
     grid's x range take q at the nearest edge node.
     """
-    xs = solution.q.grid.xs
-
-    def q_at(t, x):
-        return interpolate_in_hull(solution.q, t, np.clip(x, xs[0], xs[-1]))
-
     t0, x0 = ensemble.start
-    q0 = q_at(t0, x0)
+    q0 = interpolate_clipped(solution.q, t0, x0)
     rows = []
     for c in checkpoints:
         if c not in ensemble.checkpoints:
@@ -226,7 +222,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
                 f"checkpoint {c} was not recorded during simulation"
             )
         tt, xx = ensemble.checkpoints[c]
-        mean, stderr = mean_stderr(q_at(tt, xx))
+        mean, stderr = mean_stderr(interpolate_clipped(solution.q, tt, xx))
         rows.append({
             "checkpoint": float(c),
             "mean": mean,

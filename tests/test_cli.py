@@ -93,7 +93,7 @@ class TestCsvWriter:
 
     @pytest.fixture(scope="class")
     def table(self):
-        n_rows, n_cols = 401, 257
+        n_rows, n_cols = 1001, 257
         # five blocks at five CPUs
         assert n_rows * n_cols >= 5 * cli._MIN_BLOCK_CELLS
         rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
@@ -403,6 +403,21 @@ class TestArtifacts:
         marched = qsol.q.values[:qsol.q.grid.nearest_row(qsol.threshold)]
         assert marched.min() == max(lo, 0.0)
         assert marched.max() == min(hi, 1.0)
+
+    def test_unmarched_threshold_writes_null(self, tmp_path):
+        # a threshold on the start row (within solve_q's grid-time
+        # tolerance) marches no slice: the range is null, in strict JSON
+        cfg = {"experiment": "stopping-dist", "nx": 61, "nt": 41,
+               "n_paths": 100, "dt": 1e-2, "thresholds": [-0.5 + 1e-12],
+               "checkpoints": [0.1]}
+        run_experiment(cfg, str(tmp_path), 0)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with open(tmp_path / "survival_compare.json") as fh:
+            doc = json.load(fh, parse_constant=reject)
+        assert doc["q_unclamped_range"] is None
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_timings_sit_beside_the_files(self, tiny_runs, name):

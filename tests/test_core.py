@@ -22,7 +22,7 @@ from bernstein.core import (
     function_from_spec,
     gradient_x,
     interpolate,
-    interpolate_in_hull,
+    interpolate_clipped,
     region_from_eta,
     usable_cpus,
 )
@@ -144,16 +144,22 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="time -1.0"):
             interpolate(f, np.array([-1.0, 0.5]), 0.5)
 
-    def test_in_hull_lookup_tests_time_only(self):
+    def test_clipped_lookup_reads_the_edge_off_the_grid(self):
         rng = np.random.default_rng(4)
         grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 61), ts=np.linspace(-0.5, 0.5, 41))
         f = ScalarField(grid, rng.standard_normal((41, 61)))
         xs = np.concatenate([rng.uniform(-3, 3, 500), grid.xs])
-        for t in (-0.5, 0.123, 0.5):
-            assert (interpolate_in_hull(f, t, xs).tobytes()
-                    == interpolate(f, t, xs).tobytes())
+        far = np.concatenate([xs, [-1e300, -3.5, 3.5, np.inf]])
+        for t in (-0.5, 0.123, 0.5, np.full(far.size, 0.2)):
+            # off the hull, the edge node's values; in it, interpolate's
+            got = interpolate_clipped(f, t, far)
+            assert (got.tobytes()
+                    == interpolate(f, t, np.clip(far, -3, 3)).tobytes())
+            inside = t if np.ndim(t) == 0 else t[:xs.size]
+            assert got[:xs.size].tobytes() == interpolate(f, inside, xs).tobytes()
+        assert interpolate_clipped(f, 0.1, 7.0) == interpolate(f, 0.1, 3.0)
         with pytest.raises(ValueError, match="time 0.75"):
-            interpolate_in_hull(f, 0.75, xs)
+            interpolate_clipped(f, 0.75, xs)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)
@@ -212,7 +218,7 @@ class TestForkBlocks:
         def square(lo, hi):
             out[lo:hi] = np.arange(lo, hi) ** 2
 
-        assert fork_blocks(100, 10, square) == block_bounds(100, 10)
+        fork_blocks(block_bounds(100, 10), square)
         assert np.array_equal(out, np.arange(100.0) ** 2)
         assert len(forks) == n_cpu - 1
         self.assert_reaped(forks)
@@ -221,7 +227,9 @@ class TestForkBlocks:
         cpus(4)
         monkeypatch.delattr(os, "fork")
         calls = []
-        assert fork_blocks(100, 1, lambda lo, hi: calls.append((lo, hi))) == [0, 100]
+        bounds = block_bounds(100, 1)
+        assert bounds == [0, 100]
+        fork_blocks(bounds, lambda lo, hi: calls.append((lo, hi)))
         assert calls == [(0, 100)]
 
     def test_failed_child_names_its_block(self, cpus, forks, capfd):
@@ -234,7 +242,7 @@ class TestForkBlocks:
         with pytest.raises(ChildProcessError,
                            match=r"block 2 of 3 \(items 6 to 10 of 10\) "
                                  r"exited with status 1"):
-            fork_blocks(10, 1, fail_in_block_2)
+            fork_blocks(block_bounds(10, 1), fail_in_block_2)
         assert "RuntimeError: block failed" in capfd.readouterr().err
         assert len(forks) == 2
         self.assert_reaped(forks)
@@ -247,7 +255,7 @@ class TestForkBlocks:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(ChildProcessError, match="status -9"):
-            fork_blocks(4, 1, die)
+            fork_blocks(block_bounds(4, 1), die)
         self.assert_reaped(forks)
 
     def test_error_here_kills_and_reaps_every_child(self, cpus, forks):
@@ -260,7 +268,7 @@ class TestForkBlocks:
 
         start = time.monotonic()
         with pytest.raises(KeyError, match="parent block failed"):
-            fork_blocks(3, 1, block)
+            fork_blocks(block_bounds(3, 1), block)
         assert time.monotonic() - start < 30
         assert len(forks) == 2
         self.assert_reaped(forks)

@@ -345,6 +345,40 @@ class TestParallelBlocks:
         self.assert_identical(ens)
 
 
+    def test_draw_memory_does_not_grow_with_cpus(self, monkeypatch):
+        # the blocks share chunk_size paths of draws: the draw buffers of
+        # all blocks together are no larger than the one serial buffer
+        monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
+        buffers, block, streams = {}, [], simulate._path_streams
+
+        def blocks_here(bounds, fn):  # the blocks one after another
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                block.append(lo)
+                fn(lo, hi)
+
+        def logged_streams(seed, lo, draws):
+            buffers[block[-1]] = draws.base.nbytes
+            streams(seed, lo, draws)
+
+        monkeypatch.setattr(simulate.core, "fork_blocks", blocks_here)
+        monkeypatch.setattr(simulate, "_path_streams", logged_streams)
+        totals = []
+        for n_cpu in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n_cpu: set(range(n)))
+            buffers.clear()
+            simulate_forward(make_spec(), None, None,
+                             SimConfig(dt=1e-2, seed=7, start=(-0.5, 1.0),
+                                       n_paths=self.N_PATHS,
+                                       chunk_size=self.CHUNK),
+                             barrier=0.0)
+            assert len(buffers) == n_cpu
+            totals.append(sum(buffers.values()))
+        # normals and uniforms of 150 paths over 100 steps, on one CPU
+        assert totals[0] == 2 * 100 * self.CHUNK * 8
+        assert max(totals) == totals[0]
+
+
 class TestFastPath:
     """The engine's drift lookup and RNG streams against the library calls
     they stand in for, bit for bit."""

@@ -148,6 +148,20 @@ class TestSolveQ:
         j0 = int(np.argmin(np.abs(grid.xs)))
         assert np.all(out.q.values[:kT + 1, j0] <= 1e-12)
 
+    @pytest.mark.parametrize("orientation, row", [("forward", 0), ("backward", -1)])
+    def test_no_range_when_nothing_is_marched(self, solved, orientation, row):
+        # a threshold within the grid-time tolerance of the slice that the
+        # march would start from leaves no slice to march
+        spec, grid, sol, val = solved
+        thr = grid.ts[row] + (1e-12 if row == 0 else -1e-12)
+        out = solve_q(SurvivalProblem(orientation, thr, val.drift, sol.mask,
+                                      spec.hbar))
+        assert out.unclamped_range is None
+        marched = solve_q(SurvivalProblem(orientation, 0.0, val.drift,
+                                          sol.mask, spec.hbar))
+        lo, hi = marched.unclamped_range
+        assert math.isfinite(lo) and math.isfinite(hi)
+
     def test_threshold_monotone(self, solved):
         spec, grid, sol, val = solved
         qs = []
