@@ -9,14 +9,15 @@ gauge test. The worked example is V = 0, S = |x|, S* = log(1+|x|),
 hbar = 1, T = 1 (see ``analytic.WORKED_EXAMPLE``).
 
 Each criterion is a function returning a CriterionResult; ``run_all`` runs
-them in order. Each experiment runs once per process and is shared by the
-criteria that read it.
+and times them in order. Each experiment runs once per process and is
+shared by the criteria that read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -259,5 +260,13 @@ ALL_CRITERIA = {
 
 
 def run_all(numbers=None) -> list:
-    numbers = sorted(numbers) if numbers else sorted(ALL_CRITERIA)
-    return [ALL_CRITERIA[n]() for n in numbers]
+    """Run the criteria in order, each timed into its detail ``wall_s``.
+    The criteria share the cached experiment runs (``_run``), so a shared
+    run's cost falls on the first criterion that needs it."""
+    results = []
+    for n in sorted(numbers or ALL_CRITERIA):
+        start = time.perf_counter()
+        r = ALL_CRITERIA[n]()
+        wall_s = f"{time.perf_counter() - start:.2f}"
+        results.append(replace(r, details={**r.details, "wall_s": wall_s}))
+    return results

@@ -3,15 +3,14 @@ oracles for the worked one-dimensional example (V = 0, S = |x|,
 S* = log(1+|x|)) and its fixed-horizon counterpart.
 
 These are the ground-truth layer the grid solvers and simulators are tested
-against. All functions are pure and safe to call in parallel.
+against. All functions are pure and safe to call in parallel. ``_quad``
+imports ``scipy.integrate`` on first use, so only oracle runs pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .core import ConvergenceError
 
@@ -34,6 +33,7 @@ class KernelParams:
 
 
 def _quad(f, a, b) -> float:
+    from scipy import integrate
     val, err = integrate.quad(
         f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=MAX_SUBDIVISIONS
     )

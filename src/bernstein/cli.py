@@ -199,8 +199,7 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         results = acceptance.run_all(args.criteria)
-        for r in results:
-            print(r.line())
+        print("\n".join(r.line() for r in results))
         failed = [r.number for r in results if not r.passed]
         if failed:
             print(f"FAILED criteria: {failed}")

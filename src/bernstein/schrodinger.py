@@ -64,9 +64,7 @@ class MarginalPair:
         mi, mf = _trapz_mass(xs, pi), _trapz_mass(xs, pf)
         object.__setattr__(self, "raw_mass_init", mi)
         object.__setattr__(self, "raw_mass_final", mf)
-        pi = pi / mi
-        pf = pf / mf
-        for name, arr in (("xs", xs), ("p_init", pi), ("p_final", pf)):
+        for name, arr in (("xs", xs), ("p_init", pi / mi), ("p_final", pf / mf)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

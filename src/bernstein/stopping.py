@@ -144,11 +144,8 @@ def _implicit_slice(q_prev, b, diric, hbar, dt, dx, marching_up):
     idx = np.nonzero(diric)[0]
     ab[1, idx] = 1.0
     rhs[idx] = 0.0
-    for i in idx:
-        if i + 1 < nx:
-            ab[0, i + 1] = 0.0
-        if i - 1 >= 0:
-            ab[2, i - 1] = 0.0
+    ab[0, idx[idx + 1 < nx] + 1] = 0.0
+    ab[2, idx[idx >= 1] - 1] = 0.0
     return solve_banded((1, 1), ab, rhs)
 
 
@@ -244,6 +241,5 @@ def empirical_survival(ensemble, threshold: float) -> dict:
         hits = ensemble.stop_time > threshold
     else:
         hits = ensemble.stop_time < threshold
-    n = hits.size
     p = float(np.mean(hits))
-    return {"estimate": p, "stderr": math.sqrt(max(p * (1 - p), 1e-300) / n)}
+    return {"estimate": p, "stderr": math.sqrt(max(p * (1 - p), 1e-300) / hits.size)}

@@ -4,8 +4,11 @@ criterion. Expensive artifacts are cached inside the acceptance module, so
 the criteria share the fine-grid solves and ensembles within this process.
 """
 
+import re
+
 import pytest
 
+from bernstein import acceptance
 from bernstein.acceptance import ALL_CRITERIA, CriterionResult
 
 NAMES = {
@@ -35,3 +38,13 @@ def test_line_prints_list_details():
         "errors": ["5.77e-03", "1.39e-03"], "orders": ["2.05"], "n": 2})
     assert result.line() == ("PASS criterion 10: grid convergence order "
                              "(errors=[5.77e-03, 1.39e-03], orders=[2.05], n=2)")
+
+
+def test_run_all_times_each_criterion(monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", {
+        2: lambda: CriterionResult(2, "second", False, {"n": 2}),
+        1: lambda: CriterionResult(1, "first", True)})
+    lines = [r.line() for r in acceptance.run_all()]
+    assert len(lines) == 2
+    assert re.fullmatch(r"PASS criterion 1: first \(wall_s=\d+\.\d\d\)", lines[0])
+    assert re.fullmatch(r"FAIL criterion 2: second \(n=2, wall_s=\d+\.\d\d\)", lines[1])

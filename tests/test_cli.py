@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -555,7 +557,39 @@ class TestMain:
         assert main(["check", "--criteria", "7"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+        assert "wall_s=" in out
         assert "all criteria passed" in out
+
+
+#: run in a fresh interpreter: which of the heavy scipy subpackages are
+#: loaded after importing the package and after each experiment in argv[1]
+_LOADED_SCRIPT = """
+import json, sys
+import bernstein, bernstein.cli
+from bernstein import experiments
+
+def loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.stats") if m in sys.modules)
+
+stages = {"import": loaded()}
+for name, cfg in json.loads(sys.argv[1]):
+    experiments.RUNNERS[name](cfg, 0)
+    stages[name] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_cold_start_loads_scipy_subpackages_on_demand():
+    # scipy.stats is never needed; scipy.integrate only by an oracle
+    # quadrature, which sec7-forward runs and the other two do not
+    runs = [[name, TINY[name]] for name in ("schrodinger", "stopping-dist", "sec7-forward")]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "schrodinger": [], "stopping-dist": [],
+        "sec7-forward": ["scipy.integrate"]}
 
 
 def test_experiment_registry_complete():

@@ -567,6 +567,29 @@ class TestBridgeTest:
         with pytest.raises(ValueError):
             bridge_markov_test(0, 0, 1, 0, 1.5, 1.0, 100, 5, seed=0)
 
+    @pytest.mark.parametrize("seed, n_bins", [(0, 5), (3, 12), (11, 30)])
+    def test_matches_scipy_stats_bit_for_bit(self, seed, n_bins, monkeypatch):
+        # scipy.special's ndtri and chdtrc stand in for scipy.stats's
+        # norm.ppf and chi2.sf; the edges, p-value and verdict must not move
+        from scipy import stats
+
+        ndtri, quantiles = simulate.ndtri, []
+
+        def ndtri_spy(q):
+            quantiles.append((q, ndtri(q)))
+            return quantiles[-1][1]
+
+        args = (0, 0.3, 1, -0.2, 0.4, 1.0, 20000, n_bins)
+        monkeypatch.setattr(simulate, "ndtri", ndtri_spy)
+        rep = bridge_markov_test(*args, seed=seed)
+        [(q, z)] = quantiles
+        assert z.tobytes() == stats.norm.ppf(q).tobytes()  # the -inf, inf ends too
+        assert rep["p_value"] == float(stats.chi2.sf(rep["statistic"], rep["dof"]))
+
+        monkeypatch.setattr(simulate, "ndtri", stats.norm.ppf)
+        monkeypatch.setattr(simulate, "chdtrc", lambda dof, x: stats.chi2.sf(x, dof))
+        assert bridge_markov_test(*args, seed=seed) == rep
+
 
 class TestConfigValidation:
     def test_bad_dt(self):
