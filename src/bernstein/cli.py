@@ -85,7 +85,8 @@ def _csv_rows(path: str, header: str, first, rows) -> str:
     ``<path>.part<lo>`` (``lo`` its first row); the parts are then appended
     in order and removed. Every block goes through ``_write_rows``, so the
     bytes do not depend on the number of blocks. If a block fails, every
-    part and ``path`` itself are removed before the error propagates. A child only reprs floats and writes its own file.
+    part and ``path`` itself are removed before the error propagates. A
+    child only reprs floats and writes its own file.
     """
     rectangular = isinstance(rows, np.ndarray) and rows.ndim == 2
     min_block = (-(-_MIN_BLOCK_CELLS // max(rows.shape[1], 1)) if rectangular

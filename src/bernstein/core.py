@@ -2,11 +2,12 @@
 operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
-between parallel workers. ``block_bounds`` cuts a job into contiguous
-blocks, one per usable CPU, and ``fork_blocks`` runs those blocks in
-parallel; the Monte Carlo engine and the CSV writer both split their work
-through them, each deciding its split once, into blocks whose results do
-not depend on the split.
+between parallel workers. ``_step_matrix`` is the implicit Euler step of
+every parabolic solve, and ``_pin_rows`` the one way to hold nodes in it.
+``block_bounds`` cuts a job into contiguous blocks, one per usable CPU, and
+``fork_blocks`` runs those blocks in parallel; the Monte Carlo engine and
+the CSV writer both split their work through them, each deciding its split
+once, into blocks whose results do not depend on the split.
 """
 
 from __future__ import annotations
@@ -384,6 +385,45 @@ def gradient_x(fld: ScalarField) -> ScalarField:
         raise ValueError("gradient_x needs at least 3 spatial nodes")
     return ScalarField(fld.grid, gradient_rows(fld.values, fld.grid.dx),
                        allow_nan=fld.allow_nan)
+
+
+def _step_matrix(drift, hbar: float, dt: float, dx: float,
+                 potential=None) -> np.ndarray:
+    """The implicit Euler step matrix I - dt L on one time row, in
+    ``scipy.linalg.solve_banded``'s (1, 1) layout (``ab[0, i + 1]`` couples
+    node i to i + 1, ``ab[2, i - 1]`` node i to i - 1), for
+    L = drift d/dx + (hbar/2) d2/dx2 - potential/hbar.
+
+    The drift is upwinded (differenced toward i + 1 where it is positive),
+    so no off-diagonal is positive at any cell Peclet number, and the edges
+    reflect (the outside neighbour folded onto the edge node). Without a
+    potential every row sums to 1: an M-matrix, whose transpose conserves
+    the sum of what it steps.
+    """
+    c = np.asarray(drift, dtype=float)
+    lam = dt * (hbar / 2) / (dx * dx)
+    up = dt * np.maximum(-c, 0.0) / dx  # couples node i to i - 1
+    dn = dt * np.maximum(c, 0.0) / dx  # couples node i to i + 1
+    diag = np.ones(c.size)
+    if potential is not None:
+        diag += dt * np.asarray(potential, dtype=float) / hbar
+    ab = np.zeros((3, c.size))
+    ab[1] = diag + 2 * lam + up + dn
+    ab[0, 1:] = -(lam + dn[:-1])
+    ab[2, :-1] = -(lam + up[1:])
+    ab[1, 0] = diag[0] + lam + dn[0]
+    ab[1, -1] = diag[-1] + lam + up[-1]
+    return ab
+
+
+def _pin_rows(ab: np.ndarray, rows) -> np.ndarray:
+    """Make the rows of the (1, 1)-banded ``ab`` where the boolean ``rows``
+    is true identity rows, in place, and return ``ab``. The columns are
+    left alone: a pinned node's neighbours still couple to it."""
+    ab[1, rows] = 1.0
+    ab[0, 1:][rows[:-1]] = 0.0
+    ab[2, :-1][rows[1:]] = 0.0
+    return ab
 
 
 def region_from_eta(eta: ScalarField, obstacle: ScalarField,

@@ -48,6 +48,14 @@ REVERSAL_TOL = 1e-3  # scaled drift-reversal error
 MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
 LCP_TOL = 1e-9  # scaled complementarity residual of an obstacle solve
 
+#: The pinning experiment's x range and half horizon, its Sinkhorn tolerance
+#: and iteration cap, and the (mean, sd) of its two Gaussian marginals
+PIN_X, PIN_HALF_HORIZON = (-4.0, 4.0), 0.5
+PIN_TOL, PIN_MAX_ITER = 1e-8, 500
+PIN_MARGINALS = ((-1.0, 0.35), (1.0, 0.35))
+#: The bridge test's pinned path: from x at s to z at u, read at t
+BRIDGE = {"s": 0.0, "x": 0.0, "u": 1.0, "z": 0.0, "t": 0.5, "hbar": 1.0}
+
 
 class ConfigError(ValueError):
     """A config that names no experiment, holds a key the experiment does
@@ -249,29 +257,21 @@ def pinning(cfg, seed=0) -> Result:
     hbar = float(cfg.get("hbar", 0.5))
     nx = int(cfg.get("nx", 201))
     nt = int(cfg.get("nt", 51))
-    x_min = float(cfg.get("x_min", -4.0))
-    x_max = float(cfg.get("x_max", 4.0))
-    T2 = float(cfg.get("half_horizon", 0.5))
-    tol = float(cfg.get("tol", 1e-8))
-    grid = SpaceTimeGrid(xs=np.linspace(x_min, x_max, nx),
-                         ts=np.linspace(-T2, T2, nt))
+    grid = SpaceTimeGrid(xs=np.linspace(*PIN_X, nx),
+                         ts=np.linspace(-PIN_HALF_HORIZON, PIN_HALF_HORIZON, nt))
     if "marginals_csv" in cfg:
         marg = schrodinger.MarginalPair.from_csv(*cfg["marginals_csv"])
         if marg.xs.shape != grid.xs.shape or not np.allclose(marg.xs, grid.xs):
             raise ConfigError(
                 f"the {marg.xs.size} marginal CSV nodes on [{marg.xs[0]}, "
-                f"{marg.xs[-1]}] are not the grid's {nx} on [{x_min}, {x_max}]")
+                f"{marg.xs[-1]}] are not the grid's {nx} on {list(PIN_X)}")
     else:
-        mi = cfg.get("init_marginal", {"mean": -1.0, "sd": 0.35})
-        mf = cfg.get("final_marginal", {"mean": 1.0, "sd": 0.35})
-
-        def gauss(m):
-            return np.exp(-((grid.xs - m["mean"]) ** 2) / (2 * m["sd"] ** 2))
-
-        marg = schrodinger.MarginalPair(xs=grid.xs, p_init=gauss(mi),
-                                        p_final=gauss(mf))
+        p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * sd**2))
+                           for mean, sd in PIN_MARGINALS)
+        marg = schrodinger.MarginalPair(xs=grid.xs, p_init=p_init,
+                                        p_final=p_final)
     factors, eta, eta_star, rho = schrodinger.pin_endpoints(
-        marg, grid, hbar, tol=tol, max_iter=int(cfg.get("max_iter", 500)))
+        marg, grid, hbar, tol=PIN_TOL, max_iter=PIN_MAX_ITER)
     masses = schrodinger.slice_mass(rho)
     mass_dev = float(np.max(np.abs(masses - 1.0)))
     rev_err, nodes = drift_reversal_error(eta, eta_star, rho, hbar)
@@ -289,7 +289,7 @@ def pinning(cfg, seed=0) -> Result:
     meta = {
         "iterations": factors.iterations,
         "final_marginal_error": factors.final_marginal_error,
-        "tolerance": tol,
+        "tolerance": PIN_TOL,
         "gauge": "eta_star_init equals 1 at the middle node",
         "monotone_residuals": bool(factors.monotone),
     }
@@ -300,7 +300,7 @@ def pinning(cfg, seed=0) -> Result:
             np.column_stack((factors.eta_star_init, factors.eta_final)))},
         reports={"schrodinger_report.json": report,
                  "schrodinger_factors.json": meta},
-        checks={"sinkhorn_converged": factors.final_marginal_error <= tol,
+        checks={"sinkhorn_converged": factors.final_marginal_error <= PIN_TOL,
                 "mass_conservation": mass_dev <= MASS_TOL,
                 "drift_reversal": rev_err <= REVERSAL_TOL},
         data={"factors": factors, "hbar": hbar,
@@ -357,10 +357,7 @@ def bridge_test(cfg, seed=0) -> Result:
     passes = 0
     for i in range(n_seeds):
         rep = simulate.bridge_markov_test(
-            s=float(cfg.get("s", 0.0)), x=float(cfg.get("x", 0.0)),
-            u=float(cfg.get("u", 1.0)), z=float(cfg.get("z", 0.0)),
-            t=float(cfg.get("t", 0.5)), hbar=float(cfg.get("hbar", 1.0)),
-            n_paths=int(cfg.get("n_paths", 100000)),
+            **BRIDGE, n_paths=int(cfg.get("n_paths", 100000)),
             n_bins=int(cfg.get("n_bins", 30)), seed=seed + i,
         )
         passes += rep["passed"]
@@ -407,12 +404,9 @@ CONFIG_KEYS = {
     "sec7-forward": _GRID_KEYS,
     "sec7-backward": _GRID_KEYS,
     "sec7-classical-compare": _GRID_KEYS,
-    "schrodinger": {"hbar", "nx", "nt", "x_min", "x_max", "half_horizon",
-                    "tol", "max_iter", "marginals_csv", "init_marginal",
-                    "final_marginal"},
+    "schrodinger": {"hbar", "nx", "nt", "marginals_csv"},
     "stopping-dist": _GRID_KEYS | {"thresholds", "checkpoints", "start", "dt",
                                    "n_paths"},
-    "bridge-test": {"n_seeds", "s", "x", "u", "z", "t", "hbar", "n_paths",
-                    "n_bins"},
+    "bridge-test": {"n_seeds", "n_paths", "n_bins"},
     "convergence-study": {"spec", "levels"},
 }

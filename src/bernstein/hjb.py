@@ -4,12 +4,13 @@ value problems.
 The nonlinear equations are linearized exactly by the exponential transform
 eta = exp(-U/hbar), which turns each problem into a linear complementarity
 (obstacle) problem for a heat operator with potential. Time stepping is
-implicit Euler; each step is solved directly by the primal-dual active-set
-method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2003), almost always in
-one tridiagonal solve, so results are deterministic. The truncation edges
-carry the data-ratio far-field row e_0 = max(psi_0, e_1 psi_0 / psi_1),
-mirrored at x_max, and are rows of the LCP like any other: the solver and
-``lcp_residual`` both score them. Nothing here is tunable.
+implicit Euler, ``core._step_matrix`` with drift 0; each step is solved
+directly by the primal-dual active-set method (Hintermueller, Ito &
+Kunisch, SIAM J. Optim. 2003), almost always in one tridiagonal solve, so
+results are deterministic. The truncation edges carry the data-ratio
+far-field row e_0 = max(psi_0, e_1 psi_0 / psi_1), mirrored at x_max, and
+are rows of the LCP like any other: the solver and ``lcp_residual`` both
+score them. Nothing here is tunable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .core import (
     SpaceTimeGrid,
     gradient_rows,
     region_from_eta,
+    _pin_rows,
+    _step_matrix,
 )
 
 #: An active-set step also stops at this scaled complementarity residual, as
@@ -79,12 +82,12 @@ def _free_boundary_trace(flags, xs):
 
 def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     """The orientation's stopping cost on the nodes, its obstacle
-    psi = exp(-cost/hbar), and the implicit step matrix in ``solve_banded``'s
-    (1, 1) layout: rows -lam, 1 + dt V/hbar + 2 lam, -lam inside, with
-    lam = hbar dt / (2 dx^2), and the far-field rows e_0 - r e_1 (mirrored at
-    x_max) with right-hand side 0, where r = psi_0 / psi_1, capped at 1 where
-    it would cost the step matrix its M-matrix property. A potential so
-    negative that the step matrix is no M-matrix even so raises."""
+    psi = exp(-cost/hbar), and the implicit step matrix: ``core._step_matrix``
+    with drift 0 and the potential, whose two edge rows are overwritten by
+    the far-field rows e_0 - r e_1 (mirrored at x_max) with right-hand side
+    0, where r = psi_0 / psi_1, capped at 1 where it would cost the step
+    matrix its M-matrix property. A potential so negative that the step
+    matrix is no M-matrix even so raises."""
     hbar = spec.hbar
     cost = spec.terminal_cost if orientation == FORWARD else spec.initial_cost
     svals = np.asarray(cost(grid.xs), dtype=float)
@@ -92,9 +95,8 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
         psi = np.exp(-svals / hbar)
     if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
         raise ValueError("obstacle exp(-cost/hbar) must be strictly positive")
-    vvals = np.asarray(spec.potential(grid.xs), dtype=float)
-    off = np.full(grid.nx, -hbar * grid.dt / (2 * grid.dx * grid.dx))  # -lam
-    ab = np.array([off, 1.0 + grid.dt * vvals / hbar - 2 * off, off])
+    ab = _step_matrix(np.zeros(grid.nx), hbar, grid.dt, grid.dx,
+                      spec.potential(grid.xs))
     ab[1, [0, -1]] = 1.0
     ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
 
@@ -124,7 +126,7 @@ def _march(grid, orientation, data, psi, ab):
     """Implicit Euler march from the data row of the LCP A e >= b, e >= psi,
     complementary, b being the previous row with 0 on the far-field rows.
     From the previous step's active set (at first {data <= psi}), solve with
-    the active rows set to psi, then set active = {A e - b + psi - e > 0},
+    the active rows pinned to psi, then set active = {A e - b + psi - e > 0},
     until the set repeats or the scaled complementarity residual is at most
     _STOP_TOL. Returns eta and the banded solves of each step."""
     eta = np.empty((grid.nt, grid.nx))
@@ -137,9 +139,7 @@ def _march(grid, orientation, data, psi, ab):
         trace = []
         while True:
             if not np.array_equal(active, factored):
-                m = ab.copy()  # each active row made the identity row
-                m[1, active] = 1.0
-                m[0, 1:][active[:-1]] = m[2, :-1][active[1:]] = 0.0
+                m = _pin_rows(ab.copy(), active)
                 lu, factored = lapack.dgttrf(m[2, :-1], m[1], m[0, 1:])[:5], active
             e = lapack.dgttrs(*lu, np.where(active, psi, b))[0]
             mult = ab[1] * e - b

@@ -1,7 +1,8 @@
 """Monte Carlo engine: Euler--Maruyama simulation of the controlled forward
 SDE and its time-reversed counterpart, stopping at the computed free
-boundary, action-functional estimation, density evolution, drift reversal,
-and the statistical two-sided Markov (bridge) test.
+boundary, action-functional estimation, density evolution by the transpose
+of the survival march's step (``fokker_planck``), drift reversal, and the
+statistical two-sided Markov (bridge) test.
 
 Reproducibility contract: every path owns a counter-based RNG stream keyed
 by (seed, path index), so ensembles are bit-identical for a given config
@@ -453,8 +454,13 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
                   grid: SpaceTimeGrid, boundary: str = "no_flux") -> ScalarField:
     """Evolve d(rho)/dt = -d(b rho)/dx + (hbar/2) d2(rho)/dx2 from rho0.
 
-    Conservative flux form, implicit in time, upwind advection; "no_flux"
-    boundaries conserve mass, "absorbing" pins rho = 0 at both ends.
+    Each step from row k solves with the transpose of ``core._step_matrix``
+    at the drift of row k: the matrix with which ``stopping.solve_q`` steps
+    the survival function back to row k, so sum_j q[k, j] rho[k, j] is the
+    same on every row the two share. "no_flux" takes the matrix's
+    reflecting edges, and its transpose conserves mass; "absorbing" pins
+    both end rows to identity rows, as ``solve_q`` pins stopping nodes, and
+    zeroes the mass the ends absorb in each step.
     """
     if boundary not in ("no_flux", "absorbing"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -462,48 +468,32 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
     if np.any(rho0 < 0):
         raise ValueError("rho0 must be nonnegative")
     nx, nt = grid.nx, grid.nt
-    dx, dt = grid.dx, grid.dt
-    D = spec.hbar / 2
+    ends = np.zeros(nx, dtype=bool)
+    ends[[0, -1]] = boundary == "absorbing"
 
     out = np.empty((nt, nx))
     out[0] = rho0
-    for k in range(1, nt):
+    for k in range(nt - 1):
         b = (interpolate(drift, grid.ts[k], grid.xs)
              if drift is not None else np.zeros(nx))
-        peclet = np.max(np.abs(b)) * dx / max(D, 1e-300)
+        peclet = np.max(np.abs(b)) * grid.dx / (spec.hbar / 2)
         if peclet > 2:
             warnings.warn(
                 f"advection cell Peclet {peclet:.2f} > 2 at t={grid.ts[k]:.4g}; "
                 "expect smearing from upwinding", stacklevel=2,
             )
-        bf = 0.5 * (b[:-1] + b[1:])  # face velocities, nx-1 faces
-        up = bf >= 0
-        # implicit system (I + dt * A) rho_new = rho_old, A from flux divergence
-        ab = np.zeros((3, nx))
-        ab[1] += 1.0
-        # face i+1/2 contributes to rows i and i+1
-        adv_diag_lo = np.where(up, bf, 0.0)  # coefficient on rho_i at face
-        adv_diag_hi = np.where(up, 0.0, bf)  # coefficient on rho_{i+1}
-        r = dt / dx
-        # row i: + (J_{i+1/2} - J_{i-1/2}) / dx
-        ab[1, :-1] += r * (adv_diag_lo + D / dx)
-        ab[0, 1:] += r * (adv_diag_hi - D / dx)  # super-diagonal, rho_{i+1}
-        ab[1, 1:] += r * (-adv_diag_hi + D / dx)
-        ab[2, :-1] += r * (-adv_diag_lo - D / dx)  # sub-diagonal, rho_i in row i+1
-        if boundary == "absorbing":
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-            rhs = out[k - 1].copy()
-            rhs[0] = rhs[-1] = 0.0
-        else:
-            rhs = out[k - 1]
-        sol = solve_banded((1, 1), ab, rhs)
+        ab = core._pin_rows(
+            core._step_matrix(b, spec.hbar, grid.dt, grid.dx), ends)
+        # the transpose: its super-diagonal is the sub-diagonal shifted a
+        # column right, and the zero corners roll into the unused slots
+        sol = solve_banded((1, 1), [np.roll(ab[2], 1), ab[1],
+                                    np.roll(ab[0], -1)], out[k])
+        sol[ends] = 0.0
         if np.min(sol) < -1e-12:
             raise ValueError(
                 f"density undershoot {np.min(sol):.3g} below the -1e-12 floor"
             )
-        out[k] = np.maximum(sol, 0.0)
+        out[k + 1] = np.maximum(sol, 0.0)
     return ScalarField(grid, out)
 
 

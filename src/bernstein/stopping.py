@@ -8,7 +8,11 @@ threshold) marches in the opposite direction. ``solve_q`` fills the slices
 past the threshold and the threshold slice itself from the closed-form case
 analysis (value 0 or 1 without any PDE solve), then marches every slice
 before the threshold in full, with zero data on its stopping nodes; a node
-the case analysis (``classify_lemma3``) settles is not skipped there.
+the case analysis (``classify_lemma3``) settles is not skipped there. Each
+slice is one implicit step with ``core._step_matrix`` (upwinded drift,
+reflecting edges, an M-matrix, so the discrete maximum principle holds),
+its stopping nodes pinned by ``core._pin_rows``; ``simulate.fokker_planck``
+steps a density with the transpose of the same matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .core import (
     ScalarField,
     interpolate_clipped,
     mean_stderr,
+    _pin_rows,
+    _step_matrix,
 )
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
@@ -115,40 +121,6 @@ def classify_lemma3(t, x, threshold, mask: RegionMask,
     return PDE
 
 
-def _implicit_slice(q_prev, b, diric, hbar, dt, dx, marching_up):
-    """One implicit upwinded step of the survival PDE on a time slice.
-
-    ``diric`` marks Dirichlet-zero nodes (the stopping set). Grid edges get
-    reflecting (zero-gradient) closure. The assembled matrix is an M-matrix,
-    so the discrete maximum principle holds exactly.
-    """
-    nx = q_prev.size
-    D = hbar / 2
-    mu = dt * D / (dx * dx)
-    # advection upwinding chosen so off-diagonal entries stay nonpositive
-    # in both marching directions; marching down reverses the drift
-    sb = b if marching_up else -b
-    up = dt * np.maximum(sb, 0.0) / dx
-    dn = dt * np.maximum(-sb, 0.0) / dx
-    ab = np.zeros((3, nx))
-    ab[1] = 1.0 + 2 * mu + up + dn
-    ab[0, 1:] = -(mu + dn[:-1])   # coefficient of q_{i+1} in row i
-    ab[2, :-1] = -(mu + up[1:])   # coefficient of q_{i-1} in row i
-    rhs = q_prev.copy()
-    # reflecting edges: fold the outside neighbor back onto the edge node
-    ab[1, 0] = 1.0 + mu + dn[0]
-    ab[0, 1] = -(mu + dn[0])
-    ab[1, -1] = 1.0 + mu + up[-1]
-    ab[2, -2] = -(mu + up[-1])
-    # Dirichlet zero on stopping nodes: unit row, no couplings
-    idx = np.nonzero(diric)[0]
-    ab[1, idx] = 1.0
-    rhs[idx] = 0.0
-    ab[0, idx[idx + 1 < nx] + 1] = 0.0
-    ab[2, idx[idx >= 1] - 1] = 0.0
-    return solve_banded((1, 1), ab, rhs)
-
-
 def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """Solve for the survival function on the full grid.
 
@@ -159,7 +131,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     it are clamped to [0, 1].
     """
     grid = problem.mask.grid
-    ts, xs = grid.ts, grid.xs
+    ts = grid.ts
     kT = grid.nearest_row(problem.threshold)
     if abs(ts[kT] - problem.threshold) > 1e-9 * max(1.0, abs(problem.threshold)):
         raise ValueError(f"threshold {problem.threshold} is not a grid time")
@@ -178,12 +150,14 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     codes[kT] = np.where(stop[kT], _CODE[ZERO], _CODE[ONE])
 
     steps = range(kT - 1, -1, -1) if fwd else range(kT + 1, grid.nt)
+    # the backward march runs up in time, against the drift
+    drift = problem.drift.values if fwd else -problem.drift.values
     prev = (lambda k: k + 1) if fwd else (lambda k: k - 1)
     low, high = math.inf, -math.inf
     for k in steps:
-        b = problem.drift.values[k]
-        sol = _implicit_slice(q[prev(k)], b, stop[k], problem.hbar,
-                              grid.dt, grid.dx, marching_up=not fwd)
+        ab = _pin_rows(_step_matrix(drift[k], problem.hbar, grid.dt, grid.dx),
+                       stop[k])
+        sol = solve_banded((1, 1), ab, np.where(stop[k], 0.0, q[prev(k)]))
         lo, hi = float(np.min(sol)), float(np.max(sol))
         if lo < -_MAX_PRINCIPLE_TOL or hi > 1 + _MAX_PRINCIPLE_TOL:
             raise ValueError(

@@ -359,7 +359,23 @@ class TestConfigKeys:
         ("stopping-dist", "solver", {"boundary": "obstacle"}),
         # a key of another experiment
         ("sec7-forward", "thresholds", [0.25]),
-    ], ids=["n_path", "solver", "thresholds"])
+        # settings that are constants of ``experiments``
+        ("schrodinger", "tol", 1e-6),
+        ("schrodinger", "max_iter", 100),
+        ("schrodinger", "x_min", -3.0),
+        ("schrodinger", "x_max", 3.0),
+        ("schrodinger", "half_horizon", 1.0),
+        ("schrodinger", "init_marginal", {"mean": 0.0, "sd": 1.0}),
+        ("schrodinger", "final_marginal", {"mean": 0.0, "sd": 1.0}),
+        ("bridge-test", "s", 0.1),
+        ("bridge-test", "x", 0.2),
+        ("bridge-test", "u", 2.0),
+        ("bridge-test", "z", 0.5),
+        ("bridge-test", "t", 0.3),
+        ("bridge-test", "hbar", 0.5),
+    ], ids=["n_path", "solver", "thresholds", "tol", "max_iter", "x_min",
+            "x_max", "half_horizon", "init_marginal", "final_marginal", "s",
+            "x", "u", "z", "t", "hbar"])
     def test_unknown_key_raises_before_the_run(self, tmp_path, name, key, value):
         cfg = dict(tiny(name), **{key: value})
         with pytest.raises(ValueError, match=f"'{key}'"):

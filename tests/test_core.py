@@ -23,7 +23,9 @@ from bernstein.core import (
     gradient_x,
     interpolate,
     interpolate_clipped,
+    _pin_rows,
     region_from_eta,
+    _step_matrix,
     usable_cpus,
 )
 
@@ -321,6 +323,56 @@ class TestGradient:
         grid = SpaceTimeGrid(xs=np.linspace(0, 1, 11), ts=np.linspace(0, 1, 2))
         g = gradient_x(ScalarField(grid, np.full((2, 11), 3.7)))
         assert np.allclose(g.values, 0.0, atol=1e-12)
+
+
+def dense(ab):
+    """The square matrix of a (1, 1)-banded one."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+class TestStepMatrix:
+    XS = np.linspace(-1, 1, 41)
+    HBAR, DT = 0.5, 0.01
+    DX = XS[1] - XS[0]
+    #: a drift of both signs reaching cell Peclet |b| dx / (hbar / 2) = 50
+    DRIFT = 50 * (HBAR / 2) / DX * np.sin(3 * XS)
+
+    def test_rows_sum_to_one_without_potential(self):
+        m = dense(_step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX))
+        assert np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_off_diagonals_nonpositive_at_peclet_50(self):
+        peclet = np.max(np.abs(self.DRIFT)) * self.DX / (self.HBAR / 2)
+        assert peclet == pytest.approx(50, rel=1e-2)
+        ab = _step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX)
+        assert np.all(ab[0, 1:] <= 0) and np.all(ab[2, :-1] <= 0)
+        assert np.all(ab[1] > 0)
+        # upwinded: a positive drift couples a node to i + 1 alone
+        lam = self.DT * self.HBAR / 2 / self.DX**2
+        pos = self.DRIFT[:-1] > 0
+        assert np.allclose(ab[0, 1:][pos], -lam - self.DT * self.DRIFT[:-1][pos]
+                           / self.DX, rtol=1e-12)
+        assert np.allclose(ab[2, :-1][self.DRIFT[1:] > 0], -lam, rtol=1e-12)
+
+    def test_applies_the_generator_to_affine_functions(self):
+        # (I - M) f / dt = L f = b f' + (hbar/2) f'' - V f / hbar, exactly
+        # for an affine f at interior nodes
+        v = 1 + self.XS**2
+        f = 2.0 * self.XS - 0.3
+        m = dense(_step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX, v))
+        lf = (f - m @ f) / self.DT
+        assert np.allclose(lf[1:-1], (2.0 * self.DRIFT - v * f / self.HBAR)[1:-1],
+                           rtol=1e-9, atol=1e-9)
+
+    def test_pinned_rows_are_identity_rows(self):
+        ab = _step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX)
+        before = dense(ab)
+        rows = np.zeros(self.XS.size, dtype=bool)
+        rows[[0, 5, 6, 20, -1]] = True
+        assert _pin_rows(ab, rows) is ab
+        after = dense(ab)
+        assert np.array_equal(after[rows], np.eye(self.XS.size)[rows])
+        assert np.array_equal(after[~rows], before[~rows])
 
 
 class TestRegionFromEta:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bernstein import core, simulate
+from bernstein import core, simulate, stopping
 from bernstein.core import (
     ProblemSpec,
     RegionMask,
@@ -513,6 +513,31 @@ class TestFokkerPlanck:
         out = fokker_planck(spec, None, rho0, grid)
         masses = np.trapezoid(out.values, grid.xs, axis=1)
         assert np.max(np.abs(masses - 1.0)) <= 1e-6
+
+    def test_mass_conserved_under_drift(self, sec7_value):
+        spec, val = sec7_value
+        grid = val.drift.grid
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.3**2))
+        out = fokker_planck(spec, val.drift, rho0, grid)
+        assert np.max(np.abs(out.values.sum(axis=1) / rho0.sum() - 1)) <= 1e-13
+
+    def test_dual_to_the_survival_march(self, sec7_value):
+        # the transpose step makes sum_j q[k, j] rho[k, j] constant on every
+        # row up to the threshold: the discrete martingale property of q
+        spec, val = sec7_value
+        grid = val.drift.grid
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[:, [0, -1]] = STOPPING
+        q = stopping.solve_q(stopping.SurvivalProblem(
+            orientation="forward", threshold=0.25, drift=val.drift,
+            mask=RegionMask(grid, flags), hbar=spec.hbar)).q.values
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.1**2))
+        rho0 /= rho0.sum()
+        rho = fokker_planck(spec, val.drift, rho0, grid, boundary="absorbing")
+        k_thr = grid.nearest_row(0.25)
+        pairing = np.sum(q[:k_thr + 1] * rho.values[:k_thr + 1], axis=1)
+        assert 0.5 < pairing[0] < 1
+        assert np.max(np.abs(pairing - pairing[0])) <= 1e-12
 
     def test_peclet_warning(self):
         spec = make_spec()
