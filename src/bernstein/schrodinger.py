@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .core import ConvergenceError, ScalarField, SpaceTimeGrid
 
@@ -241,6 +240,7 @@ def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
             np.matmul(g, hankel, out=out[rows])
             out[rows] *= fmax
         else:
+            from scipy.special import logsumexp
             for k, gk in zip(range(rows.start, rows.stop), g):
                 out[k] = np.exp(logsumexp(_toeplitz(gk, nx) + log_f, axis=1))
     return ScalarField(grid, out)

@@ -4,17 +4,16 @@ boundary, action-functional estimation, density evolution by the transpose
 of the survival march's step (``fokker_planck``), drift reversal, and the
 statistical two-sided Markov (bridge) test.
 
-Reproducibility contract: every path owns a counter-based RNG stream keyed
-by (seed, path index), so ensembles are bit-identical for a given config
-regardless of chunking or of the number of CPUs: the paths run in
-contiguous blocks, one per usable CPU, through ``core.fork_blocks``, and
-each block writes its paths' records alone. The blocks share
-``chunk_size``, so the draws held at once do not grow with the CPU count.
-Path i's stream is ``Generator(Philox(key=[seed, i]))`` (Salmon et al.,
-SC'11): its normals, then, when a point barrier needs the bridge test, its
-uniforms. One Philox is re-keyed for each path by resetting its state to
-key (seed, i), counter 0 and an empty buffer; that is the same stream, bit
-for bit, without building a generator per path. Paths read the drift through
+Reproducibility contract: the noise comes from counter-based streams keyed
+by (seed, path group, step) (Philox, Salmon et al., SC'11). Path i's normal
+at step k is entry i mod ``_GROUP`` of ``Generator(Philox(key=[seed,
+i // _GROUP], counter=[0, k, 0, 0])).standard_normal(_GROUP)``, and, when a
+point barrier needs the bridge test, its uniform is entry i mod ``_GROUP``
+of the ``.random(_GROUP)`` drawn right after. Each step draws only the
+groups its live paths fall in, so ensembles are bit-identical for a given
+config regardless of ``chunk_size`` or of the number of CPUs: the paths run
+in contiguous blocks, one per usable CPU, through ``core.fork_blocks``, and
+each block writes its paths' records alone. Paths read the drift through
 ``core.interpolate_clipped``, at positions clipped onto the grid, and a
 thick stopping region at their nearest grid node.
 """
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import chdtrc, ndtri
 
 from . import core
 from .core import (
@@ -50,6 +48,9 @@ from .analytic import KernelParams, bernstein_transition
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Step, ensemble size, seed and start (t0, x0) of a run. ``chunk_size``
+    paths are stepped together: it bounds the per-step working arrays and
+    changes no draw, since each step draws the stream groups it needs."""
     dt: float
     n_paths: int
     seed: int
@@ -131,36 +132,34 @@ def _thick_mask(mask: RegionMask, barriers):
     return RegionMask(mask.grid, flags) if np.any(flags == STOPPING) else None
 
 
-#: paths drawn into a contiguous block before it is copied into the
-#: step-major draw array; writing one path straight into a column strides
-#: across the whole chunk
-_STREAM_BLOCK = 64
+#: paths per stream group: each (group, step) pair draws its normals, then
+#: its bridge uniforms, from one Philox stream (see the module docstring)
+_GROUP = 1024
 
 
-def _path_streams(seed, lo, draws):
-    """Fill ``draws[:, :, p]`` with the stream of path lo + p, a row a step.
+def _step_draws(seed, kinds, n_groups):
+    """``draw(k, g_lo, g_hi)`` fills and returns a (kinds, n_groups *
+    _GROUP) buffer: from column (g - g_lo) * _GROUP, group g's step-k
+    normals (kind 0) and uniforms (kind 1), for g_lo <= g < g_hi. One
+    Philox serves all: its state is reset to key (seed, g), counter (0, k,
+    0, 0) and an empty buffer, which is that stream bit for bit."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    bits, fresh = gen.bit_generator, gen.bit_generator.state
+    key, counter = fresh["state"]["key"], fresh["state"]["counter"]
+    buf = np.empty((kinds, n_groups * _GROUP))
 
-    ``draws`` is (kinds, n_steps, n_paths): kind 0 holds the normals, and
-    kind 1, when present, the uniforms drawn after them. Path i draws from
-    ``Generator(Philox(key=[seed, i]))``. One Philox serves all paths: for
-    each, its state is reset to key (seed, i), counter 0 and an empty
-    buffer, which is that stream without building a generator per path.
-    """
-    kinds, n_steps, n = draws.shape
-    bits = np.random.Philox(key=[seed, lo])
-    gen = np.random.Generator(bits)
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    block = np.empty((kinds, _STREAM_BLOCK, n_steps))
-    for b_lo in range(0, n, _STREAM_BLOCK):
-        b_hi = min(b_lo + _STREAM_BLOCK, n)
-        for p in range(b_lo, b_hi):
-            key[1] = lo + p
+    def draw(k, g_lo, g_hi):
+        counter[1] = k
+        for g in range(g_lo, g_hi):
+            key[1] = g
             bits.state = fresh
-            gen.standard_normal(out=block[0, p - b_lo])
+            group = buf[:, (g - g_lo) * _GROUP:(g - g_lo + 1) * _GROUP]
+            gen.standard_normal(out=group[0])
             if kinds == 2:
-                gen.random(out=block[1, p - b_lo])
-        draws[:, :, b_lo:b_hi] = block[:, :b_hi - b_lo].transpose(0, 2, 1)
+                gen.random(out=group[1])
+        return buf
+
+    return draw
 
 
 def _crossings(xo, xn, u, barriers, hbar, h):
@@ -214,12 +213,14 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
 
     The paths are cut by ``core.block_bounds`` into contiguous blocks of at
     least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU, and run
-    by ``core.fork_blocks``. Each of the k blocks runs in chunks of
-    ``cfg.chunk_size // k`` paths (at least one) with its own draw buffer,
-    so ``cfg.chunk_size`` bounds the draws of the whole run, and writes its
-    slice of the records into one shared anonymous mapping. A forked block
-    calls no BLAS: it runs Philox, ufuncs, the lookups of ``core`` and the
-    problem's cost functions.
+    by ``core.fork_blocks``. Each block steps its paths in chunks of
+    ``cfg.chunk_size`` and writes its slice of the records into one shared
+    anonymous mapping. At each step a chunk draws the stream groups from
+    its first to its last live path into one buffer, reused by every chunk
+    of the block; a group cut by a chunk or block boundary is drawn, with
+    the same bits, by each chunk that holds one of its paths. A forked
+    block calls no BLAS: it runs Philox, ufuncs, the lookups of ``core``
+    and the problem's cost functions.
 
     A chunk keeps its live paths packed: ``live`` holds their indices in
     the chunk, and x, b, f and a their position, drift, running-cost
@@ -253,19 +254,14 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
 
     bounds = core.block_bounds(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps))
-    # the blocks share cfg.chunk_size paths of draws between them, so the
-    # run holds no more draws at any CPU count than on one
-    chunk_size = max(1, cfg.chunk_size // (len(bounds) - 1))
+    size = cfg.chunk_size
 
     def run_block(b_lo, b_hi):
-        # one draw buffer, reused by every chunk of the block
-        draws = np.empty((2 if want_u else 1, n_steps,
-                          min(chunk_size, b_hi - b_lo)))
-        for lo in range(b_lo, b_hi, chunk_size):
-            hi = min(lo + chunk_size, b_hi)
-            chunk = draws[:, :, :hi - lo]
-            _path_streams(cfg.seed, lo, chunk)
-            normals, uniforms = chunk[0], (chunk[1] if want_u else None)
+        chunks = [(lo, min(lo + size, b_hi)) for lo in range(b_lo, b_hi, size)]
+        # one buffer, as wide as the most groups a chunk of the block spans
+        draw = _step_draws(cfg.seed, 2 if want_u else 1, max(
+            (hi - 1) // _GROUP - lo // _GROUP + 1 for lo, hi in chunks))
+        for lo, hi in chunks:
             tau, state = stop_time[lo:hi], stopped_state[lo:hi]
             act, hitf = action[lo:hi], hit[lo:hi]
             live = np.arange(hi - lo)
@@ -286,10 +282,13 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
                     break
                 h = min(cfg.dt, t_end - t)
                 t_next = t + h
-                xn = x + b * h + math.sqrt(hbar * h) * normals[k][live]
+                g_lo = (lo + live[0]) // _GROUP
+                buf = draw(k, g_lo, (lo + live[-1]) // _GROUP + 1)
+                cols = live + (lo - g_lo * _GROUP)  # the live paths' columns
+                xn = x + b * h + math.sqrt(hbar * h) * buf[0][cols]
 
                 if barriers.size:
-                    u = uniforms[k][live] if want_u else None
+                    u = buf[1][cols] if want_u else None
                     crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
                     if c.size:
                         g = live[c]
@@ -513,6 +512,7 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins, seed=0) -> dict:
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    from scipy.special import chdtrc, ndtri
     p = KernelParams(hbar=hbar)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
 

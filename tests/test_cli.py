@@ -585,7 +585,8 @@ import bernstein, bernstein.cli
 from bernstein import experiments
 
 def loaded():
-    return sorted(m for m in ("scipy.integrate", "scipy.stats") if m in sys.modules)
+    return sorted(m for m in ("scipy.integrate", "scipy.special", "scipy.stats")
+                  if m in sys.modules)
 
 stages = {"import": loaded()}
 for name, cfg in json.loads(sys.argv[1]):
@@ -596,16 +597,20 @@ print(json.dumps(stages))
 
 
 def test_cold_start_loads_scipy_subpackages_on_demand():
-    # scipy.stats is never needed; scipy.integrate only by an oracle
-    # quadrature, which sec7-forward runs and the other two do not
-    runs = [[name, TINY[name]] for name in ("schrodinger", "stopping-dist", "sec7-forward")]
+    # scipy.stats is never needed; scipy.special only by the bridge test
+    # (and by scipy.integrate); scipy.integrate only by an oracle
+    # quadrature, which sec7-forward runs and the other three do not
+    runs = [[name, TINY[name]] for name in ("schrodinger", "stopping-dist")]
+    runs += [["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}],
+             ["sec7-forward", TINY["sec7-forward"]]]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(runs)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import": [], "schrodinger": [], "stopping-dist": [],
-        "sec7-forward": ["scipy.integrate"]}
+        "bridge-test": ["scipy.special"],
+        "sec7-forward": ["scipy.integrate", "scipy.special"]}
 
 
 def test_experiment_registry_complete():

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from bernstein.hjb import solve_backward_obstacle, solve_forward_obstacle, value
 from bernstein.simulate import (
     PathEnsemble,
     SimConfig,
-    _path_streams,
     action_estimate,
     bridge_markov_test,
     fokker_planck,
@@ -346,37 +347,49 @@ class TestParallelBlocks:
 
 
     def test_draw_memory_does_not_grow_with_cpus(self, monkeypatch):
-        # the blocks share chunk_size paths of draws: the draw buffers of
-        # all blocks together are no larger than the one serial buffer
+        # each block holds one per-step buffer: the normals and uniforms of
+        # its widest chunk rounded out to whole stream groups, whatever the
+        # CPU count or the number of steps. Groups of 64 paths make chunks
+        # of 150 span three or four groups
         monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
-        buffers, block, streams = {}, [], simulate._path_streams
+        monkeypatch.setattr(simulate, "_GROUP", 64)
+        buffers, block, step_draws = {}, [], simulate._step_draws
 
         def blocks_here(bounds, fn):  # the blocks one after another
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                block.append(lo)
+                block.append((lo, hi))
                 fn(lo, hi)
 
-        def logged_streams(seed, lo, draws):
-            buffers[block[-1]] = draws.base.nbytes
-            streams(seed, lo, draws)
+        def logged_draws(seed, kinds, n_groups):
+            draw = step_draws(seed, kinds, n_groups)
+
+            def logged(k, g_lo, g_hi):
+                buf = draw(k, g_lo, g_hi)
+                buffers.setdefault(block[-1], set()).add(buf.nbytes)
+                return buf
+            return logged
+
+        def rounded_out(lo, hi):  # paths [lo, hi) rounded out to groups
+            return ((hi - 1) // 64 - lo // 64 + 1) * 64
 
         monkeypatch.setattr(simulate.core, "fork_blocks", blocks_here)
-        monkeypatch.setattr(simulate, "_path_streams", logged_streams)
-        totals = []
+        monkeypatch.setattr(simulate, "_step_draws", logged_draws)
         for n_cpu in (1, 2, 3, 8):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=n_cpu: set(range(n)))
-            buffers.clear()
-            simulate_forward(make_spec(), None, None,
-                             SimConfig(dt=1e-2, seed=7, start=(-0.5, 1.0),
-                                       n_paths=self.N_PATHS,
-                                       chunk_size=self.CHUNK),
-                             barrier=0.0)
-            assert len(buffers) == n_cpu
-            totals.append(sum(buffers.values()))
-        # normals and uniforms of 150 paths over 100 steps, on one CPU
-        assert totals[0] == 2 * 100 * self.CHUNK * 8
-        assert max(totals) == totals[0]
+            for dt in (1e-2, 2.5e-3):  # 100 and 400 steps
+                buffers.clear()
+                simulate_forward(make_spec(), None, None,
+                                 SimConfig(dt=dt, seed=7, start=(-0.5, 1.0),
+                                           n_paths=self.N_PATHS,
+                                           chunk_size=self.CHUNK),
+                                 barrier=0.0)
+                assert len(buffers) == n_cpu
+                for (b_lo, b_hi), sizes in buffers.items():
+                    widest = max(rounded_out(lo, min(lo + self.CHUNK, b_hi))
+                                 for lo in range(b_lo, b_hi, self.CHUNK))
+                    assert sizes == {2 * widest * 8}
+                    assert widest <= 4 * 64
 
 
 class TestFastPath:
@@ -418,17 +431,43 @@ class TestFastPath:
                 with pytest.raises(ValueError, match=f"position {q} outside"):
                     interpolate(fld, 1.0, np.append(xs, q))
 
-    def test_streams_equal_per_path_generators(self):
-        seed, lo, n_steps, n = 20260823, 70, 257, 130  # over two blocks
-        draws = np.empty((2, n_steps, n))
-        _path_streams(seed, lo, draws)
-        for p in range(n):
-            g = np.random.Generator(np.random.Philox(key=[seed, lo + p]))
-            assert np.array_equal(draws[0, :, p], g.standard_normal(n_steps))
-            assert np.array_equal(draws[1, :, p], g.random(n_steps))
-        normals = np.empty((1, n_steps, 5))
-        _path_streams(seed, lo, normals)
-        assert np.array_equal(normals[0], draws[0, :, :5])
+    def test_streams_equal_per_path_generators(self, monkeypatch):
+        # path i's step-k normal is entry i mod G of
+        # Generator(Philox(key=[seed, i // G], counter=[0, k, 0, 0]))
+        # .standard_normal(G), its uniform entry i mod G of the .random(G)
+        # drawn after, for the engine's G and for a patched one
+        seed, G = 20260823, simulate._GROUP
+
+        def library(g, k, group):
+            gen = np.random.Generator(np.random.Philox(
+                key=[seed, g], counter=[0, k, 0, 0]))
+            return gen.standard_normal(group), gen.random(group)
+
+        draw = simulate._step_draws(seed, 2, 3)
+        for k in (0, 1, 999):
+            buf = draw(k, 4, 7)
+            assert buf.shape == (2, 3 * G)
+            for i, g in enumerate((4, 5, 6)):
+                normals, uniforms = library(g, k, G)
+                assert np.array_equal(buf[0, i * G:(i + 1) * G], normals)
+                assert np.array_equal(buf[1, i * G:(i + 1) * G], uniforms)
+        assert np.array_equal(simulate._step_draws(seed, 1, 1)(999, 6, 7)[0],
+                              library(6, 999, G)[0])
+
+        # the engine's noise, read back from a driftless run of 2 steps
+        # without stopping in groups of 8: 37 paths from path 0 span groups
+        # 0 to 4, and chunks of 5 cut groups in two
+        monkeypatch.setattr(simulate, "_GROUP", 8)
+        for chunk in (5, 37):
+            ens = simulate_forward(make_spec(), None, None, SimConfig(
+                dt=0.5, n_paths=37, seed=seed, start=(-0.5, 0.0),
+                checkpoints=(0.0,), chunk_size=chunk))
+            mid = ens.checkpoints[0.0][1]
+            steps = [mid, ens.stopped_state - mid]
+            for k, step in enumerate(steps):
+                want = np.concatenate([library(g, k, 8)[0] for g in range(5)])
+                np.testing.assert_allclose(step, math.sqrt(0.5) * want[:37],
+                                           rtol=1e-12, atol=1e-15)
 
 
 class TestOptimalPolicy:
@@ -595,25 +634,30 @@ class TestBridgeTest:
     @pytest.mark.parametrize("seed, n_bins", [(0, 5), (3, 12), (11, 30)])
     def test_matches_scipy_stats_bit_for_bit(self, seed, n_bins, monkeypatch):
         # scipy.special's ndtri and chdtrc stand in for scipy.stats's
-        # norm.ppf and chi2.sf; the edges, p-value and verdict must not move
-        from scipy import stats
-
-        ndtri, quantiles = simulate.ndtri, []
-
-        def ndtri_spy(q):
-            quantiles.append((q, ndtri(q)))
-            return quantiles[-1][1]
+        # norm.ppf and chi2.sf; the edges, p-value and verdict must not move.
+        # bridge_markov_test imports them from scipy.special when it runs,
+        # so it is handed a stand-in module: patching scipy.special itself
+        # would reach norm.ppf, which calls scipy.special.ndtri
+        from scipy import special, stats
 
         args = (0, 0.3, 1, -0.2, 0.4, 1.0, 20000, n_bins)
-        monkeypatch.setattr(simulate, "ndtri", ndtri_spy)
-        rep = bridge_markov_test(*args, seed=seed)
+
+        def run_with(ndtri, chdtrc):
+            monkeypatch.setitem(sys.modules, "scipy.special", types.SimpleNamespace(
+                ndtri=ndtri, chdtrc=chdtrc))
+            return bridge_markov_test(*args, seed=seed)
+
+        quantiles = []
+
+        def ndtri_spy(q):
+            quantiles.append((q, special.ndtri(q)))
+            return quantiles[-1][1]
+
+        rep = run_with(ndtri_spy, special.chdtrc)
         [(q, z)] = quantiles
         assert z.tobytes() == stats.norm.ppf(q).tobytes()  # the -inf, inf ends too
         assert rep["p_value"] == float(stats.chi2.sf(rep["statistic"], rep["dof"]))
-
-        monkeypatch.setattr(simulate, "ndtri", stats.norm.ppf)
-        monkeypatch.setattr(simulate, "chdtrc", lambda dof, x: stats.chi2.sf(x, dof))
-        assert bridge_markov_test(*args, seed=seed) == rep
+        assert run_with(stats.norm.ppf, lambda dof, x: stats.chi2.sf(x, dof)) == rep
 
 
 class TestConfigValidation:
