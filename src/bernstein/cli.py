@@ -36,7 +36,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, acceptance, core, experiments
 from .core import ScalarField
@@ -161,6 +160,7 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     files += [timed(f, lambda p: _csv_rows(p, *table))
               for f, table in result.tables.items()]
 
+    import scipy  # here, not at the top: importing this module loads no scipy
     manifest = {
         "experiment": name,
         "config": cfg,

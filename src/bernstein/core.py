@@ -3,11 +3,11 @@ operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
 between parallel workers. ``_step_matrix`` is the implicit Euler step of
-every parabolic solve, and ``_pin_rows`` the one way to hold nodes in it.
-``block_bounds`` cuts a job into contiguous blocks, one per usable CPU, and
-``fork_blocks`` runs those blocks in parallel; the Monte Carlo engine and
-the CSV writer both split their work through them, each deciding its split
-once, into blocks whose results do not depend on the split.
+every parabolic solve, ``_pin_rows`` holds nodes in it and ``_factor_step``
+factors it. ``block_bounds`` cuts a job into contiguous blocks, one per
+usable CPU, and ``fork_blocks`` runs them in parallel; the Monte Carlo
+engine and the CSV writer both split their work through them, each deciding
+its split once, into blocks whose results do not depend on the split.
 """
 
 from __future__ import annotations
@@ -389,9 +389,9 @@ def gradient_x(fld: ScalarField) -> ScalarField:
 
 def _step_matrix(drift, hbar: float, dt: float, dx: float,
                  potential=None) -> np.ndarray:
-    """The implicit Euler step matrix I - dt L on one time row, in
-    ``scipy.linalg.solve_banded``'s (1, 1) layout (``ab[0, i + 1]`` couples
-    node i to i + 1, ``ab[2, i - 1]`` node i to i - 1), for
+    """The implicit Euler step matrix I - dt L on one time row, in the
+    (1, 1)-banded layout that ``_factor_step`` takes (``ab[0, i + 1]``
+    couples node i to i + 1, ``ab[2, i - 1]`` node i to i - 1), for
     L = drift d/dx + (hbar/2) d2/dx2 - potential/hbar.
 
     The drift is upwinded (differenced toward i + 1 where it is positive),
@@ -424,6 +424,28 @@ def _pin_rows(ab: np.ndarray, rows) -> np.ndarray:
     ab[0, 1:][rows[:-1]] = 0.0
     ab[2, :-1][rows[1:]] = 0.0
     return ab
+
+
+def _factor_step(ab: np.ndarray) -> tuple:
+    """LU factors of the (1, 1)-banded ``ab`` (LAPACK dgttrf). scipy.linalg
+    loads on the first call: a run that solves nothing never loads it."""
+    from scipy.linalg import lapack
+    return lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])[:5]
+
+
+def _solve_step(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, A factored by ``_factor_step`` (LAPACK dgttrs): the
+    bits of ``scipy.linalg.solve_banded((1, 1), A, b)``."""
+    from scipy.linalg import lapack
+    return lapack.dgttrs(*lu, b)[0]
+
+
+def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row residual A e - b of the (1, 1)-banded ``ab``."""
+    r = ab[1] * e - b
+    r[:-1] += ab[0, 1:] * e[1:]
+    r[1:] += ab[2, :-1] * e[:-1]
+    return r
 
 
 def region_from_eta(eta: ScalarField, obstacle: ScalarField,

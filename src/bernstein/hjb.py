@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import core
 from .core import (
     BACKWARD,
     CONTINUATION,
@@ -32,8 +32,6 @@ from .core import (
     SpaceTimeGrid,
     gradient_rows,
     region_from_eta,
-    _pin_rows,
-    _step_matrix,
 )
 
 #: An active-set step also stops at this scaled complementarity residual, as
@@ -95,8 +93,8 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
         psi = np.exp(-svals / hbar)
     if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
         raise ValueError("obstacle exp(-cost/hbar) must be strictly positive")
-    ab = _step_matrix(np.zeros(grid.nx), hbar, grid.dt, grid.dx,
-                      spec.potential(grid.xs))
+    ab = core._step_matrix(np.zeros(grid.nx), hbar, grid.dt, grid.dx,
+                           spec.potential(grid.xs))
     ab[1, [0, -1]] = 1.0
     ab[0, 1], ab[2, -2] = -psi[0] / psi[1], -psi[-1] / psi[-2]
 
@@ -104,6 +102,7 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
         # an M-matrix iff every LU pivot is positive; the symmetric matrix
         # with the same off-diagonal products has the same pivots, and
         # dpttrf returns 1 + the row of the first one <= 0
+        from scipy.linalg import lapack
         return lapack.dpttrf(ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1]))[2]
     if bad_pivot():
         ab[0, 1], ab[2, -2] = max(ab[0, 1], -1.0), max(ab[2, -2], -1.0)
@@ -139,12 +138,10 @@ def _march(grid, orientation, data, psi, ab):
         trace = []
         while True:
             if not np.array_equal(active, factored):
-                m = _pin_rows(ab.copy(), active)
-                lu, factored = lapack.dgttrf(m[2, :-1], m[1], m[0, 1:])[:5], active
-            e = lapack.dgttrs(*lu, np.where(active, psi, b))[0]
-            mult = ab[1] * e - b
-            mult[:-1] += ab[0, 1:] * e[1:]
-            mult[1:] += ab[2, :-1] * e[:-1]
+                lu = core._factor_step(core._pin_rows(ab.copy(), active))
+                factored = active
+            e = core._solve_step(lu, np.where(active, psi, b))
+            mult = core._step_residual(ab, e, b)
             trace.append(float(np.max(np.abs(np.minimum(mult, e - psi)))) / scale)
             new = mult + (psi - e) > 0
             if trace[-1] <= _STOP_TOL or np.array_equal(new, active):
@@ -229,12 +226,10 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
     eta = sol.eta.values
     out = np.zeros_like(eta)
     for k, kp in _rows(grid, sol.orientation):
-        e, b = eta[k], eta[kp]
-        r = ab[1, 1:-1] * e[1:-1] + ab[0, 2:] * e[2:] + ab[2, :-2] * e[:-2] - b[1:-1]
+        e, b = eta[k], eta[kp].copy()
         scale = max(1.0, float(np.max(np.abs(b))))
-        out[k, 1:-1] = np.minimum(r, e[1:-1] - psi[1:-1]) / scale
-        far = np.array([e[0] + ab[0, 1] * e[1], e[-1] + ab[2, -2] * e[-2]])
-        out[k, [0, -1]] = np.minimum(far, e[[0, -1]] - psi[[0, -1]]) / scale
+        b[[0, -1]] = 0.0
+        out[k] = np.minimum(core._step_residual(ab, e, b), e - psi) / scale
     return ScalarField(grid, out)
 
 

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import core
 from .core import (
@@ -50,7 +49,9 @@ from .analytic import KernelParams, bernstein_transition
 class SimConfig:
     """Step, ensemble size, seed and start (t0, x0) of a run. ``chunk_size``
     paths are stepped together: it bounds the per-step working arrays and
-    changes no draw, since each step draws the stream groups it needs."""
+    changes no draw, since each step draws the stream groups it needs. Below
+    ``_GROUP`` it still draws whole groups, which costs time: a 20 000-path
+    barrier ensemble took 27.7 s at 37 against 1.2 s at the default (2 CPUs)."""
     dt: float
     n_paths: int
     seed: int
@@ -456,7 +457,8 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
     Each step from row k solves with the transpose of ``core._step_matrix``
     at the drift of row k: the matrix with which ``stopping.solve_q`` steps
     the survival function back to row k, so sum_j q[k, j] rho[k, j] is the
-    same on every row the two share. "no_flux" takes the matrix's
+    same on every row the two share; its bands are rolled into place and
+    factored by ``core._factor_step``. "no_flux" takes the matrix's
     reflecting edges, and its transpose conserves mass; "absorbing" pins
     both end rows to identity rows, as ``solve_q`` pins stopping nodes, and
     zeroes the mass the ends absorb in each step.
@@ -484,9 +486,10 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
         ab = core._pin_rows(
             core._step_matrix(b, spec.hbar, grid.dt, grid.dx), ends)
         # the transpose: its super-diagonal is the sub-diagonal shifted a
-        # column right, and the zero corners roll into the unused slots
-        sol = solve_banded((1, 1), [np.roll(ab[2], 1), ab[1],
-                                    np.roll(ab[0], -1)], out[k])
+        # column right, and the zero corners roll into the unused slots (a
+        # transposed solve with the factors of ab differs in the last bits)
+        sol = core._solve_step(core._factor_step(np.array(
+            [np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])), out[k])
         sol[ends] = 0.0
         if np.min(sol) < -1e-12:
             raise ValueError(

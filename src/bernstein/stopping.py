@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from . import core
 from .core import (
     BACKWARD,
     CONTINUATION,
@@ -32,8 +32,6 @@ from .core import (
     ScalarField,
     interpolate_clipped,
     mean_stderr,
-    _pin_rows,
-    _step_matrix,
 )
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
@@ -125,10 +123,11 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """Solve for the survival function on the full grid.
 
     Forward orientation marches from the threshold slice down to the start
-    of the horizon; backward marches up to its end. Slices on the other side
-    of the threshold are filled from the closed-form case analysis. Maximum
-    principle violations beyond ``_MAX_PRINCIPLE_TOL`` raise, values within
-    it are clamped to [0, 1].
+    of the horizon; backward marches up to its end. Each slice is factored
+    and solved by ``core._factor_step`` and ``core._solve_step``. Slices on
+    the other side of the threshold are filled from the closed-form case
+    analysis. Maximum principle violations beyond ``_MAX_PRINCIPLE_TOL``
+    raise, values within it are clamped to [0, 1].
     """
     grid = problem.mask.grid
     ts = grid.ts
@@ -155,9 +154,9 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     prev = (lambda k: k + 1) if fwd else (lambda k: k - 1)
     low, high = math.inf, -math.inf
     for k in steps:
-        ab = _pin_rows(_step_matrix(drift[k], problem.hbar, grid.dt, grid.dx),
-                       stop[k])
-        sol = solve_banded((1, 1), ab, np.where(stop[k], 0.0, q[prev(k)]))
+        lu = core._factor_step(core._pin_rows(
+            core._step_matrix(drift[k], problem.hbar, grid.dt, grid.dx), stop[k]))
+        sol = core._solve_step(lu, np.where(stop[k], 0.0, q[prev(k)]))
         lo, hi = float(np.min(sol)), float(np.max(sol))
         if lo < -_MAX_PRINCIPLE_TOL or hi > 1 + _MAX_PRINCIPLE_TOL:
             raise ValueError(

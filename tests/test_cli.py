@@ -585,8 +585,8 @@ import bernstein, bernstein.cli
 from bernstein import experiments
 
 def loaded():
-    return sorted(m for m in ("scipy.integrate", "scipy.special", "scipy.stats")
-                  if m in sys.modules)
+    return sorted(m for m in ("scipy.integrate", "scipy.linalg", "scipy.special",
+                              "scipy.stats") if m in sys.modules)
 
 stages = {"import": loaded()}
 for name, cfg in json.loads(sys.argv[1]):
@@ -597,9 +597,10 @@ print(json.dumps(stages))
 
 
 def test_cold_start_loads_scipy_subpackages_on_demand():
-    # scipy.stats is never needed; scipy.special only by the bridge test
-    # (and by scipy.integrate); scipy.integrate only by an oracle
-    # quadrature, which sec7-forward runs and the other three do not
+    # scipy.stats is never needed; scipy.linalg only by a banded solve,
+    # which schrodinger never makes (and by scipy.integrate); scipy.special
+    # only by the bridge test (and by scipy.integrate); scipy.integrate only
+    # by an oracle quadrature, which sec7-forward runs and the others do not
     runs = [[name, TINY[name]] for name in ("schrodinger", "stopping-dist")]
     runs += [["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}],
              ["sec7-forward", TINY["sec7-forward"]]]
@@ -608,9 +609,20 @@ def test_cold_start_loads_scipy_subpackages_on_demand():
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [], "schrodinger": [], "stopping-dist": [],
-        "bridge-test": ["scipy.special"],
-        "sec7-forward": ["scipy.integrate", "scipy.special"]}
+        "import": [], "schrodinger": [], "stopping-dist": ["scipy.linalg"],
+        "bridge-test": ["scipy.linalg", "scipy.special"],
+        "sec7-forward": ["scipy.integrate", "scipy.linalg", "scipy.special"]}
+
+
+def test_import_loads_no_scipy_module():
+    # scipy, even its top-level package, loads only once a run needs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bernstein.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_experiment_registry_complete():

@@ -23,9 +23,12 @@ from bernstein.core import (
     gradient_x,
     interpolate,
     interpolate_clipped,
+    _factor_step,
     _pin_rows,
     region_from_eta,
+    _solve_step,
     _step_matrix,
+    _step_residual,
     usable_cpus,
 )
 
@@ -373,6 +376,52 @@ class TestStepMatrix:
         after = dense(ab)
         assert np.array_equal(after[rows], np.eye(self.XS.size)[rows])
         assert np.array_equal(after[~rows], before[~rows])
+
+    @pytest.mark.parametrize("nx, dt, hbar, scale", [
+        (5, 1e-2, 1.0, 0.0),
+        (41, 5e-4, 0.1, 5.0),
+        (101, 1e-2, 0.5, 2.0),
+        (400, 1e-2, 1.0, 5.0),
+        (400, 5e-3, 0.1, 0.0),
+    ])
+    def test_solve_matches_solve_banded_bit_for_bit(self, nx, dt, hbar, scale):
+        from scipy.linalg import solve_banded
+        rng = np.random.default_rng(nx)
+        dx = 2 / (nx - 1)
+        pivoted = False
+        for _ in range(20):
+            drift = scale * rng.standard_normal(nx) * (hbar / 2) / dx
+            pins = rng.random(nx) < 0.05
+            ab = _pin_rows(_step_matrix(drift, hbar, dt, dx), pins)
+            # and the transposed bands, as fokker_planck builds them
+            at = np.array([np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])
+            for m in (ab, at):
+                b = rng.random(nx)
+                lu = _factor_step(m)
+                assert np.array_equal(_solve_step(lu, b), solve_banded((1, 1), m, b))
+                pivoted |= np.any(lu[4] != np.arange(1, nx + 1))
+        # at lambda = hbar dt / (2 dx^2) > 1 the column under a pinned row
+        # outweighs its diagonal, so both routines exchange rows
+        if hbar * dt / (2 * dx * dx) > 1:
+            assert pivoted
+
+    def test_factor_leaves_the_matrix_alone(self):
+        ab = _step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX)
+        before = ab.copy()
+        lu = _factor_step(ab)
+        _solve_step(lu, np.ones(self.XS.size))
+        assert np.array_equal(ab, before)
+
+    def test_step_residual_is_the_banded_mat_vec(self):
+        rng = np.random.default_rng(3)
+        v = 1 + self.XS**2
+        ab = _step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX, v)
+        e, b = rng.random(self.XS.size), rng.random(self.XS.size)
+        assert np.allclose(_step_residual(ab, e, b), dense(ab) @ e - b,
+                           rtol=0, atol=1e-12 * np.max(np.abs(dense(ab))))
+        # and it vanishes, to round-off, at the solution
+        x = _solve_step(_factor_step(ab), b)
+        assert np.max(np.abs(_step_residual(ab, x, b))) < 1e-10
 
 
 class TestRegionFromEta:

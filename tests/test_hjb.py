@@ -49,7 +49,7 @@ def make_spec(**kw):
 
 def lu_pivots(ab):
     """Pivots of the LU without row exchanges of a tridiagonal matrix in
-    solve_banded's (1, 1) layout."""
+    the (1, 1)-banded layout of ``core._step_matrix``."""
     piv = [ab[1, 0]]
     for i in range(1, ab.shape[1]):
         piv.append(ab[1, i] - ab[2, i - 1] * ab[0, i] / piv[-1])
