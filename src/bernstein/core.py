@@ -28,9 +28,18 @@ STOPPING = 1
 
 #: Orientations. The forward problem holds data at t = T/2 and is solved
 #: downward in time; the backward one is its time mirror, with data at
-#: t = -T/2, solved upward.
+#: t = -T/2, solved upward (``_marching_rows`` orders the rows of either).
 FORWARD = "forward"
 BACKWARD = "backward"
+
+
+def _marching_rows(orientation: str, values):
+    """The time rows of ``values`` in marching order, data row last: as they
+    are for FORWARD, the view ``values[::-1]`` for BACKWARD. Its own
+    inverse, so it also maps a result marched that way back to time order."""
+    if orientation not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return values if orientation == FORWARD else values[::-1]
 
 
 class ConvergenceError(RuntimeError):

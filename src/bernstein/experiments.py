@@ -100,12 +100,11 @@ def stopping_columns(sol: hjb.EtaSolution):
     """Distinct stopped x positions over the solved rows, whether the data
     row is fully stopped, and whether the solved rows stop exactly on the
     x = 0 column."""
-    flags = sol.mask.flags
+    flags = core._marching_rows(sol.orientation, sol.mask.flags)
     grid = sol.eta.grid
-    data_row = -1 if sol.orientation == FORWARD else 0
-    solved = np.delete(flags, data_row, axis=0)
+    solved = flags[:-1]
     cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
-    full = bool(np.all(flags[data_row] == STOPPING))
+    full = bool(np.all(flags[-1] == STOPPING))
     origin = np.arange(grid.nx) == grid.nearest_column(0.0)
     exact = bool(np.all((solved == STOPPING) == origin[None, :]))
     return cols, full, exact

@@ -114,26 +114,20 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     return svals, psi, ab
 
 
-def _rows(grid: SpaceTimeGrid, orientation: str):
-    """(row, previous row) pairs in marching order, away from the data row."""
-    if orientation == FORWARD:
-        return [(k, k + 1) for k in range(grid.nt - 2, -1, -1)]
-    return [(k, k - 1) for k in range(1, grid.nt)]
-
-
-def _march(grid, orientation, data, psi, ab):
-    """Implicit Euler march from the data row of the LCP A e >= b, e >= psi,
-    complementary, b being the previous row with 0 on the far-field rows.
+def _march(nt, data, psi, ab):
+    """Implicit Euler march of nt rows down from the data row, the last one
+    (``core._marching_rows``), of the LCP A e >= b, e >= psi, complementary,
+    b being the previous row with 0 on the far-field rows.
     From the previous step's active set (at first {data <= psi}), solve with
     the active rows pinned to psi, then set active = {A e - b + psi - e > 0},
     until the set repeats or the scaled complementarity residual is at most
     _STOP_TOL. Returns eta and the banded solves of each step."""
-    eta = np.empty((grid.nt, grid.nx))
-    eta[-1 if orientation == FORWARD else 0] = data
+    eta = np.empty((nt, data.size))
+    eta[-1] = data
     active, factored, solves = data <= psi, None, []
-    for k, kp in _rows(grid, orientation):
-        scale = max(1.0, float(np.max(np.abs(eta[kp]))))
-        b = eta[kp].copy()
+    for k in range(nt - 2, -1, -1):
+        scale = max(1.0, float(np.max(np.abs(eta[k + 1]))))
+        b = eta[k + 1].copy()
         b[[0, -1]] = 0.0
         trace = []
         while True:
@@ -162,8 +156,8 @@ def _march(grid, orientation, data, psi, ab):
 def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
                     orientation: str) -> EtaSolution:
     svals, psi, ab = _operator(spec, grid, orientation)
-    eta, solves = _march(grid, orientation, psi, psi, ab)
-    field_ = ScalarField(grid, eta)
+    eta, solves = _march(grid.nt, psi, psi, ab)
+    field_ = ScalarField(grid, core._marching_rows(orientation, eta))
     obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
     mask = region_from_eta(field_, obstacle,
                            tol=_REGION_REL_TOL, abs_tol=_REGION_ABS_TOL)
@@ -223,14 +217,14 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
     right-hand side 0. The data row is not solved and reads 0.
     """
     _, psi, ab = _operator(spec, grid, sol.orientation)
-    eta = sol.eta.values
+    eta = core._marching_rows(sol.orientation, sol.eta.values)
     out = np.zeros_like(eta)
-    for k, kp in _rows(grid, sol.orientation):
-        e, b = eta[k], eta[kp].copy()
+    for k in range(grid.nt - 2, -1, -1):
+        e, b = eta[k], eta[k + 1].copy()
         scale = max(1.0, float(np.max(np.abs(b))))
         b[[0, -1]] = 0.0
         out[k] = np.minimum(core._step_residual(ab, e, b), e - psi) / scale
-    return ScalarField(grid, out)
+    return ScalarField(grid, core._marching_rows(sol.orientation, out))
 
 
 def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid,
@@ -242,8 +236,8 @@ def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid,
     """
     _, data, ab = _operator(spec, grid, orientation)
     # an obstacle of 0 never binds
-    eta, _ = _march(grid, orientation, data, np.zeros(grid.nx), ab)
+    eta, _ = _march(grid.nt, data, np.zeros(grid.nx), ab)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
-    sol = EtaSolution(eta=ScalarField(grid, eta), mask=mask, boundary=[],
-                      orientation=orientation)
+    sol = EtaSolution(eta=ScalarField(grid, core._marching_rows(orientation, eta)),
+                      mask=mask, boundary=[], orientation=orientation)
     return value_from_eta(sol, spec.hbar)

@@ -389,10 +389,10 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     if not fwd:
         if drift is not None:
             # the flipped drift is -b*(-s, x)
-            drift = ScalarField(drift.grid, -drift.values[::-1].copy(),
+            drift = ScalarField(drift.grid, -core._marching_rows(orientation, drift.values),
                                 allow_nan=drift.allow_nan)
         if mask is not None:
-            mask = RegionMask(mask.grid, mask.flags[::-1].copy())
+            mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
         cfg = dataclasses.replace(cfg, start=(s0, x0),
                                   checkpoints=tuple(-c for c in cfg.checkpoints))
 

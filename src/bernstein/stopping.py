@@ -4,15 +4,17 @@ For the optimally stopped process, q(t, x) = P(stop time > threshold | state
 x at time t) solves an advection-diffusion problem on the continuation
 region with unit data on the threshold slice and zero data on the stopping
 set; the mirrored backward function q*(t, x) = P(backward stop time <
-threshold) marches in the opposite direction. ``solve_q`` fills the slices
-past the threshold and the threshold slice itself from the closed-form case
-analysis (value 0 or 1 without any PDE solve), then marches every slice
-before the threshold in full, with zero data on its stopping nodes; a node
-the case analysis (``classify_lemma3``) settles is not skipped there. Each
-slice is one implicit step with ``core._step_matrix`` (upwinded drift,
-reflecting edges, an M-matrix, so the discrete maximum principle holds),
-its stopping nodes pinned by ``core._pin_rows``; ``simulate.fokker_planck``
-steps a density with the transpose of the same matrix.
+threshold) is the same problem in marching order (``core._marching_rows``),
+marched against the drift. ``_closed_form`` labels every node of the grid
+at once from the region mask (``classify_lemma3`` reads one node of it).
+``solve_q`` takes the threshold slice and those past it from the labels
+(0 or 1 without any PDE solve), then marches every slice before it in
+full, with zero data on its stopping nodes: the march still solves the
+nodes the labels settle. Each slice is one implicit step with
+``core._step_matrix`` (upwinded drift, reflecting edges, an M-matrix, so
+the discrete maximum principle holds), its stopping nodes pinned by
+``core._pin_rows``; ``simulate.fokker_planck`` steps a density with the
+transpose of the same matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from . import core
 from .core import (
     BACKWARD,
-    CONTINUATION,
     FORWARD,
     STOPPING,
     RegionMask,
@@ -35,7 +36,6 @@ from .core import (
 )
 
 ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
-_CODE = {ZERO: 0, ONE: 1, PDE: 2}
 #: a march value outside [-tol, 1 + tol] raises; values within are clamped
 _MAX_PRINCIPLE_TOL = 1e-9
 
@@ -64,37 +64,42 @@ class SurvivalProblem:
 @dataclass(frozen=True)
 class SurvivalSolution:
     q: ScalarField
-    closed_form_region: np.ndarray  # codes 0=ZERO, 1=ONE, 2=PDE per node
+    closed_form_region: np.ndarray  # ``_closed_form``: 0=ZERO, 1=ONE, 2=PDE
     threshold: float
     orientation: str
     #: [min, max] of the marched values before the clamp to [0, 1]; None
-    #: when no slice was marched (a threshold on the horizon's first row)
+    #: when no slice was marched (a threshold on the row the march ends on)
     unclamped_range: tuple | None
 
 
-def continuation_time_bounds(mask: RegionMask):
-    """Per spatial node, the sup (t_bar) and inf (t_low) of continuation
-    times, scanned over the time slices; NaN where the node is never in the
-    continuation region."""
-    ts = mask.grid.ts
-    cont = mask.flags == CONTINUATION
-    any_c = np.any(cont, axis=0)
-    t_bar = np.full(mask.grid.nx, np.nan)
-    t_low = np.full(mask.grid.nx, np.nan)
-    for j in np.nonzero(any_c)[0]:
-        ks = np.nonzero(cont[:, j])[0]
-        t_low[j] = ts[ks[0]]
-        t_bar[j] = ts[ks[-1]]
-    return t_bar, t_low
+def _closed_form(mask: RegionMask, orientation: str, threshold: float):
+    """The case analysis of every node at once, in marching order
+    (``core._marching_rows``, data row last): the stopping nodes, the codes
+    0 = ZERO, 1 = ONE, 2 = PDE, and the first row at or past the threshold.
+    The rules are the forward ones in marching time s = t (forward) or
+    s = -t (backward). Built from bool and int8 arrays alone."""
+    sign = 1.0 if orientation == FORWARD else -1.0
+    s = sign * core._marching_rows(orientation, mask.grid.ts)
+    at, past = (int(np.searchsorted(s, sign * threshold, side))
+                for side in ("left", "right"))
+    stop = core._marching_rows(orientation, mask.flags == STOPPING)
+    codes = np.full(stop.shape, 2, dtype=np.int8)
+    codes[past:] = 1  # stopped after the threshold, or continuing past it
+    codes[at:past] = ~stop[at:past]  # on it: 1 continuing, 0 stopped
+    # before it: 0 when stopped, and everywhere when nothing continues at
+    # or past the threshold
+    codes[:at][stop[:at] | stop[at:].all()] = 0
+    return stop, codes, at
 
 
 def classify_lemma3(t, x, threshold, mask: RegionMask,
                     orientation: str = FORWARD) -> str:
-    """Closed-form case analysis of the survival function at a grid node.
+    """Closed-form case analysis of the survival function at a grid node:
+    its code in ``_closed_form`` (``solve_q``'s ``closed_form_region``).
 
     Forward: ONE when stopped strictly after the threshold or continuing at
-    or past it; ZERO when stopped at or before it, or continuing with no
-    continuation time left beyond the threshold; PDE otherwise. The backward
+    or past it; ZERO when stopped at or before it, or continuing before it
+    while no node continues at or past it; PDE otherwise. The backward
     rules are the time mirror.
     """
     k, j = mask.grid.nearest_row(t), mask.grid.nearest_column(x)
@@ -102,61 +107,37 @@ def classify_lemma3(t, x, threshold, mask: RegionMask,
                           ("position", x, mask.grid.xs[j])):
         if abs(node - q) > 1e-9 * max(1.0, abs(q)):
             raise ValueError(f"{name} {q} is not a grid node")
-    in_stop = mask.flags[k, j] == STOPPING
-    t_bar, t_low = continuation_time_bounds(mask)
-    if orientation not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    # the forward rules in time s = t (forward) or s = -t (backward)
-    sign = 1.0 if orientation == FORWARD else -1.0
-    s, s_thr = sign * t, sign * threshold
-    s_last = t_bar[j] if orientation == FORWARD else -t_low[j]
-    if in_stop:
-        return ONE if s > s_thr else ZERO
-    if s >= s_thr:
-        return ONE
-    if not np.isnan(s_last) and s_thr >= s_last:
-        return ZERO
-    return PDE
+    codes = _closed_form(mask, orientation, threshold)[1]
+    return (ZERO, ONE, PDE)[core._marching_rows(orientation, codes)[k, j]]
 
 
 def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """Solve for the survival function on the full grid.
 
-    Forward orientation marches from the threshold slice down to the start
-    of the horizon; backward marches up to its end. Each slice is factored
-    and solved by ``core._factor_step`` and ``core._solve_step``. Slices on
-    the other side of the threshold are filled from the closed-form case
-    analysis. Maximum principle violations beyond ``_MAX_PRINCIPLE_TOL``
-    raise, values within it are clamped to [0, 1].
+    In marching order, the threshold slice and those past it take their
+    ``_closed_form`` values; every slice before it is marched down in full,
+    the backward march against the drift. Each slice is factored and solved
+    by ``core._factor_step`` and ``core._solve_step``. Maximum principle
+    violations beyond ``_MAX_PRINCIPLE_TOL`` raise, values within it are
+    clamped to [0, 1].
     """
-    grid = problem.mask.grid
-    ts = grid.ts
-    kT = grid.nearest_row(problem.threshold)
-    if abs(ts[kT] - problem.threshold) > 1e-9 * max(1.0, abs(problem.threshold)):
+    grid, orientation = problem.mask.grid, problem.orientation
+    row = grid.nearest_row(problem.threshold)
+    if abs(grid.ts[row] - problem.threshold) > 1e-9 * max(1.0, abs(problem.threshold)):
         raise ValueError(f"threshold {problem.threshold} is not a grid time")
-    flags = problem.mask.flags
-    stop = flags == STOPPING
-    q = np.empty((grid.nt, grid.nx))
-    codes = np.full((grid.nt, grid.nx), _CODE[PDE], dtype=np.int8)
-    fwd = problem.orientation == FORWARD
-
-    # closed-form side of the threshold
-    beyond = slice(kT + 1, None) if fwd else slice(None, kT)
-    q[beyond] = 1.0
-    codes[beyond] = _CODE[ONE]
-    # threshold slice: 1 on continuation, 0 on the stopping set
-    q[kT] = np.where(stop[kT], 0.0, 1.0)
-    codes[kT] = np.where(stop[kT], _CODE[ZERO], _CODE[ONE])
-
-    steps = range(kT - 1, -1, -1) if fwd else range(kT + 1, grid.nt)
-    # the backward march runs up in time, against the drift
-    drift = problem.drift.values if fwd else -problem.drift.values
-    prev = (lambda k: k + 1) if fwd else (lambda k: k - 1)
+    # the threshold row in marching order, found from the grid time ts[row]:
+    # -ts is not the grid's times bit for bit, so -threshold is not snapped
+    stop, codes, kT = _closed_form(problem.mask, orientation, grid.ts[row])
+    ts = core._marching_rows(orientation, grid.ts)
+    q = np.empty(stop.shape)
+    q[kT:] = codes[kT:]
+    sign = 1.0 if orientation == FORWARD else -1.0
+    drift = core._marching_rows(orientation, problem.drift.values)
     low, high = math.inf, -math.inf
-    for k in steps:
-        lu = core._factor_step(core._pin_rows(
-            core._step_matrix(drift[k], problem.hbar, grid.dt, grid.dx), stop[k]))
-        sol = core._solve_step(lu, np.where(stop[k], 0.0, q[prev(k)]))
+    for k in range(kT - 1, -1, -1):
+        lu = core._factor_step(core._pin_rows(core._step_matrix(
+            sign * drift[k], problem.hbar, grid.dt, grid.dx), stop[k]))
+        sol = core._solve_step(lu, np.where(stop[k], 0.0, q[k + 1]))
         lo, hi = float(np.min(sol)), float(np.max(sol))
         if lo < -_MAX_PRINCIPLE_TOL or hi > 1 + _MAX_PRINCIPLE_TOL:
             raise ValueError(
@@ -165,13 +146,12 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
             )
         low, high = min(low, lo), max(high, hi)
         q[k] = np.clip(sol, 0.0, 1.0)
-        codes[k, stop[k]] = _CODE[ZERO]
     return SurvivalSolution(
-        q=ScalarField(grid, q),
-        closed_form_region=codes,
+        q=ScalarField(grid, core._marching_rows(orientation, q)),
+        closed_form_region=core._marching_rows(orientation, codes),
         threshold=problem.threshold,
-        orientation=problem.orientation,
-        unclamped_range=(low, high) if steps else None,
+        orientation=orientation,
+        unclamped_range=(low, high) if kT else None,
     )
 
 
@@ -210,9 +190,7 @@ def empirical_survival(ensemble, threshold: float) -> dict:
     Forward: fraction of paths stopping strictly after the threshold.
     Backward: fraction stopping strictly before it. Binomial standard error.
     """
-    if ensemble.orientation == FORWARD:
-        hits = ensemble.stop_time > threshold
-    else:
-        hits = ensemble.stop_time < threshold
+    sign = 1.0 if ensemble.orientation == FORWARD else -1.0
+    hits = sign * ensemble.stop_time > sign * threshold
     p = float(np.mean(hits))
     return {"estimate": p, "stderr": math.sqrt(max(p * (1 - p), 1e-300) / hits.size)}

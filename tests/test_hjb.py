@@ -174,7 +174,7 @@ class TestBackwardExample:
         grid = build_grid(spec, 101, 51)
         fwd = solve_forward_obstacle(spec, grid)
         bwd = solve_backward_obstacle(mirrored, grid)
-        assert np.allclose(bwd.eta.values, fwd.eta.values[::-1], atol=1e-9)
+        assert np.array_equal(bwd.eta.values, fwd.eta.values[::-1])
 
 
 class TestLcpResidual:

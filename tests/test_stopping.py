@@ -21,7 +21,6 @@ from bernstein.stopping import (
     ZERO,
     SurvivalProblem,
     classify_lemma3,
-    continuation_time_bounds,
     empirical_survival,
     martingale_check,
     solve_q,
@@ -72,12 +71,6 @@ class TestClassification:
         flags[3:, 4] = STOPPING          # late stopping at the right edge
         self.mask = RegionMask(self.grid, flags)
 
-    def test_continuation_bounds(self):
-        t_bar, t_low = continuation_time_bounds(self.mask)
-        assert math.isnan(t_bar[2]) and math.isnan(t_low[2])
-        assert t_low[0] == -0.5 and t_bar[0] == 0.5
-        assert t_bar[4] == 0.0
-
     def test_stopping_node_forward(self):
         assert classify_lemma3(0.5, 0.0, 0.25, self.mask) == ONE
         assert classify_lemma3(0.0, 0.0, 0.25, self.mask) == ZERO
@@ -87,10 +80,48 @@ class TestClassification:
         assert classify_lemma3(0.25, -1.0, 0.25, self.mask) == ONE
 
     def test_no_continuation_time_left(self):
-        # x = 1 leaves the continuation region at t = 0; for a threshold at
-        # or past that sup, survival beyond it is impossible
-        assert classify_lemma3(-0.25, 1.0, 0.0, self.mask) == ZERO
+        # x = 1 leaves the continuation region after t = 0, but a path from
+        # there may still move sideways and continue at the threshold: the
+        # march gives q = 0.909 at (-0.25, 1) for the threshold 0
+        assert classify_lemma3(-0.25, 1.0, 0.0, self.mask) == PDE
         assert classify_lemma3(-0.25, 1.0, -0.1, self.mask) == PDE
+        drift = ScalarField(self.grid, np.zeros((5, 5)))
+        out = solve_q(SurvivalProblem("forward", 0.0, drift, self.mask, 1.0))
+        assert 0.5 < out.q.values[1, 4] < 1.0
+
+    def test_zero_only_when_nothing_continues_at_the_threshold(self):
+        flags = self.mask.flags.copy()
+        flags[2:] = STOPPING  # everything stops from t = 0 on
+        mask = RegionMask(self.grid, flags)
+        assert classify_lemma3(-0.25, 1.0, 0.0, mask) == ZERO
+        assert classify_lemma3(-0.25, 1.0, 0.25, mask) == ZERO
+        assert classify_lemma3(-0.25, 1.0, -0.25, mask) == ONE
+        mirror = RegionMask(self.grid, flags[::-1])
+        assert classify_lemma3(0.25, 1.0, 0.0, mirror, "backward") == ZERO
+        assert classify_lemma3(0.25, 1.0, 0.25, mirror, "backward") == ONE
+        # closed_form_region marks every node before the threshold ZERO
+        drift = ScalarField(self.grid, np.zeros((5, 5)))
+        for m, orientation, rows in ((mask, "forward", slice(None, 2)),
+                                     (mirror, "backward", slice(3, None))):
+            out = solve_q(SurvivalProblem(orientation, 0.0, drift, m, 1.0))
+            assert np.all(out.closed_form_region[rows] == 0)
+            assert np.all(out.q.values[rows] == 0.0)
+
+    def test_stopping_column_before_the_threshold(self):
+        # only the x = 1 column stops, from just after t = 0 on; a path
+        # from it at t = -0.2 may leave it and survive a threshold at 0.25
+        grid = SpaceTimeGrid(xs=np.linspace(0, 2, 41),
+                             ts=np.linspace(-0.5, 0.5, 101))
+        j = grid.nearest_column(1.0)
+        flags = np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8)
+        flags[grid.ts > 1e-12, j] = STOPPING
+        mask = RegionMask(grid, flags)
+        k, thr = grid.nearest_row(-0.2), grid.ts[grid.nearest_row(0.25)]
+        assert classify_lemma3(grid.ts[k], 1.0, thr, mask) == PDE
+        drift = ScalarField(grid, np.zeros((grid.nt, grid.nx)))
+        out = solve_q(SurvivalProblem("forward", thr, drift, mask, 1.0))
+        assert out.closed_form_region[k, j] == 2
+        assert 0.3 < out.q.values[k, j] < 0.7
 
     def test_generic_is_pde(self):
         assert classify_lemma3(-0.25, -0.5, 0.25, self.mask) == PDE
@@ -198,7 +229,7 @@ class TestSolveQ:
         drift = ScalarField(grid, np.zeros((grid.nt, grid.nx)))
         fwd = solve_q(SurvivalProblem("forward", -0.1, drift, mask, spec.hbar))
         bwd = solve_q(SurvivalProblem("backward", 0.1, drift, mask, spec.hbar))
-        assert np.allclose(bwd.q.values, fwd.q.values[::-1], atol=1e-12)
+        assert np.array_equal(bwd.q.values, fwd.q.values[::-1])
 
     def test_closed_form_codes(self, solved):
         spec, grid, sol, val = solved
@@ -222,6 +253,32 @@ class TestSolveQ:
                     assert out.q.values[k, j] == pytest.approx(1.0, abs=1e-12)
                 elif label == ZERO:
                     assert out.q.values[k, j] == pytest.approx(0.0, abs=1e-12)
+
+    def test_labels_agree_with_the_march(self):
+        # random masks and drifts, both orientations, every interior grid
+        # threshold: a node the case analysis settles marches to its value,
+        # and classify_lemma3 reads closed_form_region node by node
+        rng = np.random.default_rng(11)
+        names = (ZERO, ONE, PDE)
+        for _ in range(120):
+            nt, nx = rng.integers(3, 12, size=2)
+            grid = SpaceTimeGrid(xs=np.linspace(-1, 1, nx),
+                                 ts=np.linspace(-0.5, 0.5, nt))
+            mask = RegionMask(grid, rng.random((nt, nx)) < rng.random())
+            drift = ScalarField(grid, rng.normal(scale=5.0, size=(nt, nx)))
+            for orientation in ("forward", "backward"):
+                for thr in grid.ts[1:-1]:
+                    out = solve_q(SurvivalProblem(orientation, thr, drift,
+                                                  mask, 1.0))
+                    codes = out.closed_form_region
+                    settled = codes != 2  # 0 = ZERO, 1 = ONE
+                    assert np.all(np.abs(out.q.values[settled]
+                                         - codes[settled]) <= 1e-12)
+                    for k, j in zip(rng.integers(nt, size=3),
+                                    rng.integers(nx, size=3)):
+                        label = classify_lemma3(grid.ts[k], grid.xs[j], thr,
+                                                mask, orientation)
+                        assert label == names[codes[k, j]]
 
     def test_max_principle_guard(self, solved, monkeypatch):
         spec, grid, sol, val = solved
