@@ -12,9 +12,9 @@ through ``field_to_csv``, every report as JSON with sorted keys, every table
 through ``_csv_rows``, and a manifest listing each written file with its
 sha256 hash, the effective config, the pass/fail status of the
 experiment's checks and, apart from those, its ``timings``: the compute
-time, each file's write time and the usable CPU count. A large CSV is
-written in row blocks, one per usable CPU, through ``core.fork_blocks``,
-with the same bytes as one writer. The exit
+time, each file's write time and the usable CPU count. Every CSV float is
+written as its repr; ``_write_rows`` formats them with orjson, which gives
+the same bytes faster, and says where the two differ. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
 line and no traceback. The output directory resolves as --out, then
 $BERNSTEIN_OUT, then the config's "out" field, then ./out. ``check`` runs
@@ -26,12 +26,10 @@ formats are decided here alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
 import platform
-import shutil
 import sys
 import time
 
@@ -55,63 +53,55 @@ def _write_json(doc, path: str) -> str:
     return path
 
 
-#: a row block of fewer cells is not given a process of its own. On 2 CPUs
-#: two forked blocks first beat one writer at 40 000 to 50 000 cells (about
-#: 0.7 us a cell); below 100 000 the gain is under 25 ms, and a fork costs
-#: more in a parent holding large fields, so tables split from there
-_MIN_BLOCK_CELLS = 50_000
+#: cells formatted by one orjson call. A 601x2001 field formatted at once
+#: raised the obstacle benchmark's peak RSS from 170 to 237 MB. Writing one
+#: such field in blocks of 16 384 cells raises a process's peak by 1.0 MB,
+#: of 8192 by 0.2 MB, in the same time
+_BLOCK_CELLS = 8192
 
 
 def _write_rows(fh, first, rows) -> None:
     """One line per entry of the array ``first`` (a time, a node or a
     threshold): the entry, then its row's floats, each written as its repr,
     as ``csv.writer`` writes them. No cell needs quoting, and lines end in
-    csv's "\\r\\n"."""
-    fh.writelines(
-        ",".join([repr(v), *map(repr, np.asarray(row, dtype=float).tolist())])
-        + "\r\n"
-        for v, row in zip(first.tolist(), rows))
+    csv's "\\r\\n"; ``fh`` is a binary file.
+
+    A rectangular table is formatted by ``orjson.dumps`` in blocks of whole
+    rows, about ``_BLOCK_CELLS`` cells each. orjson writes the shortest
+    round-trip digits, as repr does, and for a finite x with
+    1e-4 <= |x| < 1e16, or x = +-0, the same string. Every other cell is
+    rewritten in its line by repr: orjson writes NaN and +-inf as null, and
+    the floats repr writes as 1e-05 and 1e+16 as 0.00001 and 1e16. Ragged
+    and zero-width tables are written by repr alone.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1]):
+        fh.writelines(
+            ",".join(map(repr, [v, *np.asarray(row, dtype=float).tolist()])).encode()
+            + b"\r\n" for v, row in zip(first.tolist(), rows))
+        return
+    import orjson  # here, not at the top: importing this module loads no orjson
+    step = -(-_BLOCK_CELLS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        block = np.ascontiguousarray(rows[lo:lo + step], dtype=float)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = text[2:-2].split(b"],[")
+        mag = np.abs(block)
+        other = ~((mag >= 1e-4) & (mag < 1e16) | (block == 0))
+        for i in np.flatnonzero(other.any(axis=1)):
+            cells = lines[i].split(b",")
+            for j in np.flatnonzero(other[i]):
+                cells[j] = repr(float(block[i, j])).encode()
+            lines[i] = b",".join(cells)
+        labels = [repr(v).encode() for v in first[lo:lo + step].tolist()]
+        fh.write(b"\r\n".join(map(b",".join, zip(labels, lines))) + b"\r\n")
 
 
 def _csv_rows(path: str, header: str, first, rows) -> str:
     """CSV of the line ``header``, then ``_write_rows`` of ``first`` and
-    ``rows``.
-
-    A rectangular table is cut by ``core.block_bounds`` into contiguous row
-    blocks of at least ``_MIN_BLOCK_CELLS`` cells, one per usable CPU, and
-    written by ``core.fork_blocks``: this process writes the header and
-    block 0 to ``path``, a forked child each later block to
-    ``<path>.part<lo>`` (``lo`` its first row); the parts are then appended
-    in order and removed. Every block goes through ``_write_rows``, so the
-    bytes do not depend on the number of blocks. If a block fails, every
-    part and ``path`` itself are removed before the error propagates. A
-    child only reprs floats and writes its own file.
-    """
-    rectangular = isinstance(rows, np.ndarray) and rows.ndim == 2
-    min_block = (-(-_MIN_BLOCK_CELLS // max(rows.shape[1], 1)) if rectangular
-                 else len(rows) + 1)
-
-    def write_block(lo, hi):
-        with open(path if lo == 0 else f"{path}.part{lo}", "w",
-                  newline="") as fh:
-            if lo == 0:
-                fh.write(header + "\r\n")
-            _write_rows(fh, first[lo:hi], rows[lo:hi])
-
-    bounds = core.block_bounds(len(rows), min_block)
-    parts = [f"{path}.part{lo}" for lo in bounds[1:-1]]
-    try:
-        core.fork_blocks(bounds, write_block)
-        with open(path, "ab") as fh:
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh)
-                os.remove(part)
-    except BaseException:
-        for leftover in (*parts, path):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(leftover)
-        raise
+    ``rows``."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        _write_rows(fh, first, rows)
     return path
 
 
@@ -160,7 +150,9 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     files += [timed(f, lambda p: _csv_rows(p, *table))
               for f, table in result.tables.items()]
 
-    import scipy  # here, not at the top: importing this module loads no scipy
+    # here, not at the top: importing this module loads neither
+    import orjson
+    import scipy
     manifest = {
         "experiment": name,
         "config": cfg,
@@ -169,6 +161,7 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
             "bernstein": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "orjson": orjson.__version__,
             "python": platform.python_version(),
         },
         "files": {os.path.basename(p): _sha256(p) for p in files},

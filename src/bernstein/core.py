@@ -6,8 +6,8 @@ between parallel workers. ``_step_matrix`` is the implicit Euler step of
 every parabolic solve, ``_pin_rows`` holds nodes in it and ``_factor_step``
 factors it. ``block_bounds`` cuts a job into contiguous blocks, one per
 usable CPU, and ``fork_blocks`` runs them in parallel; the Monte Carlo
-engine and the CSV writer both split their work through them, each deciding
-its split once, into blocks whose results do not depend on the split.
+engine splits its paths through them, deciding its split once, into blocks
+whose results do not depend on the split.
 """
 
 from __future__ import annotations

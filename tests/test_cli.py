@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein import acceptance, analytic, cli, core, experiments, stopping
 from bernstein.cli import (
@@ -87,95 +89,104 @@ def test_unknown_experiment_names_choices(tmp_path):
         run_experiment({"experiment": "nope"}, str(tmp_path), 0)
 
 
+def edge_floats():
+    """Each side of the bounds of the range where orjson and repr write the
+    same string, and the bounds themselves, with both signs."""
+    edges = [y for b in (1e-4, 1e16)
+             for y in (np.nextafter(b, 0), b, np.nextafter(b, math.inf))]
+    return [s * y for s in (1.0, -1.0) for y in edges]
+
+
 class TestCsvWriter:
-    """``_csv_rows`` above the split threshold, where ``core.fork_blocks``
-    gives each row block after the first a forked writer."""
+    """``_csv_rows`` writes every cell as its repr, whether orjson or repr
+    formats it."""
 
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
 
     @pytest.fixture(scope="class")
     def table(self):
         n_rows, n_cols = 1001, 257
-        # five blocks at five CPUs
-        assert n_rows * n_cols >= 5 * cli._MIN_BLOCK_CELLS
+        # many orjson blocks
+        assert n_rows * n_cols >= 5 * cli._BLOCK_CELLS
         rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
         rows[::7, :len(self.SPECIAL)] = self.SPECIAL
         rows[3, -len(self.SPECIAL):] = self.SPECIAL
         return np.arange(n_rows) * 3 - 40, rows
 
-    def expected(self, first, rows):
-        return "h,x\r\n" + "".join(
-            ",".join(map(repr, [v, *row])) + "\r\n"
-            for v, row in zip(first.tolist(), rows.tolist()))
+    def expected(self, first, rows, header="h,x"):
+        return header + "\r\n" + "".join(
+            ",".join(map(repr, [v, *np.asarray(row).tolist()])) + "\r\n"
+            for v, row in zip(first.tolist(), rows))
 
-    def write(self, path, first, rows, monkeypatch, n_cpu):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpu)))
+    def write(self, path, first, rows):
         _csv_rows(str(path), "h,x", first, rows)
         with open(path, newline="") as fh:
             return fh.read()
 
-    @pytest.mark.parametrize("n_cpu", [1, 2, 5])
-    def test_bytes_are_the_reprs(self, tmp_path, monkeypatch, table, n_cpu):
-        # the same bytes, serial on one CPU and in blocks on several
+    def test_bytes_are_the_reprs(self, tmp_path, table):
         first, rows = table
-        text = self.write(tmp_path / "t.csv", first, rows, monkeypatch, n_cpu)
+        text = self.write(tmp_path / "t.csv", first, rows)
         assert text == self.expected(first, rows)
         assert os.listdir(tmp_path) == ["t.csv"]
 
-    def test_failed_child_leaves_nothing(self, tmp_path, monkeypatch, table):
-        parent = os.getpid()
-        write_rows = cli._write_rows
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(edge_floats())),
+                    min_size=1, max_size=80),
+           st.integers(1, 9), st.integers(1, 40))
+    def test_any_floats_are_their_reprs(self, tmp_path_factory, cells,
+                                        n_cols, block_cells):
+        # NaN, +-inf, subnormals and +-0 come from st.floats(); blocks of
+        # ``block_cells`` cut the table at every row count
+        n_rows = -(-len(cells) // n_cols)
+        rows = np.resize(np.array(cells, dtype=float), (n_rows, n_cols))
+        first = np.arange(n_rows) - 2
+        tables = [
+            (first, rows),
+            (rows[::-1, 0], rows[::-1]),  # negative-stride rows, float labels
+            (first, [rows[i, :i % (n_cols + 1)] for i in range(n_rows)]),  # ragged
+            (first, rows[:, :0]),  # zero width
+        ]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_CELLS", block_cells)
+            for first_col, body in tables:
+                assert self.write(path, first_col, body) == self.expected(first_col, body)
 
-        def fail_in_child(fh, first, rows):
-            if os.getpid() != parent:
-                raise RuntimeError("block writer failed")
-            write_rows(fh, first, rows)
+    def test_real_fields_are_their_reprs(self, tmp_path, monkeypatch):
+        # sec7-backward on a small odd grid: its value and drift fields hold
+        # cells below 1e-4 next to the stopping column, which orjson writes
+        # in another notation than repr
+        name, results = "sec7-backward", []
+        runner = experiments.RUNNERS[name]
 
-        pids, fork = [], os.fork
+        def kept(cfg, seed):
+            results.append(runner(cfg, seed))
+            return results[-1]
 
-        def logged_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(cli, "_write_rows", fail_in_child)
-        monkeypatch.setattr(os, "fork", logged_fork)
-        path = tmp_path / "t.csv"
-        with pytest.raises(ChildProcessError, match="block 1 of 3"):
-            self.write(path, *table, monkeypatch, 3)
-        assert os.listdir(tmp_path) == []
-        assert len(pids) == 2
-        for pid in pids:  # each child was reaped
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_failed_parent_reaps_children(self, tmp_path, monkeypatch, table):
-        def fail_in_parent(fh, first, rows):
-            raise RuntimeError("parent writer failed")
-
-        pids, fork = [], os.fork
-
-        def logged_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(cli, "_write_rows", fail_in_parent)
-        monkeypatch.setattr(os, "fork", logged_fork)
-        with pytest.raises(RuntimeError, match="parent writer failed"):
-            self.write(tmp_path / "t.csv", *table, monkeypatch, 3)
-        assert os.listdir(tmp_path) == []
-        assert len(pids) == 2
-        for pid in pids:  # each child was reaped
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
+        monkeypatch.setitem(experiments.RUNNERS, name, kept)
+        man = run_experiment({"experiment": name, "nx": 61, "nt": 41},
+                             str(tmp_path), 0)
+        (result,) = results
+        tables = {f: (",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]),
+                      fld.grid.ts, fld.values)
+                  for f, fld in result.fields.items()}
+        tables.update(result.tables)
+        assert sorted(tables) == sorted(f for f in man["files"] if f.endswith(".csv"))
+        for f in ("value.csv", "drift.csv"):
+            mag = np.abs(result.fields[f].values)
+            assert np.any((mag > 0) & (mag < 1e-4)), f
+        for f, (header, first, rows) in tables.items():
+            with open(tmp_path / f, newline="") as fh:
+                text = fh.read()
+            assert text == self.expected(first, rows, header), f
 
 
 class TestManifests:
     def test_sec7_forward_small(self, tmp_path):
         man = run_experiment(tiny("sec7-forward"), str(tmp_path), 0)
         assert man["all_checks_passed"], man["checks"]
-        assert set(man["versions"]) == {"bernstein", "numpy", "scipy", "python"}
+        assert set(man["versions"]) == {"bernstein", "numpy", "scipy", "orjson",
+                                        "python"}
         assert man["checks"]["oracle_agreement"]
         assert man["checks"]["stopping_set_is_origin_column"]
         # every listed artifact exists and hashes as recorded
