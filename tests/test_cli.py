@@ -106,8 +106,6 @@ class TestCsvWriter:
     @pytest.fixture(scope="class")
     def table(self):
         n_rows, n_cols = 1001, 257
-        # many orjson blocks
-        assert n_rows * n_cols >= 5 * cli._BLOCK_CELLS
         rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
         rows[::7, :len(self.SPECIAL)] = self.SPECIAL
         rows[3, -len(self.SPECIAL):] = self.SPECIAL
@@ -123,8 +121,14 @@ class TestCsvWriter:
         with open(path, newline="") as fh:
             return fh.read()
 
-    def test_bytes_are_the_reprs(self, tmp_path, table):
+    @pytest.mark.parametrize("n_blocks", [1, 2, 5])
+    def test_bytes_are_the_reprs(self, tmp_path, monkeypatch, table, n_blocks):
+        # the same bytes whether orjson formats the table in one block of
+        # rows or in several
         first, rows = table
+        step = -(-len(rows) // n_blocks)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", step * rows.shape[1])
+        assert -(-len(rows) // step) == n_blocks
         text = self.write(tmp_path / "t.csv", first, rows)
         assert text == self.expected(first, rows)
         assert os.listdir(tmp_path) == ["t.csv"]
