@@ -54,22 +54,13 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def example_spec() -> ProblemSpec:
-    return ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
-
-
-@lru_cache(maxsize=None)
 def _run(name: str, seed: int = 0) -> experiments.Result:
     """An experiment at its default config, run once per process."""
-    return experiments.RUNNERS[name]({}, seed)
-
-
-def _sec7(orientation: str) -> experiments.Result:
-    return _run(f"sec7-{orientation}")
+    return experiments.RUNNERS[name](seed)
 
 
 def criterion_1() -> CriterionResult:
-    fwd, bwd = _sec7(FORWARD), _sec7(BACKWARD)
+    fwd, bwd = _run("sec7-forward"), _run("sec7-backward")
     t_fwd, t_bwd = fwd.data["solve_s"], bwd.data["solve_s"]
     ok = (fwd.checks["oracle_agreement"] and bwd.checks["oracle_agreement"]
           and t_fwd <= 60 and t_bwd <= 60)
@@ -84,7 +75,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    fwd, bwd = _sec7(FORWARD), _sec7(BACKWARD)
+    fwd, bwd = _run("sec7-forward"), _run("sec7-backward")
     ok = (fwd.checks["stopping_set_is_origin_column"]
           and bwd.checks["stopping_set_is_origin_column"])
     return CriterionResult(2, "free boundary is exactly the x=0 column", ok, {
@@ -101,7 +92,7 @@ def criterion_3() -> CriterionResult:
     out = {}
     ok = True
     for orientation in (FORWARD, BACKWARD):
-        res = _sec7(orientation)
+        res = _run(f"sec7-{orientation}")
         norm = res.reports["oracle_compare.json"]["lcp_residual"]
         out[f"{orientation}_residual"] = f"{norm:.3e}"
         ok = ok and res.checks["lcp_residual"]
@@ -110,7 +101,7 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    spec = example_spec()
+    spec = ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
     oracle_u = -HBAR * math.log(analytic.sec7_eta_forward(-T / 2, 1.0, HBAR, T))
     opt = simulate.action_estimate(_run("stopping-dist", MC_SEED).data["ensemble"])
     dev = abs(opt["mean"] - oracle_u)
@@ -148,7 +139,7 @@ def _erf_survival_pde() -> float:
 
 
 def criterion_5() -> CriterionResult:
-    spec = example_spec()
+    spec = ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
     erf_ref = math.erf(1.0 / math.sqrt(2.0))
     details = {}
     q_pde = _erf_survival_pde()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -61,28 +62,28 @@ _BLOCK_CELLS = 8192
 
 
 def _write_rows(fh, first, rows) -> None:
-    """One line per entry of the array ``first`` (a time, a node or a
-    threshold): the entry, then its row's floats, each written as its repr,
-    as ``csv.writer`` writes them. No cell needs quoting, and lines end in
-    csv's "\\r\\n"; ``fh`` is a binary file.
+    """One line per entry of the float array ``first`` (a time, a node or
+    a threshold): the entry, then its row's floats, each written as its
+    repr, as ``csv.writer`` writes them. No cell needs quoting, and lines end
+    in csv's "\\r\\n"; ``fh`` is a binary file.
 
-    A rectangular table is formatted by ``orjson.dumps`` in blocks of whole
-    rows, about ``_BLOCK_CELLS`` cells each. orjson writes the shortest
-    round-trip digits, as repr does, and for a finite x with
-    1e-4 <= |x| < 1e16, or x = +-0, the same string. Every other cell is
-    rewritten in its line by repr: orjson writes NaN and +-inf as null, and
-    the floats repr writes as 1e-05 and 1e+16 as 0.00001 and 1e16. Ragged
-    and zero-width tables are written by repr alone.
+    A rectangular table is formatted, ``first`` as its column 0, by
+    ``orjson.dumps`` in blocks of whole lines, about ``_BLOCK_CELLS`` cells
+    each. orjson writes the shortest round-trip digits, as repr does, and
+    for a finite x with 1e-4 <= |x| < 1e16, or x = +-0, the same string.
+    Every other cell is rewritten in its line by repr: orjson writes NaN and
+    +-inf as null, and the floats repr writes as 1e-05 and 1e+16 as 0.00001
+    and 1e16. Ragged tables are written by repr alone.
     """
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1]):
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
         fh.writelines(
             ",".join(map(repr, [v, *np.asarray(row, dtype=float).tolist()])).encode()
             + b"\r\n" for v, row in zip(first.tolist(), rows))
         return
     import orjson  # here, not at the top: importing this module loads no orjson
-    step = -(-_BLOCK_CELLS // rows.shape[1])
+    step = -(-_BLOCK_CELLS // (rows.shape[1] + 1))
     for lo in range(0, len(rows), step):
-        block = np.ascontiguousarray(rows[lo:lo + step], dtype=float)
+        block = np.column_stack((first[lo:lo + step], rows[lo:lo + step]))
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
         lines = text[2:-2].split(b"],[")
         mag = np.abs(block)
@@ -92,8 +93,7 @@ def _write_rows(fh, first, rows) -> None:
             for j in np.flatnonzero(other[i]):
                 cells[j] = repr(float(block[i, j])).encode()
             lines[i] = b",".join(cells)
-        labels = [repr(v).encode() for v in first[lo:lo + step].tolist()]
-        fh.write(b"\r\n".join(map(b",".join, zip(labels, lines))) + b"\r\n")
+        fh.write(b"\r\n".join(lines) + b"\r\n")
 
 
 def _csv_rows(path: str, header: str, first, rows) -> str:
@@ -118,21 +118,22 @@ TOP_KEYS = {"experiment", "out", "seed"}
 
 def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     """Run one named experiment; returns the manifest document. An unknown
-    experiment, or a config key that neither this module nor the experiment
-    reads, raises ``ConfigError`` before the run."""
+    experiment, or a config key that is neither in ``TOP_KEYS`` nor a keyword
+    parameter of the experiment, raises ``ConfigError`` before the run."""
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise experiments.ConfigError(
             f"unknown experiment {name!r}; valid choices: {', '.join(EXPERIMENTS)}"
         )
-    valid = TOP_KEYS | experiments.CONFIG_KEYS[name]
+    runner = experiments.RUNNERS[name]
+    valid = TOP_KEYS | set(inspect.signature(runner).parameters) - {"seed"}
     unknown = sorted(set(cfg) - valid)
     if unknown:
         raise experiments.ConfigError(
             f"unknown config keys {unknown} for {name}; "
             f"valid keys: {', '.join(sorted(valid))}")
     t0 = time.perf_counter()
-    result = experiments.RUNNERS[name](cfg, seed)
+    result = runner(seed, **{k: v for k, v in cfg.items() if k not in TOP_KEYS})
     compute_s = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
     write_s = {}

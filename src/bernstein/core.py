@@ -12,6 +12,7 @@ whose results do not depend on the split.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -54,27 +55,27 @@ class ConvergenceError(RuntimeError):
 # Built-in scalar functions, addressable by name from JSON problem documents.
 # Each builder takes keyword parameters and returns a vectorized f(x).
 
-def _zero(**_):
+def _zero():
     return lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _abs(scale=1.0, **_):
+def _abs(scale=1.0):
     return lambda x: scale * np.abs(x)
 
 
-def _log1p_abs(scale=1.0, **_):
+def _log1p_abs(scale=1.0):
     return lambda x: scale * np.log1p(np.abs(x))
 
 
-def _constant(value=0.0, **_):
+def _constant(value=0.0):
     return lambda x: np.full_like(np.asarray(x, dtype=float), float(value))
 
 
-def _linear(slope=1.0, intercept=0.0, **_):
+def _linear(slope=1.0, intercept=0.0):
     return lambda x: slope * np.asarray(x, dtype=float) + intercept
 
 
-def _quadratic(scale=1.0, center=0.0, **_):
+def _quadratic(scale=1.0, center=0.0):
     return lambda x: scale * (np.asarray(x, dtype=float) - center) ** 2
 
 
@@ -103,7 +104,12 @@ def function_from_spec(doc) -> Callable:
         raise ValueError(
             f"unknown function {name!r}; available: {sorted(FUNCTION_REGISTRY)}"
         )
-    return FUNCTION_REGISTRY[name](**params)
+    try:
+        return FUNCTION_REGISTRY[name](**params)
+    except TypeError:
+        taken = inspect.signature(FUNCTION_REGISTRY[name]).parameters
+        raise ValueError(f"function {name!r} takes {', '.join(taken) or 'no parameters'}"
+                         f", not {sorted(set(params) - set(taken))}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,22 @@ class SpaceTimeGrid:
     def nearest_column(self, x):
         """Index of the x node nearest x, picked likewise."""
         return _nearest(self.xs, x)
+
+    def exact_row(self, t) -> int:
+        """The row of the grid time t, to 1e-9 relative, or a ValueError."""
+        return _exact(self.ts, t, "t", "time")
+
+    def exact_column(self, x) -> int:
+        """The column of the x node x, likewise."""
+        return _exact(self.xs, x, "x", "x")
+
+
+def _exact(nodes: np.ndarray, q: float, axis: str, kind: str) -> int:
+    k = _nearest(nodes, q)  # a NaN or infinite q fails the test below
+    if not abs(nodes[k] - q) <= 1e-9 * max(1.0, abs(nodes[k])):
+        raise ValueError(f"{axis} = {q} is on no grid node; the nearest grid "
+                         f"{kind} is {float(nodes[k])!r}")
+    return k
 
 
 def _cell(nodes: np.ndarray, q: np.ndarray):

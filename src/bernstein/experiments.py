@@ -1,11 +1,12 @@
 """The experiment layer shared by ``bernstein run`` and ``bernstein check``.
 
-Each experiment is one function ``(cfg, seed) -> Result``: it builds its
-inputs from the config, runs its pipeline and judges what it produced with
-the checks and gates defined here. It returns every artifact it emits, keyed
-by file name, and writes nothing; ``cli`` writes a result's files, and the
-acceptance criteria read the same results at each experiment's default
-config.
+Each experiment is one function ``(seed=0, *, key=default, ...) -> Result``
+whose keyword parameters are its config keys: it builds its inputs from
+them (a ``ConfigError`` before anything is computed if it cannot), runs its
+pipeline and judges what it produced with the checks and gates defined here.
+It returns every artifact it emits, keyed by file name, and writes nothing;
+``cli`` writes a result's files, and the acceptance criteria read the same
+results at each experiment's default config.
 
 The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
 snapped to its nearest grid row and scored against the worked example's
@@ -180,24 +181,21 @@ class Result:
     data: dict = field(default_factory=dict)
 
 
-def _spec(cfg):
-    """The config's problem and whether it is the worked example."""
-    doc = cfg.get("spec")
-    return ProblemSpec.from_json(doc or analytic.WORKED_EXAMPLE), doc is None
+def _problem(spec, nx, nt):
+    """The spec document's problem (the worked example's when None), whether
+    it is that one, and its nx x nt grid; either rejected is a ConfigError."""
+    try:
+        problem = ProblemSpec.from_json(analytic.WORKED_EXAMPLE if spec is None else spec)
+        return problem, spec is None, build_grid(problem, int(nx), int(nt))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _problem(cfg):
-    """Spec, whether it is the worked example, and grid."""
-    spec, is_default = _spec(cfg)
-    grid = build_grid(spec, int(cfg.get("nx", 601)), int(cfg.get("nt", 2001)))
-    return spec, is_default, grid
-
-
-def sec7(orientation, cfg, seed=0) -> Result:
+def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     """One obstacle solve, its value and drift, judged by its complementarity
     residual and, on the worked example, by the oracle band error and the
     x = 0 stopping column."""
-    spec, is_default, grid = _problem(cfg)
+    spec, is_default, grid = _problem(spec, nx, nt)
     if is_default and abs(grid.xs[grid.nearest_column(0.0)]) > 1e-9 * grid.dx:
         raise ConfigError(
             f"nx = {grid.nx} puts no node at x = 0, the worked example's "
@@ -231,10 +229,10 @@ def sec7(orientation, cfg, seed=0) -> Result:
         reports={"oracle_compare.json": report}, checks=checks, data=data)
 
 
-def classical_compare(cfg, seed=0) -> Result:
+def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     """The stopped value against the fixed-horizon one: dominance and a
     strict gain at (0, 1)."""
-    spec, _, grid = _problem(cfg)
+    spec, _, grid = _problem(spec, nx, nt)
     sol = hjb.solve_forward_obstacle(spec, grid)
     stopped = hjb.value_from_eta(sol, spec.hbar)
     classical = hjb.classical_value(spec, grid, FORWARD)
@@ -249,17 +247,18 @@ def classical_compare(cfg, seed=0) -> Result:
                 "strict_improvement": gap > STRICT_GAP})
 
 
-def pinning(cfg, seed=0) -> Result:
+def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     """Endpoint pinning of two marginals: Sinkhorn factors, propagated
     factors and density, judged by convergence, slice mass and the
     drift-reversal identity."""
-    hbar = float(cfg.get("hbar", 0.5))
-    nx = int(cfg.get("nx", 201))
-    nt = int(cfg.get("nt", 51))
+    hbar, nx, nt = float(hbar), int(nx), int(nt)
     grid = SpaceTimeGrid(xs=np.linspace(*PIN_X, nx),
                          ts=np.linspace(-PIN_HALF_HORIZON, PIN_HALF_HORIZON, nt))
-    if "marginals_csv" in cfg:
-        marg = schrodinger.MarginalPair.from_csv(*cfg["marginals_csv"])
+    if marginals_csv is not None:
+        try:
+            marg = schrodinger.MarginalPair.from_csv(*marginals_csv)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"marginals_csv: {exc}") from None
         if marg.xs.shape != grid.xs.shape or not np.allclose(marg.xs, grid.xs):
             raise ConfigError(
                 f"the {marg.xs.size} marginal CSV nodes on [{marg.xs[0]}, "
@@ -306,24 +305,32 @@ def pinning(cfg, seed=0) -> Result:
               "mass_deviation": mass_dev, "reversal_nodes": nodes})
 
 
-def stopping_dist(cfg, seed=0) -> Result:
+def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
+                  checkpoints=(-0.3, -0.1, 0.1, 0.2), start=None, dt=1e-3,
+                  n_paths=20000) -> Result:
     """Survival functions of the optimally stopped forward process against
     a Monte Carlo ensemble: the survival probability at the start and the
     martingale property of q along the paths."""
-    spec, _, grid = _problem(cfg)
+    spec, _, grid = _problem(spec, nx, nt)
+    thresholds = [float(thr) for thr in thresholds]
+    if not thresholds:
+        raise ConfigError("stopping-dist needs at least one threshold")
+    try:
+        for thr in thresholds:
+            grid.exact_row(thr)
+    except ValueError as exc:
+        raise ConfigError(f"thresholds: {exc}") from None
     sol = hjb.solve_forward_obstacle(spec, grid)
     val = hjb.value_from_eta(sol, spec.hbar)
     sols = [stopping.solve_q(stopping.SurvivalProblem(
-                orientation=FORWARD, threshold=float(thr), drift=val.drift,
+                orientation=FORWARD, threshold=thr, drift=val.drift,
                 mask=val.mask, hbar=spec.hbar))
-            for thr in cfg.get("thresholds", [0.25])]
+            for thr in thresholds]
 
-    checkpoints = tuple(cfg.get("checkpoints", (-0.3, -0.1, 0.1, 0.2)))
-    start = tuple(cfg.get("start", (-spec.half_horizon, 1.0)))
-    sim = simulate.SimConfig(
-        dt=float(cfg.get("dt", 1e-3)), n_paths=int(cfg.get("n_paths", 20000)),
-        seed=seed, start=start, checkpoints=checkpoints,
-    )
+    checkpoints = tuple(checkpoints)
+    start = tuple((-spec.half_horizon, 1.0) if start is None else start)
+    sim = simulate.SimConfig(dt=float(dt), n_paths=int(n_paths), seed=seed,
+                             start=start, checkpoints=checkpoints)
     ens = simulate.simulate_forward(spec, val.drift, val.mask, sim)
     qsol = sols[0]
     emp = stopping.empirical_survival(ens, qsol.threshold)
@@ -348,37 +355,33 @@ def stopping_dist(cfg, seed=0) -> Result:
         data={"value": val, "q_solutions": sols, "ensemble": ens})
 
 
-def bridge_test(cfg, seed=0) -> Result:
+def bridge_test(seed=0, *, n_seeds=20, n_paths=100000, n_bins=30) -> Result:
     """The two-sided Markov bridge chi-square test over consecutive seeds;
-    all but one must pass."""
-    n_seeds = int(cfg.get("n_seeds", 20))
-    reports = []
-    passes = 0
-    for i in range(n_seeds):
-        rep = simulate.bridge_markov_test(
-            **BRIDGE, n_paths=int(cfg.get("n_paths", 100000)),
-            n_bins=int(cfg.get("n_bins", 30)), seed=seed + i,
-        )
-        passes += rep["passed"]
-        reports.append({"seed": seed + i, "p_value": rep["p_value"],
-                        "passed": rep["passed"]})
+    all but one must pass, and at least one."""
+    n_seeds = int(n_seeds)
+    if n_seeds < 1:
+        raise ConfigError(f"bridge-test needs n_seeds >= 1, got {n_seeds}")
+    runs = [simulate.bridge_markov_test(**BRIDGE, n_paths=int(n_paths),
+                                        n_bins=int(n_bins), seed=seed + i)
+            for i in range(n_seeds)]
+    reports = [{"seed": seed + i, "p_value": r["p_value"], "passed": r["passed"]}
+               for i, r in enumerate(runs)]
+    passes = sum(r["passed"] for r in runs)
     return Result(reports={"bridge_test.json": {"runs": reports, "passes": passes}},
-                  checks={"bridge_pass_rate": passes >= n_seeds - 1})
+                  checks={"bridge_pass_rate": passes >= max(1, n_seeds - 1)})
 
 
-def convergence_study(cfg, seed=0) -> Result:
-    """The forward band error on refined grids; each refinement must gain
-    at least first order."""
-    spec, is_default = _spec(cfg)
-    if not is_default:
-        raise ConfigError(
-            "convergence-study needs the worked example's closed-form oracle; "
-            "drop the \"spec\" field to run it")
-    levels = [tuple(lv) for lv in cfg.get("levels",
-                                          [(151, 126), (301, 501), (601, 2001)])]
-    errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(
-                spec, build_grid(spec, int(nx), int(nt)))))
-            for nx, nt in levels]
+def convergence_study(seed=0, *,
+                      levels=((151, 126), (301, 501), (601, 2001))) -> Result:
+    """The forward band error of the worked example on refined grids; each
+    refinement must gain at least first order."""
+    levels = [tuple(lv) for lv in levels]
+    if len(levels) < 2:
+        raise ConfigError(f"convergence-study needs at least two levels to "
+                          f"measure an order, got {len(levels)}")
+    problems = [_problem(None, nx, nt) for nx, nt in levels]
+    errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(spec, grid)))
+            for spec, _, grid in problems]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     rows = [{"nx": nx, "nt": nt, "band_rel_err": e}
             for (nx, nt), e in zip(levels, errs)]
@@ -386,7 +389,7 @@ def convergence_study(cfg, seed=0) -> Result:
                   checks={"order_at_least_1": all(o >= 1.0 for o in orders)})
 
 
-#: experiment name -> experiment(cfg, seed) -> Result
+#: experiment name -> experiment(seed=0, *, config keys) -> Result
 RUNNERS = {
     "sec7-forward": functools.partial(sec7, FORWARD),
     "sec7-backward": functools.partial(sec7, BACKWARD),
@@ -395,17 +398,4 @@ RUNNERS = {
     "stopping-dist": stopping_dist,
     "bridge-test": bridge_test,
     "convergence-study": convergence_study,
-}
-
-_GRID_KEYS = {"spec", "nx", "nt"}
-#: experiment name -> the config keys it reads
-CONFIG_KEYS = {
-    "sec7-forward": _GRID_KEYS,
-    "sec7-backward": _GRID_KEYS,
-    "sec7-classical-compare": _GRID_KEYS,
-    "schrodinger": {"hbar", "nx", "nt", "marginals_csv"},
-    "stopping-dist": _GRID_KEYS | {"thresholds", "checkpoints", "start", "dt",
-                                   "n_paths"},
-    "bridge-test": {"n_seeds", "n_paths", "n_bins"},
-    "convergence-study": {"spec", "levels"},
 }

@@ -58,8 +58,8 @@ class MarginalPair:
         pf = np.asarray(self.p_final, dtype=float)
         if xs.ndim != 1 or pi.shape != xs.shape or pf.shape != xs.shape:
             raise ValueError("marginals must be 1-d arrays matching the node set")
-        if np.any(pi <= 0) or np.any(pf <= 0):
-            raise ValueError("marginals must be strictly positive nodewise")
+        if not all(np.all((p > 0) & np.isfinite(p)) for p in (pi, pf)):
+            raise ValueError("marginals must be finite and strictly positive nodewise")
         mi, mf = _trapz_mass(xs, pi), _trapz_mass(xs, pf)
         object.__setattr__(self, "raw_mass_init", mi)
         object.__setattr__(self, "raw_mass_final", mf)
@@ -78,20 +78,26 @@ class MarginalPair:
 
 
 def _read_marginal_csv(path):
-    xs, ps = [], []
+    """The (x, density) rows of a CSV file, after an optional header line;
+    any other line that is not two numbers raises, naming its line."""
+    pairs = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
+        rows = csv.reader(fh)
+        for row in rows:
+            if not row:
                 continue
             try:
-                x, p = float(row[0]), float(row[1])
+                x, p = map(float, row)
             except ValueError:
-                continue  # header row
-            xs.append(x)
-            ps.append(p)
-    if not xs:
+                if rows.line_num == 1:
+                    continue  # header
+                raise ValueError(f"{path}, line {rows.line_num}: "
+                                 f"{','.join(row)!r} is not an x,density "
+                                 f"pair of numbers") from None
+            pairs.append((x, p))
+    if not pairs:
         raise ValueError(f"no numeric rows found in {path}")
-    return np.asarray(xs), np.asarray(ps)
+    return np.asarray(pairs).T
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,7 @@ def classify_lemma3(t, x, threshold, mask: RegionMask,
     while no node continues at or past it; PDE otherwise. The backward
     rules are the time mirror.
     """
-    k, j = mask.grid.nearest_row(t), mask.grid.nearest_column(x)
-    for name, q, node in (("time", t, mask.grid.ts[k]),
-                          ("position", x, mask.grid.xs[j])):
-        if abs(node - q) > 1e-9 * max(1.0, abs(q)):
-            raise ValueError(f"{name} {q} is not a grid node")
+    k, j = mask.grid.exact_row(t), mask.grid.exact_column(x)
     codes = _closed_form(mask, orientation, threshold)[1]
     return (ZERO, ONE, PDE)[core._marching_rows(orientation, codes)[k, j]]
 
@@ -122,9 +118,7 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     clamped to [0, 1].
     """
     grid, orientation = problem.mask.grid, problem.orientation
-    row = grid.nearest_row(problem.threshold)
-    if abs(grid.ts[row] - problem.threshold) > 1e-9 * max(1.0, abs(problem.threshold)):
-        raise ValueError(f"threshold {problem.threshold} is not a grid time")
+    row = grid.exact_row(problem.threshold)
     # the threshold row in marching order, found from the grid time ts[row]:
     # -ts is not the grid's times bit for bit, so -threshold is not snapped
     stop, codes, kT = _closed_form(problem.mask, orientation, grid.ts[row])

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 import os
@@ -37,6 +39,16 @@ TINY = {
 
 def tiny(name):
     return dict(TINY[name], experiment=name)
+
+
+def keeping(runner, kept):
+    """``runner`` under its own signature, appending each Result it
+    returns to ``kept``."""
+    @functools.wraps(runner)
+    def keep(*args, **kwargs):
+        kept.append(runner(*args, **kwargs))
+        return kept[-1]
+    return keep
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -109,7 +121,11 @@ class TestCsvWriter:
         rows = np.random.default_rng(1).standard_normal((n_rows, n_cols))
         rows[::7, :len(self.SPECIAL)] = self.SPECIAL
         rows[3, -len(self.SPECIAL):] = self.SPECIAL
-        return np.arange(n_rows) * 3 - 40, rows
+        # float labels, as every label column is, with cells that orjson
+        # writes in another notation than repr among them
+        first = np.arange(n_rows) * 0.75 - 40
+        first[[2, 5, 9]] = [math.nan, 1e-05, -math.inf]
+        return first, rows
 
     def expected(self, first, rows, header="h,x"):
         return header + "\r\n" + "".join(
@@ -124,10 +140,10 @@ class TestCsvWriter:
     @pytest.mark.parametrize("n_blocks", [1, 2, 5])
     def test_bytes_are_the_reprs(self, tmp_path, monkeypatch, table, n_blocks):
         # the same bytes whether orjson formats the table in one block of
-        # rows or in several
+        # rows or in several; a block's cells count the label column
         first, rows = table
         step = -(-len(rows) // n_blocks)
-        monkeypatch.setattr(cli, "_BLOCK_CELLS", step * rows.shape[1])
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", step * (rows.shape[1] + 1))
         assert -(-len(rows) // step) == n_blocks
         text = self.write(tmp_path / "t.csv", first, rows)
         assert text == self.expected(first, rows)
@@ -143,7 +159,7 @@ class TestCsvWriter:
         # ``block_cells`` cut the table at every row count
         n_rows = -(-len(cells) // n_cols)
         rows = np.resize(np.array(cells, dtype=float), (n_rows, n_cols))
-        first = np.arange(n_rows) - 2
+        first = np.arange(n_rows) - 2.0
         tables = [
             (first, rows),
             (rows[::-1, 0], rows[::-1]),  # negative-stride rows, float labels
@@ -161,13 +177,8 @@ class TestCsvWriter:
         # cells below 1e-4 next to the stopping column, which orjson writes
         # in another notation than repr
         name, results = "sec7-backward", []
-        runner = experiments.RUNNERS[name]
-
-        def kept(cfg, seed):
-            results.append(runner(cfg, seed))
-            return results[-1]
-
-        monkeypatch.setitem(experiments.RUNNERS, name, kept)
+        monkeypatch.setitem(experiments.RUNNERS, name,
+                            keeping(experiments.RUNNERS[name], results))
         man = run_experiment({"experiment": name, "nx": 61, "nt": 41},
                              str(tmp_path), 0)
         (result,) = results
@@ -255,6 +266,17 @@ class TestManifests:
         assert rep["runs"][0]["seed"] == 100
         assert man["checks"]["bridge_pass_rate"]
 
+    @pytest.mark.parametrize("outcomes, passed", [
+        ([False], False), ([True], True), ([True, False], True),
+        ([False, True, False], False)])
+    def test_bridge_gate_needs_all_but_one_and_one(self, monkeypatch, outcomes,
+                                                   passed):
+        runs = iter(outcomes)
+        monkeypatch.setattr(experiments.simulate, "bridge_markov_test",
+                            lambda **kw: {"p_value": 0.5, "passed": next(runs)})
+        res = experiments.bridge_test(0, n_seeds=len(outcomes))
+        assert res.checks["bridge_pass_rate"] is passed
+
     def test_convergence_small(self, tmp_path):
         man = run_experiment(tiny("convergence-study"), str(tmp_path), 0)
         with open(tmp_path / "convergence.json") as fh:
@@ -302,8 +324,8 @@ class TestManifests:
     def test_survival_reads_q_at_the_exact_start(self):
         # a start between nodes: the survival report and the martingale check
         # read q at the same point, by the one interpolator
-        res = experiments.stopping_dist({"nx": 151, "nt": 101, "n_paths": 2000,
-                                         "start": [-0.5, 1.02]}, 5)
+        res = experiments.stopping_dist(5, nx=151, nt=101, n_paths=2000,
+                                        start=[-0.5, 1.02])
         q_pde = res.reports["survival_compare.json"]["q_pde"]
         assert q_pde == res.reports["martingale.json"]["q_at_start"]
         q = res.data["q_solutions"][0].q
@@ -321,53 +343,44 @@ class TestManifests:
         assert 0 < ens["boundary_hit_fraction"] < 1
 
 
-class KeyLog(dict):
-    """A config that logs every key the experiment looks up."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-
 @pytest.fixture(scope="module")
 def tiny_runs(tmp_path_factory):
     """Each experiment run once by ``run_experiment`` at its TINY config:
-    name -> (output directory, manifest, the Result that was written, the
-    config keys the experiment looked up)."""
+    name -> (output directory, manifest, the Result that was written)."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         for name in EXPERIMENTS:
             kept = []
-
-            def keep(cfg, seed, runner=experiments.RUNNERS[name]):
-                log = KeyLog(cfg)
-                kept.append((runner(log, seed), log.read))
-                return kept[-1][0]
-
-            mp.setitem(experiments.RUNNERS, name, keep)
+            mp.setitem(experiments.RUNNERS, name,
+                       keeping(experiments.RUNNERS[name], kept))
             out = tmp_path_factory.mktemp(name)
             man = run_experiment(tiny(name), str(out), 5)
-            runs[name] = (out, man, *kept[0])
+            runs[name] = (out, man, kept[0])
     return runs
 
 
 class TestConfigKeys:
+    #: the config keys each experiment accepts besides experiment, out, seed
+    KEYS = {
+        "sec7-forward": {"spec", "nx", "nt"},
+        "sec7-backward": {"spec", "nx", "nt"},
+        "sec7-classical-compare": {"spec", "nx", "nt"},
+        "schrodinger": {"hbar", "nx", "nt", "marginals_csv"},
+        "stopping-dist": {"spec", "nx", "nt", "thresholds", "checkpoints",
+                          "start", "dt", "n_paths"},
+        "bridge-test": {"n_seeds", "n_paths", "n_bins"},
+        "convergence-study": {"levels"},
+    }
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
-    def test_keys_are_the_keys_read(self, tiny_runs, name):
-        # every key an experiment looks up is accepted, and no other
-        assert tiny_runs[name][3] == experiments.CONFIG_KEYS[name]
+    def test_keys_are_the_keys_read(self, name):
+        # a runner reads its config keys as its keyword parameters: it takes
+        # the seed, then each key keyword-only with its default
+        seed, *params = inspect.signature(experiments.RUNNERS[name]).parameters.values()
+        assert (seed.name, seed.default) == ("seed", 0)
+        assert {p.name for p in params} == self.KEYS[name]
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty
+                   for p in params)
 
     @pytest.mark.parametrize("name, key, value", [
         ("stopping-dist", "n_path", 100),
@@ -403,13 +416,13 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_out_dir_holds_exactly_the_manifest_files(self, tiny_runs, name):
-        out, man, _, _ = tiny_runs[name]
+        out, man, _ = tiny_runs[name]
         assert sorted(os.listdir(out)) == sorted([*man["files"], "manifest.json"])
         for fname, digest in man["files"].items():
             assert _sha256(str(out / fname)) == digest
 
     def test_q_sweep_csv(self, tiny_runs):
-        out, _, res, _ = tiny_runs["stopping-dist"]
+        out, _, res = tiny_runs["stopping-dist"]
         sols = res.data["q_solutions"]
         grid = sols[0].q.grid
         with open(out / "q_sweep.csv", newline="") as fh:
@@ -426,7 +439,7 @@ class TestArtifacts:
             [s.q.values.ravel() for s in sols]))
 
     def test_survival_records_the_unclamped_range(self, tiny_runs):
-        out, _, res, _ = tiny_runs["stopping-dist"]
+        out, _, res = tiny_runs["stopping-dist"]
         qsol = res.data["q_solutions"][0]
         with open(out / "survival_compare.json") as fh:
             lo, hi = json.load(fh)["q_unclamped_range"]
@@ -454,7 +467,7 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_timings_sit_beside_the_files(self, tiny_runs, name):
-        _, man, _, _ = tiny_runs[name]
+        _, man, _ = tiny_runs[name]
         timings = man["timings"]
         assert timings["compute_s"] > 0
         assert set(timings["write_s"]) == set(man["files"])
@@ -462,7 +475,7 @@ class TestArtifacts:
         assert timings["cpus"] == core.usable_cpus()
 
     def test_schrodinger_factors_csv(self, tiny_runs):
-        out, _, res, _ = tiny_runs["schrodinger"]
+        out, _, res = tiny_runs["schrodinger"]
         factors = res.data["factors"]
         with open(out / "schrodinger_factors.csv") as fh:
             assert fh.readline().strip() == "x,eta_star_init,eta_final"
@@ -478,7 +491,7 @@ class TestArtifacts:
         assert meta["final_marginal_error"] == factors.final_marginal_error
 
     def test_martingale_json(self, tiny_runs):
-        out, _, res, _ = tiny_runs["stopping-dist"]
+        out, _, res = tiny_runs["stopping-dist"]
         expected = stopping.martingale_check(
             res.data["q_solutions"][0], res.data["ensemble"],
             TINY["stopping-dist"]["checkpoints"])
@@ -499,7 +512,7 @@ class TestMain:
 
     def test_convergence_rejects_custom_spec(self, tmp_path, capsys):
         # the study scores each level against the worked example's oracle,
-        # which says nothing about another problem
+        # which says nothing about another problem: it takes no spec
         spec = dict(analytic.WORKED_EXAMPLE,
                     terminal_cost={"name": "abs", "scale": 2})
         cfgp = write_config(tmp_path, {"experiment": "convergence-study",
@@ -507,15 +520,52 @@ class TestMain:
                                        "spec": spec})
         assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("bernstein: error: convergence-study needs the "
-                              "worked example's closed-form oracle")
+        assert err.startswith("bernstein: error: unknown config keys ['spec'] "
+                              "for convergence-study")
         assert not (tmp_path / "out" / "convergence.json").exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"experiment": "nope"}, "unknown experiment 'nope'"),
         ({"experiment": "sec7-forward", "n_x": 31}, "unknown config keys ['n_x']"),
-    ], ids=["experiment", "key"])
-    def test_config_error_is_one_line(self, tmp_path, capsys, cfg, message):
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       terminal_cost={"name": "abs", "scal": 5})},
+         "function 'abs' takes scale, not ['scal']\n"),
+        ({"experiment": "sec7-backward", "spec": {"hbar": 1.0}},
+         "problem document is missing field 'half_horizon'\n"),
+        ({"experiment": "sec7-forward", "spec": {}},
+         "problem document is missing field 'hbar'\n"),
+        ({"experiment": "stopping-dist",
+          "spec": dict(analytic.WORKED_EXAMPLE, potential="sqrt")},
+         "unknown function 'sqrt'"),
+        ({"experiment": "sec7-classical-compare",
+          "spec": dict(analytic.WORKED_EXAMPLE, hbar=0)},
+         "hbar must be positive, got 0.0\n"),
+        ({"experiment": "sec7-forward", "nx": 2}, "need nx >= 3 and nt >= 2"),
+        ({"experiment": "stopping-dist", "thresholds": []},
+         "stopping-dist needs at least one threshold\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "thresholds": [0.25, 0.2501]},
+         "thresholds: t = 0.2501 is on no grid node; the nearest grid time "
+         "is 0.25\n"),
+        ({"experiment": "convergence-study", "levels": [[151, 126]]},
+         "convergence-study needs at least two levels to measure an order, "
+         "got 1\n"),
+        ({"experiment": "bridge-test", "n_seeds": 0},
+         "bridge-test needs n_seeds >= 1, got 0\n"),
+    ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
+            "function-name", "spec-hbar", "grid-size", "no-thresholds",
+            "off-grid-threshold", "one-level", "no-seeds"])
+    def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                      cfg, message):
+        # raised before anything is computed
+        def computed(*args, **kwargs):
+            raise AssertionError("a rejected config was computed")
+
+        for mod, fn in ((experiments.hjb, "solve_forward_obstacle"),
+                        (experiments.hjb, "solve_backward_obstacle"),
+                        (experiments.simulate, "bridge_markov_test")):
+            monkeypatch.setattr(mod, fn, computed)
         cfgp = write_config(tmp_path, cfg)
         assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
@@ -554,10 +604,34 @@ class TestMain:
                        f"[{lo}, {hi}] are not the grid's 201 on [-4.0, 4.0]\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("0,O.3", "'0,O.3' is not an x,density pair of numbers"),
+        ("0,0.3,1", "'0,0.3,1' is not an x,density pair of numbers"),
+        ("0,nan", "marginals must be finite and strictly positive nodewise"),
+    ], ids=["unparsed", "three-columns", "nan"])
+    def test_bad_marginal_csv_is_a_config_error(self, tmp_path, capsys,
+                                                bad_line, message):
+        # a header on the first line is skipped; any other bad line is not
+        paths = []
+        for name in ("init.csv", "final.csv"):
+            with open(tmp_path / name, "w") as fh:
+                fh.write("x,density\n-1,0.2\n" + (
+                    bad_line if name == "init.csv" else "0,0.3") + "\n1,0.2\n")
+            paths.append(str(tmp_path / name))
+        cfgp = write_config(tmp_path, {"experiment": "schrodinger",
+                                       "marginals_csv": paths})
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bernstein: error: marginals_csv: ")
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1
+        if "nan" not in bad_line:
+            assert f"{paths[0]}, line 3: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_error_in_the_computation_propagates(self, tmp_path, monkeypatch):
         # only config errors become an exit status; anything the run
         # raises keeps its traceback
-        def broken(cfg, seed):
+        def broken(seed=0):
             raise ValueError("solver failed")
 
         monkeypatch.setitem(experiments.RUNNERS, "sec7-forward", broken)
@@ -605,7 +679,7 @@ def loaded():
 
 stages = {"import": loaded()}
 for name, cfg in json.loads(sys.argv[1]):
-    experiments.RUNNERS[name](cfg, 0)
+    experiments.RUNNERS[name](0, **cfg)
     stages[name] = loaded()
 print(json.dumps(stages))
 """

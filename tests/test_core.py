@@ -79,6 +79,20 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="unknown function"):
             function_from_spec("no_such_thing")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"name": "abs", "scal": 5},
+         "function 'abs' takes scale, not ['scal']"),
+        ({"name": "linear", "slope": 2, "offset": 1},
+         "function 'linear' takes slope, intercept, not ['offset']"),
+        ({"name": "zero", "scale": 1},
+         "function 'zero' takes no parameters, not ['scale']"),
+    ])
+    def test_unknown_parameter_names_the_ones_taken(self, doc, message):
+        # a misspelt parameter does not fall back to the default
+        with pytest.raises(ValueError) as info:
+            function_from_spec(doc)
+        assert str(info.value) == message
+
 
 class TestBuildGrid:
     def test_endpoint_construction(self):
@@ -305,6 +319,26 @@ class TestNearestNode:
             assert type(got) is int and got == k
         # all distances tie at infinity; the near end is the nearest node
         assert grid.nearest_column([-np.inf, np.inf]).tolist() == [0, n - 1]
+
+
+class TestExactNode:
+    def test_grid_nodes_within_round_off(self):
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 31), ts=np.linspace(-0.5, 0.5, 21))
+        assert grid.exact_row(0.25) == 15 and grid.exact_row(0.25 + 1e-12) == 15
+        assert grid.exact_column(-3.0) == 0 and grid.exact_column(0.2) == 16
+
+    @pytest.mark.parametrize("t", [0.2501, 0.7, -np.inf, np.inf, np.nan])
+    def test_off_grid_time_raises(self, t):
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 31), ts=np.linspace(-0.5, 0.5, 21))
+        with pytest.raises(ValueError, match=r"t = .* is on no grid node; "
+                                             r"the nearest grid time is"):
+            grid.exact_row(t)
+
+    def test_off_grid_x_raises(self):
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 31), ts=np.linspace(-0.5, 0.5, 21))
+        with pytest.raises(ValueError, match=r"^x = 0.05 is on no grid node; "
+                                             r"the nearest grid x is 0.0$"):
+            grid.exact_column(0.05)
 
 
 class TestGradient:

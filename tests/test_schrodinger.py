@@ -112,6 +112,26 @@ class TestMarginalPair:
         with pytest.raises(ValueError):
             MarginalPair(xs=xs, p_init=np.zeros(11), p_final=np.ones(11))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        xs = np.linspace(-1, 1, 11)
+        p = np.ones(11)
+        p[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MarginalPair(xs=xs, p_init=np.ones(11), p_final=p)
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        (["x,density", "0,O.3", "1,0.2"], 2),
+        (["0,0.3", "x,density", "1,0.2"], 2),  # a header on a later line
+        (["0,0.3", "1"], 2),
+        (["0,0.3", "", "1,0.2,7"], 3),
+    ])
+    def test_csv_bad_line_names_file_and_line(self, tmp_path, lines, bad_line):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.csv, line {bad_line}: "):
+            MarginalPair.from_csv(path, path)
+
     def test_csv_roundtrip(self, tmp_path):
         xs = np.linspace(-4, 4, 101)
         for name, mu in (("init", -1.0), ("final", 1.0)):
