@@ -36,7 +36,7 @@ val = value_from_eta(sol, spec.hbar)
 
 # 20k paths from (t, x) = (-1/2, 1) under the optimal drift; the noise comes
 # from counter-based RNG streams keyed by (seed, path group, step), so the
-# run is reproducible and chunk-invariant
+# run is reproducible and CPU-count-invariant
 cfg = SimConfig(dt=1e-3, n_paths=20000, seed=1, start=(-0.5, 1.0),
                 checkpoints=(-0.2, 0.0, 0.2))
 ens = simulate_forward(spec, val.drift, val.mask, cfg)

@@ -30,7 +30,6 @@ from .core import (
     STOPPING,
     ProblemSpec,
     ScalarField,
-    SpaceTimeGrid,
     build_grid,
 )
 
@@ -49,9 +48,11 @@ REVERSAL_TOL = 1e-3  # scaled drift-reversal error
 MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
 LCP_TOL = 1e-9  # scaled complementarity residual of an obstacle solve
 
-#: The pinning experiment's x range and half horizon, its Sinkhorn tolerance
-#: and iteration cap, and the (mean, sd) of its two Gaussian marginals
-PIN_X, PIN_HALF_HORIZON = (-4.0, 4.0), 0.5
+#: The pinning experiment's problem document but for its hbar, a free
+#: diffusion on [-4, 4], its Sinkhorn tolerance and iteration cap, and the
+#: (mean, sd) of its two Gaussian marginals
+PIN_PROBLEM = {"half_horizon": 0.5, "x_min": -4.0, "x_max": 4.0,
+               "potential": "zero", "terminal_cost": "zero", "initial_cost": "zero"}
 PIN_TOL, PIN_MAX_ITER = 1e-8, 500
 PIN_MARGINALS = ((-1.0, 0.35), (1.0, 0.35))
 #: The bridge test's pinned path: from x at s to z at u, read at t
@@ -125,12 +126,14 @@ def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
                          rho: ScalarField, hbar: float):
     """Scaled infinity error of B - hbar d/dx log(rho), with
     B = hbar d/dx log(eta), against -hbar d/dx log(eta*), over the nodes
-    where rho is resolved; returns (error, nodes checked)."""
+    where rho is resolved; returns (error or None, nodes checked)."""
     grid = rho.grid
     drift = ScalarField(grid, hbar * core.gradient_rows(np.log(eta.values), grid.dx))
     rev = simulate.reversed_drift(drift, rho, hbar)
     target = -hbar * core.gradient_rows(np.log(eta_star.values), grid.dx)
     fin = np.isfinite(rev.values)
+    if not fin.any():
+        return None, 0
     dev = float(np.max(np.abs(rev.values[fin] - target[fin])))
     scale = max(1.0, float(np.max(np.abs(target[fin]))))
     return dev / scale, int(np.sum(fin))
@@ -251,9 +254,8 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     """Endpoint pinning of two marginals: Sinkhorn factors, propagated
     factors and density, judged by convergence, slice mass and the
     drift-reversal identity."""
-    hbar, nx, nt = float(hbar), int(nx), int(nt)
-    grid = SpaceTimeGrid(xs=np.linspace(*PIN_X, nx),
-                         ts=np.linspace(-PIN_HALF_HORIZON, PIN_HALF_HORIZON, nt))
+    spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=hbar), nx, nt)
+    hbar = spec.hbar
     if marginals_csv is not None:
         try:
             marg = schrodinger.MarginalPair.from_csv(*marginals_csv)
@@ -262,7 +264,8 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         if marg.xs.shape != grid.xs.shape or not np.allclose(marg.xs, grid.xs):
             raise ConfigError(
                 f"the {marg.xs.size} marginal CSV nodes on [{marg.xs[0]}, "
-                f"{marg.xs[-1]}] are not the grid's {nx} on {list(PIN_X)}")
+                f"{marg.xs[-1]}] are not the grid's {grid.nx} on "
+                f"[{spec.x_min}, {spec.x_max}]")
     else:
         p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * sd**2))
                            for mean, sd in PIN_MARGINALS)
@@ -300,7 +303,7 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
                  "schrodinger_factors.json": meta},
         checks={"sinkhorn_converged": factors.final_marginal_error <= PIN_TOL,
                 "mass_conservation": mass_dev <= MASS_TOL,
-                "drift_reversal": rev_err <= REVERSAL_TOL},
+                "drift_reversal": nodes > 0 and rev_err <= REVERSAL_TOL},
         data={"factors": factors, "hbar": hbar,
               "mass_deviation": mass_dev, "reversal_nodes": nodes})
 
@@ -312,12 +315,20 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     a Monte Carlo ensemble: the survival probability at the start and the
     martingale property of q along the paths."""
     spec, _, grid = _problem(spec, nx, nt)
+    start = tuple((-spec.half_horizon, 1.0) if start is None else start)
+    try:
+        sim = simulate.SimConfig(dt=float(dt), n_paths=int(n_paths), seed=seed,
+                                 start=start, checkpoints=tuple(checkpoints))
+        simulate.check_start(spec, FORWARD, sim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     thresholds = [float(thr) for thr in thresholds]
     if not thresholds:
         raise ConfigError("stopping-dist needs at least one threshold")
     try:
         for thr in thresholds:
             grid.exact_row(thr)
+            stopping.check_threshold(grid.ts, thr)
     except ValueError as exc:
         raise ConfigError(f"thresholds: {exc}") from None
     sol = hjb.solve_forward_obstacle(spec, grid)
@@ -327,14 +338,10 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
                 mask=val.mask, hbar=spec.hbar))
             for thr in thresholds]
 
-    checkpoints = tuple(checkpoints)
-    start = tuple((-spec.half_horizon, 1.0) if start is None else start)
-    sim = simulate.SimConfig(dt=float(dt), n_paths=int(n_paths), seed=seed,
-                             start=start, checkpoints=checkpoints)
     ens = simulate.simulate_forward(spec, val.drift, val.mask, sim)
     qsol = sols[0]
     emp = stopping.empirical_survival(ens, qsol.threshold)
-    mart = stopping.martingale_check(qsol, ens, checkpoints)
+    mart = stopping.martingale_check(qsol, ens, sim.checkpoints)
     # q at the exact start, read as the martingale check reads it
     q0 = mart["q_at_start"]
     # long format: one line (threshold, t, x, q) per solution and node
@@ -358,11 +365,15 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
 def bridge_test(seed=0, *, n_seeds=20, n_paths=100000, n_bins=30) -> Result:
     """The two-sided Markov bridge chi-square test over consecutive seeds;
     all but one must pass, and at least one."""
-    n_seeds = int(n_seeds)
+    n_seeds, n_paths, n_bins = int(n_seeds), int(n_paths), int(n_bins)
     if n_seeds < 1:
         raise ConfigError(f"bridge-test needs n_seeds >= 1, got {n_seeds}")
-    runs = [simulate.bridge_markov_test(**BRIDGE, n_paths=int(n_paths),
-                                        n_bins=int(n_bins), seed=seed + i)
+    # the bins are equal-probability: n_paths / n_bins paths expected in each
+    if n_bins < 2 or n_paths < 5 * n_bins:
+        raise ConfigError(f"bridge-test needs n_bins >= 2 and n_paths >= 5 "
+                          f"n_bins, got n_bins = {n_bins}, n_paths = {n_paths}")
+    runs = [simulate.bridge_markov_test(**BRIDGE, n_paths=n_paths,
+                                        n_bins=n_bins, seed=seed + i)
             for i in range(n_seeds)]
     reports = [{"seed": seed + i, "p_value": r["p_value"], "passed": r["passed"]}
                for i, r in enumerate(runs)]

@@ -11,11 +11,11 @@ i // _GROUP], counter=[0, k, 0, 0])).standard_normal(_GROUP)``, and, when a
 point barrier needs the bridge test, its uniform is entry i mod ``_GROUP``
 of the ``.random(_GROUP)`` drawn right after. Each step draws only the
 groups its live paths fall in, so ensembles are bit-identical for a given
-config regardless of ``chunk_size`` or of the number of CPUs: the paths run
-in contiguous blocks, one per usable CPU, through ``core.fork_blocks``, and
-each block writes its paths' records alone. Paths read the drift through
-``core.interpolate_clipped``, at positions clipped onto the grid, and a
-thick stopping region at their nearest grid node.
+config on any number of CPUs: the paths run in contiguous blocks, one per
+usable CPU, through ``core.fork_blocks``, and each block writes its paths'
+records alone. Paths read the drift through ``core.interpolate_clipped``,
+at positions clipped onto the grid, and a thick stopping region at their
+nearest grid node.
 """
 
 from __future__ import annotations
@@ -47,16 +47,11 @@ from .analytic import KernelParams, bernstein_transition
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step, ensemble size, seed and start (t0, x0) of a run. ``chunk_size``
-    paths are stepped together: it bounds the per-step working arrays and
-    changes no draw, since each step draws the stream groups it needs. Below
-    ``_GROUP`` it still draws whole groups, which costs time: a 20 000-path
-    barrier ensemble took 27.7 s at 37 against 1.2 s at the default (2 CPUs)."""
+    """Step, ensemble size, seed and start (t0, x0) of a run."""
     dt: float
     n_paths: int
     seed: int
     start: tuple  # (t0, x0)
-    chunk_size: int = 20000
     bridge_correction: bool = True
     checkpoints: tuple = ()
 
@@ -65,8 +60,11 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+
+    @property
+    def chunk_size(self) -> int:
+        """``n_paths``, under the name ``bench/`` reads."""
+        return self.n_paths
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,9 @@ def _point_barriers(mask: RegionMask) -> np.ndarray:
     Width-one stopping columns are measure-zero for the simulated paths, so
     they are handled by crossing detection rather than nearest-node lookup.
     """
-    flags = mask.flags[:-1]  # the solved rows; the last holds the data
-    full = np.all(flags == STOPPING, axis=0)
-    bars = []
-    for j in np.nonzero(full)[0]:
-        left = full[j - 1] if j > 0 else False
-        right = full[j + 1] if j + 1 < full.size else False
-        if not left and not right:
-            bars.append(mask.grid.xs[j])
-    return np.asarray(bars)
+    # over the solved rows; the last holds the data
+    full = np.pad(np.all(mask.flags[:-1] == STOPPING, axis=0), 1)
+    return mask.grid.xs[full[1:-1] & ~full[:-2] & ~full[2:]]
 
 
 def _thick_mask(mask: RegionMask, barriers):
@@ -214,17 +206,17 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
 
     The paths are cut by ``core.block_bounds`` into contiguous blocks of at
     least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU, and run
-    by ``core.fork_blocks``. Each block steps its paths in chunks of
-    ``cfg.chunk_size`` and writes its slice of the records into one shared
-    anonymous mapping. At each step a chunk draws the stream groups from
-    its first to its last live path into one buffer, reused by every chunk
-    of the block; a group cut by a chunk or block boundary is drawn, with
-    the same bits, by each chunk that holds one of its paths. A forked
-    block calls no BLAS: it runs Philox, ufuncs, the lookups of ``core``
-    and the problem's cost functions.
+    by ``core.fork_blocks``. Each block steps all its paths as one array and
+    writes its slice of the records into one shared anonymous mapping. At
+    each step a block draws the stream groups from its first to its last
+    live path into one buffer, its paths rounded out to whole groups; a
+    group cut by a block boundary is drawn, with the same bits, by each
+    block that holds one of its paths. A forked block calls no BLAS: it
+    runs Philox, ufuncs, the lookups of ``core`` and the problem's cost
+    functions.
 
-    A chunk keeps its live paths packed: ``live`` holds their indices in
-    the chunk, and x, b, f and a their position, drift, running-cost
+    A block keeps its live paths packed: ``live`` holds their indices in
+    the block, and x, b, f and a their position, drift, running-cost
     integrand and action so far. A path that stops writes its record and
     leaves the packed arrays. The drift at the start of a step is the one
     looked up at the end of the step before.
@@ -255,87 +247,84 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
 
     bounds = core.block_bounds(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps))
-    size = cfg.chunk_size
 
-    def run_block(b_lo, b_hi):
-        chunks = [(lo, min(lo + size, b_hi)) for lo in range(b_lo, b_hi, size)]
-        # one buffer, as wide as the most groups a chunk of the block spans
-        draw = _step_draws(cfg.seed, 2 if want_u else 1, max(
-            (hi - 1) // _GROUP - lo // _GROUP + 1 for lo, hi in chunks))
-        for lo, hi in chunks:
-            tau, state = stop_time[lo:hi], stopped_state[lo:hi]
-            act, hitf = action[lo:hi], hit[lo:hi]
-            live = np.arange(hi - lo)
-            x = np.full(live.size, float(x0))
-            b = drift_at(t0, x)
-            f = running(b, x)
-            a = np.zeros(live.size)
-            pending = list(cps)
-            # a checkpoint at the start sees every path at its start
-            while pending and pending[0] <= t0 + 1e-12:
+    def run_block(lo, hi):
+        # one buffer, as wide as the stream groups the block's paths span
+        draw = _step_draws(cfg.seed, 2 if want_u else 1,
+                           (hi - 1) // _GROUP - lo // _GROUP + 1)
+        tau, state = stop_time[lo:hi], stopped_state[lo:hi]
+        act, hitf = action[lo:hi], hit[lo:hi]
+        live = np.arange(hi - lo)
+        x = np.full(live.size, float(x0))
+        b = drift_at(t0, x)
+        f = running(b, x)
+        a = np.zeros(live.size)
+        pending = list(cps)
+        # a checkpoint at the start sees every path at its start
+        while pending and pending[0] <= t0 + 1e-12:
+            c = pending.pop(0)
+            cp_time[c][lo:hi] = t0
+            cp_state[c][lo:hi] = x0
+
+        t = t0
+        for k in range(n_steps):
+            if live.size == 0:
+                break
+            h = min(cfg.dt, t_end - t)
+            t_next = t + h
+            g_lo = (lo + live[0]) // _GROUP
+            buf = draw(k, g_lo, (lo + live[-1]) // _GROUP + 1)
+            cols = live + (lo - g_lo * _GROUP)  # the live paths' columns
+            xn = x + b * h + math.sqrt(hbar * h) * buf[0][cols]
+
+            if barriers.size:
+                u = buf[1][cols] if want_u else None
+                crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
+                if c.size:
+                    g = live[c]
+                    tau[g] = t + theta * h
+                    state[g] = bars
+                    act[g] = a[c] + (f[c] * theta * h
+                                     + np.asarray(cost(bars), dtype=float))
+                    hitf[g] = True
+                    keep = ~crossed
+                    live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
+
+            x = xn
+            b = drift_at(t_next, x)
+            fn = running(b, x)
+            a += 0.5 * (f + fn) * h
+            f = fn
+
+            # thick stopping regions: nearest-node region lookup
+            if thick is not None and live.size:
+                inside = thick.flags[thick.grid.nearest_row(t_next),
+                                     thick.grid.nearest_column(x)] == STOPPING
+                if np.any(inside):
+                    g = live[inside]
+                    tau[g] = t_next
+                    state[g] = x[inside]
+                    act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
+                    hitf[g] = True
+                    keep = ~inside
+                    live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
+
+            # a checkpoint sees the state at the end of the step that
+            # reaches it, or at the stop for a path stopped before then
+            while pending and t_next >= pending[0] - 1e-12:
                 c = pending.pop(0)
-                cp_time[c][lo:hi] = t0
-                cp_state[c][lo:hi] = x0
-
-            t = t0
-            for k in range(n_steps):
-                if live.size == 0:
-                    break
-                h = min(cfg.dt, t_end - t)
-                t_next = t + h
-                g_lo = (lo + live[0]) // _GROUP
-                buf = draw(k, g_lo, (lo + live[-1]) // _GROUP + 1)
-                cols = live + (lo - g_lo * _GROUP)  # the live paths' columns
-                xn = x + b * h + math.sqrt(hbar * h) * buf[0][cols]
-
-                if barriers.size:
-                    u = buf[1][cols] if want_u else None
-                    crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
-                    if c.size:
-                        g = live[c]
-                        tau[g] = t + theta * h
-                        state[g] = bars
-                        act[g] = a[c] + (f[c] * theta * h
-                                         + np.asarray(cost(bars), dtype=float))
-                        hitf[g] = True
-                        keep = ~crossed
-                        live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
-
-                x = xn
-                b = drift_at(t_next, x)
-                fn = running(b, x)
-                a += 0.5 * (f + fn) * h
-                f = fn
-
-                # thick stopping regions: nearest-node region lookup
-                if thick is not None and live.size:
-                    inside = thick.flags[thick.grid.nearest_row(t_next),
-                                         thick.grid.nearest_column(x)] == STOPPING
-                    if np.any(inside):
-                        g = live[inside]
-                        tau[g] = t_next
-                        state[g] = x[inside]
-                        act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
-                        hitf[g] = True
-                        keep = ~inside
-                        live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
-
-                # a checkpoint sees the state at the end of the step that
-                # reaches it, or at the stop for a path stopped before then
-                while pending and t_next >= pending[0] - 1e-12:
-                    c = pending.pop(0)
-                    t_seen = c if abs(t_next - c) <= 1e-12 else t_next
-                    cp_time[c][lo:hi] = np.minimum(tau, t_seen)
-                    cp_state[c][lo:hi] = state
-                    cp_state[c][lo + live] = x
-                t = t_next
-
-            if live.size:
-                state[live] = x
-                act[live] = a + np.asarray(cost(x), dtype=float)
-            for c in pending:
-                cp_time[c][lo:hi] = tau
+                t_seen = c if abs(t_next - c) <= 1e-12 else t_next
+                cp_time[c][lo:hi] = np.minimum(tau, t_seen)
                 cp_state[c][lo:hi] = state
+                cp_state[c][lo + live] = x
+            t = t_next
+
+        if live.size:
+            state[live] = x
+            act[live] = a + np.asarray(cost(x), dtype=float)
+        for c in pending:
+            cp_time[c][lo:hi] = tau
+            cp_state[c][lo:hi] = state
 
     core.fork_blocks(bounds, run_block)
     checkpoints = {c: (cp_time[c].copy(), cp_state[c].copy()) for c in cps}
@@ -370,21 +359,26 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
     return _simulate(spec, BACKWARD, drift_star, mask_star, cfg, barrier)
 
 
+def check_start(spec: ProblemSpec, orientation, cfg: SimConfig) -> tuple:
+    """The start (s0, x0) of a run in its marching time, s = t forward and
+    s = -t backward; a ValueError if s0 lies outside the horizon or a
+    checkpoint before s0."""
+    (t0, x0), sign = cfg.start, 1 if orientation == FORWARD else -1
+    if not -spec.half_horizon <= sign * t0 < spec.half_horizon:
+        raise ValueError(f"start time {t0} outside horizon")
+    for c in cfg.checkpoints:
+        if sign * c < sign * t0:
+            raise ValueError(f"checkpoint {c} lies before the start time {t0} "
+                             f"of the {orientation} run")
+    return sign * t0, x0
+
+
 def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
               barrier) -> PathEnsemble:
     """Both orientations: a backward run is flipped in time, s = -t, and
-    then simulated forward from -t0 to T/2. A checkpoint must not lie
-    before the start in that marching time."""
-    start = cfg.start
-    t0, x0 = start
+    then simulated forward from -t0 to T/2."""
+    s0, x0 = check_start(spec, orientation, cfg)
     fwd = orientation == FORWARD
-    s0 = t0 if fwd else -t0
-    if not -spec.half_horizon <= s0 < spec.half_horizon:
-        raise ValueError(f"start time {t0} outside horizon")
-    for c in cfg.checkpoints:
-        if (c if fwd else -c) < s0:
-            raise ValueError(f"checkpoint {c} lies before the start time {t0} "
-                             f"of the {orientation} run")
     cost = spec.terminal_cost if fwd else spec.initial_cost
     if not fwd:
         if drift is not None:
@@ -393,34 +387,25 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
                                 allow_nan=drift.allow_nan)
         if mask is not None:
             mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
-        cfg = dataclasses.replace(cfg, start=(s0, x0),
-                                  checkpoints=tuple(-c for c in cfg.checkpoints))
+        cfg = dataclasses.replace(cfg, checkpoints=tuple(-c for c in cfg.checkpoints))
 
     barriers = [] if barrier is None else [float(barrier)]
     thick = None
     if mask is not None:
-        bars = _point_barriers(mask)
-        barriers = sorted(set(barriers) | set(bars.tolist()))
+        barriers = sorted(set(barriers) | set(_point_barriers(mask).tolist()))
         thick = _thick_mask(mask, barriers)
+    if x0 in barriers:  # crossed at theta = 0 of the first step, and no other
+        barriers = [x0]
 
-    if any(abs(x0 - b) == 0 for b in barriers):
-        # degenerate start on the boundary: stopped immediately, so every
-        # checkpoint sees the start
-        z = np.full(cfg.n_paths, float(x0))
-        st, ss, av, hf = (np.full(cfg.n_paths, float(s0)), z,
-                          np.asarray(cost(z), dtype=float),
-                          np.ones(cfg.n_paths, dtype=bool))
-        cps = {c: (st.copy(), z.copy()) for c in cfg.checkpoints}
-    else:
-        st, ss, av, hf, cps = _simulate_core(
-            spec.potential, cost, s0, spec.half_horizon, x0, drift,
-            thick, barriers, spec.hbar, cfg,
-        )
+    st, ss, av, hf, cps = _simulate_core(
+        spec.potential, cost, s0, spec.half_horizon, x0, drift,
+        thick, barriers, spec.hbar, cfg,
+    )
     if not fwd:
         st = -st
         cps = {-c: (-tt, xx) for c, (tt, xx) in cps.items()}
     return PathEnsemble(
-        orientation=orientation, start=start, dt=cfg.dt, seed=cfg.seed,
+        orientation=orientation, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
         stop_time=st, stopped_state=ss, action_value=av, hit_flag=hf,
         checkpoints=cps,
     )

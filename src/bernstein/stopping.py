@@ -51,14 +51,16 @@ class SurvivalProblem:
     def __post_init__(self):
         if self.orientation not in (FORWARD, BACKWARD):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        ts = self.mask.grid.ts
-        if not ts[0] < self.threshold < ts[-1]:
-            raise ValueError(
-                f"threshold {self.threshold} must be strictly inside "
-                f"({ts[0]}, {ts[-1]})"
-            )
+        check_threshold(self.mask.grid.ts, self.threshold)
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+
+
+def check_threshold(ts, threshold) -> None:
+    """A ValueError unless ts[0] < threshold < ts[-1], for grid times ts."""
+    if not ts[0] < threshold < ts[-1]:
+        raise ValueError(f"threshold {threshold} must be strictly inside "
+                         f"({ts[0]}, {ts[-1]})")
 
 
 @dataclass(frozen=True)

@@ -465,6 +465,20 @@ class TestArtifacts:
             doc = json.load(fh, parse_constant=reject)
         assert doc["q_unclamped_range"] is None
 
+    def test_no_resolved_density_fails_the_reversal_check(self, tmp_path):
+        # on 3 x 3 nodes no node resolves rho: nothing is checked, which
+        # fails the check and reports no error, in strict JSON
+        man = run_experiment({"experiment": "schrodinger", "nx": 3, "nt": 3},
+                             str(tmp_path), 0)
+        assert man["checks"]["drift_reversal"] is False
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with open(tmp_path / "schrodinger_report.json") as fh:
+            doc = json.load(fh, parse_constant=reject)
+        assert doc["drift_reversal_scaled_err"] is None
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_timings_sit_beside_the_files(self, tiny_runs, name):
         _, man, _ = tiny_runs[name]
@@ -553,9 +567,39 @@ class TestMain:
          "got 1\n"),
         ({"experiment": "bridge-test", "n_seeds": 0},
          "bridge-test needs n_seeds >= 1, got 0\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "thresholds": [0.5]},
+         "thresholds: threshold 0.5 must be strictly inside (-0.5, 0.5)\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "dt": 0},
+         "dt must be positive\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 0},
+         "n_paths must be >= 1\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "start": [0.6, 1.0]},
+         "start time 0.6 outside horizon\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "checkpoints": [-0.7]},
+         "checkpoint -0.7 lies before the start time -0.5 of the forward run\n"),
+        ({"experiment": "schrodinger", "nx": 1},
+         "need nx >= 3 and nt >= 2, got nx=1, nt=51\n"),
+        ({"experiment": "schrodinger", "nx": 2},
+         "need nx >= 3 and nt >= 2, got nx=2, nt=51\n"),
+        ({"experiment": "schrodinger", "nt": 1},
+         "need nx >= 3 and nt >= 2, got nx=201, nt=1\n"),
+        ({"experiment": "schrodinger", "hbar": 0},
+         "hbar must be positive, got 0.0\n"),
+        ({"experiment": "bridge-test", "n_bins": 1},
+         "bridge-test needs n_bins >= 2 and n_paths >= 5 n_bins, got "
+         "n_bins = 1, n_paths = 100000\n"),
+        ({"experiment": "bridge-test", "n_bins": 0},
+         "bridge-test needs n_bins >= 2 and n_paths >= 5 n_bins, got "
+         "n_bins = 0, n_paths = 100000\n"),
+        ({"experiment": "bridge-test", "n_paths": 100},
+         "bridge-test needs n_bins >= 2 and n_paths >= 5 n_bins, got "
+         "n_bins = 30, n_paths = 100\n"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
-            "off-grid-threshold", "one-level", "no-seeds"])
+            "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
+            "zero-dt", "no-paths", "start-past-horizon", "checkpoint-before-start",
+            "pinning-one-node", "pinning-two-nodes", "pinning-one-time",
+            "pinning-hbar", "one-bin", "no-bins", "few-paths-per-bin"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         # raised before anything is computed
@@ -564,7 +608,8 @@ class TestMain:
 
         for mod, fn in ((experiments.hjb, "solve_forward_obstacle"),
                         (experiments.hjb, "solve_backward_obstacle"),
-                        (experiments.simulate, "bridge_markov_test")):
+                        (experiments.simulate, "bridge_markov_test"),
+                        (experiments.schrodinger, "pin_endpoints")):
             monkeypatch.setattr(mod, fn, computed)
         cfgp = write_config(tmp_path, cfg)
         assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2

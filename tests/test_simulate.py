@@ -47,6 +47,17 @@ def make_spec(**kw):
     return ProblemSpec(**base)
 
 
+def serial_blocks(monkeypatch, n_cpu, group):
+    """Cut each run into the path blocks of ``n_cpu`` CPUs (no floor on a
+    block's path-steps, ``os.sched_getaffinity`` patched) in stream groups
+    of ``group`` paths, and run the blocks one after another here."""
+    monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
+    monkeypatch.setattr(simulate, "_GROUP", group)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpu)))
+    monkeypatch.setattr(simulate.core, "fork_blocks", lambda bounds, fn: [
+        fn(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 @pytest.fixture(scope="module")
 def sec7_value():
     spec = make_spec()
@@ -84,25 +95,34 @@ class TestBrownianBaseline:
 
 
 class TestDeterminism:
-    def test_chunking_does_not_change_results(self):
+    def test_block_boundaries_do_not_change_results(self, monkeypatch):
+        # 500 paths on 14 CPUs make blocks of 35 or 36 paths, whose bounds
+        # cut the groups of 16 paths
         spec = make_spec()
         base = dict(dt=2e-3, n_paths=500, seed=9, start=(-0.5, 1.0))
-        a = simulate_forward(spec, None, None,
-                             SimConfig(**base, chunk_size=500), barrier=0.0)
-        b = simulate_forward(spec, None, None,
-                             SimConfig(**base, chunk_size=37), barrier=0.0)
+
+        def run(n_cpu):
+            serial_blocks(monkeypatch, n_cpu, 16)
+            return simulate_forward(spec, None, None, SimConfig(**base),
+                                    barrier=0.0)
+        a, b = run(1), run(14)
         assert np.array_equal(a.stop_time, b.stop_time)
         assert np.array_equal(a.action_value, b.action_value)
 
-    def test_backward_checkpoints_do_not_depend_on_chunking(self):
+    def test_backward_checkpoints_do_not_depend_on_blocks(self, monkeypatch):
+        # 700 paths in blocks of 36 or 37 paths (19 CPUs), of 350 (2 CPUs)
+        # and of 700, in groups of 16 paths
         spec = make_spec()
         grid = build_grid(spec, 61, 41)
         val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
         base = dict(dt=2e-3, n_paths=700, seed=4, start=(0.5, 0.8),
                     checkpoints=(0.3, 0.0, -0.2))
-        a, *others = [simulate_backward(spec, val.drift, val.mask,
-                                        SimConfig(**base, chunk_size=cs))
-                      for cs in (37, 500, 700)]
+
+        def run(n_cpu):
+            serial_blocks(monkeypatch, n_cpu, 16)
+            return simulate_backward(spec, val.drift, val.mask,
+                                     SimConfig(**base))
+        a, *others = [run(n_cpu) for n_cpu in (19, 2, 1)]
         assert a.hit_flag.any() and not a.hit_flag.all()
         assert set(a.checkpoints) == {0.3, 0.0, -0.2}
         for b in others:
@@ -235,6 +255,24 @@ class TestBarrierStopping:
         assert np.all(ens.hit_flag)
         assert np.all(ens.action_value == 0.0)
 
+    def test_start_on_a_barrier_next_to_another(self):
+        # point barriers at x = 0 and 0.2 (stopping columns one node wide):
+        # a path from 0.2 stops there at once, although about one first step
+        # in 20 crosses x = 0, or crosses it by the bridge test
+        grid = SpaceTimeGrid(xs=np.linspace(-3, 3, 61),
+                             ts=np.linspace(-0.5, 0.5, 11))
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[:, [30, 32]] = STOPPING
+        spec, x0 = make_spec(), grid.xs[32]
+        cfg = SimConfig(dt=1e-2, n_paths=2000, seed=2, start=(-0.3, x0),
+                        checkpoints=(0.0,))
+        ens = simulate_forward(spec, None, RegionMask(grid, flags), cfg)
+        assert np.all(ens.stop_time == -0.3) and np.all(ens.hit_flag)
+        assert np.all(ens.stopped_state == x0)
+        assert np.all(ens.action_value == abs(x0))
+        tt, xx = ens.checkpoints[0.0]
+        assert np.all(tt == -0.3) and np.all(xx == x0)
+
     def test_backward_degenerate_start_on_barrier(self):
         # the backward x = 0 stopping column is a point barrier; a start on
         # it stops at once, with state 0 and action S*(0) = 0
@@ -278,19 +316,23 @@ class TestThickRegion:
 
 class TestParallelBlocks:
     """Path blocks, one per usable CPU (``os.sched_getaffinity`` patched),
-    give the serial ensemble bit for bit. 1001 paths in chunks of 150 cut
-    into blocks at 333 and 667 on 3 CPUs, off the chunk boundaries."""
+    give the serial ensemble bit for bit. 1001 paths in stream groups of 64
+    are cut into blocks at 500 on 2 CPUs and at 333 and 667 on 3, each
+    bound inside a group."""
 
-    N_PATHS, CHUNK = 1001, 150
+    N_PATHS, GROUP = 1001, 64
 
     def ensembles(self, monkeypatch, run):
         monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
+        monkeypatch.setattr(simulate, "_GROUP", self.GROUP)
         out = []
         for n_cpu in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=n_cpu: set(range(n)))
-            assert len(core.block_bounds(self.N_PATHS, 1)) == n_cpu + 1
-            out.append(run(dict(n_paths=self.N_PATHS, chunk_size=self.CHUNK)))
+            bounds = core.block_bounds(self.N_PATHS, 1)
+            assert len(bounds) == n_cpu + 1
+            assert all(b % self.GROUP for b in bounds[1:-1])
+            out.append(run(dict(n_paths=self.N_PATHS)))
         return out
 
     def assert_identical(self, ensembles):
@@ -345,14 +387,13 @@ class TestParallelBlocks:
         assert ens[0].hit_flag.any() and not ens[0].hit_flag.all()
         self.assert_identical(ens)
 
-
     def test_draw_memory_does_not_grow_with_cpus(self, monkeypatch):
         # each block holds one per-step buffer: the normals and uniforms of
-        # its widest chunk rounded out to whole stream groups, whatever the
-        # CPU count or the number of steps. Groups of 64 paths make chunks
-        # of 150 span three or four groups
+        # its paths rounded out to whole stream groups, whatever the number
+        # of steps. A group cut by a block bound is held by both blocks, so
+        # the blocks together hold at most one group more per extra CPU
         monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
-        monkeypatch.setattr(simulate, "_GROUP", 64)
+        monkeypatch.setattr(simulate, "_GROUP", self.GROUP)
         buffers, block, step_draws = {}, [], simulate._step_draws
 
         def blocks_here(bounds, fn):  # the blocks one after another
@@ -370,7 +411,7 @@ class TestParallelBlocks:
             return logged
 
         def rounded_out(lo, hi):  # paths [lo, hi) rounded out to groups
-            return ((hi - 1) // 64 - lo // 64 + 1) * 64
+            return ((hi - 1) // self.GROUP - lo // self.GROUP + 1) * self.GROUP
 
         monkeypatch.setattr(simulate.core, "fork_blocks", blocks_here)
         monkeypatch.setattr(simulate, "_step_draws", logged_draws)
@@ -381,15 +422,14 @@ class TestParallelBlocks:
                 buffers.clear()
                 simulate_forward(make_spec(), None, None,
                                  SimConfig(dt=dt, seed=7, start=(-0.5, 1.0),
-                                           n_paths=self.N_PATHS,
-                                           chunk_size=self.CHUNK),
+                                           n_paths=self.N_PATHS),
                                  barrier=0.0)
                 assert len(buffers) == n_cpu
-                for (b_lo, b_hi), sizes in buffers.items():
-                    widest = max(rounded_out(lo, min(lo + self.CHUNK, b_hi))
-                                 for lo in range(b_lo, b_hi, self.CHUNK))
-                    assert sizes == {2 * widest * 8}
-                    assert widest <= 4 * 64
+                for (lo, hi), sizes in buffers.items():
+                    assert sizes == {2 * rounded_out(lo, hi) * 8}
+                held = sum(rounded_out(lo, hi) for lo, hi in buffers)
+                assert held <= (rounded_out(0, self.N_PATHS)
+                                + (n_cpu - 1) * self.GROUP)
 
 
 class TestFastPath:
@@ -456,12 +496,12 @@ class TestFastPath:
 
         # the engine's noise, read back from a driftless run of 2 steps
         # without stopping in groups of 8: 37 paths from path 0 span groups
-        # 0 to 4, and chunks of 5 cut groups in two
-        monkeypatch.setattr(simulate, "_GROUP", 8)
-        for chunk in (5, 37):
+        # 0 to 4, and the blocks of 7 CPUs, of 5 or 6 paths, cut groups in two
+        for n_cpu in (7, 1):
+            serial_blocks(monkeypatch, n_cpu, 8)
             ens = simulate_forward(make_spec(), None, None, SimConfig(
                 dt=0.5, n_paths=37, seed=seed, start=(-0.5, 0.0),
-                checkpoints=(0.0,), chunk_size=chunk))
+                checkpoints=(0.0,)))
             mid = ens.checkpoints[0.0][1]
             steps = [mid, ens.stopped_state - mid]
             for k, step in enumerate(steps):
