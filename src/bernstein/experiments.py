@@ -194,15 +194,22 @@ def _problem(spec, nx, nt):
         raise ConfigError(str(exc)) from None
 
 
+def _check_origin_node(grid):
+    """A ConfigError unless the grid has a node at x = 0, the worked
+    example's stopping column, which its oracle checks read."""
+    if abs(grid.xs[grid.nearest_column(0.0)]) > 1e-9 * grid.dx:
+        raise ConfigError(
+            f"nx = {grid.nx} puts no node at x = 0, the worked example's "
+            f"stopping column; take an odd nx")
+
+
 def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     """One obstacle solve, its value and drift, judged by its complementarity
     residual and, on the worked example, by the oracle band error and the
     x = 0 stopping column."""
     spec, is_default, grid = _problem(spec, nx, nt)
-    if is_default and abs(grid.xs[grid.nearest_column(0.0)]) > 1e-9 * grid.dx:
-        raise ConfigError(
-            f"nx = {grid.nx} puts no node at x = 0, the worked example's "
-            f"stopping column; take an odd nx")
+    if is_default:
+        _check_origin_node(grid)
     solve = (hjb.solve_forward_obstacle if orientation == FORWARD
              else hjb.solve_backward_obstacle)
     t0 = time.perf_counter()
@@ -322,6 +329,9 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
         simulate.check_start(spec, FORWARD, sim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if sim.n_paths < 2:
+        raise ConfigError(f"stopping-dist needs n_paths >= 2 for a standard "
+                          f"error, got {sim.n_paths}")
     thresholds = [float(thr) for thr in thresholds]
     if not thresholds:
         raise ConfigError("stopping-dist needs at least one threshold")
@@ -391,6 +401,8 @@ def convergence_study(seed=0, *,
         raise ConfigError(f"convergence-study needs at least two levels to "
                           f"measure an order, got {len(levels)}")
     problems = [_problem(None, nx, nt) for nx, nt in levels]
+    for _, _, grid in problems:
+        _check_origin_node(grid)
     errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(spec, grid)))
             for spec, _, grid in problems]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

@@ -34,8 +34,9 @@ from .core import (
     region_from_eta,
 )
 
-#: An active-set step also stops at this scaled complementarity residual, as
-#: round-off alone flips degenerate nodes (eta = psi, zero multiplier).
+#: An active-set step also stops once every node's scaled complementarity
+#: residual (``_scaled_residual``) is at most this, as round-off alone flips
+#: degenerate nodes (eta = psi, zero multiplier).
 _STOP_TOL = 1e-12
 _MAX_SOLVES = 50  # per time step, then ConvergenceError
 #: A node is STOPPING when eta - psi <= max(_REGION_ABS_TOL,
@@ -114,19 +115,29 @@ def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
     return svals, psi, ab
 
 
+def _scaled_residual(mult, e, b, psi):
+    """min(A e - b, e - psi) at each node, given mult = A e - b, over that
+    node's own scale max(|b_i|, psi_i, |e_i|), so a node where eta is many
+    orders below its neighbours is judged as strictly as any other. The
+    |e_i| keeps the scale positive where psi = 0 (``classical_value``) and
+    where b = 0 (the far-field rows)."""
+    return np.minimum(mult, e - psi) / np.maximum(np.maximum(np.abs(b), psi),
+                                                  np.abs(e))
+
+
 def _march(nt, data, psi, ab):
     """Implicit Euler march of nt rows down from the data row, the last one
     (``core._marching_rows``), of the LCP A e >= b, e >= psi, complementary,
     b being the previous row with 0 on the far-field rows.
     From the previous step's active set (at first {data <= psi}), solve with
     the active rows pinned to psi, then set active = {A e - b + psi - e > 0},
-    until the set repeats or the scaled complementarity residual is at most
-    _STOP_TOL. Returns eta and the banded solves of each step."""
+    until the set repeats or every node's scaled complementarity residual
+    (``_scaled_residual``) is at most _STOP_TOL. Returns eta and the banded
+    solves of each step."""
     eta = np.empty((nt, data.size))
     eta[-1] = data
     active, factored, solves = data <= psi, None, []
     for k in range(nt - 2, -1, -1):
-        scale = max(1.0, float(np.max(np.abs(eta[k + 1]))))
         b = eta[k + 1].copy()
         b[[0, -1]] = 0.0
         trace = []
@@ -136,7 +147,7 @@ def _march(nt, data, psi, ab):
                 factored = active
             e = core._solve_step(lu, np.where(active, psi, b))
             mult = core._step_residual(ab, e, b)
-            trace.append(float(np.max(np.abs(np.minimum(mult, e - psi)))) / scale)
+            trace.append(float(np.max(np.abs(_scaled_residual(mult, e, b, psi)))))
             new = mult + (psi - e) > 0
             if trace[-1] <= _STOP_TOL or np.array_equal(new, active):
                 break
@@ -211,9 +222,10 @@ def value_from_eta(sol: EtaSolution, hbar: float) -> ValueSolution:
 def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> ScalarField:
     """Nodewise scaled complementarity residual of a solved obstacle problem.
 
-    At every node of every solved row, min(row of A e - b, eta - obstacle),
-    scaled by max(1, |previous row|): the heat-operator rows inside, and at
-    the edges the far-field rows e_0 - r e_1 and their mirror at x_max, with
+    At every node of every solved row, min(row of A e - b, eta - obstacle)
+    over the node's own scale, as the active-set step judges it
+    (``_scaled_residual``): the heat-operator rows inside, and at the edges
+    the far-field rows e_0 - r e_1 and their mirror at x_max, with
     right-hand side 0. The data row is not solved and reads 0.
     """
     _, psi, ab = _operator(spec, grid, sol.orientation)
@@ -221,9 +233,8 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> Sc
     out = np.zeros_like(eta)
     for k in range(grid.nt - 2, -1, -1):
         e, b = eta[k], eta[k + 1].copy()
-        scale = max(1.0, float(np.max(np.abs(b))))
         b[[0, -1]] = 0.0
-        out[k] = np.minimum(core._step_residual(ab, e, b), e - psi) / scale
+        out[k] = _scaled_residual(core._step_residual(ab, e, b), e, b, psi)
     return ScalarField(grid, core._marching_rows(sol.orientation, out))
 
 

@@ -14,8 +14,8 @@ groups its live paths fall in, so ensembles are bit-identical for a given
 config on any number of CPUs: the paths run in contiguous blocks, one per
 usable CPU, through ``core.fork_blocks``, and each block writes its paths'
 records alone. Paths read the drift through ``core.interpolate_clipped``,
-at positions clipped onto the grid, and a thick stopping region at their
-nearest grid node.
+at positions clipped onto the grid. A run's stopping set is point barriers,
+crossed by a bridge test, and a thick region read at the nearest node.
 """
 
 from __future__ import annotations
@@ -105,24 +105,24 @@ class PathEnsemble:
         return out
 
 
-def _point_barriers(mask: RegionMask) -> np.ndarray:
-    """Spatial positions whose node column is STOPPING at every solved time.
-
-    Width-one stopping columns are measure-zero for the simulated paths, so
-    they are handled by crossing detection rather than nearest-node lookup.
-    """
-    # over the solved rows; the last holds the data
-    full = np.pad(np.all(mask.flags[:-1] == STOPPING, axis=0), 1)
-    return mask.grid.xs[full[1:-1] & ~full[:-2] & ~full[2:]]
-
-
-def _thick_mask(mask: RegionMask, barriers):
-    """The mask with point-barrier columns and the terminal row removed;
-    None when nothing is left (pure barrier problem)."""
-    flags = mask.flags.copy()
-    flags[-1] = 0
-    flags[:, mask.grid.nearest_column(np.asarray(barriers))] = 0
-    return RegionMask(mask.grid, flags) if np.any(flags == STOPPING) else None
+def _stopping_sets(mask: RegionMask, barrier, x0):
+    """The sorted point barriers of a run from x0, ``barrier`` and the
+    mask's width-one columns STOPPING at every solved time (measure-zero
+    for the paths, so crossing tests stop them), but x0's alone when x0 is
+    on one; and the thick region, the rest of the mask less its terminal
+    row, or None when nothing is left."""
+    barriers = set() if barrier is None else {float(barrier)}
+    thick = None
+    if mask is not None:
+        # over the solved rows; the last holds the data
+        full = np.pad(np.all(mask.flags[:-1] == STOPPING, axis=0), 1)
+        barriers |= set(mask.grid.xs[full[1:-1] & ~full[:-2] & ~full[2:]].tolist())
+        flags = mask.flags.copy()
+        flags[-1] = 0
+        flags[:, mask.grid.nearest_column(np.asarray(sorted(barriers)))] = 0
+        if np.any(flags == STOPPING):
+            thick = RegionMask(mask.grid, flags)
+    return ([x0] if x0 in barriers else sorted(barriers)), thick
 
 
 #: paths per stream group: each (group, step) pair draws its normals, then
@@ -162,9 +162,9 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     when its uniform ``u`` is below the conditional bridge crossing
     probability exp(-2 d0 d1 / (hbar h)); ``u`` is None without the bridge
     correction. Of several barriers crossed, the first in sorted order
-    counts. Returns the crossed mask, the crossing positions, their barriers
-    and the fraction theta of the step at the crossing: linear in d0, d1
-    for a sign change, 1/2 for a bridge crossing.
+    counts. Returns the indices of the crossing steps, their barriers and
+    the fraction theta of the step at the crossing: linear in d0, d1 for a
+    sign change, 1/2 for a bridge crossing.
     """
     crossed = bar_of = None
     for bar in barriers:
@@ -191,7 +191,7 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     theta = np.where(d0 * d1 <= 0,
                      np.abs(d0) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300),
                      0.5)
-    return crossed, c, bars, theta
+    return c, bars, theta
 
 
 #: a block of fewer path-steps (paths times steps) is not given a process
@@ -217,9 +217,11 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
 
     A block keeps its live paths packed: ``live`` holds their indices in
     the block, and x, b, f and a their position, drift, running-cost
-    integrand and action so far. A path that stops writes its record and
-    leaves the packed arrays. The drift at the start of a step is the one
-    looked up at the end of the step before.
+    integrand and action so far. ``stop`` writes the record of paths that
+    cross a barrier or land in the thick region and drops them from the
+    packed arrays; ``see(t)`` records the checkpoints t reaches, at the
+    start, after each step and (t = inf) the rest at the stop. The drift at
+    the start of a step is the one looked up at the end of the step before.
     """
     n_steps = max(1, int(math.ceil((t_end - t0) / cfg.dt - 1e-12)))
     barriers = np.asarray(barriers, dtype=float)
@@ -260,12 +262,26 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         f = running(b, x)
         a = np.zeros(live.size)
         pending = list(cps)
-        # a checkpoint at the start sees every path at its start
-        while pending and pending[0] <= t0 + 1e-12:
-            c = pending.pop(0)
-            cp_time[c][lo:hi] = t0
-            cp_state[c][lo:hi] = x0
 
+        def stop(i, when, where, value):
+            # the paths at packed indices (or mask) i stop at the boundary
+            nonlocal live, x, b, f, a
+            g = live[i]
+            tau[g], state[g], act[g], hitf[g] = when, where, value, True
+            keep = np.ones(live.size, dtype=bool)
+            keep[i] = False
+            live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
+
+        def see(t):
+            # a checkpoint sees the state at the end of the step that
+            # reaches it, or at the stop for a path stopped before then
+            while pending and t >= pending[0] - 1e-12:
+                c = pending.pop(0)
+                cp_time[c][lo:hi] = np.minimum(tau, c if abs(t - c) <= 1e-12 else t)
+                cp_state[c][lo:hi] = state
+                cp_state[c][lo + live] = x
+
+        see(t0)
         t = t0
         for k in range(n_steps):
             if live.size == 0:
@@ -275,22 +291,15 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
             g_lo = (lo + live[0]) // _GROUP
             buf = draw(k, g_lo, (lo + live[-1]) // _GROUP + 1)
             cols = live + (lo - g_lo * _GROUP)  # the live paths' columns
-            xn = x + b * h + math.sqrt(hbar * h) * buf[0][cols]
+            xo, x = x, x + b * h + math.sqrt(hbar * h) * buf[0][cols]
 
             if barriers.size:
                 u = buf[1][cols] if want_u else None
-                crossed, c, bars, theta = _crossings(x, xn, u, barriers, hbar, h)
+                c, bars, theta = _crossings(xo, x, u, barriers, hbar, h)
                 if c.size:
-                    g = live[c]
-                    tau[g] = t + theta * h
-                    state[g] = bars
-                    act[g] = a[c] + (f[c] * theta * h
-                                     + np.asarray(cost(bars), dtype=float))
-                    hitf[g] = True
-                    keep = ~crossed
-                    live, xn, f, a = live[keep], xn[keep], f[keep], a[keep]
+                    stop(c, t + theta * h, bars, a[c] + (
+                        f[c] * theta * h + np.asarray(cost(bars), dtype=float)))
 
-            x = xn
             b = drift_at(t_next, x)
             fn = running(b, x)
             a += 0.5 * (f + fn) * h
@@ -300,31 +309,16 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
             if thick is not None and live.size:
                 inside = thick.flags[thick.grid.nearest_row(t_next),
                                      thick.grid.nearest_column(x)] == STOPPING
-                if np.any(inside):
-                    g = live[inside]
-                    tau[g] = t_next
-                    state[g] = x[inside]
-                    act[g] = a[inside] + np.asarray(cost(x[inside]), dtype=float)
-                    hitf[g] = True
-                    keep = ~inside
-                    live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
-
-            # a checkpoint sees the state at the end of the step that
-            # reaches it, or at the stop for a path stopped before then
-            while pending and t_next >= pending[0] - 1e-12:
-                c = pending.pop(0)
-                t_seen = c if abs(t_next - c) <= 1e-12 else t_next
-                cp_time[c][lo:hi] = np.minimum(tau, t_seen)
-                cp_state[c][lo:hi] = state
-                cp_state[c][lo + live] = x
+                if inside.any():
+                    stop(inside, t_next, x[inside],
+                         a[inside] + np.asarray(cost(x[inside]), dtype=float))
+            see(t_next)
             t = t_next
 
-        if live.size:
-            state[live] = x
-            act[live] = a + np.asarray(cost(x), dtype=float)
-        for c in pending:
-            cp_time[c][lo:hi] = tau
-            cp_state[c][lo:hi] = state
+        # the paths still live ran to the horizon
+        state[live] = x
+        act[live] = a + np.asarray(cost(x), dtype=float)
+        see(math.inf)
 
     core.fork_blocks(bounds, run_block)
     checkpoints = {c: (cp_time[c].copy(), cp_state[c].copy()) for c in cps}
@@ -361,11 +355,13 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
 
 def check_start(spec: ProblemSpec, orientation, cfg: SimConfig) -> tuple:
     """The start (s0, x0) of a run in its marching time, s = t forward and
-    s = -t backward; a ValueError if s0 lies outside the horizon or a
-    checkpoint before s0."""
+    s = -t backward; a ValueError if s0 lies outside the horizon, x0
+    outside [x_min, x_max] or a checkpoint before s0."""
     (t0, x0), sign = cfg.start, 1 if orientation == FORWARD else -1
     if not -spec.half_horizon <= sign * t0 < spec.half_horizon:
         raise ValueError(f"start time {t0} outside horizon")
+    if not spec.x_min <= x0 <= spec.x_max:
+        raise ValueError(f"start x {x0} outside [{spec.x_min}, {spec.x_max}]")
     for c in cfg.checkpoints:
         if sign * c < sign * t0:
             raise ValueError(f"checkpoint {c} lies before the start time {t0} "
@@ -389,14 +385,7 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
             mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
         cfg = dataclasses.replace(cfg, checkpoints=tuple(-c for c in cfg.checkpoints))
 
-    barriers = [] if barrier is None else [float(barrier)]
-    thick = None
-    if mask is not None:
-        barriers = sorted(set(barriers) | set(_point_barriers(mask).tolist()))
-        thick = _thick_mask(mask, barriers)
-    if x0 in barriers:  # crossed at theta = 0 of the first step, and no other
-        barriers = [x0]
-
+    barriers, thick = _stopping_sets(mask, barrier, x0)
     st, ss, av, hf, cps = _simulate_core(
         spec.potential, cost, s0, spec.half_horizon, x0, drift,
         thick, barriers, spec.hbar, cfg,

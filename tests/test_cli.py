@@ -577,6 +577,13 @@ class TestMain:
          "start time 0.6 outside horizon\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "checkpoints": [-0.7]},
          "checkpoint -0.7 lies before the start time -0.5 of the forward run\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "start": [-0.5, 5.0]},
+         "start x 5.0 outside [-3.0, 3.0]\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 1},
+         "stopping-dist needs n_paths >= 2 for a standard error, got 1\n"),
+        ({"experiment": "convergence-study", "levels": [[31, 21], [30, 21]]},
+         "nx = 30 puts no node at x = 0, the worked example's stopping column; "
+         "take an odd nx\n"),
         ({"experiment": "schrodinger", "nx": 1},
          "need nx >= 3 and nt >= 2, got nx=1, nt=51\n"),
         ({"experiment": "schrodinger", "nx": 2},
@@ -598,6 +605,7 @@ class TestMain:
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
             "zero-dt", "no-paths", "start-past-horizon", "checkpoint-before-start",
+            "start-off-grid", "one-path", "study-even-nx",
             "pinning-one-node", "pinning-two-nodes", "pinning-one-time",
             "pinning-hbar", "one-bin", "no-bins", "few-paths-per-bin"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,

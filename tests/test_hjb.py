@@ -1,12 +1,17 @@
+import inspect
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
-from bernstein import hjb
-from bernstein.experiments import LCP_TOL, stopping_columns
+from bernstein import core, hjb
+from bernstein.experiments import DOMINANCE_TOL, LCP_TOL, stopping_columns
 from bernstein.core import (
     CONTINUATION,
+    FUNCTION_REGISTRY,
     STOPPING,
     ConvergenceError,
     ProblemSpec,
@@ -199,7 +204,9 @@ class TestLcpResidual:
                          boundary=sol.boundary, orientation="forward",
                          stopping_cost=sol.stopping_cost)
         res = lcp_residual(fake, spec, grid)
-        assert abs(res.values[k, j]) > 1.0
+        # the obstacle row binds, over the node's own scale, the bumped eta
+        psi = math.exp(-abs(grid.xs[j]) / spec.hbar)
+        assert res.values[k, j] == pytest.approx(1 - psi / bumped[k, j], rel=1e-9)
         assert abs(res.values[k, j - 5]) < 1e-3
 
     @pytest.mark.parametrize("push", [1e-6, -1e-6])
@@ -218,7 +225,8 @@ class TestLcpResidual:
                          stopping_cost=sol.stopping_cost)
         res = lcp_residual(fake, spec, grid).values
         assert abs(res[k, j]) > LCP_TOL
-        assert res[k, j] == pytest.approx(push, rel=1e-3)
+        # over the node's own scale: the pushed eta, as b = 0 on the edge rows
+        assert res[k, j] == pytest.approx(push / pushed[k, j], rel=1e-3)
 
 
 class TestClassicalValue:
@@ -358,3 +366,107 @@ class TestActiveSet:
         sol = solve_backward_obstacle(spec, build_grid(spec, nx, nt))
         cols, full, exact = stopping_columns(sol)
         assert exact and full, cols
+
+
+def nodewise_residual(sol, spec, grid):
+    """Reference for the forward march: at every solved node,
+    min(A e - b, e - psi) over max(|b_i|, psi_i, |e_i|)."""
+    _, psi, ab = hjb._operator(spec, grid, "forward")
+    eta, out = sol.eta.values, np.zeros(sol.eta.values.shape)
+    for k in range(grid.nt - 1):
+        e, b = eta[k], eta[k + 1].copy()
+        b[[0, -1]] = 0.0
+        scale = np.maximum(np.maximum(np.abs(b), psi), np.abs(e))
+        out[k] = np.minimum(core._step_residual(ab, e, b), e - psi) / scale
+    return out
+
+
+def base_doc(**kw):
+    return dict({"half_horizon": 0.5, "x_min": -3.0, "x_max": 3.0}, **kw)
+
+
+class TestNodewiseScale:
+    """Each node of an obstacle step is judged on its own scale. On these
+    two specs a step judged against its row's largest eta stopped while
+    nodes where eta is many orders smaller were still wrong, and the
+    stopped value then exceeded the fixed-horizon one (by 3.6e-2 and
+    4.6e-3)."""
+
+    SPECS = [
+        (base_doc(hbar=0.076, potential={"name": "quadratic", "scale": 1.57},
+                  terminal_cost={"name": "linear", "slope": 1.47},
+                  initial_cost={"name": "constant", "value": 0.32}), 121, 41),
+        (base_doc(hbar=0.121, potential={"name": "abs", "scale": 0.69},
+                  terminal_cost={"name": "abs", "scale": 2.2},
+                  initial_cost="log1p_abs"), 201, 101),
+    ]
+
+    @pytest.mark.parametrize("doc, nx, nt", SPECS)
+    def test_dominance(self, doc, nx, nt):
+        spec = ProblemSpec.from_json(doc)
+        grid = build_grid(spec, nx, nt)
+        stopped = value_from_eta(solve_forward_obstacle(spec, grid), spec.hbar)
+        free = classical_value(spec, grid, "forward")
+        assert np.max(stopped.value.values - free.value.values) <= DOMINANCE_TOL
+
+    @pytest.mark.parametrize("doc, nx, nt", SPECS)
+    def test_nodewise_residual(self, doc, nx, nt):
+        spec = ProblemSpec.from_json(doc)
+        grid = build_grid(spec, nx, nt)
+        sol = solve_forward_obstacle(spec, grid)
+        ref = nodewise_residual(sol, spec, grid)
+        assert np.max(np.abs(ref)) <= LCP_TOL
+        # the gate reads what the solver judges
+        assert np.array_equal(lcp_residual(sol, spec, grid).values, ref)
+
+
+#: parameter ranges of the registry's functions in drawn specs, chosen
+#: before the property was first run
+PARAM_RANGES = {"scale": (0.0, 3.0), "center": (-2.0, 2.0),
+                "slope": (-2.0, 2.0), "intercept": (-1.0, 1.0),
+                "value": (-1.0, 1.0)}
+
+
+def function_docs(nonnegative):
+    """Function documents drawn from ``core.FUNCTION_REGISTRY`` by its
+    builders' signatures; with ``nonnegative``, only functions >= 0: no
+    ``linear``, and a ``constant`` value >= 0."""
+    ranges = dict(PARAM_RANGES, value=(0.0, 1.0)) if nonnegative else PARAM_RANGES
+    names = sorted(set(FUNCTION_REGISTRY) - ({"linear"} if nonnegative else set()))
+
+    def doc(name):
+        params = inspect.signature(FUNCTION_REGISTRY[name]).parameters
+        return st.fixed_dictionaries({p: st.floats(*ranges[p]) for p in params}
+                                     ).map(lambda kw: {"name": name, **kw})
+    return st.sampled_from(names).flatmap(doc)
+
+
+class TestRandomSpecs:
+    """Properties every spec satisfies, on specs drawn from the function
+    registry with potentials >= 0, in both orientations: the complementarity
+    gate, eta >= psi and dominance of the fixed-horizon value."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(hbar=st.floats(math.log(0.05), math.log(2.0)).map(math.exp),
+           potential=function_docs(nonnegative=True),
+           terminal_cost=function_docs(nonnegative=False),
+           initial_cost=function_docs(nonnegative=False),
+           nx=st.sampled_from([61, 121]), nt=st.sampled_from([21, 41]))
+    def test_obstacle_properties(self, hbar, potential, terminal_cost,
+                                 initial_cost, nx, nt):
+        doc = base_doc(hbar=hbar, potential=potential,
+                       terminal_cost=terminal_cost, initial_cost=initial_cost)
+        note(json.dumps({"experiment": "sec7-classical-compare", "spec": doc,
+                         "nx": nx, "nt": nt}))
+        spec = ProblemSpec.from_json(doc)
+        grid = build_grid(spec, nx, nt)
+        for orientation, solve in (("forward", solve_forward_obstacle),
+                                   ("backward", solve_backward_obstacle)):
+            sol = solve(spec, grid)
+            assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+            psi = np.exp(-sol.stopping_cost / spec.hbar)
+            assert np.all(sol.eta.values >= psi * (1 - 1e-12))
+            stopped = value_from_eta(sol, spec.hbar)
+            free = classical_value(spec, grid, orientation)
+            assert (np.max(stopped.value.values - free.value.values)
+                    <= DOMINANCE_TOL)

@@ -192,6 +192,18 @@ class TestCheckpoints:
         tt, xx = ens.checkpoints[t0]
         assert np.all(tt == t0) and np.all(xx == 1.0)
 
+    @pytest.mark.parametrize("simulate, t0", [(simulate_forward, -0.5),
+                                              (simulate_backward, 0.5)])
+    def test_checkpoint_within_round_off_of_start(self, simulate, t0):
+        # seen before the first step, as every checkpoint within 1e-12 of
+        # the time it is seen at, and recorded at its own time
+        c = t0 + 5e-13 * np.sign(-t0)
+        cfg = SimConfig(dt=1e-2, n_paths=500, seed=4, start=(t0, 1.0),
+                        checkpoints=(c,))
+        ens = simulate(make_spec(), None, None, cfg, barrier=0.0)
+        tt, xx = ens.checkpoints[c]
+        assert np.all(tt == c) and np.all(xx == 1.0)
+
     def test_start_checkpoint_leaves_later_ones_alone(self, sec7_value):
         # the monte_carlo benchmark ensemble's checkpoints, with and
         # without one at the start: every other record is bit-identical
