@@ -61,6 +61,11 @@ def _write_json(doc, path: str) -> str:
 _BLOCK_CELLS = 8192
 
 
+def _repr_line(cells) -> bytes:
+    """The floats ``cells`` as one CSV line of their reprs, unended."""
+    return ",".join(map(repr, cells)).encode()
+
+
 def _write_rows(fh, first, rows) -> None:
     """One line per entry of the float array ``first`` (a time, a node or
     a threshold): the entry, then its row's floats, each written as its
@@ -69,30 +74,25 @@ def _write_rows(fh, first, rows) -> None:
 
     A rectangular table is formatted, ``first`` as its column 0, by
     ``orjson.dumps`` in blocks of whole lines, about ``_BLOCK_CELLS`` cells
-    each. orjson writes the shortest round-trip digits, as repr does, and
-    for a finite x with 1e-4 <= |x| < 1e16, or x = +-0, the same string.
-    Every other cell is rewritten in its line by repr: orjson writes NaN and
-    +-inf as null, and the floats repr writes as 1e-05 and 1e+16 as 0.00001
-    and 1e16. Ragged tables are written by repr alone.
+    each. orjson writes the shortest round-trip digits, as repr does, and,
+    measured from 5e-324 to 1e308 (orjson 3.8.3), the same string but for
+    1e-9 <= |x| < 1e-4 (0.00001 for 1e-05), |x| >= 1e16 (1e16 for 1e+16),
+    NaN and +-inf (null). Each line holding such a cell is rewritten whole
+    by ``_repr_line``, as is every line of a ragged table.
     """
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
-        fh.writelines(
-            ",".join(map(repr, [v, *np.asarray(row, dtype=float).tolist()])).encode()
-            + b"\r\n" for v, row in zip(first.tolist(), rows))
+        fh.writelines(_repr_line([v, *np.asarray(row, dtype=float).tolist()])
+                      + b"\r\n" for v, row in zip(first.tolist(), rows))
         return
     import orjson  # here, not at the top: importing this module loads no orjson
     step = -(-_BLOCK_CELLS // (rows.shape[1] + 1))
     for lo in range(0, len(rows), step):
         block = np.column_stack((first[lo:lo + step], rows[lo:lo + step]))
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        lines = text[2:-2].split(b"],[")
+        lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
         mag = np.abs(block)
-        other = ~((mag >= 1e-4) & (mag < 1e16) | (block == 0))
+        other = (mag >= 1e-9) & (mag < 1e-4) | ~(mag < 1e16)
         for i in np.flatnonzero(other.any(axis=1)):
-            cells = lines[i].split(b",")
-            for j in np.flatnonzero(other[i]):
-                cells[j] = repr(float(block[i, j])).encode()
-            lines[i] = b",".join(cells)
+            lines[i] = _repr_line(block[i].tolist())
         fh.write(b"\r\n".join(lines) + b"\r\n")
 
 

@@ -263,6 +263,14 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     drift-reversal identity."""
     spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=hbar), nx, nt)
     hbar = spec.hbar
+    # below 1 the kernel next to the endpoint slices is narrower than a
+    # node spacing, and the slice masses drift
+    resolution = math.sqrt(hbar * grid.dt) / grid.dx
+    if resolution < 1:
+        raise ConfigError(
+            f"the pinning kernel over one time step is {resolution:.3g} node "
+            f"spacings wide (sqrt(hbar dt) / dx), under 1; take nx >= "
+            f"{math.ceil((grid.nx - 1) / resolution) + 1}")
     if marginals_csv is not None:
         try:
             marg = schrodinger.MarginalPair.from_csv(*marginals_csv)
@@ -290,9 +298,7 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         "residual_trace": factors.residual_trace.tolist(),
         "slice_masses": masses.tolist(),
         "drift_reversal_scaled_err": rev_err,
-        # below 1 the kernel next to the endpoint slices is
-        # narrower than a node spacing, and slice masses drift
-        "kernel_sd_over_dx": math.sqrt(hbar * grid.dt) / grid.dx,
+        "kernel_sd_over_dx": resolution,
     }
     meta = {
         "iterations": factors.iterations,

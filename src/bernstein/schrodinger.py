@@ -49,8 +49,8 @@ class MarginalPair:
     xs: np.ndarray
     p_init: np.ndarray
     p_final: np.ndarray
-    raw_mass_init: float = field(default=np.nan, compare=False)
-    raw_mass_final: float = field(default=np.nan, compare=False)
+    raw_mass_init: float = field(default=np.nan, init=False, compare=False)
+    raw_mass_final: float = field(default=np.nan, init=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)

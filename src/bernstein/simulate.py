@@ -105,12 +105,11 @@ class PathEnsemble:
         return out
 
 
-def _stopping_sets(mask: RegionMask, barrier, x0):
-    """The sorted point barriers of a run from x0, ``barrier`` and the
-    mask's width-one columns STOPPING at every solved time (measure-zero
-    for the paths, so crossing tests stop them), but x0's alone when x0 is
-    on one; and the thick region, the rest of the mask less its terminal
-    row, or None when nothing is left."""
+def _stopping_sets(mask: RegionMask, barrier):
+    """The sorted point barriers of a run, ``barrier`` and the mask's
+    width-one columns STOPPING at every solved time (measure-zero for the
+    paths, so crossing tests stop them), and the thick region, the rest of
+    the mask less its terminal row, or None when nothing is left."""
     barriers = set() if barrier is None else {float(barrier)}
     thick = None
     if mask is not None:
@@ -122,7 +121,7 @@ def _stopping_sets(mask: RegionMask, barrier, x0):
         flags[:, mask.grid.nearest_column(np.asarray(sorted(barriers)))] = 0
         if np.any(flags == STOPPING):
             thick = RegionMask(mask.grid, flags)
-    return ([x0] if x0 in barriers else sorted(barriers)), thick
+    return sorted(barriers), thick
 
 
 #: paths per stream group: each (group, step) pair draws its normals, then
@@ -156,41 +155,41 @@ def _step_draws(seed, kinds, n_groups):
 
 
 def _crossings(xo, xn, u, barriers, hbar, h):
-    """Steps xo -> xn that cross a point barrier.
+    """Steps xo -> xn that reach a point barrier, and where they first do.
 
-    A sign change crosses, and so does a step that straddles no barrier
+    A sign change reaches a barrier at the fraction theta of the step linear
+    in d0, d1. A step that stays on one side of it reaches it at theta = 1/2
     when its uniform ``u`` is below the conditional bridge crossing
-    probability exp(-2 d0 d1 / (hbar h)); ``u`` is None without the bridge
-    correction. Of several barriers crossed, the first in sorted order
-    counts. Returns the indices of the crossing steps, their barriers and
-    the fraction theta of the step at the crossing: linear in d0, d1 for a
-    sign change, 1/2 for a bridge crossing.
+    probability exp(-2 d0 d1 / (hbar h)) and no other barrier lies between
+    it and xo; ``u`` is None without the bridge correction. Of the barriers
+    a step reaches, the one with the least theta stops it, the lower on a
+    tie. Returns the indices of those steps, their barriers and their theta.
     """
-    crossed = bar_of = None
-    for bar in barriers:
-        prod = (xo - bar) * (xn - bar)
-        hits = prod <= 0
+    found = []
+    # a bridge crossing of barrier j needs xo between its two neighbours
+    edges = np.concatenate(([-math.inf], barriers, [math.inf]))
+    for j, bar in enumerate(barriers):
+        prod = xo - bar
+        prod *= xn - bar
+        reach = np.nonzero(prod <= 0)[0]
+        d0, d1 = np.abs(xo[reach] - bar), np.abs(xn[reach] - bar)
+        at = d0 / np.maximum(d0 + d1, 1e-300)
         if u is not None:
             # Past prod = 20 hbar h the probability is below exp(-40), under
             # 2**-53; a uniform from Generator.random is 0 or at least 2**-53,
             # so there only u == 0 can fall below it. exp runs on the rest.
             near = np.nonzero((prod > 0) & ((prod <= 20 * hbar * h) | (u == 0)))[0]
-            hits[near] = u[near] < np.exp(-2 * prod[near] / (hbar * h))
-        if crossed is None:
-            crossed, first = hits, bar
-            continue
-        new = hits & ~crossed
-        if new.any():
-            if bar_of is None:
-                bar_of = np.full(xo.size, first)
-            bar_of[new] = bar
-            crossed |= new
-    c = np.nonzero(crossed)[0]
-    bars = bar_of[c] if bar_of is not None else np.full(c.size, first)
-    d0, d1 = xo[c] - bars, xn[c] - bars
-    theta = np.where(d0 * d1 <= 0,
-                     np.abs(d0) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300),
-                     0.5)
+            near = near[(edges[j] < xo[near]) & (xo[near] < edges[j + 2])]
+            bridge = near[u[near] < np.exp(-2 * prod[near] / (hbar * h))]
+            reach = np.concatenate((reach, bridge))
+            at = np.append(at, np.full(bridge.size, 0.5))
+        found.append((reach, np.full(reach.size, bar), at))
+    c, bars, theta = map(np.concatenate, zip(*found))
+    if len(barriers) > 1:
+        # each step's least theta, the lower barrier on a tie
+        order = np.lexsort((bars, theta, c))
+        keep = order[np.unique(c[order], return_index=True)[1]]
+        c, bars, theta = c[keep], bars[keep], theta[keep]
     return c, bars, theta
 
 
@@ -334,8 +333,8 @@ def simulate_forward(spec: ProblemSpec, drift: ScalarField,
 
     ``drift`` may be None (driftless). The stopping region comes from
     ``mask``; width-one stopping columns are auto-detected and handled by
-    per-step crossing tests. ``barrier`` adds an explicit point barrier when
-    no mask is supplied.
+    per-step crossing tests. ``barrier`` adds an explicit point barrier, to
+    the mask's when one is supplied.
     """
     return _simulate(spec, FORWARD, drift, mask, cfg, barrier)
 
@@ -385,7 +384,7 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
             mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
         cfg = dataclasses.replace(cfg, checkpoints=tuple(-c for c in cfg.checkpoints))
 
-    barriers, thick = _stopping_sets(mask, barrier, x0)
+    barriers, thick = _stopping_sets(mask, barrier)
     st, ss, av, hf, cps = _simulate_core(
         spec.potential, cost, s0, spec.half_horizon, x0, drift,
         thick, barriers, spec.hbar, cfg,

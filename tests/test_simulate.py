@@ -285,6 +285,37 @@ class TestBarrierStopping:
         tt, xx = ens.checkpoints[0.0]
         assert np.all(tt == -0.3) and np.all(xx == x0)
 
+    def test_crossing_rule_on_fixed_steps(self):
+        # barriers at 0 and 1, hbar = h = 1; a uniform of 0 always bridges
+        # to a barrier with none between it and the step's start
+        xo = np.array([0.5, 1.5, -0.5, 0.5, 1.5, 0.5, 1.0])
+        xn = np.array([1.5, -0.5, 1.5, 1.5, 1.6, 0.6, 0.5])
+        u = np.array([0.99, 0.99, 0.99, 0.0, 0.0, 0.99, 0.99])
+        c, bars, theta = simulate._crossings(xo, xn, u, np.array([0.0, 1.0]), 1.0, 1.0)
+        got = sorted(zip(c.tolist(), bars.tolist(), theta.tolist()))
+        assert got == [(0, 1.0, 0.5),    # a sign change at 1
+                       (1, 1.0, 0.25),   # both crossed, 1 first
+                       (2, 0.0, 0.25),   # both crossed, 0 first
+                       (3, 0.0, 0.5),    # a tie of a sign change and a bridge
+                       (4, 1.0, 0.5),    # no bridge past 1 to 0
+                       (6, 1.0, 0.0)]    # a start on a barrier
+
+    @pytest.mark.parametrize("dt", [1e-2, 0.25])
+    def test_the_barrier_reached_first_stops_the_path(self, dt):
+        # point barriers at x = 0 and 0.1 (stopping columns one node wide):
+        # a driftless path from 0.2 reaches 0.1 before 0, also in a step
+        # that crosses both, or crosses 0.1 and then 0 by the bridge test
+        grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 41),
+                             ts=np.linspace(-0.5, 0.5, 11))
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[:, [20, 22]] = STOPPING
+        cfg = SimConfig(dt=dt, n_paths=20000, seed=3, start=(-0.5, 0.2))
+        ens = simulate_forward(make_spec(), None, RegionMask(grid, flags), cfg)
+        hit = ens.hit_flag
+        assert hit.mean() > 0.9
+        assert np.all(ens.stopped_state[hit] == grid.xs[22])
+        assert np.all(ens.action_value[hit] == abs(grid.xs[22]))
+
     def test_backward_degenerate_start_on_barrier(self):
         # the backward x = 0 stopping column is a point barrier; a start on
         # it stops at once, with state 0 and action S*(0) = 0
