@@ -13,7 +13,7 @@ import numpy as np
 
 from bernstein.core import ProblemSpec, build_grid
 from bernstein.hjb import solve_forward_obstacle, value_from_eta
-from bernstein.simulate import SimConfig, action_estimate, simulate_forward
+from bernstein.simulate import SimConfig, simulate_forward
 from bernstein.stopping import (
     SurvivalProblem,
     empirical_survival,
@@ -40,7 +40,7 @@ val = value_from_eta(sol, spec.hbar)
 cfg = SimConfig(dt=1e-3, n_paths=20000, seed=1, start=(-0.5, 1.0),
                 checkpoints=(-0.2, 0.0, 0.2))
 ens = simulate_forward(spec, val.drift, val.mask, cfg)
-est = action_estimate(ens)
+est = ens.summary()["action_value"]
 k, j = grid.nearest_row(-0.5), grid.nearest_column(1.0)
 print(f"value function U(-1/2, 1): {val.value.values[k, j]:.4f}")
 print(f"Monte Carlo action:        {est['mean']:.4f} +/- {est['stderr']:.4f}")

@@ -19,12 +19,10 @@ from .core import (
     ScalarField,
     SpaceTimeGrid,
     build_grid,
-    gradient_x,
     interpolate,
     region_from_eta,
 )
 from .analytic import (
-    KernelParams,
     bernstein_transition,
     heat_kernel,
     sec7_classical_eta,
@@ -55,7 +53,6 @@ from .hjb import (
 from .simulate import (
     PathEnsemble,
     SimConfig,
-    action_estimate,
     bridge_markov_test,
     fokker_planck,
     reversed_drift,

@@ -103,13 +103,13 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     spec = ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
     oracle_u = -HBAR * math.log(analytic.sec7_eta_forward(-T / 2, 1.0, HBAR, T))
-    opt = simulate.action_estimate(_run("stopping-dist", MC_SEED).data["ensemble"])
+    opt = _run("stopping-dist", MC_SEED).data["ensemble"].summary()["action_value"]
     dev = abs(opt["mean"] - oracle_u)
     ok_opt = dev <= 3 * opt["stderr"]
 
     cfg = simulate.SimConfig(dt=1e-3, n_paths=20000, seed=7, start=(-T / 2, 1.0))
     sub_ens = simulate.simulate_forward(spec, None, None, cfg, barrier=0.0)
-    sub = simulate.action_estimate(sub_ens)
+    sub = sub_ens.summary()["action_value"]
     ok_sub = sub["mean"] >= oracle_u - 3 * sub["stderr"]
     return CriterionResult(4, "Monte Carlo action matches the value function",
                            ok_opt and ok_sub, {
@@ -185,8 +185,7 @@ def criterion_6() -> CriterionResult:
     scaled = schrodinger.SchrodingerFactors(
         eta_star_init=factors.eta_star_init * c,
         eta_final=factors.eta_final / c,
-        iterations=factors.iterations,
-        final_marginal_error=factors.final_marginal_error,
+        residual_trace=factors.residual_trace,
     )
     rho2 = schrodinger.bernstein_density(
         schrodinger.propagate_eta(scaled, rho.grid, hbar),

@@ -10,7 +10,6 @@ imports ``scipy.integrate`` on first use, so only oracle runs pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ConvergenceError
 
@@ -21,15 +20,6 @@ QUAD_ABS_TOL = 1e-11
 QUAD_REL_TOL = 1e-10
 TAIL_SIGMAS = 10.0
 MAX_SUBDIVISIONS = 200
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    hbar: float
-
-    def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
 def _quad(f, a, b) -> float:
@@ -47,22 +37,25 @@ def _quad(f, a, b) -> float:
     return val
 
 
-def heat_kernel(s: float, x: float, t: float, y: float, p: KernelParams) -> float:
-    """Free Gaussian kernel with variance hbar*(t-s); requires t > s."""
+def heat_kernel(s: float, x: float, t: float, y: float, hbar: float) -> float:
+    """Free Gaussian kernel with variance hbar*(t-s); requires t > s and
+    hbar > 0."""
     if not t > s:
         raise ValueError(f"heat kernel needs t > s, got s={s}, t={t}")
-    var = p.hbar * (t - s)
+    if not hbar > 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    var = hbar * (t - s)
     return math.exp(-((x - y) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-def bernstein_transition(s, x, t, y, u, z, p: KernelParams) -> float:
+def bernstein_transition(s, x, t, y, u, z, hbar: float) -> float:
     """Conditional midpoint density h(s,x,t,y) h(t,y,u,z) / h(s,x,u,z)."""
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
     return (
-        heat_kernel(s, x, t, y, p)
-        * heat_kernel(t, y, u, z, p)
-        / heat_kernel(s, x, u, z, p)
+        heat_kernel(s, x, t, y, hbar)
+        * heat_kernel(t, y, u, z, hbar)
+        / heat_kernel(s, x, u, z, hbar)
     )
 
 

@@ -206,8 +206,9 @@ def main(argv=None) -> int:
         cfg = json.load(fh)
     out_dir = (args.out or os.environ.get("BERNSTEIN_OUT")
                or cfg.get("out") or "out")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     try:
+        seed = (args.seed if args.seed is not None
+                else experiments._read("seed", int, cfg.get("seed", 0)))
         manifest = run_experiment(cfg, out_dir, seed)
     except experiments.ConfigError as exc:
         print(f"bernstein: error: {exc}", file=sys.stderr)

@@ -158,6 +158,8 @@ class ProblemSpec:
             doc = json.loads(doc)
         elif hasattr(doc, "read"):
             doc = json.load(doc)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a problem document is an object of fields, not {doc!r}")
         try:
             return cls(
                 hbar=float(doc["hbar"]),
@@ -410,14 +412,6 @@ def gradient_rows(values: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def gradient_x(fld: ScalarField) -> ScalarField:
-    """Spatial gradient of a field; exact on affine fields."""
-    if fld.grid.nx < 3:
-        raise ValueError("gradient_x needs at least 3 spatial nodes")
-    return ScalarField(fld.grid, gradient_rows(fld.values, fld.grid.dx),
-                       allow_nan=fld.allow_nan)
-
-
 def _step_matrix(drift, hbar: float, dt: float, dx: float,
                  potential=None) -> np.ndarray:
     """The implicit Euler step matrix I - dt L on one time row, in the
@@ -479,19 +473,20 @@ def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r
 
 
-def region_from_eta(eta: ScalarField, obstacle: ScalarField,
-                    tol: float = 0.0, abs_tol: float = 0.0) -> RegionMask:
-    """Classify nodes: STOPPING iff eta - obstacle <= max(abs_tol, tol * obstacle)."""
+_REGION_ABS_TOL, _REGION_REL_TOL = 1e-9, 1e-8
+
+
+def region_from_eta(eta: ScalarField, obstacle: ScalarField) -> RegionMask:
+    """Classify nodes: STOPPING iff eta - obstacle <= max(_REGION_ABS_TOL,
+    _REGION_REL_TOL * obstacle), where eta meets the obstacle to round-off."""
     if eta.grid is not obstacle.grid and not (
         np.array_equal(eta.grid.xs, obstacle.grid.xs)
         and np.array_equal(eta.grid.ts, obstacle.grid.ts)
     ):
         raise ValueError("eta and obstacle must live on the same grid")
-    if tol < 0 or abs_tol < 0:
-        raise ValueError("tolerances must be nonnegative")
     if np.any(obstacle.values <= 0):
         raise ValueError("obstacle must be strictly positive")
-    thresh = np.maximum(abs_tol, tol * obstacle.values)
+    thresh = np.maximum(_REGION_ABS_TOL, _REGION_REL_TOL * obstacle.values)
     flags = np.where(eta.values - obstacle.values <= thresh, STOPPING, CONTINUATION)
     return RegionMask(eta.grid, flags)
 

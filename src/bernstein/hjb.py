@@ -15,7 +15,7 @@ score them. Nothing here is tunable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +39,25 @@ from .core import (
 #: degenerate nodes (eta = psi, zero multiplier).
 _STOP_TOL = 1e-12
 _MAX_SOLVES = 50  # per time step, then ConvergenceError
-#: A node is STOPPING when eta - psi <= max(_REGION_ABS_TOL,
-#: _REGION_REL_TOL * psi).
-_REGION_ABS_TOL = 1e-9
-_REGION_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EtaSolution:
-    """Solved transformed field with region mask and free-boundary trace."""
+    """Solved transformed field with its region mask."""
 
     eta: ScalarField
     mask: RegionMask
-    boundary: list = field(compare=False)
     orientation: str = FORWARD
     stopping_cost: np.ndarray = None  # S (or S*) sampled on xs
     step_solves: np.ndarray = None  # banded solves per step, marching order
+
+    @property
+    def boundary(self) -> list:
+        """The free boundary of each time row: the midpoints between
+        neighbouring nodes that the mask classifies differently."""
+        xs = self.mask.grid.xs
+        cuts = (np.nonzero(np.diff(row))[0] for row in self.mask.flags)
+        return [0.5 * (xs[c] + xs[c + 1]) for c in cuts]
 
     @property
     def psor_sweeps(self) -> int:
@@ -69,14 +72,6 @@ class ValueSolution:
     drift: ScalarField
     mask: RegionMask
     orientation: str = FORWARD
-
-
-def _free_boundary_trace(flags, xs):
-    trace = []
-    for row in flags:
-        changes = np.nonzero(np.diff(row))[0]
-        trace.append(0.5 * (xs[changes] + xs[changes + 1]))
-    return trace
 
 
 def _operator(spec: ProblemSpec, grid: SpaceTimeGrid, orientation: str):
@@ -170,16 +165,9 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
     eta, solves = _march(grid.nt, psi, psi, ab)
     field_ = ScalarField(grid, core._marching_rows(orientation, eta))
     obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
-    mask = region_from_eta(field_, obstacle,
-                           tol=_REGION_REL_TOL, abs_tol=_REGION_ABS_TOL)
-    return EtaSolution(
-        eta=field_,
-        mask=mask,
-        boundary=_free_boundary_trace(mask.flags, grid.xs),
-        orientation=orientation,
-        stopping_cost=svals,
-        step_solves=solves,
-    )
+    return EtaSolution(eta=field_, mask=region_from_eta(field_, obstacle),
+                       orientation=orientation, stopping_cost=svals,
+                       step_solves=solves)
 
 
 def solve_forward_obstacle(spec, grid):
@@ -250,5 +238,5 @@ def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid,
     eta, _ = _march(grid.nt, data, np.zeros(grid.nx), ab)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
     sol = EtaSolution(eta=ScalarField(grid, core._marching_rows(orientation, eta)),
-                      mask=mask, boundary=[], orientation=orientation)
+                      mask=mask, orientation=orientation)
     return value_from_eta(sol, spec.hbar)

@@ -102,14 +102,11 @@ def _read_marginal_csv(path):
 
 @dataclass(frozen=True)
 class SchrodingerFactors:
-    """Converged boundary factors with iteration diagnostics."""
+    """Converged boundary factors and the residual of each iteration."""
 
     eta_star_init: np.ndarray
     eta_final: np.ndarray
-    iterations: int
-    final_marginal_error: float
-    residual_trace: np.ndarray = field(default=None, compare=False)
-    monotone: bool = True
+    residual_trace: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         for name in ("eta_star_init", "eta_final"):
@@ -118,6 +115,20 @@ class SchrodingerFactors:
                 raise ValueError(f"{name} must be strictly positive and finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_trace)
+
+    @property
+    def final_marginal_error(self) -> float:
+        return float(self.residual_trace[-1])
+
+    @property
+    def monotone(self) -> bool:
+        """Whether no residual rose above the one before, to 1e-12 relative."""
+        trace = np.asarray(self.residual_trace)
+        return bool(np.all(trace[1:] <= trace[:-1] * (1 + 1e-12)))
 
 
 def log_kernel(grid: SpaceTimeGrid, hbar: float, span) -> np.ndarray:
@@ -153,15 +164,21 @@ def kernel_matrix(grid: SpaceTimeGrid, hbar: float, s: float, t: float) -> np.nd
         _toeplitz(np.exp(log_kernel(grid, hbar, t - s)), grid.nx))
 
 
-def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
-                   max_iter: int = 2000) -> SchrodingerFactors:
+#: Sinkhorn's marginal tolerance and iteration cap: ``sinkhorn_solve``'s
+#: defaults, and what ``pin_endpoints`` solves to
+SINKHORN_TOL = 1e-8
+SINKHORN_MAX_ITER = 500
+
+
+def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = SINKHORN_TOL,
+                   max_iter: int = SINKHORN_MAX_ITER) -> SchrodingerFactors:
     """Alternate exact marginal fits until both residuals fall below tol.
 
     Updates: eta* <- p_init / (K eta);  eta <- p_final / (K^T eta*).
     The gauge is fixed by eta*_init(x_mid) = 1 at the middle node.
     Residuals are measured in the infinity norm of the recomposed marginals
-    against the inputs; the trace is monitored for monotone decrease after
-    the first full sweep.
+    against the inputs, one per iteration in the factors'
+    ``residual_trace``.
     """
     K = np.asarray(K, dtype=float)
     n = m.xs.size
@@ -174,7 +191,6 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
     eta = np.ones(n)
     eta_star = np.ones(n)
     trace = []
-    monotone = True
     for it in range(1, max_iter + 1):
         eta_star = m.p_init / (K @ eta)
         eta = m.p_final / (K.T @ eta_star)
@@ -192,18 +208,10 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = 1e-10,
             float(np.max(np.abs(eta_star * (K @ eta) - m.p_init))),
             float(np.max(np.abs(eta * (K.T @ eta_star) - m.p_final))),
         )
-        if len(trace) >= 1 and res > trace[-1] * (1 + 1e-12):
-            monotone = False
         trace.append(res)
         if res <= tol:
-            return SchrodingerFactors(
-                eta_star_init=eta_star,
-                eta_final=eta,
-                iterations=it,
-                final_marginal_error=res,
-                residual_trace=np.asarray(trace),
-                monotone=monotone,
-            )
+            return SchrodingerFactors(eta_star_init=eta_star, eta_final=eta,
+                                      residual_trace=np.asarray(trace))
     raise ConvergenceError(
         f"marginal residual {trace[-1]:.3g} still above tol {tol:g} after "
         f"{max_iter} iterations",
@@ -279,15 +287,15 @@ def bernstein_density(eta: ScalarField, eta_star: ScalarField) -> ScalarField:
     return ScalarField(eta.grid, rho)
 
 
-def pin_endpoints(m: MarginalPair, grid: SpaceTimeGrid, hbar: float,
-                  tol: float, max_iter: int):
+def pin_endpoints(m: MarginalPair, grid: SpaceTimeGrid, hbar: float):
     """Pin both marginals across the grid's horizon: the horizon kernel, the
-    Sinkhorn factors, both propagated factors and the density.
+    Sinkhorn factors (to SINKHORN_TOL within SINKHORN_MAX_ITER iterations),
+    both propagated factors and the density.
 
     Returns (factors, eta, eta_star, rho).
     """
     K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
-    factors = sinkhorn_solve(m, K, tol=tol, max_iter=max_iter)
+    factors = sinkhorn_solve(m, K)
     eta = propagate_eta(factors, grid, hbar)
     eta_star = propagate_eta_star(factors, grid, hbar)
     return factors, eta, eta_star, bernstein_density(eta, eta_star)

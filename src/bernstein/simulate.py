@@ -42,18 +42,19 @@ from .core import (
     interpolate_clipped,
     mean_stderr,
 )
-from .analytic import KernelParams, bernstein_transition
+from .analytic import bernstein_transition
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step, ensemble size, seed and start (t0, x0) of a run."""
+    """Step, ensemble size, seed, start (t0, x0) and checkpoints of a run."""
     dt: float
     n_paths: int
     seed: int
     start: tuple  # (t0, x0)
-    bridge_correction: bool = True
     checkpoints: tuple = ()
+    #: read-only, under the name ``bench/`` reads
+    bridge_correction: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -161,9 +162,9 @@ def _crossings(xo, xn, u, barriers, hbar, h):
     in d0, d1. A step that stays on one side of it reaches it at theta = 1/2
     when its uniform ``u`` is below the conditional bridge crossing
     probability exp(-2 d0 d1 / (hbar h)) and no other barrier lies between
-    it and xo; ``u`` is None without the bridge correction. Of the barriers
-    a step reaches, the one with the least theta stops it, the lower on a
-    tie. Returns the indices of those steps, their barriers and their theta.
+    it and xo. Of the barriers a step reaches, the one with the least theta
+    stops it, the lower on a tie. Returns the indices of those steps, their
+    barriers and their theta.
     """
     found = []
     # a bridge crossing of barrier j needs xo between its two neighbours
@@ -174,15 +175,14 @@ def _crossings(xo, xn, u, barriers, hbar, h):
         reach = np.nonzero(prod <= 0)[0]
         d0, d1 = np.abs(xo[reach] - bar), np.abs(xn[reach] - bar)
         at = d0 / np.maximum(d0 + d1, 1e-300)
-        if u is not None:
-            # Past prod = 20 hbar h the probability is below exp(-40), under
-            # 2**-53; a uniform from Generator.random is 0 or at least 2**-53,
-            # so there only u == 0 can fall below it. exp runs on the rest.
-            near = np.nonzero((prod > 0) & ((prod <= 20 * hbar * h) | (u == 0)))[0]
-            near = near[(edges[j] < xo[near]) & (xo[near] < edges[j + 2])]
-            bridge = near[u[near] < np.exp(-2 * prod[near] / (hbar * h))]
-            reach = np.concatenate((reach, bridge))
-            at = np.append(at, np.full(bridge.size, 0.5))
+        # Past prod = 20 hbar h the probability is below exp(-40), under
+        # 2**-53; a uniform from Generator.random is 0 or at least 2**-53,
+        # so there only u == 0 can fall below it. exp runs on the rest.
+        near = np.nonzero((prod > 0) & ((prod <= 20 * hbar * h) | (u == 0)))[0]
+        near = near[(edges[j] < xo[near]) & (xo[near] < edges[j + 2])]
+        bridge = near[u[near] < np.exp(-2 * prod[near] / (hbar * h))]
+        reach = np.concatenate((reach, bridge))
+        at = np.append(at, np.full(bridge.size, 0.5))
         found.append((reach, np.full(reach.size, bar), at))
     c, bars, theta = map(np.concatenate, zip(*found))
     if len(barriers) > 1:
@@ -224,7 +224,6 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
     """
     n_steps = max(1, int(math.ceil((t_end - t0) / cfg.dt - 1e-12)))
     barriers = np.asarray(barriers, dtype=float)
-    want_u = cfg.bridge_correction and barriers.size > 0
 
     n, cps = cfg.n_paths, sorted(cfg.checkpoints)
     # every record lives in one shared anonymous mapping, which the forked
@@ -251,7 +250,7 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
 
     def run_block(lo, hi):
         # one buffer, as wide as the stream groups the block's paths span
-        draw = _step_draws(cfg.seed, 2 if want_u else 1,
+        draw = _step_draws(cfg.seed, 2 if barriers.size else 1,
                            (hi - 1) // _GROUP - lo // _GROUP + 1)
         tau, state = stop_time[lo:hi], stopped_state[lo:hi]
         act, hitf = action[lo:hi], hit[lo:hi]
@@ -293,8 +292,8 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
             xo, x = x, x + b * h + math.sqrt(hbar * h) * buf[0][cols]
 
             if barriers.size:
-                u = buf[1][cols] if want_u else None
-                c, bars, theta = _crossings(xo, x, u, barriers, hbar, h)
+                c, bars, theta = _crossings(xo, x, buf[1][cols], barriers,
+                                            hbar, h)
                 if c.size:
                     stop(c, t + theta * h, bars, a[c] + (
                         f[c] * theta * h + np.asarray(cost(bars), dtype=float)))
@@ -399,12 +398,6 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     )
 
 
-def action_estimate(ensemble: PathEnsemble) -> dict:
-    """Sample mean and standard error of the per-path action values."""
-    mean, stderr = mean_stderr(ensemble.action_value)
-    return {"mean": mean, "stderr": stderr}
-
-
 #: density at or below which ``reversed_drift`` flags a node NaN
 _RHO_FLOOR = 1e-12
 
@@ -489,7 +482,6 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins, seed=0) -> dict:
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
     from scipy.special import chdtrc, ndtri
-    p = KernelParams(hbar=hbar)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
 
     # sequential exact bridge: at each sub-step the conditional law given the
@@ -515,7 +507,7 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins, seed=0) -> dict:
     for i in range(n_bins):
         a, b = fin[i], fin[i + 1]
         ys = 0.5 * (b - a) * gl_x + 0.5 * (a + b)
-        vals = np.array([bernstein_transition(s, x, t, y, u, z, p) for y in ys])
+        vals = np.array([bernstein_transition(s, x, t, y, u, z, hbar) for y in ys])
         probs[i] = 0.5 * (b - a) * float(gl_w @ vals)
     probs /= probs.sum()
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from bernstein.analytic import (
-    KernelParams,
     bernstein_transition,
     heat_kernel,
     sec7_classical_eta,
@@ -18,26 +17,31 @@ from bernstein.analytic import (
     sec7_eta_forward,
 )
 
-P1 = KernelParams(hbar=1.0)
+HBAR = 1.0
 
 
 class TestHeatKernel:
     def test_standard_normal_at_origin(self):
-        assert heat_kernel(0, 0, 1, 0, P1) == pytest.approx(1 / math.sqrt(2 * math.pi))
+        assert heat_kernel(0, 0, 1, 0, HBAR) == pytest.approx(1 / math.sqrt(2 * math.pi))
 
     def test_standard_normal_at_one(self):
-        assert heat_kernel(0, 0, 1, 1, P1) == pytest.approx(0.24197072451914337)
+        assert heat_kernel(0, 0, 1, 1, HBAR) == pytest.approx(0.24197072451914337)
 
     def test_normalization(self):
-        val, _ = integrate.quad(lambda y: heat_kernel(0, 0.3, 0.7, y, P1), -10, 10)
+        val, _ = integrate.quad(lambda y: heat_kernel(0, 0.3, 0.7, y, HBAR), -10, 10)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_symmetry_in_x_y(self):
-        assert heat_kernel(0, 0.2, 1, 0.9, P1) == heat_kernel(0, 0.9, 1, 0.2, P1)
+        assert heat_kernel(0, 0.2, 1, 0.9, HBAR) == heat_kernel(0, 0.9, 1, 0.2, HBAR)
 
     def test_ordering_required(self):
         with pytest.raises(ValueError):
-            heat_kernel(1, 0, 1, 0, P1)
+            heat_kernel(1, 0, 1, 0, HBAR)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+    def test_hbar_must_be_positive(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            heat_kernel(0, 0, 1, 0, hbar)
 
     @given(
         st.floats(0.05, 0.95),
@@ -48,34 +52,34 @@ class TestHeatKernel:
     def test_chapman_kolmogorov(self, t, x, z):
         # convolving the kernel over an intermediate time reproduces it
         lhs, _ = integrate.quad(
-            lambda y: heat_kernel(0, x, t, y, P1) * heat_kernel(t, y, 1, z, P1),
+            lambda y: heat_kernel(0, x, t, y, HBAR) * heat_kernel(t, y, 1, z, HBAR),
             min(x, z) - 12, max(x, z) + 12,
         )
-        assert lhs == pytest.approx(heat_kernel(0, x, 1, z, P1), abs=1e-8)
+        assert lhs == pytest.approx(heat_kernel(0, x, 1, z, HBAR), abs=1e-8)
 
 
 class TestBernsteinTransition:
     def test_bridge_peak(self):
         # pinned at 0 on both ends, the midpoint law is N(0, 1/4)
-        assert bernstein_transition(0, 0, 0.5, 0, 1, 0, P1) == pytest.approx(
+        assert bernstein_transition(0, 0, 0.5, 0, 1, 0, HBAR) == pytest.approx(
             math.sqrt(2 / math.pi)
         )
 
     def test_symmetry_about_common_endpoint(self):
         c = 0.7
-        a = bernstein_transition(0, c, 0.5, c + 0.3, 1, c, P1)
-        b = bernstein_transition(0, c, 0.5, c - 0.3, 1, c, P1)
+        a = bernstein_transition(0, c, 0.5, c + 0.3, 1, c, HBAR)
+        b = bernstein_transition(0, c, 0.5, c - 0.3, 1, c, HBAR)
         assert a == pytest.approx(b)
 
     def test_normalization_in_midpoint(self):
         val, _ = integrate.quad(
-            lambda y: bernstein_transition(0, -0.4, 0.3, y, 1, 0.8, P1), -10, 10
+            lambda y: bernstein_transition(0, -0.4, 0.3, y, 1, 0.8, HBAR), -10, 10
         )
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
-            bernstein_transition(0, 0, 1.5, 0, 1, 0, P1)
+            bernstein_transition(0, 0, 1.5, 0, 1, 0, HBAR)
 
 
 # Frozen regression constants: computed by adaptive quadrature of the

@@ -71,12 +71,13 @@ class TestCompareReport:
         assert rep["inf_norm"] == 0.0 and rep["scaled_2_norm"] == 0.0
 
     def test_unit_offset(self):
+        # the band 0.1 <= |x| <= 2.5 holds x = 0.5 and 1, not x = 0
         a = small_field(np.zeros((2, 3)))
-        b = small_field(np.ones((2, 3)))
-        rep = compare_report(a, b, x_abs_min=0.4)
-        assert rep["inf_norm"] == 1.0
+        b = small_field(np.array([[5.0, 1.0, 1.0], [5.0, 1.0, 1.0]]))
+        rep = compare_report(a, b)
+        assert rep["inf_norm"] == 5.0
         assert rep["restricted_inf_norm"] == 1.0
-        assert rep["restriction"] == [0.4, None]
+        assert rep["restriction"] == [0.1, 2.5]
 
     def test_grid_mismatch(self):
         a = small_field(np.zeros((2, 3)))
@@ -657,6 +658,33 @@ class TestMain:
         ({"experiment": "bridge-test", "n_paths": 100},
          "bridge-test needs n_bins >= 2 and n_paths >= 5 n_bins, got "
          "n_bins = 30, n_paths = 100\n"),
+        # values of the wrong JSON type
+        ({"experiment": "sec7-forward", "nx": None, "nt": 21},
+         "nx: int() argument must be"),
+        ({"experiment": "schrodinger", "hbar": None},
+         "hbar: float() argument must be"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "spec": [1, 2]},
+         "a problem document is an object of fields, not [1, 2]\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "thresholds": 0.25},
+         "thresholds: 'float' object is not iterable\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "checkpoints": 0.1},
+         "checkpoints: 'float' object is not iterable\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "start": 1.0},
+         "start: 'float' object is not iterable\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": None},
+         "n_paths: int() argument must be"),
+        ({"experiment": "bridge-test", "n_bins": "x"},
+         "n_bins: invalid literal for int() with base 10: 'x'\n"),
+        ({"experiment": "bridge-test", "n_seeds": None},
+         "n_seeds: int() argument must be"),
+        ({"experiment": "convergence-study", "levels": 3},
+         "levels: 'int' object is not iterable\n"),
+        ({"experiment": "convergence-study", "levels": [[31, 21, 5], [61, 41, 5]]},
+         "levels: too many values to unpack (expected 2)\n"),
+        ({"experiment": "schrodinger", "marginals_csv": "a.csv"},
+         "marginals_csv must be a pair of paths [init, final], got 'a.csv'\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "seed": "x"},
+         "seed: invalid literal for int() with base 10: 'x'\n"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
@@ -664,7 +692,10 @@ class TestMain:
             "start-off-grid", "one-path", "study-even-nx",
             "pinning-one-node", "pinning-two-nodes", "pinning-one-time",
             "pinning-hbar", "pinning-unresolved", "pinning-underflow", "one-bin",
-            "no-bins", "few-paths-per-bin"])
+            "no-bins", "few-paths-per-bin", "null-nx", "null-hbar", "list-spec",
+            "scalar-thresholds", "scalar-checkpoints", "scalar-start",
+            "null-paths", "text-bins", "null-seeds", "scalar-levels",
+            "triple-levels", "one-marginal-path", "text-seed"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         # raised before anything is computed
@@ -683,6 +714,24 @@ class TestMain:
         assert captured.err.startswith(f"bernstein: error: {message}")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"terminal_cost": "zero", "initial_cost": "zero"},
+        {"x_min": 3.0, "x_max": 5.0}, {"x_min": -0.05, "x_max": 0.05}],
+        ids=["zero-cost", "band-right-of-grid", "grid-inside-band-gap"])
+    def test_classical_compare_on_another_spec(self, tmp_path, capsys, change):
+        # only the worked example gains strictly at (0, 1), and a grid with
+        # no node in the band 0.1 <= |x| <= 2.5 has no restricted norms
+        cfgp = write_config(tmp_path, {
+            "experiment": "sec7-classical-compare", "nx": 61, "nt": 41,
+            "spec": dict(analytic.WORKED_EXAMPLE, **change)})
+        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("PASS dominance\nmanifest: ")
+        with open(tmp_path / "out" / "compare.json") as fh:
+            rep = json.load(fh)
+        assert math.isfinite(rep["gap_at_t0_x1"])
+        for key in ("restricted_inf_norm", "restricted_scaled_2_norm"):
+            assert (rep[key] is None) == ("x_min" in change)
 
     @pytest.mark.parametrize("name", ["sec7-forward", "sec7-backward"])
     def test_even_nx_on_the_worked_example_is_a_config_error(self, tmp_path,

@@ -20,7 +20,7 @@ from bernstein.core import (
     build_grid,
     fork_blocks,
     function_from_spec,
-    gradient_x,
+    gradient_rows,
     interpolate,
     interpolate_clipped,
     _factor_step,
@@ -346,20 +346,18 @@ class TestGradient:
     @settings(max_examples=50, deadline=None)
     def test_affine_exact(self, a, b):
         grid = SpaceTimeGrid(xs=np.linspace(-2, 2, 41), ts=np.linspace(0, 1, 3))
-        f = ScalarField(grid, np.tile(a * grid.xs + b, (3, 1)))
-        g = gradient_x(f)
-        assert np.allclose(g.values, a, atol=1e-9 * max(1, abs(a)))
+        g = gradient_rows(np.tile(a * grid.xs + b, (3, 1)), grid.dx)
+        assert np.allclose(g, a, atol=1e-9 * max(1, abs(a)))
 
     def test_quadratic_interior(self):
         grid = SpaceTimeGrid(xs=np.arange(-1, 1.005, 0.01), ts=np.linspace(0, 1, 2))
-        f = ScalarField(grid, np.tile(grid.xs**2, (2, 1)))
-        g = gradient_x(f)
-        assert np.allclose(g.values[:, 1:-1], 2 * grid.xs[1:-1], atol=1e-10)
+        g = gradient_rows(np.tile(grid.xs**2, (2, 1)), grid.dx)
+        assert np.allclose(g[:, 1:-1], 2 * grid.xs[1:-1], atol=1e-10)
 
     def test_constant_zero(self):
         grid = SpaceTimeGrid(xs=np.linspace(0, 1, 11), ts=np.linspace(0, 1, 2))
-        g = gradient_x(ScalarField(grid, np.full((2, 11), 3.7)))
-        assert np.allclose(g.values, 0.0, atol=1e-12)
+        g = gradient_rows(np.full((2, 11), 3.7), grid.dx)
+        assert np.allclose(g, 0.0, atol=1e-12)
 
 
 def dense(ab):
@@ -473,18 +471,15 @@ class TestRegionFromEta:
         mask = region_from_eta(eta, self.obstacle)
         assert np.all(mask.flags == CONTINUATION)
 
-    def test_tol_monotone(self):
-        rng = np.random.default_rng(0)
-        eta = ScalarField(
-            self.grid, self.obstacle.values * (1 + rng.uniform(0, 0.3, (4, 5)))
-        )
-        small = region_from_eta(eta, self.obstacle, tol=0.05)
-        large = region_from_eta(eta, self.obstacle, tol=0.2)
-        assert np.all(large.flags >= small.flags)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            region_from_eta(self.obstacle, self.obstacle, tol=-1.0)
+    def test_fixed_tolerances(self):
+        # STOPPING within max(1e-9, 1e-8 psi) of psi: the absolute bound
+        # decides at psi = 0.05, the relative one at psi = 10
+        psi = np.tile([0.05, 0.05, 10.0, 10.0, 10.0], (4, 1))
+        gap = np.array([0.7e-9, 2e-9, 0.7e-7, 2e-7, 2e-9])
+        mask = region_from_eta(ScalarField(self.grid, psi + gap),
+                               ScalarField(self.grid, psi))
+        assert np.all(mask.flags == [STOPPING, CONTINUATION, STOPPING,
+                                     CONTINUATION, STOPPING])
 
     def test_grid_mismatch(self):
         other = SpaceTimeGrid(xs=np.linspace(-2, 2, 5), ts=self.grid.ts)

@@ -169,6 +169,14 @@ class TestSinkhorn:
         _, _, _, _, factors = pipeline
         assert factors.monotone
 
+    def test_diagnostics_read_the_trace(self):
+        ones = np.ones(3)
+        f = SchrodingerFactors(eta_star_init=ones, eta_final=ones,
+                               residual_trace=[1.0, 0.5, 0.5 * (1 + 2e-12)])
+        assert f.iterations == 3
+        assert f.final_marginal_error == 0.5 * (1 + 2e-12)
+        assert not f.monotone
+
     def test_symmetric_inputs_give_equal_factors(self):
         # even marginals on an even grid make the fixed point symmetric:
         # eta equals eta* after matching the gauge
@@ -232,7 +240,7 @@ class TestPropagation:
         factors = SchrodingerFactors(
             eta_star_init=np.exp(300 - 40 * (xs + 0.5) ** 2 - 3 * xs),
             eta_final=np.exp(300 - 40 * (xs - 0.5) ** 2 + 3 * xs),
-            iterations=1, final_marginal_error=0.0)
+            residual_trace=[0.0])
         for propagate, factor, row in (
                 (propagate_eta, factors.eta_final, -1),
                 (propagate_eta_star, factors.eta_star_init, 0)):
@@ -279,8 +287,7 @@ class TestPropagation:
         scaled = SchrodingerFactors(
             eta_star_init=factors.eta_star_init * c,
             eta_final=factors.eta_final / c,
-            iterations=factors.iterations,
-            final_marginal_error=factors.final_marginal_error,
+            residual_trace=factors.residual_trace,
         )
         rho_a = bernstein_density(
             propagate_eta(factors, grid, hbar),
