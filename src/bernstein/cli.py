@@ -16,9 +16,10 @@ time, each file's write time and the usable CPU count. Every CSV float is
 written as its repr; ``_write_rows`` formats them with orjson, which gives
 the same bytes faster, and says where the two differ. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
-line and no traceback. The output directory resolves as --out, then
-$BERNSTEIN_OUT, then the config's "out" field, then ./out. ``check`` runs
-the acceptance criteria, which run the same experiments and write nothing.
+line and no traceback: a config file that cannot be read, is not JSON or
+is not a JSON object is one. The output directory is --out, else ./out.
+``check`` runs the acceptance criteria, which run the same experiments and
+write nothing.
 This is the only module of the package that writes a file, so the artifact
 formats are decided here alone.
 """
@@ -113,7 +114,7 @@ def field_to_csv(fld: ScalarField, path: str) -> str:
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
 #: config keys of every experiment, read here
-TOP_KEYS = {"experiment", "out", "seed"}
+TOP_KEYS = {"experiment", "seed"}
 
 
 def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
@@ -184,8 +185,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a named experiment from a JSON config")
     runp.add_argument("config", help="path to the experiment config JSON")
-    runp.add_argument("--out", help="output directory (overrides $BERNSTEIN_OUT "
-                                    "and the config)")
+    runp.add_argument("--out", default="out", help="output directory "
+                                                   "(default: ./out)")
     runp.add_argument("--seed", type=int, help="override the simulation seed")
     chk = sub.add_parser("check", help="run the acceptance suite")
     chk.add_argument("--criteria", type=int, nargs="+",
@@ -202,20 +203,28 @@ def main(argv=None) -> int:
         print("all criteria passed")
         return 0
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    out_dir = (args.out or os.environ.get("BERNSTEIN_OUT")
-               or cfg.get("out") or "out")
     try:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise experiments.ConfigError(
+                f"cannot read the config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+            raise experiments.ConfigError(
+                f"the config {args.config} is not JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise experiments.ConfigError(
+                f"a config is a JSON object of settings, not {cfg!r}")
         seed = (args.seed if args.seed is not None
                 else experiments._read("seed", int, cfg.get("seed", 0)))
-        manifest = run_experiment(cfg, out_dir, seed)
+        manifest = run_experiment(cfg, args.out, seed)
     except experiments.ConfigError as exc:
         print(f"bernstein: error: {exc}", file=sys.stderr)
         return 2
     for name, ok in manifest["checks"].items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
+    print(f"manifest: {os.path.join(args.out, 'manifest.json')}")
     return 0 if manifest["all_checks_passed"] else 1
 
 

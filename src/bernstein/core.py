@@ -13,7 +13,6 @@ whose results do not depend on the split.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import os
 import signal
@@ -105,11 +104,16 @@ def function_from_spec(doc) -> Callable:
             f"unknown function {name!r}; available: {sorted(FUNCTION_REGISTRY)}"
         )
     try:
-        return FUNCTION_REGISTRY[name](**params)
+        fn = FUNCTION_REGISTRY[name](**params)
     except TypeError:
         taken = inspect.signature(FUNCTION_REGISTRY[name]).parameters
         raise ValueError(f"function {name!r} takes {', '.join(taken) or 'no parameters'}"
                          f", not {sorted(set(params) - set(taken))}") from None
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"function {name!r} parameter {key} must be a "
+                             f"number, not {value!r}")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +157,7 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, doc) -> "ProblemSpec":
-        """Build from a JSON document (string, dict, or file-like)."""
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        elif hasattr(doc, "read"):
-            doc = json.load(doc)
+        """Build from a parsed JSON problem document, a dict of fields."""
         if not isinstance(doc, dict):
             raise ValueError(f"a problem document is an object of fields, not {doc!r}")
         try:
@@ -212,6 +212,12 @@ class SpaceTimeGrid:
     @property
     def dt(self) -> float:
         return float(self.ts[1] - self.ts[0])
+
+    def __eq__(self, other):
+        """Value equality: the same x nodes and the same time nodes."""
+        if not isinstance(other, SpaceTimeGrid):
+            return NotImplemented
+        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ts, other.ts)
 
     def nearest_row(self, t):
         """Index of the time node nearest t, a scalar or an array, as
@@ -316,54 +322,33 @@ def build_grid(spec: ProblemSpec, nx: int, nt: int) -> SpaceTimeGrid:
     )
 
 
-def _in_hull(name: str, q, nodes: np.ndarray) -> np.ndarray:
-    """q as a float array, tested against the hull of ``nodes``: a
-    coordinate within 1e-12 relative of it is clipped onto it, one further
-    out raises a ``ValueError`` naming ``name``."""
-    q = np.asarray(q, dtype=float)
-    if q.size and not (nodes[0] <= q.min() and q.max() <= nodes[-1]):
-        eps = 1e-12 * max(1.0, abs(nodes[0]), abs(nodes[-1]))
-        out = ~((nodes[0] - eps <= q) & (q <= nodes[-1] + eps))
-        if out.any():
-            raise ValueError(f"{name} {q[out].flat[0]} outside grid hull "
-                             f"[{nodes[0]}, {nodes[-1]}]")
-        q = np.clip(q, nodes[0], nodes[-1])
-    return q
-
-
 def interpolate(fld: ScalarField, t, x):
-    """Linear interpolation in (t, x) at a point, or at arrays of points
-    broadcast together; exact at nodes, errors out of hull (a coordinate
-    within 1e-12 relative of it reads the end node).
+    """Linear interpolation of a finite field in (t, x) at a point, or at
+    arrays of points broadcast together; exact at nodes. t is tested
+    against the time hull: one within 1e-12 relative of it reads the end
+    row, one further out raises a ``ValueError``. x is clipped onto the x
+    hull in one pass, so a position off the grid reads the field at its
+    edge node, as a Monte Carlo path does.
 
     The two time rows around t are blended, and the blend is read in x by
-    ``np.interp``'s rules, bit for bit: ``slope*(x - x_j) + f_j``, the node
-    value at an exact node, and, where that is NaN, the same from the right
-    node. A scalar t blends its rows once: the same arithmetic per element.
+    ``np.interp``'s rules, bit for bit: ``slope*(x - x_j) + f_j``, and the
+    node value at an exact node. A scalar t blends its rows once: the same
+    arithmetic per element. Only a finite field is read; the ``allow_nan``
+    fields of ``simulate.reversed_drift`` never are.
     """
-    grid = fld.grid
-    return _lookup(fld, _in_hull("time", t, grid.ts),
-                   _in_hull("position", x, grid.xs))
-
-
-def interpolate_clipped(fld: ScalarField, t, x):
-    """``interpolate`` at positions x clipped onto the grid's x hull, so a
-    position off the grid reads the field at its edge node, as a Monte
-    Carlo path does. t is tested against the hull as by ``interpolate``;
-    x is clipped in one pass and not tested, which saves the two passes of
-    the test. Inside the hull, the values of ``interpolate``, bit for bit."""
-    xs = fld.grid.xs
-    return _lookup(fld, _in_hull("time", t, fld.grid.ts),
-                   np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]))
-
-
-def _lookup(fld: ScalarField, tq: np.ndarray, xq: np.ndarray):
-    """The arithmetic of ``interpolate`` at float arrays in the hull."""
-    ts, xs = fld.grid.ts, fld.grid.xs
+    ts, xs, v = fld.grid.ts, fld.grid.xs, fld.values
+    tq = np.asarray(t, dtype=float)
+    if tq.size and not (ts[0] <= tq.min() and tq.max() <= ts[-1]):
+        eps = 1e-12 * max(1.0, abs(ts[0]), abs(ts[-1]))
+        out = ~((ts[0] - eps <= tq) & (tq <= ts[-1] + eps))
+        if out.any():
+            raise ValueError(f"time {tq[out].flat[0]} outside grid hull "
+                             f"[{ts[0]}, {ts[-1]}]")
+        tq = np.clip(tq, ts[0], ts[-1])
+    xq = np.clip(np.asarray(x, dtype=float), xs[0], xs[-1])
     shape = np.broadcast_shapes(tq.shape, xq.shape) if tq.ndim else xq.shape
     xc = np.broadcast_to(xq, shape).ravel() if tq.ndim else xq.ravel()
     j, xj = _cell(xs, xc)
-    v = fld.values
     # j == n - 1 only at the last node, whose value the node rule below
     # sets: any slope serves there
     if tq.ndim == 0:
@@ -384,15 +369,7 @@ def _lookup(fld: ScalarField, tq: np.ndarray, xq: np.ndarray):
     vals = xc - xj  # slope * (x - x_j) + f_j, in place
     vals *= slope
     vals += fj
-    node = xj == xc
-    np.copyto(vals, fj, where=node)
-    if vals.size and np.isnan(vals.min()):  # the minimum is NaN iff one is
-        b = np.nonzero(np.isnan(vals) & ~node)[0]  # none at the last node
-        f1 = at(np.minimum(j + 1, xs.size - 1))[b]
-        retry = slope[b] * (xc[b] - xs.take(j[b] + 1)) + f1
-        flat = np.isnan(retry) & (fj[b] == f1)
-        retry[flat] = fj[b][flat]
-        vals[b] = retry
+    np.copyto(vals, fj, where=xj == xc)
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -479,10 +456,7 @@ _REGION_ABS_TOL, _REGION_REL_TOL = 1e-9, 1e-8
 def region_from_eta(eta: ScalarField, obstacle: ScalarField) -> RegionMask:
     """Classify nodes: STOPPING iff eta - obstacle <= max(_REGION_ABS_TOL,
     _REGION_REL_TOL * obstacle), where eta meets the obstacle to round-off."""
-    if eta.grid is not obstacle.grid and not (
-        np.array_equal(eta.grid.xs, obstacle.grid.xs)
-        and np.array_equal(eta.grid.ts, obstacle.grid.ts)
-    ):
+    if eta.grid != obstacle.grid:
         raise ValueError("eta and obstacle must live on the same grid")
     if np.any(obstacle.values <= 0):
         raise ValueError("obstacle must be strictly positive")

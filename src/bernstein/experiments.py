@@ -153,8 +153,7 @@ def compare_report(a: ScalarField, b: ScalarField) -> dict:
     restricted to the band BAND[0] <= |x| <= BAND[1], None where no node
     lies in the band.
     """
-    if not (np.array_equal(a.grid.xs, b.grid.xs)
-            and np.array_equal(a.grid.ts, b.grid.ts)):
+    if a.grid != b.grid:
         raise ValueError("fields must share a grid")
     d = a.values - b.values
     sel = (np.abs(a.grid.xs) >= BAND[0]) & (np.abs(a.grid.xs) <= BAND[1])

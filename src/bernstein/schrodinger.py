@@ -34,23 +34,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import ConvergenceError, ScalarField, SpaceTimeGrid
 
 
-def _trapz_mass(xs, p):
-    return float(np.trapezoid(p, xs))
-
-
 @dataclass(frozen=True)
 class MarginalPair:
-    """Endpoint densities on the spatial nodes, trapezoid-normalized to 1.
-
-    Raw (pre-normalization) masses are kept so domain-truncation loss is
-    visible to callers.
-    """
+    """Endpoint densities on the spatial nodes, trapezoid-normalized to 1."""
 
     xs: np.ndarray
     p_init: np.ndarray
     p_final: np.ndarray
-    raw_mass_init: float = field(default=np.nan, init=False, compare=False)
-    raw_mass_final: float = field(default=np.nan, init=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -60,10 +50,8 @@ class MarginalPair:
             raise ValueError("marginals must be 1-d arrays matching the node set")
         if not all(np.all((p > 0) & np.isfinite(p)) for p in (pi, pf)):
             raise ValueError("marginals must be finite and strictly positive nodewise")
-        mi, mf = _trapz_mass(xs, pi), _trapz_mass(xs, pf)
-        object.__setattr__(self, "raw_mass_init", mi)
-        object.__setattr__(self, "raw_mass_final", mf)
-        for name, arr in (("xs", xs), ("p_init", pi / mi), ("p_final", pf / mf)):
+        for name, arr in (("xs", xs), ("p_init", pi / np.trapezoid(pi, xs)),
+                          ("p_final", pf / np.trapezoid(pf, xs))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -278,8 +266,7 @@ def propagate_eta_star(factors: SchrodingerFactors, grid: SpaceTimeGrid,
 
 def bernstein_density(eta: ScalarField, eta_star: ScalarField) -> ScalarField:
     """Process density rho(t, x) = eta(t, x) * eta*(t, x)."""
-    if not (np.array_equal(eta.grid.xs, eta_star.grid.xs)
-            and np.array_equal(eta.grid.ts, eta_star.grid.ts)):
+    if eta.grid != eta_star.grid:
         raise ValueError("eta and eta* must live on the same grid")
     rho = eta.values * eta_star.values
     if np.any(rho < 0):

@@ -13,9 +13,10 @@ of the ``.random(_GROUP)`` drawn right after. Each step draws only the
 groups its live paths fall in, so ensembles are bit-identical for a given
 config on any number of CPUs: the paths run in contiguous blocks, one per
 usable CPU, through ``core.fork_blocks``, and each block writes its paths'
-records alone. Paths read the drift through ``core.interpolate_clipped``,
-at positions clipped onto the grid. A run's stopping set is point barriers,
-crossed by a bridge test, and a thick region read at the nearest node.
+records alone. Paths read the drift through ``core.interpolate``, which
+reads a path off the grid at its edge node. A run's stopping set is point
+barriers, crossed by a bridge test, and a thick region read at the nearest
+node.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     SpaceTimeGrid,
     gradient_rows,
     interpolate,
-    interpolate_clipped,
     mean_stderr,
 )
 from .analytic import bernstein_transition
@@ -241,7 +241,7 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         if drift is None:
             return np.zeros(xq.size)
         # a path off the grid reads the drift at its edge
-        return interpolate_clipped(drift, t, xq)
+        return interpolate(drift, t, xq)
 
     def running(bq, xq):
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
@@ -421,13 +421,15 @@ def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
     """Evolve d(rho)/dt = -d(b rho)/dx + (hbar/2) d2(rho)/dx2 from rho0.
 
     Each step from row k solves with the transpose of ``core._step_matrix``
-    at the drift of row k: the matrix with which ``stopping.solve_q`` steps
-    the survival function back to row k, so sum_j q[k, j] rho[k, j] is the
-    same on every row the two share; its bands are rolled into place and
-    factored by ``core._factor_step``. "no_flux" takes the matrix's
-    reflecting edges, and its transpose conserves mass; "absorbing" pins
-    both end rows to identity rows, as ``solve_q`` pins stopping nodes, and
-    zeroes the mass the ends absorb in each step.
+    at the drift of row k, read by ``core.interpolate`` (a node off the
+    drift's grid takes its edge drift): the matrix with which
+    ``stopping.solve_q`` steps the survival function back to row k, so
+    sum_j q[k, j] rho[k, j] is the same on every row the two share; its
+    bands are rolled into place and factored by ``core._factor_step``.
+    "no_flux" takes the matrix's reflecting edges, and its transpose
+    conserves mass; "absorbing" pins both end rows to identity rows, as
+    ``solve_q`` pins stopping nodes, and zeroes the mass the ends absorb in
+    each step.
     """
     if boundary not in ("no_flux", "absorbing"):
         raise ValueError(f"unknown boundary {boundary!r}")

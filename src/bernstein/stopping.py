@@ -31,7 +31,7 @@ from .core import (
     STOPPING,
     RegionMask,
     ScalarField,
-    interpolate_clipped,
+    interpolate,
     mean_stderr,
 )
 
@@ -160,7 +160,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
     grid's x range take q at the nearest edge node.
     """
     t0, x0 = ensemble.start
-    q0 = interpolate_clipped(solution.q, t0, x0)
+    q0 = interpolate(solution.q, t0, x0)
     rows = []
     for c in checkpoints:
         if c not in ensemble.checkpoints:
@@ -168,7 +168,7 @@ def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:
                 f"checkpoint {c} was not recorded during simulation"
             )
         tt, xx = ensemble.checkpoints[c]
-        mean, stderr = mean_stderr(interpolate_clipped(solution.q, tt, xx))
+        mean, stderr = mean_stderr(interpolate(solution.q, tt, xx))
         rows.append({
             "checkpoint": float(c),
             "mean": mean,

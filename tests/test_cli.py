@@ -567,13 +567,17 @@ class TestArtifacts:
 class TestMain:
     def test_run_exit_zero_and_outdir_resolution(self, tmp_path, monkeypatch,
                                                  capsys):
+        # --out names the output directory, else it is ./out
         cfgp = write_config(tmp_path, {"experiment": "sec7-forward",
                                        "nx": 151, "nt": 126})
-        monkeypatch.setenv("BERNSTEIN_OUT", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", cfgp]) == 0
-        assert (tmp_path / "envout" / "manifest.json").exists()
+        assert (tmp_path / "out" / "manifest.json").exists()
         out = capsys.readouterr().out
         assert "PASS lcp_residual" in out
+        assert out.endswith(f"manifest: {os.path.join('out', 'manifest.json')}\n")
+        assert main(["run", cfgp, "--out", str(tmp_path / "flagout")]) == 0
+        assert (tmp_path / "flagout" / "manifest.json").exists()
 
     def test_convergence_rejects_custom_spec(self, tmp_path, capsys):
         # the study scores each level against the worked example's oracle,
@@ -685,6 +689,16 @@ class TestMain:
          "marginals_csv must be a pair of paths [init, final], got 'a.csv'\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "seed": "x"},
          "seed: invalid literal for int() with base 10: 'x'\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       terminal_cost={"name": "abs", "scale": None})},
+         "function 'abs' parameter scale must be a number, not None\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       initial_cost={"name": "log1p_abs", "scale": "x"})},
+         "function 'log1p_abs' parameter scale must be a number, not 'x'\n"),
+        # the output directory is --out alone
+        ({"experiment": "bridge-test", "out": "x"}, "unknown config keys ['out']"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
@@ -695,7 +709,8 @@ class TestMain:
             "no-bins", "few-paths-per-bin", "null-nx", "null-hbar", "list-spec",
             "scalar-thresholds", "scalar-checkpoints", "scalar-start",
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
-            "triple-levels", "one-marginal-path", "text-seed"])
+            "triple-levels", "one-marginal-path", "text-seed", "null-parameter",
+            "text-parameter", "out-key"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         # raised before anything is computed
@@ -798,15 +813,22 @@ class TestMain:
         with pytest.raises(ValueError, match="solver failed"):
             main(["run", cfgp, "--out", str(tmp_path / "out")])
 
-    def test_out_flag_beats_env(self, tmp_path, monkeypatch):
-        cfgp = write_config(tmp_path, {"experiment": "sec7-forward",
-                                       "nx": 101, "nt": 81,
-                                       "out": str(tmp_path / "cfgout")})
-        monkeypatch.setenv("BERNSTEIN_OUT", str(tmp_path / "envout"))
-        main(["run", cfgp, "--out", str(tmp_path / "flagout")])
-        assert (tmp_path / "flagout" / "manifest.json").exists()
-        assert not (tmp_path / "envout").exists()
-        assert not (tmp_path / "cfgout").exists()
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read the config {path}: No such file or directory\n"),
+        ("{'experiment': 'bridge-test'}", "the config {path} is not JSON: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 "
+         "(char 1)\n"),
+        ("[1, 2]", "a config is a JSON object of settings, not [1, 2]\n"),
+    ], ids=["missing-file", "not-json", "list"])
+    def test_unreadable_config_is_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bernstein: error: {message.format(path=path)}"
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_recorded(self, tmp_path):
         cfgp = write_config(tmp_path, {"experiment": "bridge-test",

@@ -22,7 +22,6 @@ from bernstein.core import (
     function_from_spec,
     gradient_rows,
     interpolate,
-    interpolate_clipped,
     _factor_step,
     _pin_rows,
     region_from_eta,
@@ -66,10 +65,13 @@ class TestProblemSpec:
             "terminal_cost": "abs",
             "initial_cost": {"name": "log1p_abs", "scale": 2.0},
         }
-        spec = ProblemSpec.from_json(json.dumps(doc))
+        spec = ProblemSpec.from_json(doc)
         assert spec.terminal_cost(-2.0) == 2.0
         assert spec.initial_cost(0.0) == 0.0
         assert np.allclose(spec.initial_cost(1.0), 2 * np.log(2.0))
+        # the document is parsed JSON, not its text
+        with pytest.raises(ValueError, match="object of fields, not"):
+            ProblemSpec.from_json(json.dumps(doc))
 
     def test_from_json_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
@@ -93,6 +95,16 @@ class TestProblemSpec:
             function_from_spec(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [None, "x", True, [1.0]],
+                             ids=["null", "text", "bool", "list"])
+    def test_parameter_must_be_a_number(self, value):
+        # rejected here, not when the function is first evaluated
+        with pytest.raises(ValueError) as info:
+            function_from_spec({"name": "abs", "scale": value})
+        assert str(info.value) == (f"function 'abs' parameter scale must be a "
+                                   f"number, not {value!r}")
+        assert function_from_spec({"name": "abs", "scale": 2})(-1.5) == 3.0
+
 
 class TestBuildGrid:
     def test_endpoint_construction(self):
@@ -113,6 +125,16 @@ class TestBuildGrid:
     def test_nonuniform_rejected(self):
         with pytest.raises(ValueError, match="uniform"):
             SpaceTimeGrid(xs=np.array([0.0, 1.0, 3.0]), ts=np.array([0.0, 1.0]))
+
+    def test_value_equality(self):
+        # two grids with the same nodes are equal, also as different objects
+        a = build_grid(make_spec(), nx=31, nt=21)
+        b = build_grid(make_spec(), nx=31, nt=21)
+        assert a is not b and a == b and not a != b
+        assert a != build_grid(make_spec(), nx=31, nt=11)
+        assert a != build_grid(make_spec(x_max=4.0), nx=31, nt=21)
+        assert a != SpaceTimeGrid(xs=a.xs[:-1], ts=a.ts)
+        assert a != (a.xs, a.ts)
 
 
 def small_field(values):
@@ -135,8 +157,8 @@ class TestInterpolate:
 
     def test_out_of_hull_names_coordinate(self):
         f = small_field(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="5.0"):
-            interpolate(f, 0.5, 5.0)
+        with pytest.raises(ValueError, match="time 5.0 outside"):
+            interpolate(f, 5.0, 0.5)
 
     def test_arrays_equal_scalar_calls(self):
         rng = np.random.default_rng(3)
@@ -158,8 +180,6 @@ class TestInterpolate:
 
     def test_array_out_of_hull_names_coordinate(self):
         f = small_field(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="position 5.0"):
-            interpolate(f, np.array([0.5, 0.5]), np.array([0.5, 5.0]))
         with pytest.raises(ValueError, match="time -1.0"):
             interpolate(f, np.array([-1.0, 0.5]), 0.5)
 
@@ -170,15 +190,16 @@ class TestInterpolate:
         xs = np.concatenate([rng.uniform(-3, 3, 500), grid.xs])
         far = np.concatenate([xs, [-1e300, -3.5, 3.5, np.inf]])
         for t in (-0.5, 0.123, 0.5, np.full(far.size, 0.2)):
-            # off the hull, the edge node's values; in it, interpolate's
-            got = interpolate_clipped(f, t, far)
+            # off the hull, the edge node's values; in it, the values inside
+            got = interpolate(f, t, far)
             assert (got.tobytes()
                     == interpolate(f, t, np.clip(far, -3, 3)).tobytes())
             inside = t if np.ndim(t) == 0 else t[:xs.size]
             assert got[:xs.size].tobytes() == interpolate(f, inside, xs).tobytes()
-        assert interpolate_clipped(f, 0.1, 7.0) == interpolate(f, 0.1, 3.0)
+        assert interpolate(f, 0.1, 7.0) == interpolate(f, 0.1, 3.0)
+        assert interpolate(f, 0.1, -7.0) == interpolate(f, 0.1, -3.0)
         with pytest.raises(ValueError, match="time 0.75"):
-            interpolate_clipped(f, 0.75, xs)
+            interpolate(f, 0.75, xs)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)

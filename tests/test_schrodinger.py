@@ -101,19 +101,11 @@ class TestKernelMatrix:
 
 
 class TestMarginalPair:
-    def test_normalizes_and_records_raw_mass(self):
+    def test_normalizes(self):
         xs = np.linspace(-4, 4, 101)
         m = MarginalPair(xs=xs, p_init=3 * gauss(xs, 0, 1), p_final=gauss(xs, 0, 1))
         assert np.trapezoid(m.p_init, xs) == pytest.approx(1.0, abs=1e-12)
-        assert m.raw_mass_init == pytest.approx(3.0, abs=1e-3)
-
-    @pytest.mark.parametrize("name", ["raw_mass_init", "raw_mass_final"])
-    def test_raw_masses_are_not_parameters(self, name):
-        # __post_init__ measures them; a value passed in would be dropped
-        xs = np.linspace(-4, 4, 101)
-        with pytest.raises(TypeError, match=name):
-            MarginalPair(xs=xs, p_init=gauss(xs, 0, 1), p_final=gauss(xs, 0, 1),
-                         **{name: 5.0})
+        assert np.trapezoid(m.p_final, xs) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nonpositive(self):
         xs = np.linspace(-1, 1, 11)
