@@ -289,6 +289,15 @@ class ScalarField:
             raise ValueError("field contains non-finite entries")
         values.setflags(write=False)
 
+    def __eq__(self, other):
+        """Value equality: equal grids and equal values, NaN equal to NaN
+        where ``allow_nan`` is set."""
+        if not isinstance(other, ScalarField):
+            return NotImplemented
+        return (self.allow_nan == other.allow_nan and self.grid == other.grid
+                and np.array_equal(self.values, other.values,
+                                   equal_nan=self.allow_nan))
+
 
 @dataclass(frozen=True)
 class RegionMask:
@@ -305,6 +314,12 @@ class RegionMask:
         if not np.all((flags == CONTINUATION) | (flags == STOPPING)):
             raise ValueError("every node must be CONTINUATION or STOPPING")
         flags.setflags(write=False)
+
+    def __eq__(self, other):
+        """Value equality: equal grids and equal flags."""
+        if not isinstance(other, RegionMask):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.flags, other.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +398,8 @@ def gradient_rows(values: np.ndarray, dx: float) -> np.ndarray:
     """d/dx of row-wise sampled values: central interior, 2nd-order one-sided edges."""
     v = np.asarray(values, dtype=float)
     g = np.empty_like(v)
-    g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * dx)
+    mid = np.subtract(v[..., 2:], v[..., :-2], out=g[..., 1:-1])
+    mid /= 2 * dx
     g[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
     g[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
     return g
@@ -460,9 +476,11 @@ def region_from_eta(eta: ScalarField, obstacle: ScalarField) -> RegionMask:
         raise ValueError("eta and obstacle must live on the same grid")
     if np.any(obstacle.values <= 0):
         raise ValueError("obstacle must be strictly positive")
-    thresh = np.maximum(_REGION_ABS_TOL, _REGION_REL_TOL * obstacle.values)
-    flags = np.where(eta.values - obstacle.values <= thresh, STOPPING, CONTINUATION)
-    return RegionMask(eta.grid, flags)
+    thresh = np.multiply(obstacle.values, _REGION_REL_TOL)
+    np.maximum(thresh, _REGION_ABS_TOL, out=thresh)
+    # True (1) is STOPPING, False (0) CONTINUATION
+    stop = np.less_equal(eta.values - obstacle.values, thresh)
+    return RegionMask(eta.grid, stop.view(np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,9 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     t0 = time.perf_counter()
     sol = solve(spec, grid)
     solve_s = time.perf_counter() - t0
-    val = hjb.value_from_eta(sol, spec.hbar)
+    # the residual grid is freed before U and the drift are built
     res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec, grid).values)))
+    val = hjb.value_from_eta(sol, spec.hbar)
     checks = {"lcp_residual": res_norm <= LCP_TOL}
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
@@ -249,18 +250,19 @@ def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     may stop nowhere near (0, 1), so its gain there is reported, not
     judged."""
     spec, is_default, grid = _problem(spec, nx, nt)
-    sol = hjb.solve_forward_obstacle(spec, grid)
-    stopped = hjb.value_from_eta(sol, spec.hbar)
-    classical = hjb.classical_value(spec, grid, FORWARD)
-    report = compare_report(stopped.value, classical.value)
-    worst, gap = value_dominance(stopped.value, classical.value)
+    # only the two values are kept: each solve's eta, mask and drift are
+    # freed before the next solve
+    stopped = hjb.value_from_eta(hjb.solve_forward_obstacle(spec, grid),
+                                 spec.hbar).value
+    classical = hjb.classical_value(spec, grid, FORWARD).value
+    report = compare_report(stopped, classical)
+    worst, gap = value_dominance(stopped, classical)
     report.update(max_U_minus_Htilde=worst, gap_at_t0_x1=gap)
     checks = {"dominance": worst <= DOMINANCE_TOL}
     if is_default:
         checks["strict_improvement"] = gap > STRICT_GAP
     return Result(
-        fields={"value_stopped.csv": stopped.value,
-                "value_classical.csv": classical.value},
+        fields={"value_stopped.csv": stopped, "value_classical.csv": classical},
         reports={"compare.json": report}, checks=checks)
 
 

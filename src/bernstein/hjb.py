@@ -164,7 +164,8 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
     svals, psi, ab = _operator(spec, grid, orientation)
     eta, solves = _march(grid.nt, psi, psi, ab)
     field_ = ScalarField(grid, core._marching_rows(orientation, eta))
-    obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape).copy())
+    # each row of the obstacle is psi: a read-only view, not a grid of copies
+    obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape))
     return EtaSolution(eta=field_, mask=region_from_eta(field_, obstacle),
                        orientation=orientation, stopping_cost=svals,
                        step_solves=solves)
@@ -191,14 +192,15 @@ def value_from_eta(sol: EtaSolution, hbar: float) -> ValueSolution:
     if np.any(eta <= 0):
         raise ValueError("eta must be strictly positive to take logarithms")
     grid = sol.eta.grid
-    value = -hbar * np.log(eta)
+    value = np.log(eta)  # log(eta) until its drift is taken, then U
     sign = 1.0 if sol.orientation == FORWARD else -1.0
-    drift = sign * hbar * gradient_rows(np.log(eta), grid.dx)
+    drift = gradient_rows(value, grid.dx)
+    drift *= sign * hbar
+    value *= -hbar
     if sol.stopping_cost is not None:
         ds = gradient_rows(sol.stopping_cost, grid.dx)
-        stop = sol.mask.flags == STOPPING
         bc = -sign * ds  # forward: -dS/dx; backward: +dS*/dx
-        drift[stop] = np.broadcast_to(bc, drift.shape)[stop]
+        np.copyto(drift, bc, where=sol.mask.flags == STOPPING)
     return ValueSolution(
         value=ScalarField(grid, value),
         drift=ScalarField(grid, drift),

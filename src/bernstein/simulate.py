@@ -203,16 +203,15 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
                    hbar, cfg: SimConfig):
     """Forward-time Euler--Maruyama engine shared by both orientations.
 
-    The paths are cut by ``core.block_bounds`` into contiguous blocks of at
-    least ``_MIN_BLOCK_PATH_STEPS`` path-steps, one per usable CPU, and run
-    by ``core.fork_blocks``. Each block steps all its paths as one array and
-    writes its slice of the records into one shared anonymous mapping. At
-    each step a block draws the stream groups from its first to its last
-    live path into one buffer, its paths rounded out to whole groups; a
-    group cut by a block boundary is drawn, with the same bits, by each
-    block that holds one of its paths. A forked block calls no BLAS: it
-    runs Philox, ufuncs, the lookups of ``core`` and the problem's cost
-    functions.
+    The stream groups are cut by ``core.block_bounds`` into contiguous
+    blocks of whole groups, at least ``_MIN_BLOCK_PATH_STEPS`` path-steps
+    counted in whole groups, one per usable CPU, and run by
+    ``core.fork_blocks``; no group is drawn by two blocks. Each block steps
+    all its paths as one array and writes its slice of the records into one
+    shared anonymous mapping. At each step a block draws the stream groups
+    from its first to its last live path into one buffer. A forked block
+    calls no BLAS: it runs Philox, ufuncs, the lookups of ``core`` and the
+    problem's cost functions.
 
     A block keeps its live paths packed: ``live`` holds their indices in
     the block, and x, b, f and a their position, drift, running-cost
@@ -246,7 +245,9 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
     def running(bq, xq):
         return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
 
-    bounds = core.block_bounds(n, -(-_MIN_BLOCK_PATH_STEPS // n_steps))
+    groups = core.block_bounds(-(-n // _GROUP), -(-_MIN_BLOCK_PATH_STEPS
+                                                 // (n_steps * _GROUP)))
+    bounds = [min(g * _GROUP, n) for g in groups]
 
     def run_block(lo, hi):
         # one buffer, as wide as the stream groups the block's paths span

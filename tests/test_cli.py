@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +563,40 @@ class TestArtifacts:
             TINY["stopping-dist"]["checkpoints"])
         with open(out / "martingale.json") as fh:
             assert json.load(fh) == expected
+
+
+class TestPeakMemory:
+    """The obstacle experiments allocate little beyond the grid arrays they
+    keep. Peaks are measured by tracemalloc, to which numpy reports its
+    array buffers, after a warm-up call that fills the oracle memo; they
+    are counted in fields, one grid-sized float array each."""
+
+    NX, NT = 201, 401
+
+    def peak_fields(self, run):
+        run()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (self.NX * self.NT * 8)
+
+    @pytest.mark.parametrize("orientation", [core.FORWARD, core.BACKWARD])
+    def test_sec7_holds_at_most_four_fields(self, orientation):
+        # it keeps eta, U and the drift; one solve's working arrays add
+        # less than one more
+        assert self.peak_fields(lambda: experiments.sec7(
+            orientation, nx=self.NX, nt=self.NT)) <= 4
+
+    def test_classical_compare_holds_at_most_five_and_a_half_fields(self):
+        # it keeps the two values; each solve's eta, mask and drift live
+        # only until its value is built
+        assert self.peak_fields(lambda: experiments.classical_compare(
+            nx=self.NX, nt=self.NT)) <= 5.5
 
 
 class TestMain:

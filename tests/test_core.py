@@ -136,6 +136,25 @@ class TestBuildGrid:
         assert a != SpaceTimeGrid(xs=a.xs[:-1], ts=a.ts)
         assert a != (a.xs, a.ts)
 
+    def test_field_and_mask_value_equality(self):
+        # fields and masks compare by grid and values, as grids do; NaN
+        # equals NaN only where a field allows it
+        grid = SpaceTimeGrid(xs=[0.0, 1.0, 2.0], ts=[0.0, 1.0])
+        other = SpaceTimeGrid(xs=[0.0, 1.0, 2.0], ts=[0.0, 2.0])
+        v = np.arange(6.0).reshape(2, 3)
+        f = ScalarField(grid, v)
+        assert f == ScalarField(grid, v.copy()) and not f != ScalarField(grid, v)
+        assert f != ScalarField(grid, v + 1) and f != ScalarField(other, v)
+        assert f != ScalarField(grid, v, allow_nan=True) and f != grid
+        w = np.where(v > 2, np.nan, v)
+        assert ScalarField(grid, w, allow_nan=True) == ScalarField(
+            grid, w.copy(), allow_nan=True)
+        flags = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.int8)
+        m = RegionMask(grid, flags)
+        assert m == RegionMask(grid, flags.copy()) and not m != RegionMask(grid, flags)
+        assert m != RegionMask(grid, 1 - flags) and m != RegionMask(other, flags)
+        assert m != f
+
 
 def small_field(values):
     grid = SpaceTimeGrid(xs=np.linspace(0, 1, values.shape[1]),

@@ -95,8 +95,8 @@ class TestBrownianBaseline:
 
 class TestDeterminism:
     def test_block_boundaries_do_not_change_results(self, monkeypatch):
-        # 500 paths on 14 CPUs make blocks of 35 or 36 paths, whose bounds
-        # cut the groups of 16 paths
+        # 500 paths in 32 groups of 16 paths: on 14 CPUs, blocks of 2 or 3
+        # whole groups, the last one cut short
         spec = make_spec()
         base = dict(dt=2e-3, n_paths=500, seed=9, start=(-0.5, 1.0))
 
@@ -109,8 +109,8 @@ class TestDeterminism:
         assert np.array_equal(a.action_value, b.action_value)
 
     def test_backward_checkpoints_do_not_depend_on_blocks(self, monkeypatch):
-        # 700 paths in blocks of 36 or 37 paths (19 CPUs), of 350 (2 CPUs)
-        # and of 700, in groups of 16 paths
+        # 700 paths in 44 groups of 16 paths: blocks of 2 or 3 groups (19
+        # CPUs), of 22 (2 CPUs) and of all 44
         spec = make_spec()
         grid = build_grid(spec, 61, 41)
         val = value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
@@ -521,7 +521,7 @@ class TestFastPath:
 
         # the engine's noise, read back from a driftless run of 2 steps
         # without stopping in groups of 8: 37 paths from path 0 span groups
-        # 0 to 4, and the blocks of 7 CPUs, of 5 or 6 paths, cut groups in two
+        # 0 to 4, and 7 CPUs run them in 5 blocks of one group each
         for n_cpu in (7, 1):
             serial_blocks(monkeypatch, n_cpu, 8)
             ens = simulate_forward(make_spec(), None, None, SimConfig(
