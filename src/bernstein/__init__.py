@@ -25,10 +25,6 @@ from .core import (
 from .analytic import (
     bernstein_transition,
     heat_kernel,
-    sec7_classical_eta,
-    sec7_classical_eta_star,
-    sec7_drift_backward,
-    sec7_drift_forward,
     sec7_eta_backward,
     sec7_eta_forward,
 )
@@ -54,15 +50,12 @@ from .simulate import (
     PathEnsemble,
     SimConfig,
     bridge_markov_test,
-    fokker_planck,
     reversed_drift,
-    simulate_backward,
     simulate_forward,
 )
 from .stopping import (
     SurvivalProblem,
     SurvivalSolution,
-    classify_lemma3,
     empirical_survival,
     martingale_check,
     solve_q,

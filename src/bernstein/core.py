@@ -231,19 +231,11 @@ class SpaceTimeGrid:
 
     def exact_row(self, t) -> int:
         """The row of the grid time t, to 1e-9 relative, or a ValueError."""
-        return _exact(self.ts, t, "t", "time")
-
-    def exact_column(self, x) -> int:
-        """The column of the x node x, likewise."""
-        return _exact(self.xs, x, "x", "x")
-
-
-def _exact(nodes: np.ndarray, q: float, axis: str, kind: str) -> int:
-    k = _nearest(nodes, q)  # a NaN or infinite q fails the test below
-    if not abs(nodes[k] - q) <= 1e-9 * max(1.0, abs(nodes[k])):
-        raise ValueError(f"{axis} = {q} is on no grid node; the nearest grid "
-                         f"{kind} is {float(nodes[k])!r}")
-    return k
+        k = _nearest(self.ts, t)  # a NaN or infinite t fails the test below
+        if not abs(self.ts[k] - t) <= 1e-9 * max(1.0, abs(self.ts[k])):
+            raise ValueError(f"t = {t} is on no grid node; the nearest grid "
+                             f"time is {float(self.ts[k])!r}")
+        return k
 
 
 def _cell(nodes: np.ndarray, q: np.ndarray):

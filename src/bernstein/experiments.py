@@ -5,8 +5,10 @@ whose keyword parameters are its config keys: it builds its inputs from
 them (a ``ConfigError`` before anything is computed if it cannot), runs its
 pipeline and judges what it produced with the checks and gates defined here.
 It returns every artifact it emits, keyed by file name, and writes nothing;
-``cli`` writes a result's files, and the acceptance criteria read the same
-results at each experiment's default config.
+``cli`` writes a result's files. The acceptance criteria (``acceptance``)
+read the checks and reports of the same results, each at a seed and config
+they name, so every figure a criterion judges is in an artifact of
+``bernstein run``.
 
 The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
 snapped to its nearest grid row and scored against the worked example's
@@ -47,6 +49,8 @@ STRICT_GAP = 1e-3  # H~ - U at (0, 1); both carry O(dx^2 + dt) error
 REVERSAL_TOL = 1e-3  # scaled drift-reversal error
 MASS_TOL = 1e-6  # slice-mass deviation of the pinned density from 1
 LCP_TOL = 1e-9  # scaled complementarity residual of an obstacle solve
+ERF_TOL = 1e-3  # the survival PDE's erf(1/sqrt 2) against the exact value
+GAUGE_TOL = 1e-12  # change of the pinned density under a gauge rescaling
 
 #: The pinning experiment's problem document but for its hbar, a free
 #: diffusion on [-4, 4], and the (mean, sd) of its two Gaussian marginals
@@ -112,7 +116,7 @@ def stopping_columns(sol: hjb.EtaSolution):
     flags = core._marching_rows(sol.orientation, sol.mask.flags)
     grid = sol.eta.grid
     solved = flags[:-1]
-    cols = sorted(set(grid.xs[np.nonzero(np.any(solved == STOPPING, axis=0))[0]]))
+    cols = sorted(set(grid.xs[np.any(solved == STOPPING, axis=0)].tolist()))
     full = bool(np.all(flags[-1] == STOPPING))
     origin = np.arange(grid.nx) == grid.nearest_column(0.0)
     exact = bool(np.all((solved == STOPPING) == origin[None, :]))
@@ -146,6 +150,39 @@ def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
     return dev / scale, int(np.sum(fin))
 
 
+def gauge_deviation(factors: schrodinger.SchrodingerFactors, rho: ScalarField,
+                    hbar: float) -> float:
+    """Infinity norm of the change of the density ``rho`` pinned by
+    ``factors`` when they are rescaled to (c eta*, eta / c), c = 1.7, a
+    gauge that leaves the density as it is."""
+    c = 1.7
+    scaled = schrodinger.SchrodingerFactors(
+        eta_star_init=factors.eta_star_init * c, eta_final=factors.eta_final / c,
+        residual_trace=factors.residual_trace)
+    rescaled = schrodinger.bernstein_density(
+        schrodinger.propagate_eta(scaled, rho.grid, hbar),
+        schrodinger.propagate_eta_star(scaled, rho.grid, hbar))
+    return float(np.max(np.abs(rescaled.values - rho.values)))
+
+
+@functools.lru_cache(maxsize=None)
+def erf_survival_pde() -> float:
+    """The survival past a threshold of driftless unit-diffusion paths above
+    an absorbing level at 0, started one unit away one time unit before the
+    threshold: erf(1/sqrt 2) in exact arithmetic. ``stopping.solve_q`` on a
+    grid of its own, memoised: no config reaches it."""
+    xs = np.linspace(0.0, 8.0, 1601)
+    ts = np.arange(-0.5, 0.6 + 1e-12, 2e-4)
+    grid = core.SpaceTimeGrid(xs=xs, ts=ts)
+    flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+    flags[:, 0] = STOPPING
+    sol = stopping.solve_q(stopping.SurvivalProblem(
+        orientation=FORWARD, threshold=0.5,
+        drift=ScalarField(grid, np.zeros((grid.nt, grid.nx))),
+        mask=core.RegionMask(grid, flags), hbar=1.0))
+    return float(sol.q.values[0, grid.nearest_column(1.0)])
+
+
 def compare_report(a: ScalarField, b: ScalarField) -> dict:
     """Difference norms between two fields on a common grid.
 
@@ -177,8 +214,8 @@ class Result:
     """What one experiment produced. Its artifacts, each keyed by file name:
     JSON ``reports``, ``fields`` (matrix CSVs) and ``tables``, each table a
     ``(header, first_column, rows)`` CSV of one line per first-column entry.
-    Its named checks. In ``data``, what else its pipeline built, for the
-    criteria. No timing goes into an artifact."""
+    Its named checks. In ``data``, what a criterion reads that must not be
+    an artifact: a solve time, since no timing goes into an artifact."""
 
     reports: dict
     checks: dict
@@ -226,12 +263,11 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
               "solves_per_step_max": int(np.max(sol.step_solves))}
-    data = {"solve_s": solve_s}
     if is_default:
-        data["stop_columns"], full, exact = stopping_columns(sol)
+        cols, full, exact = stopping_columns(sol)
         slices = band_errors(sol)
         err = max(e for _, e in slices)
-        report.update(oracle_band_rel_err=err,
+        report.update(oracle_band_rel_err=err, stop_columns=cols,
                       band_slice_times=[t for t, _ in slices],
                       band_slice_rel_err=[e for _, e in slices],
                       data_row_stopped=full, origin_column_exact=exact)
@@ -241,7 +277,8 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
         fields={"eta.csv": sol.eta, "value.csv": val.value, "drift.csv": val.drift},
         tables={"free_boundary.csv": ("t,free_boundary_positions", grid.ts,
                                       sol.boundary)},
-        reports={"oracle_compare.json": report}, checks=checks, data=data)
+        reports={"oracle_compare.json": report}, checks=checks,
+        data={"solve_s": solve_s})
 
 
 def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
@@ -268,11 +305,20 @@ def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
 
 def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     """Endpoint pinning of two marginals: Sinkhorn factors, propagated
-    factors and density, judged by convergence, slice mass and the
-    drift-reversal identity."""
+    factors and density, judged by convergence, slice mass, the
+    drift-reversal identity and the density's invariance under a gauge
+    rescaling of the factors."""
     spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=_read("hbar", float, hbar)),
                              nx, nt)
     hbar = spec.hbar
+    # Sinkhorn needs every entry of the horizon kernel positive; its
+    # farthest entries, one domain width apart, underflow to 0 at a small
+    # hbar on any grid, however fine
+    if not np.all(np.exp(schrodinger.log_kernel(grid, hbar, grid.ts[-1] - grid.ts[0])) > 0):
+        raise ConfigError(
+            f"the pinning kernel over the horizon underflows to 0 at hbar = "
+            f"{hbar:g} between nodes the domain width {spec.x_max - spec.x_min:g} "
+            f"apart, on any grid; take a larger hbar")
     # below 1 the kernel next to the endpoint slices is narrower than a
     # node spacing, and the slice masses drift
     resolution = math.sqrt(hbar * grid.dt) / grid.dx
@@ -304,13 +350,17 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     masses = schrodinger.slice_mass(rho)
     mass_dev = float(np.max(np.abs(masses - 1.0)))
     rev_err, nodes = drift_reversal_error(eta, eta_star, rho, hbar)
+    gauge_dev = gauge_deviation(factors, rho, hbar)
     report = {
         "iterations": factors.iterations,
         "marginal_residual": factors.final_marginal_error,
         # one marginal residual per Sinkhorn iteration
         "residual_trace": factors.residual_trace.tolist(),
         "slice_masses": masses.tolist(),
+        "max_mass_deviation": mass_dev,
         "drift_reversal_scaled_err": rev_err,
+        "reversal_nodes": nodes,
+        "gauge_deviation": gauge_dev,
         "kernel_sd_over_dx": resolution,
     }
     meta = {
@@ -330,9 +380,8 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         checks={"sinkhorn_converged":
                 factors.final_marginal_error <= schrodinger.SINKHORN_TOL,
                 "mass_conservation": mass_dev <= MASS_TOL,
-                "drift_reversal": nodes > 0 and rev_err <= REVERSAL_TOL},
-        data={"factors": factors, "hbar": hbar,
-              "mass_deviation": mass_dev, "reversal_nodes": nodes})
+                "drift_reversal": nodes > 0 and rev_err <= REVERSAL_TOL,
+                "gauge_invariance": gauge_dev <= GAUGE_TOL})
 
 
 def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
@@ -340,8 +389,10 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
                   n_paths=20000) -> Result:
     """Survival functions of the optimally stopped forward process against
     a Monte Carlo ensemble: the survival probability at the start and the
-    martingale property of q along the paths."""
-    spec, _, grid = _problem(spec, nx, nt)
+    martingale property of q along the paths. On the worked example, the
+    ensemble's mean action is also judged against the oracle value U at the
+    start, as ``sec7`` judges its oracle checks there."""
+    spec, is_default, grid = _problem(spec, nx, nt)
     start = _read("start", tuple,
                   (-spec.half_horizon, 1.0) if start is None else start)
     dt, n_paths = _read("dt", float, dt), _read("n_paths", int, n_paths)
@@ -386,14 +437,49 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
                 "ensemble": ens.summary(),
                 "q_unclamped_range": (list(qsol.unclamped_range)
                                       if qsol.unclamped_range else None)}
+    checks = {"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
+              "martingale": mart["all_within_3_stderr"]}
+    if is_default:
+        u = survival["oracle_U"] = -HBAR * math.log(oracle_eta(FORWARD, *sim.start))
+        action = survival["ensemble"]["action_value"]
+        checks["action_matches_value"] = abs(action["mean"] - u) <= 3 * action["stderr"]
     return Result(
         tables={"q_sweep.csv": ("threshold,t,x,q",
                                 np.repeat([s.threshold for s in sols], tt.size),
                                 sweep)},
         reports={"survival_compare.json": survival, "martingale.json": mart},
-        checks={"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
-                "martingale": mart["all_within_3_stderr"]},
-        data={"value": val, "q_solutions": sols, "ensemble": ens})
+        checks=checks)
+
+
+def barrier(seed=0, *, n_paths=100000) -> Result:
+    """Driftless worked-example paths from (-T/2, 1), absorbed at x = 0 and
+    stopped nowhere else, at dt = 1e-3. They survive to the horizon with
+    probability erf(1/sqrt 2), which the survival PDE (``erf_survival_pde``)
+    and the ensemble must each reproduce. Their stopping rule is not the
+    optimal one, so their mean action must not fall below the oracle value
+    U(-T/2, 1)."""
+    n_paths = _read("n_paths", int, n_paths)
+    if n_paths < 2:
+        raise ConfigError(f"barrier needs n_paths >= 2 for a standard error, "
+                          f"got {n_paths}")
+    spec = ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
+    start = (-T / 2, 1.0)
+    ens = simulate.simulate_forward(
+        spec, None, None,
+        simulate.SimConfig(dt=1e-3, n_paths=n_paths, seed=seed, start=start),
+        barrier=0.0)
+    ref = math.erf(1.0 / math.sqrt(2.0))
+    q_pde = erf_survival_pde()
+    q_mc = stopping.empirical_survival(ens, T / 2 - 1e-9)
+    u = -HBAR * math.log(oracle_eta(FORWARD, *start))
+    summary = ens.summary()
+    action = summary["action_value"]
+    return Result(
+        reports={"barrier.json": {"erf_ref": ref, "erf_pde": q_pde, "erf_mc": q_mc,
+                                  "oracle_U": u, "ensemble": summary}},
+        checks={"erf_pde": abs(q_pde - ref) <= ERF_TOL,
+                "erf_mc": abs(q_mc["estimate"] - ref) <= 3 * q_mc["stderr"],
+                "action_not_below_value": action["mean"] >= u - 3 * action["stderr"]})
 
 
 def bridge_test(seed=0, *, n_seeds=20, n_paths=100000, n_bins=30) -> Result:
@@ -445,6 +531,7 @@ RUNNERS = {
     "sec7-classical-compare": classical_compare,
     "schrodinger": pinning,
     "stopping-dist": stopping_dist,
+    "barrier": barrier,
     "bridge-test": bridge_test,
     "convergence-study": convergence_study,
 }

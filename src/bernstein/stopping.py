@@ -6,8 +6,12 @@ region with unit data on the threshold slice and zero data on the stopping
 set; the mirrored backward function q*(t, x) = P(backward stop time <
 threshold) is the same problem in marching order (``core._marching_rows``),
 marched against the drift. ``_closed_form`` labels every node of the grid
-at once from the region mask (``classify_lemma3`` reads one node of it).
-``solve_q`` takes the threshold slice and those past it from the labels
+at once from the region mask, and ``solve_q`` returns the labels as
+``closed_form_region``: forward, ONE (1) where stopped strictly after the
+threshold or continuing at or past it; ZERO (0) where stopped at or before
+it, or continuing before it while no node continues at or past it; PDE (2)
+otherwise. The backward rules are the time mirror. ``solve_q`` takes the
+threshold slice and those past it from the labels
 (0 or 1 without any PDE solve), then marches every slice before it in
 full, with zero data on its stopping nodes: the march still solves the
 nodes the labels settle. Each slice is one implicit step with
@@ -35,7 +39,6 @@ from .core import (
     mean_stderr,
 )
 
-ZERO, ONE, PDE = "ZERO", "ONE", "PDE"
 #: a march value outside [-tol, 1 + tol] raises; values within are clamped
 _MAX_PRINCIPLE_TOL = 1e-9
 
@@ -92,21 +95,6 @@ def _closed_form(mask: RegionMask, orientation: str, threshold: float):
     # or past the threshold
     codes[:at][stop[:at] | stop[at:].all()] = 0
     return stop, codes, at
-
-
-def classify_lemma3(t, x, threshold, mask: RegionMask,
-                    orientation: str = FORWARD) -> str:
-    """Closed-form case analysis of the survival function at a grid node:
-    its code in ``_closed_form`` (``solve_q``'s ``closed_form_region``).
-
-    Forward: ONE when stopped strictly after the threshold or continuing at
-    or past it; ZERO when stopped at or before it, or continuing before it
-    while no node continues at or past it; PDE otherwise. The backward
-    rules are the time mirror.
-    """
-    k, j = mask.grid.exact_row(t), mask.grid.exact_column(x)
-    codes = _closed_form(mask, orientation, threshold)[1]
-    return (ZERO, ONE, PDE)[core._marching_rows(orientation, codes)[k, j]]
 
 
 def solve_q(problem: SurvivalProblem) -> SurvivalSolution:

@@ -12,7 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstein import acceptance, analytic, cli, core, experiments, stopping
+from bernstein import (
+    acceptance,
+    analytic,
+    cli,
+    core,
+    experiments,
+    hjb,
+    schrodinger,
+    simulate,
+    stopping,
+)
 from bernstein.cli import (
     EXPERIMENTS,
     _csv_rows,
@@ -33,6 +43,7 @@ TINY = {
     "schrodinger": {"nx": 101, "nt": 21},
     "stopping-dist": {"nx": 151, "nt": 101, "thresholds": [0.25, 0.1],
                       "n_paths": 5000, "dt": 2e-3, "checkpoints": [-0.2, 0.1]},
+    "barrier": {"n_paths": 2000},
     "bridge-test": {"n_seeds": 3, "n_paths": 20000, "n_bins": 10},
     "convergence-study": {"levels": [[151, 126], [301, 501]]},
 }
@@ -348,7 +359,7 @@ class TestManifests:
         with open(tmp_path / "convergence.json") as fh:
             rep = json.load(fh)
         errors = [f"{lv['band_rel_err']:.2e}" for lv in rep["levels"]]
-        assert errors == acceptance.criterion_10().details["errors"][:2]
+        assert errors == acceptance.ALL_CRITERIA[10]().details["errors"][:2]
 
     def test_band_schedule_recorded(self, tmp_path):
         cfg = {"experiment": "sec7-forward", "nx": 101, "nt": 81}
@@ -386,7 +397,9 @@ class TestManifests:
                                         start=[-0.5, 1.02])
         q_pde = res.reports["survival_compare.json"]["q_pde"]
         assert q_pde == res.reports["martingale.json"]["q_at_start"]
-        q = res.data["q_solutions"][0].q
+        grid = core.build_grid(core.ProblemSpec.from_json(analytic.WORKED_EXAMPLE), 151, 101)
+        sweep = res.tables["q_sweep.csv"][2]
+        q = ScalarField(grid, sweep[:grid.nt * grid.nx, 2].reshape(grid.nt, grid.nx))
         assert q_pde == interpolate(q, -0.5, 1.02)
         assert q_pde != q.values[0, q.grid.nearest_column(1.02)]
 
@@ -399,6 +412,23 @@ class TestManifests:
             ens = json.load(fh)["ensemble"]
         assert ens["action_value"]["stderr"] > 0
         assert 0 < ens["boundary_hit_fraction"] < 1
+
+
+@pytest.fixture(scope="module")
+def tiny_stopping():
+    """The survival functions and the ensemble of stopping-dist at its TINY
+    config and seed 5, rebuilt from the layers it calls."""
+    cfg = TINY["stopping-dist"]
+    spec = core.ProblemSpec.from_json(analytic.WORKED_EXAMPLE)
+    grid = core.build_grid(spec, cfg["nx"], cfg["nt"])
+    val = hjb.value_from_eta(hjb.solve_forward_obstacle(spec, grid), spec.hbar)
+    sols = [stopping.solve_q(stopping.SurvivalProblem(
+                core.FORWARD, thr, val.drift, val.mask, spec.hbar))
+            for thr in cfg["thresholds"]]
+    ens = simulate.simulate_forward(spec, val.drift, val.mask, simulate.SimConfig(
+        dt=cfg["dt"], n_paths=cfg["n_paths"], seed=5, start=(-0.5, 1.0),
+        checkpoints=tuple(cfg["checkpoints"])))
+    return sols, ens
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +456,7 @@ class TestConfigKeys:
         "schrodinger": {"hbar", "nx", "nt", "marginals_csv"},
         "stopping-dist": {"spec", "nx", "nt", "thresholds", "checkpoints",
                           "start", "dt", "n_paths"},
+        "barrier": {"n_paths"},
         "bridge-test": {"n_seeds", "n_paths", "n_bins"},
         "convergence-study": {"levels"},
     }
@@ -479,9 +510,9 @@ class TestArtifacts:
         for fname, digest in man["files"].items():
             assert _sha256(str(out / fname)) == digest
 
-    def test_q_sweep_csv(self, tiny_runs):
-        out, _, res = tiny_runs["stopping-dist"]
-        sols = res.data["q_solutions"]
+    def test_q_sweep_csv(self, tiny_runs, tiny_stopping):
+        out = tiny_runs["stopping-dist"][0]
+        sols = tiny_stopping[0]
         grid = sols[0].q.grid
         with open(out / "q_sweep.csv", newline="") as fh:
             lines = fh.readlines()
@@ -496,9 +527,9 @@ class TestArtifacts:
         assert np.array_equal(table[:, 3], np.concatenate(
             [s.q.values.ravel() for s in sols]))
 
-    def test_survival_records_the_unclamped_range(self, tiny_runs):
-        out, _, res = tiny_runs["stopping-dist"]
-        qsol = res.data["q_solutions"][0]
+    def test_survival_records_the_unclamped_range(self, tiny_runs, tiny_stopping):
+        out = tiny_runs["stopping-dist"][0]
+        qsol = tiny_stopping[0][0]
         with open(out / "survival_compare.json") as fh:
             lo, hi = json.load(fh)["q_unclamped_range"]
         assert [lo, hi] == list(qsol.unclamped_range)
@@ -531,6 +562,23 @@ class TestArtifacts:
         rho = ScalarField(grid, np.full((3, 5), 1e-13))
         assert experiments.drift_reversal_error(ones, ones, rho, 0.5) == (None, 0)
 
+    @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
+    def test_criterion_reads_what_its_runs_produce(self, tiny_runs, monkeypatch,
+                                                   number):
+        # the criterion read from the TINY run of each experiment it names: a
+        # check, report or report field that the experiment does not produce
+        # raises, and so does a config key that it does not read
+        def tiny_run(name, seed, config):
+            params = inspect.signature(experiments.RUNNERS[name]).parameters
+            assert set(dict(config)) <= set(params) - {"seed"}
+            return tiny_runs[name][2]
+
+        monkeypatch.setattr(acceptance, "_run", tiny_run)
+        assert acceptance.ALL_CRITERIA[number]().details
+        # only criterion 1's solve times are read from outside the reports
+        assert all(report is not None or number == 1
+                   for _, report, _, _ in acceptance.CRITERIA[number][1])
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_timings_sit_beside_the_files(self, tiny_runs, name):
         _, man, _ = tiny_runs[name]
@@ -542,7 +590,12 @@ class TestArtifacts:
 
     def test_schrodinger_factors_csv(self, tiny_runs):
         out, _, res = tiny_runs["schrodinger"]
-        factors = res.data["factors"]
+        grid = res.fields["rho.csv"].grid
+        p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * sd**2))
+                           for mean, sd in experiments.PIN_MARGINALS)
+        factors = schrodinger.pin_endpoints(  # at the default hbar, 0.5
+            schrodinger.MarginalPair(xs=grid.xs, p_init=p_init, p_final=p_final),
+            grid, 0.5)[0]
         with open(out / "schrodinger_factors.csv") as fh:
             assert fh.readline().strip() == "x,eta_star_init,eta_final"
         x, eta_star_init, eta_final = np.loadtxt(
@@ -556,11 +609,11 @@ class TestArtifacts:
         assert meta["iterations"] == factors.iterations
         assert meta["final_marginal_error"] == factors.final_marginal_error
 
-    def test_martingale_json(self, tiny_runs):
-        out, _, res = tiny_runs["stopping-dist"]
-        expected = stopping.martingale_check(
-            res.data["q_solutions"][0], res.data["ensemble"],
-            TINY["stopping-dist"]["checkpoints"])
+    def test_martingale_json(self, tiny_runs, tiny_stopping):
+        out = tiny_runs["stopping-dist"][0]
+        (qsol, _), ens = tiny_stopping
+        expected = stopping.martingale_check(qsol, ens,
+                                             TINY["stopping-dist"]["checkpoints"])
         with open(out / "martingale.json") as fh:
             assert json.load(fh) == expected
 
@@ -671,6 +724,8 @@ class TestMain:
          "start x 5.0 outside [-3.0, 3.0]\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 1},
          "stopping-dist needs n_paths >= 2 for a standard error, got 1\n"),
+        ({"experiment": "barrier", "n_paths": 1},
+         "barrier needs n_paths >= 2 for a standard error, got 1\n"),
         ({"experiment": "convergence-study", "levels": [[31, 21], [30, 21]]},
          "nx = 30 puts no node at x = 0, the worked example's stopping column; "
          "take an odd nx\n"),
@@ -685,9 +740,16 @@ class TestMain:
         ({"experiment": "schrodinger", "hbar": 0.05},
          "the pinning kernel over one time step is 0.791 node spacings wide "
          "(sqrt(hbar dt) / dx), under 1; take nx >= 254\n"),
+        # the kernel over the horizon underflows before its resolution is
+        # judged, so no advice to refine the grid leads into the underflow
         ({"experiment": "schrodinger", "hbar": 0.01},
-         "the pinning kernel over one time step is 0.354 node spacings wide "
-         "(sqrt(hbar dt) / dx), under 1; take nx >= 567\n"),
+         "the pinning kernel over the horizon underflows to 0 at hbar = 0.01 "
+         "between nodes the domain width 8 apart, on any grid; take a larger "
+         "hbar\n"),
+        ({"experiment": "schrodinger", "hbar": 0.01, "nx": 567},
+         "the pinning kernel over the horizon underflows to 0 at hbar = 0.01 "
+         "between nodes the domain width 8 apart, on any grid; take a larger "
+         "hbar\n"),
         ({"experiment": "bridge-test", "n_bins": 1},
          "bridge-test needs n_bins >= 2 and n_paths >= 5 n_bins, got "
          "n_bins = 1, n_paths = 100000\n"),
@@ -738,9 +800,10 @@ class TestMain:
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
             "zero-dt", "no-paths", "start-past-horizon", "checkpoint-before-start",
-            "start-off-grid", "one-path", "study-even-nx",
+            "start-off-grid", "one-path", "barrier-one-path", "study-even-nx",
             "pinning-one-node", "pinning-two-nodes", "pinning-one-time",
-            "pinning-hbar", "pinning-unresolved", "pinning-underflow", "one-bin",
+            "pinning-hbar", "pinning-unresolved", "pinning-underflow",
+            "pinning-underflow-resolved", "one-bin",
             "no-bins", "few-paths-per-bin", "null-nx", "null-hbar", "list-spec",
             "scalar-thresholds", "scalar-checkpoints", "scalar-start",
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
@@ -905,10 +968,12 @@ def test_cold_start_loads_scipy_subpackages_on_demand():
     # scipy.stats is never needed; scipy.linalg only by a banded solve,
     # which schrodinger never makes (and by scipy.integrate); scipy.special
     # only by the bridge test (and by scipy.integrate); scipy.integrate only
-    # by an oracle quadrature, which sec7-forward runs and the others do not
-    runs = [[name, TINY[name]] for name in ("schrodinger", "stopping-dist")]
-    runs += [["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}],
-             ["sec7-forward", TINY["sec7-forward"]]]
+    # by an oracle quadrature, which sec7-forward runs and stopping-dist on
+    # a spec document (not the worked example's oracle checks) does not
+    runs = [["schrodinger", TINY["schrodinger"]],
+            ["stopping-dist", dict(TINY["stopping-dist"], spec=analytic.WORKED_EXAMPLE)],
+            ["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}],
+            ["sec7-forward", TINY["sec7-forward"]]]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(runs)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
@@ -931,5 +996,5 @@ def test_import_loads_no_scipy_module():
 
 
 def test_experiment_registry_complete():
-    assert len(EXPERIMENTS) == 7
-    assert len(set(EXPERIMENTS)) == 7
+    assert len(EXPERIMENTS) == 8
+    assert len(set(EXPERIMENTS)) == 8

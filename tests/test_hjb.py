@@ -8,7 +8,14 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from bernstein import core, hjb
-from bernstein.experiments import DOMINANCE_TOL, LCP_TOL, stopping_columns
+from bernstein.experiments import (
+    BAND,
+    BAND_TOL,
+    DOMINANCE_TOL,
+    LCP_TOL,
+    SLICE_TIMES,
+    stopping_columns,
+)
 from bernstein.core import (
     CONTINUATION,
     FUNCTION_REGISTRY,
@@ -279,17 +286,19 @@ class TestClassicalValue:
         ("backward", sec7_classical_eta_star),
     ])
     def test_oracle_agreement(self, orientation, oracle):
-        # relative error of U in the infinity norm over the band
-        # 0.1 <= |x| <= 2.5, every fifth row; 1.2e-3 forward and 8.7e-3
-        # backward at this resolution
+        # the band schedule of the sec7 oracle check: the relative error of U
+        # node by node over BAND on the rows nearest SLICE_TIMES, at its
+        # gate; 5.4e-3 forward and 4.6e-3 backward at this resolution
         spec = make_spec()
-        grid = build_grid(spec, 151, 126)
-        band = (np.abs(grid.xs) >= 0.1) & (np.abs(grid.xs) <= 2.5)
-        val = classical_value(spec, grid, orientation)
-        u = val.value.values[::5][:, band]
-        ref = np.array([[-math.log(oracle(t, x, 1.0, 1.0)) for x in grid.xs[band]]
-                        for t in grid.ts[::5]])
-        assert np.max(np.abs(u - ref)) / np.max(np.abs(ref)) <= 1e-2
+        grid = build_grid(spec, 301, 501)
+        band = ((np.abs(grid.xs) >= BAND[0] - 1e-12)
+                & (np.abs(grid.xs) <= BAND[1] + 1e-12))
+        rows = sorted(set(grid.nearest_row(SLICE_TIMES).tolist()))
+        u = classical_value(spec, grid, orientation).value.values[rows][:, band]
+        ref = np.array([[-math.log(oracle(grid.ts[k], x, 1.0, 1.0))
+                         for x in grid.xs[band]] for k in rows])
+        err = np.max(np.abs(u - ref) / np.abs(ref))
+        assert err <= BAND_TOL, err
 
 
 class TestErrors:

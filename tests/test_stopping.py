@@ -16,11 +16,7 @@ from bernstein.core import (
 from bernstein.hjb import solve_forward_obstacle, value_from_eta
 from bernstein.simulate import PathEnsemble, SimConfig, simulate_forward
 from bernstein.stopping import (
-    ONE,
-    PDE,
-    ZERO,
     SurvivalProblem,
-    classify_lemma3,
     empirical_survival,
     martingale_check,
     solve_q,
@@ -62,7 +58,14 @@ def mask_with_origin_column(grid):
     return RegionMask(grid, flags), j0
 
 
+#: the codes of ``solve_q``'s closed_form_region
+ZERO, ONE, PDE = 0, 1, 2
+
+
 class TestClassification:
+    """The closed-form case analysis, read node by node from
+    ``solve_q(...).closed_form_region``."""
+
     def setup_method(self):
         self.grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 5),
                                   ts=np.linspace(-0.5, 0.5, 5))
@@ -71,20 +74,29 @@ class TestClassification:
         flags[3:, 4] = STOPPING          # late stopping at the right edge
         self.mask = RegionMask(self.grid, flags)
 
+    def code(self, t, x, threshold, mask=None, orientation="forward"):
+        """The closed-form code of the node (t, x) for a driftless problem."""
+        mask = mask or self.mask
+        drift = ScalarField(self.grid, np.zeros((5, 5)))
+        out = solve_q(SurvivalProblem(orientation, threshold, drift, mask, 1.0))
+        return out.closed_form_region[self.grid.exact_row(t),
+                                      self.grid.nearest_column(x)]
+
     def test_stopping_node_forward(self):
-        assert classify_lemma3(0.5, 0.0, 0.25, self.mask) == ONE
-        assert classify_lemma3(0.0, 0.0, 0.25, self.mask) == ZERO
+        assert self.code(0.5, 0.0, 0.25) == ONE
+        assert self.code(0.0, 0.0, 0.25) == ZERO
 
     def test_continuation_past_threshold(self):
-        assert classify_lemma3(0.5, -1.0, 0.25, self.mask) == ONE
-        assert classify_lemma3(0.25, -1.0, 0.25, self.mask) == ONE
+        assert self.code(0.5, -1.0, 0.25) == ONE
+        assert self.code(0.25, -1.0, 0.25) == ONE
 
     def test_no_continuation_time_left(self):
         # x = 1 leaves the continuation region after t = 0, but a path from
         # there may still move sideways and continue at the threshold: the
-        # march gives q = 0.909 at (-0.25, 1) for the threshold 0
-        assert classify_lemma3(-0.25, 1.0, 0.0, self.mask) == PDE
-        assert classify_lemma3(-0.25, 1.0, -0.1, self.mask) == PDE
+        # march gives q = 0.909 at (-0.25, 1) for the threshold 0, and the
+        # node is PDE too for the threshold 0.25, by which x = 1 has stopped
+        assert self.code(-0.25, 1.0, 0.0) == PDE
+        assert self.code(-0.25, 1.0, 0.25) == PDE
         drift = ScalarField(self.grid, np.zeros((5, 5)))
         out = solve_q(SurvivalProblem("forward", 0.0, drift, self.mask, 1.0))
         assert 0.5 < out.q.values[1, 4] < 1.0
@@ -93,12 +105,12 @@ class TestClassification:
         flags = self.mask.flags.copy()
         flags[2:] = STOPPING  # everything stops from t = 0 on
         mask = RegionMask(self.grid, flags)
-        assert classify_lemma3(-0.25, 1.0, 0.0, mask) == ZERO
-        assert classify_lemma3(-0.25, 1.0, 0.25, mask) == ZERO
-        assert classify_lemma3(-0.25, 1.0, -0.25, mask) == ONE
+        assert self.code(-0.25, 1.0, 0.0, mask) == ZERO
+        assert self.code(-0.25, 1.0, 0.25, mask) == ZERO
+        assert self.code(-0.25, 1.0, -0.25, mask) == ONE
         mirror = RegionMask(self.grid, flags[::-1])
-        assert classify_lemma3(0.25, 1.0, 0.0, mirror, "backward") == ZERO
-        assert classify_lemma3(0.25, 1.0, 0.25, mirror, "backward") == ONE
+        assert self.code(0.25, 1.0, 0.0, mirror, "backward") == ZERO
+        assert self.code(0.25, 1.0, 0.25, mirror, "backward") == ONE
         # closed_form_region marks every node before the threshold ZERO
         drift = ScalarField(self.grid, np.zeros((5, 5)))
         for m, orientation, rows in ((mask, "forward", slice(None, 2)),
@@ -117,26 +129,18 @@ class TestClassification:
         flags[grid.ts > 1e-12, j] = STOPPING
         mask = RegionMask(grid, flags)
         k, thr = grid.nearest_row(-0.2), grid.ts[grid.nearest_row(0.25)]
-        assert classify_lemma3(grid.ts[k], 1.0, thr, mask) == PDE
         drift = ScalarField(grid, np.zeros((grid.nt, grid.nx)))
         out = solve_q(SurvivalProblem("forward", thr, drift, mask, 1.0))
-        assert out.closed_form_region[k, j] == 2
+        assert out.closed_form_region[k, j] == PDE
         assert 0.3 < out.q.values[k, j] < 0.7
 
     def test_generic_is_pde(self):
-        assert classify_lemma3(-0.25, -0.5, 0.25, self.mask) == PDE
+        assert self.code(-0.25, -0.5, 0.25) == PDE
 
     def test_backward_mirror(self):
-        assert classify_lemma3(-0.5, 0.0, 0.25, self.mask,
-                               orientation="backward") == ONE
-        assert classify_lemma3(0.5, 0.0, 0.25, self.mask,
-                               orientation="backward") == ZERO
-        assert classify_lemma3(0.0, -1.0, 0.25, self.mask,
-                               orientation="backward") == ONE
-
-    def test_off_grid_point_rejected(self):
-        with pytest.raises(ValueError, match="grid node"):
-            classify_lemma3(0.123, 0.0, 0.25, self.mask)
+        assert self.code(-0.5, 0.0, 0.25, orientation="backward") == ONE
+        assert self.code(0.5, 0.0, 0.25, orientation="backward") == ZERO
+        assert self.code(0.0, -1.0, 0.25, orientation="backward") == ONE
 
 
 class TestSurvivalProblemValidation:
@@ -246,20 +250,15 @@ class TestSolveQ:
         spec, grid, sol, val = solved
         p = SurvivalProblem("forward", 0.25, val.drift, sol.mask, spec.hbar)
         out = solve_q(p)
-        for k in range(0, grid.nt, 50):
-            for j in range(0, grid.nx, 30):
-                label = classify_lemma3(grid.ts[k], grid.xs[j], 0.25, sol.mask)
-                if label == ONE:
-                    assert out.q.values[k, j] == pytest.approx(1.0, abs=1e-12)
-                elif label == ZERO:
-                    assert out.q.values[k, j] == pytest.approx(0.0, abs=1e-12)
+        codes = out.closed_form_region
+        assert np.all(np.abs(out.q.values[codes == ONE] - 1.0) <= 1e-12)
+        assert np.all(np.abs(out.q.values[codes == ZERO]) <= 1e-12)
+        assert (codes == ONE).any() and (codes == ZERO).any()
 
     def test_labels_agree_with_the_march(self):
         # random masks and drifts, both orientations, every interior grid
-        # threshold: a node the case analysis settles marches to its value,
-        # and classify_lemma3 reads closed_form_region node by node
+        # threshold: a node the case analysis settles marches to its value
         rng = np.random.default_rng(11)
-        names = (ZERO, ONE, PDE)
         for _ in range(120):
             nt, nx = rng.integers(3, 12, size=2)
             grid = SpaceTimeGrid(xs=np.linspace(-1, 1, nx),
@@ -271,14 +270,9 @@ class TestSolveQ:
                     out = solve_q(SurvivalProblem(orientation, thr, drift,
                                                   mask, 1.0))
                     codes = out.closed_form_region
-                    settled = codes != 2  # 0 = ZERO, 1 = ONE
+                    settled = codes != PDE
                     assert np.all(np.abs(out.q.values[settled]
                                          - codes[settled]) <= 1e-12)
-                    for k, j in zip(rng.integers(nt, size=3),
-                                    rng.integers(nx, size=3)):
-                        label = classify_lemma3(grid.ts[k], grid.xs[j], thr,
-                                                mask, orientation)
-                        assert label == names[codes[k, j]]
 
     def test_max_principle_guard(self, solved, monkeypatch):
         spec, grid, sol, val = solved
