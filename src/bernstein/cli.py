@@ -68,9 +68,9 @@ def _repr_line(cells) -> bytes:
 
 
 def _write_rows(fh, first, rows) -> None:
-    """One line per entry of the float array ``first`` (a time, a node or
-    a threshold): the entry, then its row's floats, each written as its
-    repr, as ``csv.writer`` writes them. No cell needs quoting, and lines end
+    """One line per entry of the float array ``first`` (a time or a node):
+    the entry, then its row's floats, each written as its repr, as
+    ``csv.writer`` writes them. No cell needs quoting, and lines end
     in csv's "\\r\\n"; ``fh`` is a binary file.
 
     A rectangular table is formatted, ``first`` as its column 0, by

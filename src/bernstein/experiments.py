@@ -72,7 +72,7 @@ def _read(key, convert, value):
     value has the wrong type or form."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -89,14 +89,17 @@ def oracle_eta(orientation: str, t: float, x: float) -> float:
     return f(t, x, HBAR, T)
 
 
+def in_band(xs) -> np.ndarray:
+    """Whether each node of xs lies in BAND[0] <= |x| <= BAND[1], to 1e-12."""
+    return (np.abs(xs) >= BAND[0] - 1e-12) & (np.abs(xs) <= BAND[1] + 1e-12)
+
+
 def band_errors(sol: hjb.EtaSolution) -> list:
     """The oracle band error of a worked-example solve, slice by slice:
     (row time, relative infinity-norm error of U = -hbar log(eta) over
-    BAND[0] <= |x| <= BAND[1]) for each slice of SLICE_TIMES, snapped to its
-    nearest grid row."""
+    ``in_band``) for each slice of SLICE_TIMES, snapped to its nearest row."""
     grid = sol.eta.grid
-    sel = ((np.abs(grid.xs) >= BAND[0] - 1e-12)
-           & (np.abs(grid.xs) <= BAND[1] + 1e-12))
+    sel = in_band(grid.xs)
     rows = sorted(set(grid.nearest_row(SLICE_TIMES).tolist()))
     out = []
     for k in rows:
@@ -187,13 +190,12 @@ def compare_report(a: ScalarField, b: ScalarField) -> dict:
     """Difference norms between two fields on a common grid.
 
     Reports the infinity norm and the grid-scaled 2-norm, and the same two
-    restricted to the band BAND[0] <= |x| <= BAND[1], None where no node
-    lies in the band.
+    restricted to the band ``in_band``, None where no node lies in the band.
     """
     if a.grid != b.grid:
         raise ValueError("fields must share a grid")
     d = a.values - b.values
-    sel = (np.abs(a.grid.xs) >= BAND[0]) & (np.abs(a.grid.xs) <= BAND[1])
+    sel = in_band(a.grid.xs)
     dr = d[:, sel]
     return {
         "inf_norm": float(np.max(np.abs(d))),
@@ -416,8 +418,8 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
             stopping.check_threshold(grid.ts, thr)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"thresholds: {exc}") from None
-    sol = hjb.solve_forward_obstacle(spec, grid)
-    val = hjb.value_from_eta(sol, spec.hbar)
+    # the solve's eta is freed once its drift is built
+    val = hjb.value_from_eta(hjb.solve_forward_obstacle(spec, grid), spec.hbar)
     sols = [stopping.solve_q(stopping.SurvivalProblem(
                 orientation=FORWARD, threshold=thr, drift=val.drift,
                 mask=val.mask, hbar=spec.hbar))
@@ -429,10 +431,6 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     mart = stopping.martingale_check(qsol, ens, sim.checkpoints)
     # q at the exact start, read as the martingale check reads it
     q0 = mart["q_at_start"]
-    # long format: one line (threshold, t, x, q) per solution and node
-    tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
-    sweep = np.concatenate([np.column_stack((tt.ravel(), xx.ravel(),
-                                             s.q.values.ravel())) for s in sols])
     survival = {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
                 "ensemble": ens.summary(),
                 "q_unclamped_range": (list(qsol.unclamped_range)
@@ -444,9 +442,7 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
         action = survival["ensemble"]["action_value"]
         checks["action_matches_value"] = abs(action["mean"] - u) <= 3 * action["stderr"]
     return Result(
-        tables={"q_sweep.csv": ("threshold,t,x,q",
-                                np.repeat([s.threshold for s in sols], tt.size),
-                                sweep)},
+        fields={f"q_{s.threshold!r}.csv": s.q for s in sols},
         reports={"survival_compare.json": survival, "martingale.json": mart},
         checks=checks)
 

@@ -57,6 +57,8 @@ class SimConfig:
     bridge_correction: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_paths < 1:
@@ -355,13 +357,15 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
 def check_start(spec: ProblemSpec, orientation, cfg: SimConfig) -> tuple:
     """The start (s0, x0) of a run in its marching time, s = t forward and
     s = -t backward; a ValueError if s0 lies outside the horizon, x0
-    outside [x_min, x_max] or a checkpoint before s0."""
+    outside [x_min, x_max] or a checkpoint not finite or before s0."""
     (t0, x0), sign = cfg.start, 1 if orientation == FORWARD else -1
     if not -spec.half_horizon <= sign * t0 < spec.half_horizon:
         raise ValueError(f"start time {t0} outside horizon")
     if not spec.x_min <= x0 <= spec.x_max:
         raise ValueError(f"start x {x0} outside [{spec.x_min}, {spec.x_max}]")
     for c in cfg.checkpoints:
+        if not math.isfinite(c):
+            raise ValueError(f"checkpoint {c} is not a finite time")
         if sign * c < sign * t0:
             raise ValueError(f"checkpoint {c} lies before the start time {t0} "
                              f"of the {orientation} run")

@@ -91,6 +91,20 @@ class TestCompareReport:
         assert rep["restricted_inf_norm"] == 1.0
         assert rep["restriction"] == [0.1, 2.5]
 
+    def test_band_is_the_band_errors_band(self):
+        # at 61 nodes on [-3, 3] the node x = -0.1 lies 4e-16 inside
+        # |x| = 0.1: in the band that band_errors scores, so in this one too
+        grid = core.build_grid(core.ProblemSpec.from_json(analytic.WORKED_EXAMPLE),
+                               61, 3)
+        j = 29
+        assert 0.1 - 1e-12 < abs(grid.xs[j]) < 0.1
+        b = np.zeros((grid.nt, grid.nx))
+        b[:, j] = 1.0
+        rep = compare_report(ScalarField(grid, np.zeros_like(b)),
+                             ScalarField(grid, b))
+        assert rep["restricted_inf_norm"] == 1.0
+        assert experiments.in_band(grid.xs)[j]
+
     def test_grid_mismatch(self):
         a = small_field(np.zeros((2, 3)))
         b = ScalarField(SpaceTimeGrid(xs=np.linspace(0, 2, 3),
@@ -397,16 +411,15 @@ class TestManifests:
                                         start=[-0.5, 1.02])
         q_pde = res.reports["survival_compare.json"]["q_pde"]
         assert q_pde == res.reports["martingale.json"]["q_at_start"]
-        grid = core.build_grid(core.ProblemSpec.from_json(analytic.WORKED_EXAMPLE), 151, 101)
-        sweep = res.tables["q_sweep.csv"][2]
-        q = ScalarField(grid, sweep[:grid.nt * grid.nx, 2].reshape(grid.nt, grid.nx))
+        q = res.fields["q_0.25.csv"]
         assert q_pde == interpolate(q, -0.5, 1.02)
         assert q_pde != q.values[0, q.grid.nearest_column(1.02)]
 
     def test_stopping_small(self, tmp_path):
         man = run_experiment(tiny("stopping-dist"), str(tmp_path), 5)
         assert man["all_checks_passed"], man["checks"]
-        assert (tmp_path / "q_sweep.csv").exists()
+        assert (tmp_path / "q_0.25.csv").exists()
+        assert (tmp_path / "q_0.1.csv").exists()
         assert (tmp_path / "martingale.json").exists()
         with open(tmp_path / "survival_compare.json") as fh:
             ens = json.load(fh)["ensemble"]
@@ -510,22 +523,23 @@ class TestArtifacts:
         for fname, digest in man["files"].items():
             assert _sha256(str(out / fname)) == digest
 
-    def test_q_sweep_csv(self, tiny_runs, tiny_stopping):
-        out = tiny_runs["stopping-dist"][0]
+    def test_q_field_csvs(self, tiny_runs, tiny_stopping):
+        # each threshold's survival function is a matrix CSV of its own,
+        # named by the threshold's repr, that reads back bit for bit
+        out, man, _ = tiny_runs["stopping-dist"]
         sols = tiny_stopping[0]
-        grid = sols[0].q.grid
-        with open(out / "q_sweep.csv", newline="") as fh:
-            lines = fh.readlines()
-        assert lines[0] == "threshold,t,x,q\r\n"
-        assert len(sols) == 2
-        assert len(lines) == 1 + 2 * grid.nt * grid.nx
-        table = np.loadtxt(out / "q_sweep.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(table[:, 0],
-                              np.repeat([0.25, 0.1], grid.nt * grid.nx))
-        assert np.array_equal(table[: grid.nt * grid.nx, 1],
-                              np.repeat(grid.ts, grid.nx))
-        assert np.array_equal(table[:, 3], np.concatenate(
-            [s.q.values.ravel() for s in sols]))
+        assert [s.threshold for s in sols] == [0.25, 0.1]
+        assert sorted(f for f in man["files"] if f.startswith("q_")) == [
+            "q_0.1.csv", "q_0.25.csv"]
+        for s in sols:
+            table = np.loadtxt(out / f"q_{s.threshold!r}.csv", delimiter=",",
+                               skiprows=1)
+            grid = s.q.grid
+            header = np.loadtxt(out / f"q_{s.threshold!r}.csv", delimiter=",",
+                                max_rows=1, usecols=range(1, grid.nx + 1))
+            assert np.array_equal(header, grid.xs)
+            assert np.array_equal(table[:, 0], grid.ts)
+            assert np.array_equal(table[:, 1:], s.q.values)
 
     def test_survival_records_the_unclamped_range(self, tiny_runs, tiny_stopping):
         out = tiny_runs["stopping-dist"][0]
@@ -650,6 +664,13 @@ class TestPeakMemory:
         # only until its value is built
         assert self.peak_fields(lambda: experiments.classical_compare(
             nx=self.NX, nt=self.NT)) <= 5.5
+
+    def test_stopping_dist_holds_at_most_four_and_a_half_fields(self):
+        # it keeps U, the drift, the mask and q; the solve's eta lives only
+        # until the drift is built, and q is returned as the field it is
+        # (3.8 fields measured)
+        assert self.peak_fields(lambda: experiments.stopping_dist(
+            nx=self.NX, nt=self.NT, n_paths=2000, dt=2e-3)) <= 4.5
 
 
 class TestMain:
@@ -794,6 +815,20 @@ class TestMain:
           "spec": dict(analytic.WORKED_EXAMPLE,
                        initial_cost={"name": "log1p_abs", "scale": "x"})},
          "function 'log1p_abs' parameter scale must be a number, not 'x'\n"),
+        # non-finite numbers, which Python's json reads as NaN and Infinity
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "dt": math.nan},
+         "dt must be finite, got nan\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "dt": math.inf},
+         "dt must be finite, got inf\n"),
+        ({"experiment": "stopping-dist", "nx": math.inf},
+         "nx: cannot convert float infinity to integer\n"),
+        ({"experiment": "barrier", "n_paths": math.inf},
+         "n_paths: cannot convert float infinity to integer\n"),
+        ({"experiment": "sec7-forward", "seed": -math.inf},
+         "seed: cannot convert float infinity to integer\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "checkpoints": [0.1, math.nan]},
+         "checkpoint nan is not a finite time\n"),
         # the output directory is --out alone
         ({"experiment": "bridge-test", "out": "x"}, "unknown config keys ['out']"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
@@ -808,7 +843,8 @@ class TestMain:
             "scalar-thresholds", "scalar-checkpoints", "scalar-start",
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
             "triple-levels", "one-marginal-path", "text-seed", "null-parameter",
-            "text-parameter", "out-key"])
+            "text-parameter", "nan-dt", "infinite-dt", "infinite-nx",
+            "infinite-paths", "infinite-seed", "nan-checkpoint", "out-key"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         # raised before anything is computed

@@ -730,6 +730,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(dt=0, n_paths=1, seed=0, start=(0, 0))
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_checkpoint(self, c):
+        # no step reaches it, so it would never be recorded
+        cfg = SimConfig(dt=1e-2, n_paths=10, seed=0, start=(0.0, 1.0),
+                        checkpoints=(0.2, c))
+        with pytest.raises(ValueError, match=f"checkpoint {c} is not a finite time"):
+            simulate.check_start(make_spec(), core.FORWARD, cfg)
+
     def test_start_outside_horizon(self):
         spec = make_spec()
         cfg = SimConfig(dt=1e-3, n_paths=1, seed=0, start=(0.7, 0.0))
