@@ -217,7 +217,8 @@ def main(argv=None) -> int:
             raise experiments.ConfigError(
                 f"a config is a JSON object of settings, not {cfg!r}")
         seed = (args.seed if args.seed is not None
-                else experiments._read("seed", int, cfg.get("seed", 0)))
+                else experiments._read("seed", experiments._integer,
+                                       cfg.get("seed", 0)))
         manifest = run_experiment(cfg, args.out, seed)
     except experiments.ConfigError as exc:
         print(f"bernstein: error: {exc}", file=sys.stderr)

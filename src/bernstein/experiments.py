@@ -76,6 +76,24 @@ def _read(key, convert, value):
         raise ConfigError(f"{key}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float of integral value such as 1e5, as an int;
+    a TypeError for anything else, a bool or a numeric string included."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a TypeError for anything else, a bool or a
+    numeric string included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -174,14 +192,15 @@ def erf_survival_pde() -> float:
     an absorbing level at 0, started one unit away one time unit before the
     threshold: erf(1/sqrt 2) in exact arithmetic. ``stopping.solve_q`` on a
     grid of its own, memoised: no config reaches it."""
-    xs = np.linspace(0.0, 8.0, 1601)
-    ts = np.arange(-0.5, 0.6 + 1e-12, 2e-4)
-    grid = core.SpaceTimeGrid(xs=xs, ts=ts)
+    # the time grid ends one step past the threshold, which solve_q needs
+    # strictly inside it; the zero drift is a read-only view of one number
+    grid = core.SpaceTimeGrid(xs=np.linspace(0.0, 8.0, 1601),
+                              ts=np.arange(-0.5, 0.5 + 1.5 * 2e-4, 2e-4))
     flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
     flags[:, 0] = STOPPING
     sol = stopping.solve_q(stopping.SurvivalProblem(
         orientation=FORWARD, threshold=0.5,
-        drift=ScalarField(grid, np.zeros((grid.nt, grid.nx))),
+        drift=ScalarField(grid, np.broadcast_to(0.0, (grid.nt, grid.nx))),
         mask=core.RegionMask(grid, flags), hbar=1.0))
     return float(sol.q.values[0, grid.nearest_column(1.0)])
 
@@ -229,7 +248,7 @@ class Result:
 def _problem(spec, nx, nt):
     """The spec document's problem (the worked example's when None), whether
     it is that one, and its nx x nt grid; either rejected is a ConfigError."""
-    nx, nt = _read("nx", int, nx), _read("nt", int, nt)
+    nx, nt = _read("nx", _integer, nx), _read("nt", _integer, nt)
     try:
         problem = ProblemSpec.from_json(analytic.WORKED_EXAMPLE if spec is None else spec)
         return problem, spec is None, build_grid(problem, nx, nt)
@@ -310,7 +329,7 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     factors and density, judged by convergence, slice mass, the
     drift-reversal identity and the density's invariance under a gauge
     rescaling of the factors."""
-    spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=_read("hbar", float, hbar)),
+    spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=_read("hbar", _number, hbar)),
                              nx, nt)
     hbar = spec.hbar
     # Sinkhorn needs every entry of the horizon kernel positive; its
@@ -364,10 +383,6 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         "reversal_nodes": nodes,
         "gauge_deviation": gauge_dev,
         "kernel_sd_over_dx": resolution,
-    }
-    meta = {
-        "iterations": factors.iterations,
-        "final_marginal_error": factors.final_marginal_error,
         "tolerance": schrodinger.SINKHORN_TOL,
         "gauge": "eta_star_init equals 1 at the middle node",
         "monotone_residuals": bool(factors.monotone),
@@ -377,8 +392,7 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         tables={"schrodinger_factors.csv": (
             "x,eta_star_init,eta_final", grid.xs,
             np.column_stack((factors.eta_star_init, factors.eta_final)))},
-        reports={"schrodinger_report.json": report,
-                 "schrodinger_factors.json": meta},
+        reports={"schrodinger_report.json": report},
         checks={"sinkhorn_converged":
                 factors.final_marginal_error <= schrodinger.SINKHORN_TOL,
                 "mass_conservation": mass_dev <= MASS_TOL,
@@ -395,11 +409,12 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     ensemble's mean action is also judged against the oracle value U at the
     start, as ``sec7`` judges its oracle checks there."""
     spec, is_default, grid = _problem(spec, nx, nt)
-    start = _read("start", tuple,
+    start = _read("start", lambda v: tuple(map(_number, v)),
                   (-spec.half_horizon, 1.0) if start is None else start)
-    dt, n_paths = _read("dt", float, dt), _read("n_paths", int, n_paths)
-    checkpoints = _read("checkpoints", tuple, checkpoints)
-    thresholds = _read("thresholds", lambda v: [float(thr) for thr in v],
+    dt, n_paths = _read("dt", _number, dt), _read("n_paths", _integer, n_paths)
+    checkpoints = _read("checkpoints", lambda v: tuple(map(_number, v)),
+                        checkpoints)
+    thresholds = _read("thresholds", lambda v: list(map(_number, v)),
                        thresholds)
     try:
         sim = simulate.SimConfig(dt=dt, n_paths=n_paths, seed=seed,
@@ -413,8 +428,13 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     if not thresholds:
         raise ConfigError("stopping-dist needs at least one threshold")
     try:
+        rows = {}
         for thr in thresholds:
-            grid.exact_row(thr)
+            k = grid.exact_row(thr)
+            if k in rows:
+                raise ValueError(f"{rows[k]!r} and {thr!r} are both the grid "
+                                 f"time {float(grid.ts[k])!r}")
+            rows[k] = thr
             stopping.check_threshold(grid.ts, thr)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"thresholds: {exc}") from None
@@ -454,7 +474,7 @@ def barrier(seed=0, *, n_paths=100000) -> Result:
     and the ensemble must each reproduce. Their stopping rule is not the
     optimal one, so their mean action must not fall below the oracle value
     U(-T/2, 1)."""
-    n_paths = _read("n_paths", int, n_paths)
+    n_paths = _read("n_paths", _integer, n_paths)
     if n_paths < 2:
         raise ConfigError(f"barrier needs n_paths >= 2 for a standard error, "
                           f"got {n_paths}")
@@ -481,9 +501,9 @@ def barrier(seed=0, *, n_paths=100000) -> Result:
 def bridge_test(seed=0, *, n_seeds=20, n_paths=100000, n_bins=30) -> Result:
     """The two-sided Markov bridge chi-square test over consecutive seeds;
     all but one must pass, and at least one."""
-    n_seeds, n_paths, n_bins = (_read("n_seeds", int, n_seeds),
-                                _read("n_paths", int, n_paths),
-                                _read("n_bins", int, n_bins))
+    n_seeds, n_paths, n_bins = (_read("n_seeds", _integer, n_seeds),
+                                _read("n_paths", _integer, n_paths),
+                                _read("n_bins", _integer, n_bins))
     if n_seeds < 1:
         raise ConfigError(f"bridge-test needs n_seeds >= 1, got {n_seeds}")
     # the bins are equal-probability: n_paths / n_bins paths expected in each
@@ -504,7 +524,8 @@ def convergence_study(seed=0, *,
                       levels=((151, 126), (301, 501), (601, 2001))) -> Result:
     """The forward band error of the worked example on refined grids; each
     refinement must gain at least first order."""
-    levels = _read("levels", lambda v: [(nx, nt) for nx, nt in v], levels)
+    levels = _read("levels", lambda v: [(_integer(nx), _integer(nt))
+                                        for nx, nt in v], levels)
     if len(levels) < 2:
         raise ConfigError(f"convergence-study needs at least two levels to "
                           f"measure an order, got {len(levels)}")

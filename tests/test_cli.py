@@ -603,7 +603,11 @@ class TestArtifacts:
         assert timings["cpus"] == core.usable_cpus()
 
     def test_schrodinger_factors_csv(self, tiny_runs):
+        # the density, the factors' table and one report, and nothing else
         out, _, res = tiny_runs["schrodinger"]
+        assert sorted(os.listdir(out)) == [
+            "manifest.json", "rho.csv", "schrodinger_factors.csv",
+            "schrodinger_report.json"]
         grid = res.fields["rho.csv"].grid
         p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * sd**2))
                            for mean, sd in experiments.PIN_MARGINALS)
@@ -618,10 +622,15 @@ class TestArtifacts:
         assert np.array_equal(x, res.fields["rho.csv"].grid.xs)
         assert np.array_equal(eta_star_init, factors.eta_star_init)
         assert np.array_equal(eta_final, factors.eta_final)
-        with open(out / "schrodinger_factors.json") as fh:
-            meta = json.load(fh)
-        assert meta["iterations"] == factors.iterations
-        assert meta["final_marginal_error"] == factors.final_marginal_error
+        with open(out / "schrodinger_report.json") as fh:
+            report = json.load(fh)
+        assert report["iterations"] == factors.iterations
+        assert report["marginal_residual"] == factors.final_marginal_error
+        assert report["residual_trace"] == factors.residual_trace.tolist()
+        assert report["tolerance"] == schrodinger.SINKHORN_TOL
+        assert report["gauge"] == "eta_star_init equals 1 at the middle node"
+        assert factors.eta_star_init[grid.nx // 2] == 1.0
+        assert report["monotone_residuals"] is bool(factors.monotone)
 
     def test_martingale_json(self, tiny_runs, tiny_stopping):
         out = tiny_runs["stopping-dist"][0]
@@ -664,6 +673,23 @@ class TestPeakMemory:
         # only until its value is built
         assert self.peak_fields(lambda: experiments.classical_compare(
             nx=self.NX, nt=self.NT)) <= 5.5
+
+    def test_erf_oracle_peaks_under_120_mb(self):
+        # its time grid ends one step past the threshold and its zero drift
+        # is a read-only view: 96.2 MB measured, of which q is one 64 MB
+        # field; 176.3 MB when the grid ran 500 rows past the threshold
+        # under a drift field of zeros
+        from scipy.linalg import lapack  # noqa: F401  (imported before tracing)
+
+        experiments.erf_survival_pde.cache_clear()
+        tracemalloc.start()
+        try:
+            value = experiments.erf_survival_pde()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value - math.erf(1 / math.sqrt(2))) <= experiments.ERF_TOL
+        assert peak <= 120e6
 
     def test_stopping_dist_holds_at_most_four_and_a_half_fields(self):
         # it keeps U, the drift, the mask and q; the solve's eta lives only
@@ -782,9 +808,9 @@ class TestMain:
          "n_bins = 30, n_paths = 100\n"),
         # values of the wrong JSON type
         ({"experiment": "sec7-forward", "nx": None, "nt": 21},
-         "nx: int() argument must be"),
+         "nx: expected an integer, got None\n"),
         ({"experiment": "schrodinger", "hbar": None},
-         "hbar: float() argument must be"),
+         "hbar: expected a number, got None\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "spec": [1, 2]},
          "a problem document is an object of fields, not [1, 2]\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "thresholds": 0.25},
@@ -794,11 +820,11 @@ class TestMain:
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "start": 1.0},
          "start: 'float' object is not iterable\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": None},
-         "n_paths: int() argument must be"),
+         "n_paths: expected an integer, got None\n"),
         ({"experiment": "bridge-test", "n_bins": "x"},
-         "n_bins: invalid literal for int() with base 10: 'x'\n"),
+         "n_bins: expected an integer, got 'x'\n"),
         ({"experiment": "bridge-test", "n_seeds": None},
-         "n_seeds: int() argument must be"),
+         "n_seeds: expected an integer, got None\n"),
         ({"experiment": "convergence-study", "levels": 3},
          "levels: 'int' object is not iterable\n"),
         ({"experiment": "convergence-study", "levels": [[31, 21, 5], [61, 41, 5]]},
@@ -806,7 +832,7 @@ class TestMain:
         ({"experiment": "schrodinger", "marginals_csv": "a.csv"},
          "marginals_csv must be a pair of paths [init, final], got 'a.csv'\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "seed": "x"},
-         "seed: invalid literal for int() with base 10: 'x'\n"),
+         "seed: expected an integer, got 'x'\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
           "spec": dict(analytic.WORKED_EXAMPLE,
                        terminal_cost={"name": "abs", "scale": None})},
@@ -821,14 +847,52 @@ class TestMain:
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "dt": math.inf},
          "dt must be finite, got inf\n"),
         ({"experiment": "stopping-dist", "nx": math.inf},
-         "nx: cannot convert float infinity to integer\n"),
+         "nx: expected an integer, got inf\n"),
         ({"experiment": "barrier", "n_paths": math.inf},
-         "n_paths: cannot convert float infinity to integer\n"),
+         "n_paths: expected an integer, got inf\n"),
         ({"experiment": "sec7-forward", "seed": -math.inf},
-         "seed: cannot convert float infinity to integer\n"),
+         "seed: expected an integer, got -inf\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
           "checkpoints": [0.1, math.nan]},
          "checkpoint nan is not a finite time\n"),
+        # a number that is not an integer, a bool or a numeric string is
+        # not cast: an integer key takes an integer, a number key a number
+        ({"experiment": "sec7-forward", "nx": 61.9, "nt": 41.5},
+         "nx: expected an integer, got 61.9\n"),
+        ({"experiment": "sec7-forward", "nx": "61", "nt": "41"},
+         "nx: expected an integer, got '61'\n"),
+        ({"experiment": "sec7-forward", "nx": 61, "nt": True},
+         "nt: expected an integer, got True\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
+          "dt": True},
+         "dt: expected a number, got True\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
+          "start": [-0.5, True]},
+         "start: expected a number, got True\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
+          "checkpoints": [True]},
+         "checkpoints: expected a number, got True\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "thresholds": ["0.25"]},
+         "thresholds: expected a number, got '0.25'\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200.5},
+         "n_paths: expected an integer, got 200.5\n"),
+        ({"experiment": "bridge-test", "n_seeds": True},
+         "n_seeds: expected an integer, got True\n"),
+        ({"experiment": "schrodinger", "hbar": True},
+         "hbar: expected a number, got True\n"),
+        ({"experiment": "convergence-study", "levels": [[31, 21], [61, 41.5]]},
+         "levels: expected an integer, got 41.5\n"),
+        ({"experiment": "barrier", "seed": False},
+         "seed: expected an integer, got False\n"),
+        # two thresholds on one grid row would march q twice into one file
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "thresholds": [0.25, 0.1, 0.25]},
+         "thresholds: 0.25 and 0.25 are both the grid time 0.25\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "thresholds": [0.1, 0.1 + 1e-12]},
+         "thresholds: 0.1 and 0.10000000000100001 are both the grid time "
+         "0.10000000000000009\n"),
         # the output directory is --out alone
         ({"experiment": "bridge-test", "out": "x"}, "unknown config keys ['out']"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
@@ -844,7 +908,11 @@ class TestMain:
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
             "triple-levels", "one-marginal-path", "text-seed", "null-parameter",
             "text-parameter", "nan-dt", "infinite-dt", "infinite-nx",
-            "infinite-paths", "infinite-seed", "nan-checkpoint", "out-key"])
+            "infinite-paths", "infinite-seed", "nan-checkpoint",
+            "fractional-nx", "text-nx", "bool-nt", "bool-dt", "bool-start",
+            "bool-checkpoint", "text-threshold", "fractional-paths",
+            "bool-seeds", "bool-hbar", "fractional-level", "bool-seed",
+            "repeated-threshold", "repeated-threshold-row", "out-key"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         # raised before anything is computed
@@ -863,6 +931,22 @@ class TestMain:
         assert captured.err.startswith(f"bernstein: error: {message}")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_integral_float_reads_as_its_integer(self, tmp_path):
+        # 31.0 and 2.1e1 are JSON numbers of integral value: the grid is
+        # 31 x 21, and the manifest records the config as given
+        statuses, mans = [], []
+        for name, text in (("int", '{"experiment": "sec7-forward", "nx": 31, "nt": 21}'),
+                           ("float", '{"experiment": "sec7-forward", "nx": 31.0, "nt": 2.1e1}')):
+            (tmp_path / f"{name}.json").write_text(text)
+            statuses.append(main(["run", str(tmp_path / f"{name}.json"),
+                                  "--out", str(tmp_path / name)]))
+            with open(tmp_path / name / "manifest.json") as fh:
+                mans.append(json.load(fh))
+        assert statuses[0] == statuses[1]
+        assert mans[0]["files"] == mans[1]["files"]
+        assert mans[1]["config"] == {"experiment": "sec7-forward", "nx": 31.0,
+                                     "nt": 21.0}
 
     @pytest.mark.parametrize("change", [
         {"terminal_cost": "zero", "initial_cost": "zero"},
