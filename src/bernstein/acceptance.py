@@ -54,8 +54,8 @@ CRITERIA = {
           "erf_mc": "{erf_mc[estimate]:.5f} +/- {erf_mc[stderr]:.5f}"}),
         (STARTS, SURVIVAL, ["pde_vs_mc"], {"survival_x{}": "pde {q_pde:.4f} vs mc "
                                            "{q_mc[estimate]:.4f} +/- {q_mc[stderr]:.4f}"}),
-        (STOPPED, "martingale.json", ["martingale"],
-         {"martingale_ok": "{all_within_3_stderr}"})]),
+        (STOPPED, SURVIVAL, ["martingale"],
+         {"martingale_ok": "{martingale[all_within_3_stderr]}"})]),
     6: ("endpoint-pinning integral system", [
         (PIN, "schrodinger_report.json",
          ["sinkhorn_converged", "mass_conservation", "gauge_invariance"],
@@ -100,8 +100,8 @@ class CriterionResult:
 @functools.lru_cache(maxsize=None)
 def _run(name: str, seed: int, config: tuple) -> experiments.Result:
     """An experiment at a seed and config, run once per process and kept
-    without its fields and tables, which no criterion reads."""
-    return replace(experiments.RUNNERS[name](seed, **dict(config)), fields={}, tables={})
+    without its fields, which no criterion reads."""
+    return replace(experiments.RUNNERS[name](seed, **dict(config)), fields={})
 
 
 def evaluate(number: int) -> CriterionResult:

@@ -7,14 +7,14 @@ Usage:
 ``run`` resolves the config, seed and output directory, rejects any config
 key that neither it nor the named experiment reads, runs the experiment
 from ``experiments`` (which builds, solves and judges it and returns every
-artifact it emits), and writes what it returned: every field
-through ``field_to_csv``, every report as JSON with sorted keys, every table
-through ``_csv_rows``, and a manifest listing each written file with its
-sha256 hash, the effective config, the pass/fail status of the
-experiment's checks and, apart from those, its ``timings``: the compute
-time, each file's write time and the usable CPU count. Every CSV float is
-written as its repr; ``_write_rows`` formats them with orjson, which gives
-the same bytes faster, and says where the two differ. The exit
+artifact it emits), and writes what it returned: every t x x field
+through ``field_to_csv``, its one report as JSON with sorted keys, and a
+manifest listing each written file with its sha256 hash, the effective
+config, the pass/fail status of the experiment's checks and, apart from
+those, its ``timings``: the compute time, each file's write time and the
+usable CPU count. Every CSV float is written as its repr; ``_write_rows``
+formats them with orjson, which gives the same bytes faster, and says
+where the two differ. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
 line and no traceback: a config file that cannot be read, is not JSON or
 is not a JSON object is one. The output directory is --out, else ./out.
@@ -68,23 +68,19 @@ def _repr_line(cells) -> bytes:
 
 
 def _write_rows(fh, first, rows) -> None:
-    """One line per entry of the float array ``first`` (a time or a node):
-    the entry, then its row's floats, each written as its repr, as
-    ``csv.writer`` writes them. No cell needs quoting, and lines end
+    """One line per entry of the float array ``first`` (a time): the entry,
+    then its row of the 2-d float array ``rows``, each written as its repr,
+    as ``csv.writer`` writes them. No cell needs quoting, and lines end
     in csv's "\\r\\n"; ``fh`` is a binary file.
 
-    A rectangular table is formatted, ``first`` as its column 0, by
-    ``orjson.dumps`` in blocks of whole lines, about ``_BLOCK_CELLS`` cells
-    each. orjson writes the shortest round-trip digits, as repr does, and,
-    measured from 5e-324 to 1e308 (orjson 3.8.3), the same string but for
+    The table is formatted, ``first`` as its column 0, by ``orjson.dumps``
+    in blocks of whole lines, about ``_BLOCK_CELLS`` cells each. orjson
+    writes the shortest round-trip digits, as repr does, and, measured from
+    5e-324 to 1e308 (orjson 3.8.3), the same string but for
     1e-9 <= |x| < 1e-4 (0.00001 for 1e-05), |x| >= 1e16 (1e16 for 1e+16),
     NaN and +-inf (null). Each line holding such a cell is rewritten whole
-    by ``_repr_line``, as is every line of a ragged table.
+    by ``_repr_line``.
     """
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
-        fh.writelines(_repr_line([v, *np.asarray(row, dtype=float).tolist()])
-                      + b"\r\n" for v, row in zip(first.tolist(), rows))
-        return
     import orjson  # here, not at the top: importing this module loads no orjson
     step = -(-_BLOCK_CELLS // (rows.shape[1] + 1))
     for lo in range(0, len(rows), step):
@@ -97,19 +93,14 @@ def _write_rows(fh, first, rows) -> None:
         fh.write(b"\r\n".join(lines) + b"\r\n")
 
 
-def _csv_rows(path: str, header: str, first, rows) -> str:
-    """CSV of the line ``header``, then ``_write_rows`` of ``first`` and
-    ``rows``."""
+def field_to_csv(fld: ScalarField, path: str) -> str:
+    """Matrix CSV: first row is x nodes, first column is t nodes, then
+    ``_write_rows`` of the values."""
+    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\r\n")
-        _write_rows(fh, first, rows)
+        _write_rows(fh, fld.grid.ts, fld.values)
     return path
-
-
-def field_to_csv(fld: ScalarField, path: str) -> str:
-    """Matrix CSV: first row is x nodes, first column is t nodes."""
-    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
-    return _csv_rows(path, header, fld.grid.ts, fld.values)
 
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
@@ -149,8 +140,6 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
              for f, fld in result.fields.items()]
     files += [timed(f, lambda p: _write_json(doc, p))
               for f, doc in result.reports.items()]
-    files += [timed(f, lambda p: _csv_rows(p, *table))
-              for f, table in result.tables.items()]
 
     # here, not at the top: importing this module loads neither
     import orjson

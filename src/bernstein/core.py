@@ -18,7 +18,7 @@ import os
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -113,7 +113,18 @@ def function_from_spec(doc) -> Callable:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"function {name!r} parameter {key} must be a "
                              f"number, not {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf or a long int
+            raise ValueError(f"function {name!r} parameter {key} must be "
+                             f"finite, got {value!r}")
     return fn
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a TypeError for anything else, a bool or a
+    numeric string included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +168,33 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, doc) -> "ProblemSpec":
-        """Build from a parsed JSON problem document, a dict of fields."""
+        """Build from a parsed JSON problem document, an object of exactly
+        the seven fields: the four numbers read by ``_number``, not cast,
+        and the three functions by ``function_from_spec``. A field missing,
+        unknown or of the wrong type is a ValueError that names it."""
         if not isinstance(doc, dict):
             raise ValueError(f"a problem document is an object of fields, not {doc!r}")
+        valid = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(doc) - set(valid))
+        if unknown:
+            raise ValueError(f"unknown problem fields {unknown}; valid fields: "
+                             f"{', '.join(valid)}")
+
+        def number(name):
+            try:
+                return _number(doc[name])
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
         try:
             return cls(
-                hbar=float(doc["hbar"]),
-                half_horizon=float(doc["half_horizon"]),
+                hbar=number("hbar"),
+                half_horizon=number("half_horizon"),
                 potential=function_from_spec(doc["potential"]),
                 terminal_cost=function_from_spec(doc["terminal_cost"]),
                 initial_cost=function_from_spec(doc["initial_cost"]),
-                x_min=float(doc["x_min"]),
-                x_max=float(doc["x_max"]),
+                x_min=number("x_min"),
+                x_max=number("x_max"),
             )
         except KeyError as exc:
             raise ValueError(f"problem document is missing field {exc}") from exc

@@ -32,6 +32,7 @@ from .core import (
     STOPPING,
     ProblemSpec,
     ScalarField,
+    _number,
     build_grid,
 )
 
@@ -84,14 +85,6 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float; a TypeError for anything else, a bool or a
-    numeric string included."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +226,14 @@ def compare_report(a: ScalarField, b: ScalarField) -> dict:
 @dataclass(frozen=True)
 class Result:
     """What one experiment produced. Its artifacts, each keyed by file name:
-    JSON ``reports``, ``fields`` (matrix CSVs) and ``tables``, each table a
-    ``(header, first_column, rows)`` CSV of one line per first-column entry.
-    Its named checks. In ``data``, what a criterion reads that must not be
-    an artifact: a solve time, since no timing goes into an artifact."""
+    its t x x ``fields`` (matrix CSVs) and its one JSON report in
+    ``reports``, which holds every other number it emits. Its named checks.
+    In ``data``, what a criterion reads that must not be an artifact: a
+    solve time, since no timing goes into an artifact."""
 
     reports: dict
     checks: dict
     fields: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
 
 
@@ -283,7 +275,9 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     checks = {"lcp_residual": res_norm <= LCP_TOL}
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
-              "solves_per_step_max": int(np.max(sol.step_solves))}
+              "solves_per_step_max": int(np.max(sol.step_solves)),
+              # the x positions of each time row, in eta.csv's row order
+              "free_boundary": [b.tolist() for b in sol.boundary]}
     if is_default:
         cols, full, exact = stopping_columns(sol)
         slices = band_errors(sol)
@@ -296,8 +290,6 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
         checks["stopping_set_is_origin_column"] = full and exact
     return Result(
         fields={"eta.csv": sol.eta, "value.csv": val.value, "drift.csv": val.drift},
-        tables={"free_boundary.csv": ("t,free_boundary_positions", grid.ts,
-                                      sol.boundary)},
         reports={"oracle_compare.json": report}, checks=checks,
         data={"solve_s": solve_s})
 
@@ -386,12 +378,12 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
         "tolerance": schrodinger.SINKHORN_TOL,
         "gauge": "eta_star_init equals 1 at the middle node",
         "monotone_residuals": bool(factors.monotone),
+        # the factors on rho.csv's x nodes
+        "eta_star_init": factors.eta_star_init.tolist(),
+        "eta_final": factors.eta_final.tolist(),
     }
     return Result(
         fields={"rho.csv": rho},
-        tables={"schrodinger_factors.csv": (
-            "x,eta_star_init,eta_final", grid.xs,
-            np.column_stack((factors.eta_star_init, factors.eta_final)))},
         reports={"schrodinger_report.json": report},
         checks={"sinkhorn_converged":
                 factors.final_marginal_error <= schrodinger.SINKHORN_TOL,
@@ -449,10 +441,11 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     qsol = sols[0]
     emp = stopping.empirical_survival(ens, qsol.threshold)
     mart = stopping.martingale_check(qsol, ens, sim.checkpoints)
-    # q at the exact start, read as the martingale check reads it
-    q0 = mart["q_at_start"]
+    # q at the exact start, read as the martingale check reads it, and
+    # reported once, as q_pde
+    q0 = mart.pop("q_at_start")
     survival = {"q_pde": q0, "q_mc": emp, "threshold": qsol.threshold,
-                "ensemble": ens.summary(),
+                "ensemble": ens.summary(), "martingale": mart,
                 "q_unclamped_range": (list(qsol.unclamped_range)
                                       if qsol.unclamped_range else None)}
     checks = {"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
@@ -463,7 +456,7 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
         checks["action_matches_value"] = abs(action["mean"] - u) <= 3 * action["stderr"]
     return Result(
         fields={f"q_{s.threshold!r}.csv": s.q for s in sols},
-        reports={"survival_compare.json": survival, "martingale.json": mart},
+        reports={"survival_compare.json": survival},
         checks=checks)
 
 

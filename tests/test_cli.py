@@ -25,7 +25,6 @@ from bernstein import (
 )
 from bernstein.cli import (
     EXPERIMENTS,
-    _csv_rows,
     _sha256,
     field_to_csv,
     main,
@@ -152,7 +151,7 @@ def decade_floats():
 
 
 class TestCsvWriter:
-    """``_csv_rows`` writes every cell as its repr, whether orjson or repr
+    """``_write_rows`` writes every cell as its repr, whether orjson or repr
     formats it."""
 
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
@@ -175,7 +174,9 @@ class TestCsvWriter:
             for v, row in zip(first.tolist(), rows))
 
     def write(self, path, first, rows):
-        _csv_rows(str(path), "h,x", first, rows)
+        with open(path, "wb") as fh:
+            fh.write(b"h,x\r\n")
+            cli._write_rows(fh, first, rows)
         with open(path, newline="") as fh:
             return fh.read()
 
@@ -238,7 +239,6 @@ class TestCsvWriter:
         tables = [
             (first, rows),
             (rows[::-1, 0], rows[::-1]),  # negative-stride rows, float labels
-            (first, [rows[i, :i % (n_cols + 1)] for i in range(n_rows)]),  # ragged
             (first, rows[:, :0]),  # zero width
         ]
         path = tmp_path_factory.mktemp("csv") / "t.csv"
@@ -260,7 +260,6 @@ class TestCsvWriter:
         tables = {f: (",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]),
                       fld.grid.ts, fld.values)
                   for f, fld in result.fields.items()}
-        tables.update(result.tables)
         assert sorted(tables) == sorted(f for f in man["files"] if f.endswith(".csv"))
         for f in ("value.csv", "drift.csv"):
             mag = np.abs(result.fields[f].values)
@@ -409,8 +408,10 @@ class TestManifests:
         # read q at the same point, by the one interpolator
         res = experiments.stopping_dist(5, nx=151, nt=101, n_paths=2000,
                                         start=[-0.5, 1.02])
-        q_pde = res.reports["survival_compare.json"]["q_pde"]
-        assert q_pde == res.reports["martingale.json"]["q_at_start"]
+        survival = res.reports["survival_compare.json"]
+        q_pde = survival["q_pde"]
+        assert all(row["difference"] == row["mean"] - q_pde
+                   for row in survival["martingale"]["checkpoints"])
         q = res.fields["q_0.25.csv"]
         assert q_pde == interpolate(q, -0.5, 1.02)
         assert q_pde != q.values[0, q.grid.nearest_column(1.02)]
@@ -420,9 +421,10 @@ class TestManifests:
         assert man["all_checks_passed"], man["checks"]
         assert (tmp_path / "q_0.25.csv").exists()
         assert (tmp_path / "q_0.1.csv").exists()
-        assert (tmp_path / "martingale.json").exists()
         with open(tmp_path / "survival_compare.json") as fh:
-            ens = json.load(fh)["ensemble"]
+            survival = json.load(fh)
+        assert survival["martingale"]["all_within_3_stderr"]
+        ens = survival["ensemble"]
         assert ens["action_value"]["stderr"] > 0
         assert 0 < ens["boundary_hit_fraction"] < 1
 
@@ -523,6 +525,32 @@ class TestArtifacts:
         for fname, digest in man["files"].items():
             assert _sha256(str(out / fname)) == digest
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_fields_one_report_and_the_manifest(self, tiny_runs, name):
+        # every CSV a run writes is a t x x field, and every other number
+        # it emits is in its one JSON report
+        out, _, res = tiny_runs[name]
+        (report,) = res.reports
+        assert report.endswith(".json")
+        assert all(isinstance(fld, ScalarField) and f.endswith(".csv")
+                   for f, fld in res.fields.items())
+        assert sorted(os.listdir(out)) == sorted(
+            [*res.fields, report, "manifest.json"])
+
+    @pytest.mark.parametrize("name", ["sec7-forward", "sec7-backward"])
+    def test_free_boundary_in_report(self, tiny_runs, name):
+        # one list of x positions per row of eta.csv, bit for bit
+        out, _, res = tiny_runs[name]
+        grid = res.fields["eta.csv"].grid
+        solve = (hjb.solve_forward_obstacle if name == "sec7-forward"
+                 else hjb.solve_backward_obstacle)
+        sol = solve(core.ProblemSpec.from_json(analytic.WORKED_EXAMPLE), grid)
+        with open(out / "oracle_compare.json") as fh:
+            boundary = json.load(fh)["free_boundary"]
+        assert len(boundary) == grid.nt
+        assert boundary == [b.tolist() for b in sol.boundary]
+        assert any(boundary)
+
     def test_q_field_csvs(self, tiny_runs, tiny_stopping):
         # each threshold's survival function is a matrix CSV of its own,
         # named by the threshold's repr, that reads back bit for bit
@@ -602,28 +630,23 @@ class TestArtifacts:
         assert all(s >= 0 for s in timings["write_s"].values())
         assert timings["cpus"] == core.usable_cpus()
 
-    def test_schrodinger_factors_csv(self, tiny_runs):
-        # the density, the factors' table and one report, and nothing else
+    def test_schrodinger_factors_in_report(self, tiny_runs):
+        # the density and one report, which holds the factors on the
+        # density's x nodes, and nothing else
         out, _, res = tiny_runs["schrodinger"]
         assert sorted(os.listdir(out)) == [
-            "manifest.json", "rho.csv", "schrodinger_factors.csv",
-            "schrodinger_report.json"]
+            "manifest.json", "rho.csv", "schrodinger_report.json"]
         grid = res.fields["rho.csv"].grid
         p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * sd**2))
                            for mean, sd in experiments.PIN_MARGINALS)
         factors = schrodinger.pin_endpoints(  # at the default hbar, 0.5
             schrodinger.MarginalPair(xs=grid.xs, p_init=p_init, p_final=p_final),
             grid, 0.5)[0]
-        with open(out / "schrodinger_factors.csv") as fh:
-            assert fh.readline().strip() == "x,eta_star_init,eta_final"
-        x, eta_star_init, eta_final = np.loadtxt(
-            out / "schrodinger_factors.csv", delimiter=",", skiprows=1,
-            unpack=True)
-        assert np.array_equal(x, res.fields["rho.csv"].grid.xs)
-        assert np.array_equal(eta_star_init, factors.eta_star_init)
-        assert np.array_equal(eta_final, factors.eta_final)
         with open(out / "schrodinger_report.json") as fh:
             report = json.load(fh)
+        assert report["eta_star_init"] == factors.eta_star_init.tolist()
+        assert report["eta_final"] == factors.eta_final.tolist()
+        assert len(report["eta_final"]) == grid.nx
         assert report["iterations"] == factors.iterations
         assert report["marginal_residual"] == factors.final_marginal_error
         assert report["residual_trace"] == factors.residual_trace.tolist()
@@ -632,13 +655,16 @@ class TestArtifacts:
         assert factors.eta_star_init[grid.nx // 2] == 1.0
         assert report["monotone_residuals"] is bool(factors.monotone)
 
-    def test_martingale_json(self, tiny_runs, tiny_stopping):
+    def test_martingale_in_survival_report(self, tiny_runs, tiny_stopping):
+        # the martingale check but for q at the start, which is q_pde
         out = tiny_runs["stopping-dist"][0]
         (qsol, _), ens = tiny_stopping
         expected = stopping.martingale_check(qsol, ens,
                                              TINY["stopping-dist"]["checkpoints"])
-        with open(out / "martingale.json") as fh:
-            assert json.load(fh) == expected
+        with open(out / "survival_compare.json") as fh:
+            survival = json.load(fh)
+        assert survival["q_pde"] == expected.pop("q_at_start")
+        assert survival["martingale"] == expected
 
 
 class TestPeakMemory:
@@ -841,6 +867,34 @@ class TestMain:
           "spec": dict(analytic.WORKED_EXAMPLE,
                        initial_cost={"name": "log1p_abs", "scale": "x"})},
          "function 'log1p_abs' parameter scale must be a number, not 'x'\n"),
+        # a spec's numbers are read as the config's are, not cast; a field
+        # it does not have is named, not ignored; a function parameter is
+        # finite
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE, hbar=True)},
+         "hbar: expected a number, got True\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE, half_horizon="0.5")},
+         "half_horizon: expected a number, got '0.5'\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE, x_min=-10 ** 400)},
+         "x_min: int too large to convert to float\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE, potental="quadratic")},
+         "unknown problem fields ['potental']; valid fields: half_horizon, "
+         "hbar, initial_cost, potential, terminal_cost, x_max, x_min\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       terminal_cost={"name": "abs", "scale": math.inf})},
+         "function 'abs' parameter scale must be finite, got inf\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       terminal_cost={"name": "abs", "scale": 10 ** 400})},
+         f"function 'abs' parameter scale must be finite, got {10 ** 400}\n"),
+        ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
+          "spec": dict(analytic.WORKED_EXAMPLE,
+                       potential={"name": "constant", "value": math.nan})},
+         "function 'constant' parameter value must be finite, got nan\n"),
         # non-finite numbers, which Python's json reads as NaN and Infinity
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "dt": math.nan},
          "dt must be finite, got nan\n"),
@@ -907,7 +961,9 @@ class TestMain:
             "scalar-thresholds", "scalar-checkpoints", "scalar-start",
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
             "triple-levels", "one-marginal-path", "text-seed", "null-parameter",
-            "text-parameter", "nan-dt", "infinite-dt", "infinite-nx",
+            "text-parameter", "bool-spec-hbar", "text-spec-half-horizon",
+            "long-spec-x-min", "misspelt-spec-field", "infinite-parameter",
+            "long-parameter", "nan-parameter", "nan-dt", "infinite-dt", "infinite-nx",
             "infinite-paths", "infinite-seed", "nan-checkpoint",
             "fractional-nx", "text-nx", "bool-nt", "bool-dt", "bool-start",
             "bool-checkpoint", "text-threshold", "fractional-paths",
