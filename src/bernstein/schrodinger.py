@@ -11,16 +11,17 @@ up to the scalar gauge (c*eta*, eta/c) and are found by Sinkhorn / iterative
 proportional fitting. Propagating the factors across the horizon with the
 kernel yields eta(t,x), eta*(t,x) and the process density rho = eta * eta*.
 
-On the uniform grid the kernel between two nodes depends only on their
-offset i - j, so ``log_kernel`` builds it once per time span over the
-offsets -(nx-1) ... nx-1; ``kernel_matrix`` is its exponential indexed by
-i - j. A factor f is propagated over every time slice at once: with
-F[m, i] = f[i + m - (nx-1)] / max f the Hankel matrix of the zero-padded
-factor, the slices are the rows of G @ F times max f, where row k of G is the
-offset kernel for the span |t_k - t_data|. The sum holds to round-off while
-f / max f stays far above the underflow threshold; a factor whose log spans
-more than LINEAR_LOG_RANGE is summed slice by slice in the log domain from
-the same offset-kernel rows.
+On the uniform grid the kernel between two nodes is even in their offset,
+so ``log_kernel`` builds it once per time span over the offsets 0 ... nx-1
+(entry |i - j| for nodes i and j); ``kernel_matrix`` mirrors its exponential
+into the full matrix. A factor f is propagated over every time slice at
+once: with f zero-padded and divided by max f, the fold
+S[d, i] = f[i - d] + f[i + d] (f[i] alone at d = 0) pairs the two nodes at
+distance d from i, and the slices are the rows of G @ S times max f, row k
+of G the half kernel for the span |t_k - t_data|. The sum holds to
+round-off while f / max f stays far above the underflow threshold; a factor
+whose log spans more than LINEAR_LOG_RANGE is summed slice by slice in the
+log domain from the same rows, mirrored.
 """
 
 from __future__ import annotations
@@ -123,21 +124,22 @@ def log_kernel(grid: SpaceTimeGrid, hbar: float, span) -> np.ndarray:
     """Gaussian log-kernel log(h * dx) over the node offsets for a time span.
 
     h = exp(-d^2 / (2 hbar span)) / sqrt(2 pi hbar span) at the distance
-    d = xs[|o|] - xs[0], signed as o, of the offsets o = -(nx-1) ... nx-1;
-    on the uniform grid the kernel between nodes i and j is entry
-    i - j + nx - 1. An array of spans gives one row per span.
+    d = xs[o] - xs[0] of the offsets o = 0 ... nx-1; the kernel is even in
+    the offset, so on the uniform grid the kernel between nodes i and j is
+    entry |i - j|. An array of spans gives one row per span.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    x = grid.xs - grid.xs[0]
-    d = np.concatenate((-x[:0:-1], x))
+    d = grid.xs - grid.xs[0]
     var = hbar * np.asarray(span, dtype=float)[..., None]
     return -d * d / (2 * var) - 0.5 * np.log(2 * np.pi * var) + np.log(grid.dx)
 
 
-def _toeplitz(row, n):
-    # the n x n view M[i, j] = row[i - j + n - 1] of a row over node offsets
-    return sliding_window_view(row, n)[:, ::-1]
+def _toeplitz(half):
+    # the n x n view M[i, j] = half[|i - j|] of a row over the n offsets
+    # 0 ... n - 1, through its mirror over -(n - 1) ... n - 1
+    full = np.concatenate((half[:0:-1], half))
+    return sliding_window_view(full, half.size)[:, ::-1]
 
 
 def kernel_matrix(grid: SpaceTimeGrid, hbar: float, s: float, t: float) -> np.ndarray:
@@ -149,7 +151,7 @@ def kernel_matrix(grid: SpaceTimeGrid, hbar: float, s: float, t: float) -> np.nd
     if not t > s:
         raise ValueError(f"kernel_matrix needs t > s, got s={s}, t={t}")
     return np.ascontiguousarray(
-        _toeplitz(np.exp(log_kernel(grid, hbar, t - s)), grid.nx))
+        _toeplitz(np.exp(log_kernel(grid, hbar, t - s))))
 
 
 #: Sinkhorn's marginal tolerance and iteration cap: ``sinkhorn_solve``'s
@@ -177,10 +179,11 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = SINKHORN_TOL,
 
     mid = n // 2
     eta = np.ones(n)
-    eta_star = np.ones(n)
+    # K @ eta of the residual is the next update's product
+    k_eta = K @ eta
     trace = []
     for it in range(1, max_iter + 1):
-        eta_star = m.p_init / (K @ eta)
+        eta_star = m.p_init / k_eta
         eta = m.p_final / (K.T @ eta_star)
         if not (np.all(eta > 0) and np.all(np.isfinite(eta))
                 and np.all(eta_star > 0) and np.all(np.isfinite(eta_star))):
@@ -192,8 +195,9 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = SINKHORN_TOL,
         c = eta_star[mid]
         eta_star = eta_star / c
         eta = eta * c
+        k_eta = K @ eta
         res = max(
-            float(np.max(np.abs(eta_star * (K @ eta) - m.p_init))),
+            float(np.max(np.abs(eta_star * k_eta - m.p_init))),
             float(np.max(np.abs(eta * (K.T @ eta_star) - m.p_final))),
         )
         trace.append(res)
@@ -212,13 +216,13 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = SINKHORN_TOL,
 #: above the products that underflow (below e^-708). Wider factors are
 #: summed in the log domain.
 LINEAR_LOG_RANGE = 600.0
-#: kernel rows built at a time, so that no (nt - 1) x (2 nx - 1) array is held
+#: half-kernel rows built at a time, so that no (nt - 1) x nx array is held
 _BLOCK = 32
 
 
 def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
     # kernel integrals of the factor held on data_row (0 or -1) over every
-    # other row: out[k, i] = sum_j g_k[i - j] f[j] with g_k the offset
+    # other row: out[k, i] = sum_j g_k[|i - j|] f[j] with g_k the half
     # kernel for the span |t_k - t_data|
     nt, nx, ts = grid.nt, grid.nx, grid.ts
     log_f = np.log(factor)
@@ -227,24 +231,26 @@ def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
     start, stop = (0, nt - 1) if data_row == -1 else (1, nt)
     linear = np.ptp(log_f) <= LINEAR_LOG_RANGE
     if linear:
-        # Hankel matrix F[m, i] = f[i + m - (nx - 1)] of the zero-padded
-        # factor over its maximum; the kernel is even in the offset, so
-        # the rows g_k @ F are the integrals
+        # the zero-padded factor over its maximum, folded by the kernel's
+        # evenness: S[d, i] = f[i - d] + f[i + d], and f[i] once at d = 0,
+        # so the rows g_k @ S are the integrals
         fmax = float(np.max(factor))
         padded = np.zeros(3 * nx - 2)
         padded[nx - 1:2 * nx - 1] = factor / fmax
-        hankel = np.ascontiguousarray(sliding_window_view(padded, nx))
+        windows = sliding_window_view(padded, nx)  # windows[m, i] = padded[m + i]
+        folded = windows[nx - 1:] + windows[nx - 1::-1]
+        folded[0] = padded[nx - 1:2 * nx - 1]
     for b in range(start, stop, _BLOCK):
         rows = slice(b, min(b + _BLOCK, stop))
         g = log_kernel(grid, hbar, np.abs(ts[rows] - ts[data_row]))
         if linear:
             np.exp(g, out=g)
-            np.matmul(g, hankel, out=out[rows])
+            np.matmul(g, folded, out=out[rows])
             out[rows] *= fmax
         else:
             from scipy.special import logsumexp
             for k, gk in zip(range(rows.start, rows.stop), g):
-                out[k] = np.exp(logsumexp(_toeplitz(gk, nx) + log_f, axis=1))
+                out[k] = np.exp(logsumexp(_toeplitz(gk) + log_f, axis=1))
     return ScalarField(grid, out)
 
 
@@ -253,7 +259,7 @@ def propagate_eta(factors: SchrodingerFactors, grid: SpaceTimeGrid,
     """eta(t, x) = integral of h(t, x, T/2, z) eta_final(z) dz.
 
     The final row is the stored factor exactly; earlier rows are kernel
-    integrals, one matrix product over the node offsets.
+    integrals, one matrix product over the node distances.
     """
     return _propagate(factors.eta_final, grid, hbar, -1)
 

@@ -51,6 +51,22 @@ def logsumexp_rows(factor, grid, hbar, data_row):
     return out
 
 
+def sinkhorn_four_products(m, K, tol):
+    """Reference Sinkhorn loop that takes all four matrix-vector products of
+    an iteration afresh: the two updates and the two residuals."""
+    mid = m.xs.size // 2
+    eta = np.ones(m.xs.size)
+    trace = []
+    while not trace or trace[-1] > tol:
+        eta_star = m.p_init / (K @ eta)
+        eta = m.p_final / (K.T @ eta_star)
+        c = eta_star[mid]
+        eta_star, eta = eta_star / c, eta * c
+        trace.append(max(float(np.max(np.abs(eta_star * (K @ eta) - m.p_init))),
+                         float(np.max(np.abs(eta * (K.T @ eta_star) - m.p_final)))))
+    return eta_star, eta, np.asarray(trace)
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     grid = make_grid()
@@ -169,6 +185,22 @@ class TestSinkhorn:
         assert f.final_marginal_error == 0.5 * (1 + 2e-12)
         assert not f.monotone
 
+    def test_matches_four_product_reference(self, pipeline):
+        # reusing the residual's K @ eta as the next update's product keeps
+        # every bit of the factors and of the trace
+        grid, _, marg, K, factors = pipeline
+        cases = [(marg, K, 1e-10, factors)]
+        grid = make_grid(nx=401)
+        marg = MarginalPair(xs=grid.xs, p_init=gauss(grid.xs, -1, 0.35),
+                            p_final=gauss(grid.xs, 1, 0.35))
+        K = kernel_matrix(grid, 0.1, grid.ts[0], grid.ts[-1])
+        cases.append((marg, K, 1e-8, sinkhorn_solve(marg, K, tol=1e-8)))  # 26 iterations
+        for marg, K, tol, factors in cases:
+            eta_star, eta, trace = sinkhorn_four_products(marg, K, tol)
+            assert np.array_equal(factors.eta_star_init, eta_star)
+            assert np.array_equal(factors.eta_final, eta)
+            assert np.array_equal(factors.residual_trace, trace)
+
     def test_symmetric_inputs_give_equal_factors(self):
         # even marginals on an even grid make the fixed point symmetric:
         # eta equals eta* after matching the gauge
@@ -222,6 +254,26 @@ class TestPropagation:
             ref = logsumexp_rows(factor, grid, hbar, row)
             assert np.array_equal(got[row], factor)
             assert np.max(np.abs(got / ref - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("nx", [40, 41, 201])
+    def test_edge_heavy_factors_match_direct_kernel_sum(self, nx):
+        # factors largest at an edge node weigh the zero padding next to it
+        # and the offset-0 term; each is propagated both ways
+        grid = make_grid(nx=nx)
+        hbar, xs, ts = 0.5, grid.xs, grid.ts
+        rising, falling = np.exp(3 * xs), np.exp(-2 * xs)
+        for eta_star_init, eta_final in ((rising, falling), (falling, rising)):
+            factors = SchrodingerFactors(eta_star_init=eta_star_init,
+                                         eta_final=eta_final, residual_trace=[0.0])
+            for propagate, factor, row in (
+                    (propagate_eta, eta_final, -1),
+                    (propagate_eta_star, eta_star_init, 0)):
+                got = propagate(factors, grid, hbar).values
+                assert np.array_equal(got[row], factor)
+                for k in range(grid.nt - 1) if row == -1 else range(1, grid.nt):
+                    kernel = dense_kernel(grid, hbar, abs(ts[k] - ts[row]))
+                    ref = np.sum(kernel * factor, axis=1)
+                    assert np.max(np.abs(got[k] / ref - 1)) <= 1e-13
 
     def test_wide_log_range_matches_logsumexp_reference(self):
         # a factor spanning more than the doubles' exponent range relative
