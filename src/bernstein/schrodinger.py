@@ -216,21 +216,19 @@ def sinkhorn_solve(m: MarginalPair, K: np.ndarray, tol: float = SINKHORN_TOL,
 #: above the products that underflow (below e^-708). Wider factors are
 #: summed in the log domain.
 LINEAR_LOG_RANGE = 600.0
-#: half-kernel rows built at a time, so that no (nt - 1) x nx array is held
-_BLOCK = 32
 
 
 def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
     # kernel integrals of the factor held on data_row (0 or -1) over every
-    # other row: out[k, i] = sum_j g_k[|i - j|] f[j] with g_k the half
-    # kernel for the span |t_k - t_data|
+    # other row: out[k, i] = sum_j g_k[|i - j|] f[j], g_k the half kernel
+    # for the span |t_k - t_data|; g holds every g_k, (nt - 1) x nx at once
     nt, nx, ts = grid.nt, grid.nx, grid.ts
     log_f = np.log(factor)
     out = np.empty((nt, nx))
     out[data_row] = factor
-    start, stop = (0, nt - 1) if data_row == -1 else (1, nt)
-    linear = np.ptp(log_f) <= LINEAR_LOG_RANGE
-    if linear:
+    rows = slice(0, nt - 1) if data_row == -1 else slice(1, nt)
+    g = log_kernel(grid, hbar, np.abs(ts[rows] - ts[data_row]))
+    if np.ptp(log_f) <= LINEAR_LOG_RANGE:
         # the zero-padded factor over its maximum, folded by the kernel's
         # evenness: S[d, i] = f[i - d] + f[i + d], and f[i] once at d = 0,
         # so the rows g_k @ S are the integrals
@@ -240,17 +238,13 @@ def _propagate(factor, grid: SpaceTimeGrid, hbar: float, data_row: int):
         windows = sliding_window_view(padded, nx)  # windows[m, i] = padded[m + i]
         folded = windows[nx - 1:] + windows[nx - 1::-1]
         folded[0] = padded[nx - 1:2 * nx - 1]
-    for b in range(start, stop, _BLOCK):
-        rows = slice(b, min(b + _BLOCK, stop))
-        g = log_kernel(grid, hbar, np.abs(ts[rows] - ts[data_row]))
-        if linear:
-            np.exp(g, out=g)
-            np.matmul(g, folded, out=out[rows])
-            out[rows] *= fmax
-        else:
-            from scipy.special import logsumexp
-            for k, gk in zip(range(rows.start, rows.stop), g):
-                out[k] = np.exp(logsumexp(_toeplitz(gk) + log_f, axis=1))
+        np.exp(g, out=g)
+        np.matmul(g, folded, out=out[rows])
+        out[rows] *= fmax
+    else:
+        from scipy.special import logsumexp
+        for k, gk in zip(range(nt)[rows], g):
+            out[k] = np.exp(logsumexp(_toeplitz(gk) + log_f, axis=1))
     return ScalarField(grid, out)
 
 

@@ -77,20 +77,18 @@ class SurvivalSolution:
     unclamped_range: tuple | None
 
 
-def _closed_form(mask: RegionMask, orientation: str, threshold: float):
+def _closed_form(mask: RegionMask, orientation: str, row: int):
     """The case analysis of every node at once, in marching order
-    (``core._marching_rows``, data row last): the stopping nodes, the codes
-    0 = ZERO, 1 = ONE, 2 = PDE, and the first row at or past the threshold.
-    The rules are the forward ones in marching time s = t (forward) or
-    s = -t (backward). Built from bool and int8 arrays alone."""
-    sign = 1.0 if orientation == FORWARD else -1.0
-    s = sign * core._marching_rows(orientation, mask.grid.ts)
-    at, past = (int(np.searchsorted(s, sign * threshold, side))
-                for side in ("left", "right"))
+    (``core._marching_rows``, data row last), for the threshold on grid row
+    ``row``: the stopping nodes, the codes 0 = ZERO, 1 = ONE, 2 = PDE, and
+    the threshold's row in marching order. The rules are the forward ones
+    in marching time s = t (forward) or s = -t (backward). Built from bool
+    and int8 arrays alone."""
+    at = row if orientation == FORWARD else mask.grid.nt - 1 - row
     stop = core._marching_rows(orientation, mask.flags == STOPPING)
     codes = np.full(stop.shape, 2, dtype=np.int8)
-    codes[past:] = 1  # stopped after the threshold, or continuing past it
-    codes[at:past] = ~stop[at:past]  # on it: 1 continuing, 0 stopped
+    codes[at + 1:] = 1  # stopped after the threshold, or continuing past it
+    codes[at] = ~stop[at]  # on it: 1 continuing, 0 stopped
     # before it: 0 when stopped, and everywhere when nothing continues at
     # or past the threshold
     codes[:at][stop[:at] | stop[at:].all()] = 0
@@ -108,10 +106,8 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     clamped to [0, 1].
     """
     grid, orientation = problem.mask.grid, problem.orientation
-    row = grid.exact_row(problem.threshold)
-    # the threshold row in marching order, found from the grid time ts[row]:
-    # -ts is not the grid's times bit for bit, so -threshold is not snapped
-    stop, codes, kT = _closed_form(problem.mask, orientation, grid.ts[row])
+    stop, codes, kT = _closed_form(problem.mask, orientation,
+                                   grid.exact_row(problem.threshold))
     ts = core._marching_rows(orientation, grid.ts)
     q = np.empty(stop.shape)
     q[kT:] = codes[kT:]

@@ -675,7 +675,7 @@ class TestPeakMemory:
 
     NX, NT = 201, 401
 
-    def peak_fields(self, run):
+    def peak_fields(self, run, nx=NX, nt=NT):
         run()
         tracemalloc.start()
         try:
@@ -685,7 +685,7 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        return peak / (self.NX * self.NT * 8)
+        return peak / (nx * nt * 8)
 
     @pytest.mark.parametrize("orientation", [core.FORWARD, core.BACKWARD])
     def test_sec7_holds_at_most_four_fields(self, orientation):
@@ -723,6 +723,14 @@ class TestPeakMemory:
         # (3.8 fields measured)
         assert self.peak_fields(lambda: experiments.stopping_dist(
             nx=self.NX, nt=self.NT, n_paths=2000, dt=2e-3)) <= 4.5
+
+    def test_pinning_holds_at_most_nine_fields(self):
+        # eta, eta* and rho, with the drift-reversal and gauge checks'
+        # arrays on top (8.27 fields measured); on nx = 401, nt = 201, since
+        # the class's 201 nodes and 401 slices leave the one-step kernel
+        # narrower than a node spacing, which the run rejects
+        assert self.peak_fields(lambda: experiments.pinning(nx=401, nt=201),
+                                nx=401, nt=201) <= 9
 
 
 class TestMain:

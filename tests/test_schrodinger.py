@@ -51,6 +51,48 @@ def logsumexp_rows(factor, grid, hbar, data_row):
     return out
 
 
+def both_ways(factors):
+    """(propagate, factor, data row) for each factor of the pair."""
+    return ((propagate_eta, factors.eta_final, -1),
+            (propagate_eta_star, factors.eta_star_init, 0))
+
+
+def assert_matches_direct_kernel_sum(grid, hbar):
+    """Factors largest at an edge node, which weigh the zero padding next
+    to it and the offset-0 term, propagated both ways against an explicit
+    Gaussian sum."""
+    xs, ts = grid.xs, grid.ts
+    rising, falling = np.exp(3 * xs), np.exp(-2 * xs)
+    for eta_star_init, eta_final in ((rising, falling), (falling, rising)):
+        factors = SchrodingerFactors(eta_star_init=eta_star_init,
+                                     eta_final=eta_final, residual_trace=[0.0])
+        for propagate, factor, row in both_ways(factors):
+            # these factors take the matrix-product path
+            assert np.ptp(np.log(factor)) <= LINEAR_LOG_RANGE
+            got = propagate(factors, grid, hbar).values
+            assert np.array_equal(got[row], factor)
+            for k in range(grid.nt - 1) if row == -1 else range(1, grid.nt):
+                kernel = dense_kernel(grid, hbar, abs(ts[k] - ts[row]))
+                ref = np.sum(kernel * factor, axis=1)
+                assert np.max(np.abs(got[k] / ref - 1)) <= 1e-13
+
+
+def assert_wide_log_range_matches_logsumexp(grid, hbar):
+    """Factors spanning more than the doubles' exponent range relative to
+    their maximum, which go through the log-domain path."""
+    xs = grid.xs
+    factors = SchrodingerFactors(
+        eta_star_init=np.exp(300 - 40 * (xs + 0.5) ** 2 - 3 * xs),
+        eta_final=np.exp(300 - 40 * (xs - 0.5) ** 2 + 3 * xs),
+        residual_trace=[0.0])
+    for propagate, factor, row in both_ways(factors):
+        assert np.ptp(np.log(factor)) > 745
+        got = propagate(factors, grid, hbar).values
+        ref = logsumexp_rows(factor, grid, hbar, row)
+        assert np.array_equal(got[row], factor)
+        assert np.max(np.abs(got / ref - 1)) <= 1e-12
+
+
 def sinkhorn_four_products(m, K, tol):
     """Reference Sinkhorn loop that takes all four matrix-vector products of
     an iteration afresh: the two updates and the two residuals."""
@@ -245,9 +287,7 @@ class TestPropagation:
                             p_final=gauss(grid.xs, 1, 0.35))
         K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
         factors = sinkhorn_solve(marg, K, tol=1e-8, max_iter=500)
-        for propagate, factor, row in (
-                (propagate_eta, factors.eta_final, -1),
-                (propagate_eta_star, factors.eta_star_init, 0)):
+        for propagate, factor, row in both_ways(factors):
             # these factors take the matrix-product path
             assert np.ptp(np.log(factor)) <= LINEAR_LOG_RANGE
             got = propagate(factors, grid, hbar).values
@@ -257,42 +297,17 @@ class TestPropagation:
 
     @pytest.mark.parametrize("nx", [40, 41, 201])
     def test_edge_heavy_factors_match_direct_kernel_sum(self, nx):
-        # factors largest at an edge node weigh the zero padding next to it
-        # and the offset-0 term; each is propagated both ways
-        grid = make_grid(nx=nx)
-        hbar, xs, ts = 0.5, grid.xs, grid.ts
-        rising, falling = np.exp(3 * xs), np.exp(-2 * xs)
-        for eta_star_init, eta_final in ((rising, falling), (falling, rising)):
-            factors = SchrodingerFactors(eta_star_init=eta_star_init,
-                                         eta_final=eta_final, residual_trace=[0.0])
-            for propagate, factor, row in (
-                    (propagate_eta, eta_final, -1),
-                    (propagate_eta_star, eta_star_init, 0)):
-                got = propagate(factors, grid, hbar).values
-                assert np.array_equal(got[row], factor)
-                for k in range(grid.nt - 1) if row == -1 else range(1, grid.nt):
-                    kernel = dense_kernel(grid, hbar, abs(ts[k] - ts[row]))
-                    ref = np.sum(kernel * factor, axis=1)
-                    assert np.max(np.abs(got[k] / ref - 1)) <= 1e-13
+        assert_matches_direct_kernel_sum(make_grid(nx=nx), 0.5)
 
     def test_wide_log_range_matches_logsumexp_reference(self):
-        # a factor spanning more than the doubles' exponent range relative
-        # to its maximum goes through the log-domain path
-        grid = make_grid(nx=401, nt=51)
-        hbar = 0.5
-        xs = grid.xs
-        factors = SchrodingerFactors(
-            eta_star_init=np.exp(300 - 40 * (xs + 0.5) ** 2 - 3 * xs),
-            eta_final=np.exp(300 - 40 * (xs - 0.5) ** 2 + 3 * xs),
-            residual_trace=[0.0])
-        for propagate, factor, row in (
-                (propagate_eta, factors.eta_final, -1),
-                (propagate_eta_star, factors.eta_star_init, 0)):
-            assert np.ptp(np.log(factor)) > 745
-            got = propagate(factors, grid, hbar).values
-            ref = logsumexp_rows(factor, grid, hbar, row)
-            assert np.array_equal(got[row], factor)
-            assert np.max(np.abs(got / ref - 1)) <= 1e-12
+        assert_wide_log_range_matches_logsumexp(make_grid(nx=401, nt=51), 0.5)
+
+    def test_one_propagated_row(self):
+        # at nt = 2 each factor is propagated onto the one other row, by
+        # the matrix product and in the log domain
+        grid = make_grid(nx=201, nt=2)
+        assert_matches_direct_kernel_sum(grid, 0.5)
+        assert_wide_log_range_matches_logsumexp(grid, 0.5)
 
     def test_heat_equation_residuals(self):
         # dual heat flows on a 401x401 sampling; the residual of the checking
