@@ -179,6 +179,7 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, help="override the simulation seed")
     chk = sub.add_parser("check", help="run the acceptance suite")
     chk.add_argument("--criteria", type=int, nargs="+",
+                     choices=sorted(acceptance.CRITERIA),
                      help="subset of criterion numbers to run")
     args = parser.parse_args(argv)
 
@@ -205,9 +206,9 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise experiments.ConfigError(
                 f"a config is a JSON object of settings, not {cfg!r}")
-        seed = (args.seed if args.seed is not None
-                else experiments._read("seed", experiments._integer,
-                                       cfg.get("seed", 0)))
+        key, value = (("--seed", args.seed) if args.seed is not None
+                      else ("seed", cfg.get("seed", 0)))
+        seed = experiments._read(key, experiments._seed, value)
         manifest = run_experiment(cfg, args.out, seed)
     except experiments.ConfigError as exc:
         print(f"bernstein: error: {exc}", file=sys.stderr)

@@ -43,7 +43,8 @@ def _marching_rows(orientation: str, values):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver or quadrature failed to reach its tolerance."""
+    """An iterative solver failed to reach its tolerance, or the two routes
+    of an oracle's drift evaluation disagree."""
 
     def __init__(self, message, residual_trace=None):
         super().__init__(message)

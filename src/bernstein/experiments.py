@@ -12,8 +12,8 @@ they name, so every figure a criterion judges is in an artifact of
 
 The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
 snapped to its nearest grid row and scored against the worked example's
-quadrature oracle at that row's time, over the band ``BAND`` of |x|. The
-oracle is memoised per point, so grids that share rows share its values.
+quadrature oracle at that row's time, over the band ``BAND`` of |x|, in one
+oracle call per row.
 """
 
 from __future__ import annotations
@@ -87,17 +87,17 @@ def _integer(value) -> int:
     return value
 
 
+def _seed(value) -> int:
+    """``_integer(value)`` if it is in [0, 2**63), the seeds that the Philox
+    key of ``simulate`` tells apart; a ValueError otherwise."""
+    value = _integer(value)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"expected an integer in [0, 2**63), got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Checks
-
-
-@functools.lru_cache(maxsize=None)
-def oracle_eta(orientation: str, t: float, x: float) -> float:
-    """The worked example's quadrature oracle for eta (forward) or eta*
-    (backward) at (t, x), memoised."""
-    f = (analytic.sec7_eta_forward if orientation == FORWARD
-         else analytic.sec7_eta_backward)
-    return f(t, x, HBAR, T)
 
 
 def in_band(xs) -> np.ndarray:
@@ -112,12 +112,13 @@ def band_errors(sol: hjb.EtaSolution) -> list:
     grid = sol.eta.grid
     sel = in_band(grid.xs)
     rows = sorted(set(grid.nearest_row(SLICE_TIMES).tolist()))
+    oracle = (analytic.sec7_eta_forward if sol.orientation == FORWARD
+              else analytic.sec7_eta_backward)
     out = []
     for k in rows:
         t = float(grid.ts[k])
         u = -HBAR * np.log(sol.eta.values[k, sel])
-        ref = np.array([-HBAR * math.log(oracle_eta(sol.orientation, t, x))
-                        for x in grid.xs[sel].tolist()])
+        ref = -HBAR * np.log(oracle(t, grid.xs[sel], HBAR, T))
         out.append((t, float(np.max(np.abs(u - ref)
                                     / np.maximum(np.abs(ref), 1e-12)))))
     return out
@@ -269,9 +270,9 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     t0 = time.perf_counter()
     sol = solve(spec, grid)
     solve_s = time.perf_counter() - t0
-    # the residual grid is freed before U and the drift are built
+    # the residual grid and the oracle's arrays are freed before U and the
+    # drift are built
     res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec, grid).values)))
-    val = hjb.value_from_eta(sol, spec.hbar)
     checks = {"lcp_residual": res_norm <= LCP_TOL}
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
@@ -288,6 +289,7 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
                       data_row_stopped=full, origin_column_exact=exact)
         checks["oracle_agreement"] = err <= BAND_TOL
         checks["stopping_set_is_origin_column"] = full and exact
+    val = hjb.value_from_eta(sol, spec.hbar)
     return Result(
         fields={"eta.csv": sol.eta, "value.csv": val.value, "drift.csv": val.drift},
         reports={"oracle_compare.json": report}, checks=checks,
@@ -451,7 +453,8 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     checks = {"pde_vs_mc": abs(emp["estimate"] - q0) <= 3 * emp["stderr"],
               "martingale": mart["all_within_3_stderr"]}
     if is_default:
-        u = survival["oracle_U"] = -HBAR * math.log(oracle_eta(FORWARD, *sim.start))
+        u = survival["oracle_U"] = -HBAR * math.log(
+            analytic.sec7_eta_forward(*sim.start, HBAR, T))
         action = survival["ensemble"]["action_value"]
         checks["action_matches_value"] = abs(action["mean"] - u) <= 3 * action["stderr"]
     return Result(
@@ -480,7 +483,7 @@ def barrier(seed=0, *, n_paths=100000) -> Result:
     ref = math.erf(1.0 / math.sqrt(2.0))
     q_pde = erf_survival_pde()
     q_mc = stopping.empirical_survival(ens, T / 2 - 1e-9)
-    u = -HBAR * math.log(oracle_eta(FORWARD, *start))
+    u = -HBAR * math.log(analytic.sec7_eta_forward(*start, HBAR, T))
     summary = ens.summary()
     action = summary["action_value"]
     return Result(
@@ -499,6 +502,7 @@ def bridge_test(seed=0, *, n_seeds=20, n_paths=100000, n_bins=30) -> Result:
                                 _read("n_bins", _integer, n_bins))
     if n_seeds < 1:
         raise ConfigError(f"bridge-test needs n_seeds >= 1, got {n_seeds}")
+    _read("the last seed, seed + n_seeds - 1", _seed, seed + n_seeds - 1)
     # the bins are equal-probability: n_paths / n_bins paths expected in each
     if n_bins < 2 or n_paths < 5 * n_bins:
         raise ConfigError(f"bridge-test needs n_bins >= 2 and n_paths >= 5 "

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from bernstein import core
 from bernstein.analytic import (
+    WORKED_EXAMPLE,
     bernstein_transition,
     heat_kernel,
     sec7_classical_eta,
@@ -16,6 +19,7 @@ from bernstein.analytic import (
     sec7_eta_backward,
     sec7_eta_forward,
 )
+from bernstein.experiments import SLICE_TIMES, in_band
 
 HBAR = 1.0
 
@@ -249,3 +253,129 @@ class TestDrifts:
     def test_value_at_start_matches_frozen_action(self):
         u = -math.log(sec7_eta_forward(-0.5, 1.0, 1.0, 1.0))
         assert u == pytest.approx(0.6565899729, abs=1e-9)
+
+
+# The reference the fixed Gauss-Legendre rule of the oracles is pinned to: a
+# tight adaptive quadrature of each integral at hbar = 1, split at the
+# kernel's peak and, for the free-space flow, at the data's kink y = 0.
+def _adaptive(f, a, b, points):
+    # at this tolerance quad warns that round-off limits it, near 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(f, a, b, points=points, epsabs=0, epsrel=2e-14,
+                                limit=500)
+    return val
+
+
+def _g(z, s2):
+    return math.exp(-z * z / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+
+
+DATA = {"forward": lambda y: math.exp(-y), "backward": lambda y: 1 / (1 + y)}
+
+
+def _theta(orientation, t):
+    return 0.5 - t if orientation == "forward" else t + 0.5
+
+
+def _ref_eta(orientation, t, x):
+    data, theta, xa = DATA[orientation], _theta(orientation, t), abs(x)
+    if theta == 0:
+        return data(xa)
+    if xa == 0:
+        return 1.0
+    return 1.0 + _adaptive(
+        lambda y: (_g(xa - y, theta) - _g(xa + y, theta)) * (data(y) - 1.0),
+        0.0, xa + 12 * math.sqrt(theta), [xa])
+
+
+def _ref_classical(orientation, t, x):
+    data, theta = DATA[orientation], _theta(orientation, t)
+    half = 12 * math.sqrt(theta)
+    return _adaptive(lambda y: _g(x - y, theta) * data(abs(y)),
+                     x - half, x + half, sorted({0.0, x}))
+
+
+def _ref_drift(orientation, t, x):
+    # hbar d/dx log(eta), hbar = 1; the backward drift is minus that of eta*
+    data, theta, xa = DATA[orientation], _theta(orientation, t), abs(x)
+    deta = _adaptive(
+        lambda y: ((-(xa - y) * _g(xa - y, theta) + (xa + y) * _g(xa + y, theta))
+                   / theta * (data(y) - 1.0)),
+        0.0, xa + 12 * math.sqrt(theta), [xa])
+    drift = (deta if x > 0 else -deta) / _ref_eta(orientation, t, x)
+    return drift if orientation == "forward" else -drift
+
+
+ETA = {"forward": sec7_eta_forward, "backward": sec7_eta_backward}
+CLASSICAL = {"forward": sec7_classical_eta, "backward": sec7_classical_eta_star}
+DRIFT = {"forward": sec7_drift_forward, "backward": sec7_drift_backward}
+#: x on each side of the kink at 0 and far from it
+KINK_SIDES = (-2.5, -0.7, -0.01, 0.01, 0.7, 2.5)
+
+
+def _worst_rel(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+class TestFixedRule:
+    """The oracles' fixed Gauss-Legendre rule against the tight adaptive
+    reference, to 1e-12 relative: 5e-14 is the worst measured on the band
+    schedule of the sec7 checks."""
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_band_schedule_nodes(self, orientation):
+        # every node the oracle band error of a 601 x 2001 solve reads
+        spec = core.ProblemSpec.from_json(WORKED_EXAMPLE)
+        grid = core.build_grid(spec, 601, 2001)
+        xs = grid.xs[in_band(grid.xs)]
+        for k in sorted(set(grid.nearest_row(SLICE_TIMES).tolist())):
+            t = float(grid.ts[k])
+            ref = [_ref_eta(orientation, t, x) for x in xs.tolist()]
+            assert _worst_rel(ETA[orientation](t, xs, 1.0, 1.0), ref) <= 1e-12
+
+    @pytest.mark.parametrize("orientation, t, x0s", [
+        # criteria 4 and 5's stopping-dist and barrier starts, and the
+        # benchmark's backward ensemble start
+        ("forward", -0.5, (0.4, 0.8, 1.0, 1.2, 1.6, 2.0)),
+        ("backward", 0.5, (1.0,))])
+    def test_monte_carlo_starts(self, orientation, t, x0s):
+        for x0 in x0s:
+            ref = _ref_eta(orientation, t, x0)
+            assert _worst_rel(ETA[orientation](t, x0, 1.0, 1.0), ref) <= 1e-12
+
+    @pytest.mark.parametrize("orientation, t", [("forward", 0.5 - 1e-3),
+                                                ("backward", -0.5 + 1e-3)])
+    def test_narrow_kernel(self, orientation, t):
+        # theta = 1e-3: the window is 0.63 wide around |x|, and cut at 0
+        xs = np.linspace(-3.0, 3.0, 121)
+        ref = [_ref_eta(orientation, t, x) for x in xs.tolist()]
+        assert _worst_rel(ETA[orientation](t, xs, 1.0, 1.0), ref) <= 1e-12
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_classical_each_side_of_the_kink(self, orientation):
+        for t in (-0.4, 0.0, 0.4):
+            ref = [_ref_classical(orientation, t, x) for x in KINK_SIDES]
+            got = CLASSICAL[orientation](t, np.array(KINK_SIDES), 1.0, 1.0)
+            assert _worst_rel(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_drift_each_side_of_the_kink(self, orientation):
+        for t in (-0.4, 0.0, 0.4):
+            ref = [_ref_drift(orientation, t, x) for x in KINK_SIDES]
+            got = DRIFT[orientation](t, np.array(KINK_SIDES), 1.0, 1.0)
+            assert _worst_rel(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("oracle", [*ETA.values(), *CLASSICAL.values(),
+                                        *DRIFT.values()])
+    def test_array_call_is_the_point_calls(self, oracle):
+        # bit for bit: each x is reduced over the nodes on its own, in the
+        # same order, whatever the array holds
+        xs = np.random.default_rng(3).uniform(-3.0, 3.0, size=(4, 25))
+        for t in (-0.45, 0.0, 0.45):
+            got = oracle(t, xs, 1.0, 1.0)
+            assert got.shape == xs.shape
+            points = [oracle(t, x, 1.0, 1.0) for x in xs.ravel().tolist()]
+            assert all(type(p) is float for p in points)
+            assert np.array_equal(got.ravel(), points)

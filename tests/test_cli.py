@@ -670,8 +670,8 @@ class TestArtifacts:
 class TestPeakMemory:
     """The obstacle experiments allocate little beyond the grid arrays they
     keep. Peaks are measured by tracemalloc, to which numpy reports its
-    array buffers, after a warm-up call that fills the oracle memo; they
-    are counted in fields, one grid-sized float array each."""
+    array buffers, after a warm-up call that loads what a first call loads;
+    they are counted in fields, one grid-sized float array each."""
 
     NX, NT = 201, 401
 
@@ -947,6 +947,15 @@ class TestMain:
          "levels: expected an integer, got 41.5\n"),
         ({"experiment": "barrier", "seed": False},
          "seed: expected an integer, got False\n"),
+        # a seed the Philox key of the paths would not tell apart from another
+        ({"experiment": "barrier", "seed": -1},
+         "seed: expected an integer in [0, 2**63), got -1\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 100,
+          "seed": 2 ** 63},
+         "seed: expected an integer in [0, 2**63), got 9223372036854775808\n"),
+        ({"experiment": "bridge-test", "seed": 2 ** 63 - 1, "n_seeds": 2},
+         "the last seed, seed + n_seeds - 1: expected an integer in [0, 2**63), "
+         "got 9223372036854775808\n"),
         # two thresholds on one grid row would march q twice into one file
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
           "thresholds": [0.25, 0.1, 0.25]},
@@ -976,10 +985,24 @@ class TestMain:
             "fractional-nx", "text-nx", "bool-nt", "bool-dt", "bool-start",
             "bool-checkpoint", "text-threshold", "fractional-paths",
             "bool-seeds", "bool-hbar", "fractional-level", "bool-seed",
-            "repeated-threshold", "repeated-threshold-row", "out-key"])
+            "negative-seed", "long-seed", "long-last-seed", "repeated-threshold",
+            "repeated-threshold-row", "out-key"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
-        # raised before anything is computed
+        self.assert_rejected(tmp_path, capsys, monkeypatch, cfg, message)
+
+    @pytest.mark.parametrize("seed", [str(2 ** 63), "-1"])
+    def test_seed_option_out_of_range_is_one_line(self, tmp_path, capsys,
+                                                  monkeypatch, seed):
+        self.assert_rejected(
+            tmp_path, capsys, monkeypatch, {"experiment": "barrier"},
+            f"--seed: expected an integer in [0, 2**63), got {seed}\n",
+            "--seed", seed)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, monkeypatch, cfg, message, *options):
+        """``bernstein run`` of ``cfg`` with ``options`` prints ``message``
+        as one error line and exits 2, before anything is computed."""
         def computed(*args, **kwargs):
             raise AssertionError("a rejected config was computed")
 
@@ -989,7 +1012,7 @@ class TestMain:
                         (experiments.schrodinger, "pin_endpoints")):
             monkeypatch.setattr(mod, fn, computed)
         cfgp = write_config(tmp_path, cfg)
-        assert main(["run", cfgp, "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", cfgp, "--out", str(tmp_path / "out"), *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"bernstein: error: {message}")
@@ -1121,6 +1144,15 @@ class TestMain:
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["seed"] == 77
 
+    @pytest.mark.parametrize("number", ["0", "11"])
+    def test_unknown_criterion_is_a_usage_error(self, capsys, number):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--criteria", "7", number])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bernstein check")
+        assert f"argument --criteria: invalid choice: {number}" in err
+
     def test_check_subset(self, capsys):
         assert main(["check", "--criteria", "7"]) == 0
         out = capsys.readouterr().out
@@ -1150,22 +1182,24 @@ print(json.dumps(stages))
 
 def test_cold_start_loads_scipy_subpackages_on_demand():
     # scipy.stats is never needed; scipy.linalg only by a banded solve,
-    # which schrodinger never makes (and by scipy.integrate); scipy.special
-    # only by the bridge test (and by scipy.integrate); scipy.integrate only
-    # by an oracle quadrature, which sec7-forward runs and stopping-dist on
-    # a spec document (not the worked example's oracle checks) does not
+    # which schrodinger never makes; scipy.special only by the bridge test;
+    # scipy.integrate by no run: the worked example's oracles (sec7-forward,
+    # barrier) take a fixed Gauss-Legendre rule from numpy
     runs = [["schrodinger", TINY["schrodinger"]],
             ["stopping-dist", dict(TINY["stopping-dist"], spec=analytic.WORKED_EXAMPLE)],
-            ["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}],
-            ["sec7-forward", TINY["sec7-forward"]]]
+            ["sec7-forward", TINY["sec7-forward"]],
+            ["barrier", TINY["barrier"]],
+            ["bridge-test", {"n_seeds": 1, "n_paths": 1000, "n_bins": 5}]]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(runs)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages == {
         "import": [], "schrodinger": [], "stopping-dist": ["scipy.linalg"],
-        "bridge-test": ["scipy.linalg", "scipy.special"],
-        "sec7-forward": ["scipy.integrate", "scipy.linalg", "scipy.special"]}
+        "sec7-forward": ["scipy.linalg"], "barrier": ["scipy.linalg"],
+        "bridge-test": ["scipy.linalg", "scipy.special"]}
+    assert not any("scipy.integrate" in loaded for loaded in stages.values())
 
 
 def test_import_loads_no_scipy_module():
