@@ -3,11 +3,11 @@ operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
 between parallel workers. ``_step_matrix`` is the implicit Euler step of
-every parabolic solve, ``_pin_rows`` holds nodes in it and ``_factor_step``
-factors it. ``block_bounds`` cuts a job into contiguous blocks, one per
-usable CPU, and ``fork_blocks`` runs them in parallel; the Monte Carlo
-engine splits its paths through them, deciding its split once, into blocks
-whose results do not depend on the split.
+every parabolic solve and, transposed, of the killed density in
+``stopping``; ``_pin_rows`` holds nodes in it and ``_factor_step`` factors
+it. ``block_bounds`` cuts a job into contiguous blocks, one per usable CPU,
+and ``fork_blocks`` runs them in parallel; the Monte Carlo engine splits
+its paths into such blocks once; its results do not depend on the split.
 """
 
 from __future__ import annotations

@@ -88,12 +88,8 @@ def _integer(value) -> int:
 
 
 def _seed(value) -> int:
-    """``_integer(value)`` if it is in [0, 2**63), the seeds that the Philox
-    key of ``simulate`` tells apart; a ValueError otherwise."""
-    value = _integer(value)
-    if not 0 <= value < 2**63:
-        raise ValueError(f"expected an integer in [0, 2**63), got {value}")
-    return value
+    """``simulate.check_seed(_integer(value))``: a seed in [0, 2**63)."""
+    return simulate.check_seed(_integer(value))
 
 
 # ---------------------------------------------------------------------------

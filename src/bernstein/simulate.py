@@ -1,7 +1,6 @@
 """Monte Carlo engine: Euler--Maruyama simulation of the controlled forward
 SDE and its time-reversed counterpart, stopping at the computed free
-boundary, action-functional estimation, density evolution by the transpose
-of the survival march's step (``fokker_planck``), drift reversal, and the
+boundary, action-functional estimation, drift reversal, and the
 statistical two-sided Markov (bridge) test.
 
 Reproducibility contract: the noise comes from counter-based streams keyed
@@ -24,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import mmap
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +35,18 @@ from .core import (
     ProblemSpec,
     RegionMask,
     ScalarField,
-    SpaceTimeGrid,
     gradient_rows,
     interpolate,
     mean_stderr,
 )
 from .analytic import bernstein_transition
+
+
+def check_seed(seed) -> int:
+    """seed if in [0, 2**63), the seeds the Philox key tells apart; else a ValueError."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"expected an integer in [0, 2**63), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ class SimConfig:
     bridge_correction: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not math.isfinite(self.dt):
             raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0:
@@ -421,57 +426,6 @@ def reversed_drift(drift: ScalarField, rho: ScalarField,
     return ScalarField(grid, drift.values - hbar * grad_log, allow_nan=True)
 
 
-def fokker_planck(spec: ProblemSpec, drift: ScalarField, rho0: np.ndarray,
-                  grid: SpaceTimeGrid, boundary: str = "no_flux") -> ScalarField:
-    """Evolve d(rho)/dt = -d(b rho)/dx + (hbar/2) d2(rho)/dx2 from rho0.
-
-    Each step from row k solves with the transpose of ``core._step_matrix``
-    at the drift of row k, read by ``core.interpolate`` (a node off the
-    drift's grid takes its edge drift): the matrix with which
-    ``stopping.solve_q`` steps the survival function back to row k, so
-    sum_j q[k, j] rho[k, j] is the same on every row the two share; its
-    bands are rolled into place and factored by ``core._factor_step``.
-    "no_flux" takes the matrix's reflecting edges, and its transpose
-    conserves mass; "absorbing" pins both end rows to identity rows, as
-    ``solve_q`` pins stopping nodes, and zeroes the mass the ends absorb in
-    each step.
-    """
-    if boundary not in ("no_flux", "absorbing"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    rho0 = np.asarray(rho0, dtype=float)
-    if np.any(rho0 < 0):
-        raise ValueError("rho0 must be nonnegative")
-    nx, nt = grid.nx, grid.nt
-    ends = np.zeros(nx, dtype=bool)
-    ends[[0, -1]] = boundary == "absorbing"
-
-    out = np.empty((nt, nx))
-    out[0] = rho0
-    for k in range(nt - 1):
-        b = (interpolate(drift, grid.ts[k], grid.xs)
-             if drift is not None else np.zeros(nx))
-        peclet = np.max(np.abs(b)) * grid.dx / (spec.hbar / 2)
-        if peclet > 2:
-            warnings.warn(
-                f"advection cell Peclet {peclet:.2f} > 2 at t={grid.ts[k]:.4g}; "
-                "expect smearing from upwinding", stacklevel=2,
-            )
-        ab = core._pin_rows(
-            core._step_matrix(b, spec.hbar, grid.dt, grid.dx), ends)
-        # the transpose: its super-diagonal is the sub-diagonal shifted a
-        # column right, and the zero corners roll into the unused slots (a
-        # transposed solve with the factors of ab differs in the last bits)
-        sol = core._solve_step(core._factor_step(np.array(
-            [np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])), out[k])
-        sol[ends] = 0.0
-        if np.min(sol) < -1e-12:
-            raise ValueError(
-                f"density undershoot {np.min(sol):.3g} below the -1e-12 floor"
-            )
-        out[k + 1] = np.maximum(sol, 0.0)
-    return ScalarField(grid, out)
-
-
 #: sub-steps of the bridge sampler from s to t, and the test's level
 _BRIDGE_STEPS = 8
 _SIGNIFICANCE = 0.01
@@ -488,6 +442,7 @@ def bridge_markov_test(s, x, u, z, t, hbar, n_paths, n_bins, seed=0) -> dict:
     """
     if not s < t < u:
         raise ValueError(f"need s < t < u, got {s}, {t}, {u}")
+    check_seed(seed)
     from scipy.special import chdtrc, ndtri
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
 

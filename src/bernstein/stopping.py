@@ -1,4 +1,4 @@
-"""Stopping-time distribution functions.
+"""Stopping-time distribution functions and the densities dual to them.
 
 For the optimally stopped process, q(t, x) = P(stop time > threshold | state
 x at time t) solves an advection-diffusion problem on the continuation
@@ -11,19 +11,19 @@ at once from the region mask, and ``solve_q`` returns the labels as
 threshold or continuing at or past it; ZERO (0) where stopped at or before
 it, or continuing before it while no node continues at or past it; PDE (2)
 otherwise. The backward rules are the time mirror. ``solve_q`` takes the
-threshold slice and those past it from the labels
-(0 or 1 without any PDE solve), then marches every slice before it in
-full, with zero data on its stopping nodes: the march still solves the
-nodes the labels settle. Each slice is one implicit step with
-``core._step_matrix`` (upwinded drift, reflecting edges, an M-matrix, so
-the discrete maximum principle holds), its stopping nodes pinned by
-``core._pin_rows``; ``simulate.fokker_planck`` steps a density with the
-transpose of the same matrix.
+threshold slice and those past it from the labels, then marches every
+slice before it in full, with zero data on its stopping nodes. Each slice
+is one implicit step ``_step``: ``core._step_matrix`` (upwinded drift,
+reflecting edges, an M-matrix, so the discrete maximum principle holds)
+with the stopping nodes pinned by ``core._pin_rows``. ``fokker_planck``
+steps the density of the process killed on the same mask, in either
+orientation, with the transpose of the same step.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +95,23 @@ def _closed_form(mask: RegionMask, orientation: str, row: int):
     return stop, codes, at
 
 
+def _step(orientation: str, drift: ScalarField, stop, hbar: float, k: int):
+    """Row k's implicit step in marching order: ``core._step_matrix`` at the
+    drift's row k (negated backward), the nodes where ``stop[k]`` holds
+    pinned by ``core._pin_rows``."""
+    row = core._marching_rows(orientation, drift.values)[k]
+    return core._pin_rows(core._step_matrix(
+        row if orientation == FORWARD else -row, hbar, drift.grid.dt,
+        drift.grid.dx), stop[k])
+
+
 def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     """Solve for the survival function on the full grid.
 
     In marching order, the threshold slice and those past it take their
-    ``_closed_form`` values; every slice before it is marched down in full,
-    the backward march against the drift. Each slice is factored and solved
-    by ``core._factor_step`` and ``core._solve_step``. Maximum principle
-    violations beyond ``_MAX_PRINCIPLE_TOL`` raise, values within it are
-    clamped to [0, 1].
+    ``_closed_form`` values; every slice before it is marched down in full
+    by ``_step``. Maximum principle violations beyond
+    ``_MAX_PRINCIPLE_TOL`` raise, values within it are clamped to [0, 1].
     """
     grid, orientation = problem.mask.grid, problem.orientation
     stop, codes, kT = _closed_form(problem.mask, orientation,
@@ -111,12 +119,10 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
     ts = core._marching_rows(orientation, grid.ts)
     q = np.empty(stop.shape)
     q[kT:] = codes[kT:]
-    sign = 1.0 if orientation == FORWARD else -1.0
-    drift = core._marching_rows(orientation, problem.drift.values)
     low, high = math.inf, -math.inf
     for k in range(kT - 1, -1, -1):
-        lu = core._factor_step(core._pin_rows(core._step_matrix(
-            sign * drift[k], problem.hbar, grid.dt, grid.dx), stop[k]))
+        lu = core._factor_step(_step(orientation, problem.drift, stop,
+                                     problem.hbar, k))
         sol = core._solve_step(lu, np.where(stop[k], 0.0, q[k + 1]))
         lo, hi = float(np.min(sol)), float(np.max(sol))
         if lo < -_MAX_PRINCIPLE_TOL or hi > 1 + _MAX_PRINCIPLE_TOL:
@@ -133,6 +139,48 @@ def solve_q(problem: SurvivalProblem) -> SurvivalSolution:
         orientation=orientation,
         unclamped_range=(low, high) if kT else None,
     )
+
+
+def fokker_planck(orientation: str, drift: ScalarField, mask: RegionMask | None,
+                  rho0, hbar: float) -> ScalarField:
+    """Evolve d(rho)/ds = -d(b rho)/dx + (hbar/2) d2(rho)/dx2 from rho0,
+    killed on the mask's stopping nodes, on the drift's grid: forward in
+    s = t from its first row, backward in s = -t from its last (b negated).
+
+    Row k's step solves with the transpose of ``_step`` and zeroes the mass
+    on row k's stopping nodes, so sum_j q[k, j] rho[k, j] is the same on
+    every row up to the threshold of ``solve_q``'s q on the same drift and
+    mask. Without a mask (None) the edges reflect and mass is conserved.
+    """
+    if np.any(np.asarray(rho0) < 0):
+        raise ValueError("rho0 must be nonnegative")
+    grid = drift.grid
+    if mask is not None and mask.grid != grid:
+        raise ValueError("the mask and the drift must share a grid")
+    stop = (np.zeros((grid.nt, grid.nx), dtype=bool) if mask is None
+            else core._marching_rows(orientation, mask.flags == STOPPING))
+    ts = core._marching_rows(orientation, grid.ts)
+    b = core._marching_rows(orientation, drift.values)
+    out = np.empty((grid.nt, grid.nx))
+    out[0] = rho0
+    for k in range(grid.nt - 1):
+        peclet = np.max(np.abs(b[k])) * grid.dx / (hbar / 2)
+        if peclet > 2:
+            warnings.warn(f"advection cell Peclet {peclet:.2f} > 2 at "
+                          f"t={ts[k]:.4g}; expect smearing from upwinding",
+                          stacklevel=2)
+        ab = _step(orientation, drift, stop, hbar, k)
+        # the transpose: its super-diagonal is the sub-diagonal shifted a
+        # column right, and the zero corners roll into the unused slots (a
+        # transposed solve with the factors of ab differs in the last bits)
+        sol = core._solve_step(core._factor_step(np.array(
+            [np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])), out[k])
+        sol[stop[k]] = 0.0
+        if np.min(sol) < -1e-12:
+            raise ValueError(f"density undershoot {np.min(sol):.3g} below "
+                             "the -1e-12 floor")
+        out[k + 1] = np.maximum(sol, 0.0)
+    return ScalarField(grid, core._marching_rows(orientation, out))
 
 
 def martingale_check(solution: SurvivalSolution, ensemble, checkpoints) -> dict:

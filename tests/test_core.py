@@ -459,7 +459,7 @@ class TestStepMatrix:
             drift = scale * rng.standard_normal(nx) * (hbar / 2) / dx
             pins = rng.random(nx) < 0.05
             ab = _pin_rows(_step_matrix(drift, hbar, dt, dx), pins)
-            # and the transposed bands, as fokker_planck builds them
+            # and the transposed bands, as stopping.fokker_planck builds them
             at = np.array([np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])
             for m in (ab, at):
                 b = rng.random(nx)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from bernstein import core, hjb
+from bernstein import core, hjb, stopping
 from bernstein.experiments import (
     BAND,
     BAND_TOL,
@@ -477,17 +477,24 @@ def function_docs(nonnegative):
     return st.sampled_from(names).flatmap(doc)
 
 
-class TestRandomSpecs:
-    """Properties every spec satisfies, on specs drawn from the function
-    registry with potentials >= 0, in both orientations: the complementarity
-    gate, eta >= psi and dominance of the fixed-horizon value."""
+def random_specs(test):
+    """``test`` on 40 derandomized specs drawn from the function registry
+    with potentials >= 0, with a grid of 61 or 121 by 21 or 41 nodes."""
+    return settings(max_examples=40, deadline=None, derandomize=True)(given(
+        hbar=st.floats(math.log(0.05), math.log(2.0)).map(math.exp),
+        potential=function_docs(nonnegative=True),
+        terminal_cost=function_docs(nonnegative=False),
+        initial_cost=function_docs(nonnegative=False),
+        nx=st.sampled_from([61, 121]), nt=st.sampled_from([21, 41]))(test))
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(hbar=st.floats(math.log(0.05), math.log(2.0)).map(math.exp),
-           potential=function_docs(nonnegative=True),
-           terminal_cost=function_docs(nonnegative=False),
-           initial_cost=function_docs(nonnegative=False),
-           nx=st.sampled_from([61, 121]), nt=st.sampled_from([21, 41]))
+
+class TestRandomSpecs:
+    """Properties every spec satisfies, on ``random_specs``, in both
+    orientations: the complementarity gate, eta >= psi, dominance of the
+    fixed-horizon value, and the duality of the survival march and the
+    killed density."""
+
+    @random_specs
     def test_obstacle_properties(self, hbar, potential, terminal_cost,
                                  initial_cost, nx, nt):
         doc = base_doc(hbar=hbar, potential=potential,
@@ -506,3 +513,40 @@ class TestRandomSpecs:
             free = classical_value(spec, grid, orientation)
             assert (np.max(stopped.value.values - free.value.values)
                     <= DOMINANCE_TOL)
+
+    @pytest.mark.filterwarnings("ignore:advection cell Peclet")
+    @random_specs
+    def test_survival_pairs_with_the_killed_density(
+            self, hbar, potential, terminal_cost, initial_cost, nx, nt):
+        # sum_j q[k, j] rho[k, j] is constant in marching order up to the
+        # threshold's row, for q and rho on the same solve's drift and mask.
+        # The pairing is exact at any cell Peclet number, so the warning
+        # about upwind smearing says nothing here
+        doc = base_doc(hbar=hbar, potential=potential,
+                       terminal_cost=terminal_cost, initial_cost=initial_cost)
+        spec = ProblemSpec.from_json(doc)
+        grid = build_grid(spec, nx, nt)
+        row = nt // 2
+        threshold = float(grid.ts[row])
+        note(json.dumps({"experiment": "stopping-dist", "spec": doc, "nx": nx,
+                         "nt": nt, "thresholds": [threshold]}))
+        for orientation, solve in (("forward", solve_forward_obstacle),
+                                   ("backward", solve_backward_obstacle)):
+            cost = (spec.terminal_cost if orientation == "forward"
+                    else spec.initial_cost)
+            if np.any(np.exp(-cost(grid.xs) / spec.hbar) == 0):
+                # the obstacle underflows on the grid, and the solve refuses
+                # the spec: there is no q and no rho to pair
+                with pytest.raises(ValueError, match="strictly positive"):
+                    solve(spec, grid)
+                continue
+            val = value_from_eta(solve(spec, grid), spec.hbar)
+            q = stopping.solve_q(stopping.SurvivalProblem(
+                orientation=orientation, threshold=threshold, drift=val.drift,
+                mask=val.mask, hbar=spec.hbar)).q.values
+            rho = stopping.fokker_planck(orientation, val.drift, val.mask,
+                                         np.full(nx, 1 / nx), spec.hbar).values
+            at = row if orientation == "forward" else nt - 1 - row
+            pairing = core._marching_rows(orientation,
+                                          np.sum(q * rho, axis=1))[:at + 1]
+            assert np.max(np.abs(pairing - pairing[0])) <= 1e-12

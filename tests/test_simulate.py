@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from bernstein import core, simulate, stopping
+from bernstein import core, simulate
 from bernstein.core import (
     ProblemSpec,
     RegionMask,
@@ -21,7 +21,6 @@ from bernstein.simulate import (
     PathEnsemble,
     SimConfig,
     bridge_markov_test,
-    fokker_planck,
     reversed_drift,
     simulate_backward,
     simulate_forward,
@@ -595,87 +594,6 @@ class TestReversedDrift:
             reversed_drift(ScalarField(grid, np.zeros((2, 5))), rho, 1.0)
 
 
-class TestFokkerPlanck:
-    def test_heat_spreading_variance(self):
-        spec = make_spec()
-        grid = SpaceTimeGrid(xs=np.linspace(-8, 8, 801),
-                             ts=np.linspace(-0.5, 0.5, 501))
-        sd0 = 0.5
-        rho0 = np.exp(-grid.xs**2 / (2 * sd0**2))
-        rho0 /= np.trapezoid(rho0, grid.xs)
-        out = fokker_planck(spec, None, rho0, grid)
-        var_end = np.trapezoid(grid.xs**2 * out.values[-1], grid.xs)
-        expected = sd0**2 + 1.0  # hbar * elapsed time
-        assert abs(var_end - expected) / expected < 0.01
-
-    def test_mass_conserved(self):
-        spec = make_spec()
-        grid = SpaceTimeGrid(xs=np.linspace(-6, 6, 301),
-                             ts=np.linspace(-0.5, 0.5, 101))
-        rho0 = np.exp(-grid.xs**2)
-        rho0 /= np.trapezoid(rho0, grid.xs)
-        out = fokker_planck(spec, None, rho0, grid)
-        masses = np.trapezoid(out.values, grid.xs, axis=1)
-        assert np.max(np.abs(masses - 1.0)) <= 1e-6
-
-    def test_mass_conserved_under_drift(self, sec7_value):
-        spec, val = sec7_value
-        grid = val.drift.grid
-        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.3**2))
-        out = fokker_planck(spec, val.drift, rho0, grid)
-        assert np.max(np.abs(out.values.sum(axis=1) / rho0.sum() - 1)) <= 1e-13
-
-    def test_dual_to_the_survival_march(self, sec7_value):
-        # the transpose step makes sum_j q[k, j] rho[k, j] constant on every
-        # row up to the threshold: the discrete martingale property of q
-        spec, val = sec7_value
-        grid = val.drift.grid
-        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
-        flags[:, [0, -1]] = STOPPING
-        q = stopping.solve_q(stopping.SurvivalProblem(
-            orientation="forward", threshold=0.25, drift=val.drift,
-            mask=RegionMask(grid, flags), hbar=spec.hbar)).q.values
-        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.1**2))
-        rho0 /= rho0.sum()
-        rho = fokker_planck(spec, val.drift, rho0, grid, boundary="absorbing")
-        k_thr = grid.nearest_row(0.25)
-        pairing = np.sum(q[:k_thr + 1] * rho.values[:k_thr + 1], axis=1)
-        assert 0.5 < pairing[0] < 1
-        assert np.max(np.abs(pairing - pairing[0])) <= 1e-12
-
-    def test_peclet_warning(self):
-        spec = make_spec()
-        grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 11), ts=np.linspace(0, 0.1, 5))
-        drift = ScalarField(grid, np.full((5, 11), 50.0))
-        rho0 = np.ones(11) / 2
-        with pytest.warns(UserWarning, match="Peclet"):
-            fokker_planck(spec, drift, rho0, grid)
-
-    def test_matches_mc_histogram_under_optimal_drift(self, sec7_value):
-        spec, val = sec7_value
-        # density of surviving paths at t=0, absorbing at the origin
-        grid = SpaceTimeGrid(xs=np.linspace(0.0, 3.0, 301),
-                             ts=np.linspace(-0.5, 0.0, 251))
-        sd0 = 0.05
-        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * sd0**2))
-        rho0 /= np.trapezoid(rho0, grid.xs)
-        fp = fokker_planck(spec, val.drift, rho0, grid, boundary="absorbing")
-
-        cfg = SimConfig(dt=1e-3, n_paths=20000, seed=13, start=(-0.5, 1.0),
-                        checkpoints=(0.0,))
-        ens = simulate_forward(spec, val.drift, val.mask, cfg)
-        tt, xx = ens.checkpoints[0.0]
-        alive = tt >= 0.0
-        edges = np.linspace(0.0, 3.0, 31)
-        hist, _ = np.histogram(xx[alive], bins=edges, density=False)
-        p_mc = hist / hist.sum()
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.interp(centers, grid.xs, fp.values[-1])
-        p_fp = dens / dens.sum()
-        tv = 0.5 * np.abs(p_mc - p_fp).sum()
-        assert tv < 0.05
-
-
 class TestBridgeTest:
     def test_moments_and_pass(self):
         rep = bridge_markov_test(0, 0, 1, 0, 0.5, 1.0, 50000, 30, seed=4)
@@ -737,6 +655,23 @@ class TestConfigValidation:
                         checkpoints=(0.2, c))
         with pytest.raises(ValueError, match=f"checkpoint {c} is not a finite time"):
             simulate.check_start(make_spec(), core.FORWARD, cfg)
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63, -1])
+    def test_seed_outside_what_the_philox_key_tells_apart(self, seed):
+        # the Philox key holds a seed modulo 2**64: 2**63 and -2**63 would
+        # draw the same ensemble
+        cfg = dict(dt=1e-2, n_paths=50, start=(-0.5, 1.0))
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*63\), got"):
+            simulate_forward(make_spec(), None, None,
+                             SimConfig(seed=seed, **cfg), barrier=0.0)
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*63\), got"):
+            bridge_markov_test(0, 0, 1, 0, 0.5, 1.0, 100, 5, seed=seed)
+
+    def test_seed_range_ends(self):
+        for seed in (0, 2**63 - 1):
+            SimConfig(dt=1e-2, n_paths=50, seed=seed, start=(-0.5, 1.0))
+            assert bridge_markov_test(0, 0, 1, 0, 0.5, 1.0, 100, 5,
+                                      seed=seed)["dof"] == 4
 
     def test_start_outside_horizon(self):
         spec = make_spec()

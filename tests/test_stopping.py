@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bernstein import stopping
+from bernstein import core, stopping
 from bernstein.core import (
     CONTINUATION,
     STOPPING,
@@ -13,11 +13,16 @@ from bernstein.core import (
     SpaceTimeGrid,
     build_grid,
 )
-from bernstein.hjb import solve_forward_obstacle, value_from_eta
+from bernstein.hjb import (
+    solve_backward_obstacle,
+    solve_forward_obstacle,
+    value_from_eta,
+)
 from bernstein.simulate import PathEnsemble, SimConfig, simulate_forward
 from bernstein.stopping import (
     SurvivalProblem,
     empirical_survival,
+    fokker_planck,
     martingale_check,
     solve_q,
 )
@@ -367,3 +372,129 @@ class TestEmpiricalSurvival:
         cfg = SimConfig(dt=1e-2, n_paths=50, seed=1, start=(-0.5, 0.0))
         ens = simulate_forward(spec, val.drift, val.mask, cfg)
         assert empirical_survival(ens, 0.0)["estimate"] == 0.0
+
+
+def zero_drift(grid):
+    # a read-only view of one number, as experiments.erf_survival_pde builds it
+    return ScalarField(grid, np.broadcast_to(0.0, (grid.nt, grid.nx)))
+
+
+def pairings(orientation, q, rho, threshold):
+    """sum_j q[k, j] rho[k, j] on each row k in marching order up to the
+    threshold's row."""
+    grid = q.grid
+    row = grid.exact_row(threshold)
+    at = row if orientation == "forward" else grid.nt - 1 - row
+    return core._marching_rows(orientation, np.sum(q.values * rho.values,
+                                                   axis=1))[:at + 1]
+
+
+@pytest.fixture(scope="module")
+def solved_backward():
+    spec = make_spec()
+    grid = build_grid(spec, 301, 501)
+    return value_from_eta(solve_backward_obstacle(spec, grid), spec.hbar)
+
+
+class TestFokkerPlanck:
+    def test_heat_spreading_variance(self):
+        grid = SpaceTimeGrid(xs=np.linspace(-8, 8, 801),
+                             ts=np.linspace(-0.5, 0.5, 501))
+        sd0 = 0.5
+        rho0 = np.exp(-grid.xs**2 / (2 * sd0**2))
+        rho0 /= np.trapezoid(rho0, grid.xs)
+        out = fokker_planck("forward", zero_drift(grid), None, rho0, 1.0)
+        var_end = np.trapezoid(grid.xs**2 * out.values[-1], grid.xs)
+        expected = sd0**2 + 1.0  # hbar * elapsed time
+        assert abs(var_end - expected) / expected < 0.01
+
+    def test_mass_conserved(self):
+        grid = SpaceTimeGrid(xs=np.linspace(-6, 6, 301),
+                             ts=np.linspace(-0.5, 0.5, 101))
+        rho0 = np.exp(-grid.xs**2)
+        rho0 /= np.trapezoid(rho0, grid.xs)
+        out = fokker_planck("forward", zero_drift(grid), None, rho0, 1.0)
+        masses = np.trapezoid(out.values, grid.xs, axis=1)
+        assert np.max(np.abs(masses - 1.0)) <= 1e-6
+
+    def test_mass_conserved_under_drift(self, solved):
+        spec, grid, _, val = solved
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.3**2))
+        out = fokker_planck("forward", val.drift, None, rho0, spec.hbar)
+        assert np.max(np.abs(out.values.sum(axis=1) / rho0.sum() - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_dual_to_the_survival_march(self, solved, orientation):
+        # the transpose step makes sum_j q[k, j] rho[k, j] constant on every
+        # row up to the threshold: the discrete martingale property of q
+        spec, grid, _, val = solved
+        threshold = 0.25 if orientation == "forward" else -0.25
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[:, [0, -1]] = STOPPING
+        mask = RegionMask(grid, flags)
+        q = solve_q(SurvivalProblem(
+            orientation=orientation, threshold=threshold, drift=val.drift,
+            mask=mask, hbar=spec.hbar)).q
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.1**2))
+        rho0 /= rho0.sum()
+        rho = fokker_planck(orientation, val.drift, mask, rho0, spec.hbar)
+        pairing = pairings(orientation, q, rho, threshold)
+        assert 0.5 < pairing[0] < 1
+        assert np.max(np.abs(pairing - pairing[0])) <= 1e-12
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_dual_on_the_obstacle_masks(self, solved, solved_backward,
+                                        orientation):
+        # the worked example's own stopping sets, the x = 0 column and the
+        # data row, kill the density
+        spec = solved[0]
+        val, threshold = ((solved[3], 0.25) if orientation == "forward"
+                          else (solved_backward, -0.25))
+        q = solve_q(SurvivalProblem(
+            orientation=orientation, threshold=threshold, drift=val.drift,
+            mask=val.mask, hbar=spec.hbar)).q
+        grid = q.grid
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * 0.3**2))
+        rho0 /= rho0.sum()
+        rho = fokker_planck(orientation, val.drift, val.mask, rho0, spec.hbar)
+        pairing = pairings(orientation, q, rho, threshold)
+        assert 0.1 < pairing[0] < 1
+        assert np.max(np.abs(pairing - pairing[0])) <= 1e-12
+
+    def test_mask_on_another_grid(self, solved):
+        spec, grid, _, val = solved
+        other = build_grid(spec, 31, 501)
+        with pytest.raises(ValueError, match="share a grid"):
+            fokker_planck("forward", val.drift,
+                          RegionMask(other, np.zeros((501, 31))),
+                          np.ones(grid.nx), spec.hbar)
+
+    def test_peclet_warning(self):
+        grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 11), ts=np.linspace(0, 0.1, 5))
+        drift = ScalarField(grid, np.full((5, 11), 50.0))
+        rho0 = np.ones(11) / 2
+        with pytest.warns(UserWarning, match="Peclet"):
+            fokker_planck("forward", drift, None, rho0, 1.0)
+
+    def test_matches_mc_histogram_under_optimal_drift(self, solved):
+        # density of the paths alive at t = 0, killed on the solve's own
+        # stopping set
+        spec, grid, _, val = solved
+        sd0 = 0.05
+        rho0 = np.exp(-((grid.xs - 1.0) ** 2) / (2 * sd0**2))
+        rho0 /= np.trapezoid(rho0, grid.xs)
+        fp = fokker_planck("forward", val.drift, val.mask, rho0, spec.hbar)
+
+        cfg = SimConfig(dt=1e-3, n_paths=20000, seed=13, start=(-0.5, 1.0),
+                        checkpoints=(0.0,))
+        ens = simulate_forward(spec, val.drift, val.mask, cfg)
+        tt, xx = ens.checkpoints[0.0]
+        alive = tt >= 0.0
+        edges = np.linspace(0.0, 3.0, 31)
+        hist, _ = np.histogram(xx[alive], bins=edges, density=False)
+        p_mc = hist / hist.sum()
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        dens = np.interp(centers, grid.xs, fp.values[grid.exact_row(0.0)])
+        p_fp = dens / dens.sum()
+        tv = 0.5 * np.abs(p_mc - p_fp).sum()
+        assert tv < 0.05
