@@ -29,7 +29,7 @@ grid = build_grid(spec, nx=301, nt=501)
 # solve the linear complementarity problem for eta = exp(-U / hbar)
 sol = solve_forward_obstacle(spec, grid)
 val = value_from_eta(sol, spec.hbar)
-res = lcp_residual(sol, spec, grid)
+res = lcp_residual(sol, spec)
 print(f"banded solves per time step: mean {sol.step_solves.mean():.4f}, "
       f"max {sol.step_solves.max()}")
 print(f"complementarity residual: {np.max(np.abs(res.values)):.3e}")

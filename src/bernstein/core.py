@@ -488,17 +488,17 @@ def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
 _REGION_ABS_TOL, _REGION_REL_TOL = 1e-9, 1e-8
 
 
-def region_from_eta(eta: ScalarField, obstacle: ScalarField) -> RegionMask:
-    """Classify nodes: STOPPING iff eta - obstacle <= max(_REGION_ABS_TOL,
-    _REGION_REL_TOL * obstacle), where eta meets the obstacle to round-off."""
-    if eta.grid != obstacle.grid:
-        raise ValueError("eta and obstacle must live on the same grid")
-    if np.any(obstacle.values <= 0):
+def region_from_eta(eta: ScalarField, psi: np.ndarray) -> RegionMask:
+    """Classify nodes against the obstacle row psi, shared by every time
+    row: STOPPING iff eta - psi <= max(_REGION_ABS_TOL, _REGION_REL_TOL *
+    psi), where eta meets the obstacle to round-off."""
+    if psi.shape != (eta.grid.nx,):
+        raise ValueError(f"obstacle row of shape {psi.shape} on {eta.grid.nx} nodes")
+    if np.any(psi <= 0):
         raise ValueError("obstacle must be strictly positive")
-    thresh = np.multiply(obstacle.values, _REGION_REL_TOL)
-    np.maximum(thresh, _REGION_ABS_TOL, out=thresh)
+    thresh = np.maximum(psi * _REGION_REL_TOL, _REGION_ABS_TOL)
     # True (1) is STOPPING, False (0) CONTINUATION
-    stop = np.less_equal(eta.values - obstacle.values, thresh)
+    stop = np.less_equal(eta.values - psi, thresh)
     return RegionMask(eta.grid, stop.view(np.int8))
 
 

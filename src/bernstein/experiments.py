@@ -234,13 +234,19 @@ class Result:
     data: dict = field(default_factory=dict)
 
 
-def _problem(spec, nx, nt):
+def _problem(spec, nx, nt, orientation=None):
     """The spec document's problem (the worked example's when None), whether
-    it is that one, and its nx x nt grid; either rejected is a ConfigError."""
+    it is that one, and its nx x nt grid; either rejected is a ConfigError.
+    So, for a run that solves in ``orientation``, is a problem whose
+    obstacle underflows on that grid, or whose potential is so negative
+    that the step is no M-matrix: ``hjb._operator`` judges both."""
     nx, nt = _read("nx", _integer, nx), _read("nt", _integer, nt)
     try:
         problem = ProblemSpec.from_json(analytic.WORKED_EXAMPLE if spec is None else spec)
-        return problem, spec is None, build_grid(problem, nx, nt)
+        grid = build_grid(problem, nx, nt)
+        if orientation is not None:
+            hjb._operator(problem, grid, orientation)
+        return problem, spec is None, grid
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -258,7 +264,7 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     """One obstacle solve, its value and drift, judged by its complementarity
     residual and, on the worked example, by the oracle band error and the
     x = 0 stopping column."""
-    spec, is_default, grid = _problem(spec, nx, nt)
+    spec, is_default, grid = _problem(spec, nx, nt, orientation)
     if is_default:
         _check_origin_node(grid)
     solve = (hjb.solve_forward_obstacle if orientation == FORWARD
@@ -268,7 +274,7 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     solve_s = time.perf_counter() - t0
     # the residual grid and the oracle's arrays are freed before U and the
     # drift are built
-    res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec, grid).values)))
+    res_norm = float(np.max(np.abs(hjb.lcp_residual(sol, spec).values)))
     checks = {"lcp_residual": res_norm <= LCP_TOL}
     report = {"lcp_residual": res_norm,
               "solves_per_step_mean": float(np.mean(sol.step_solves)),
@@ -297,7 +303,7 @@ def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     spec and, on the worked example, a strict gain at (0, 1). Another spec
     may stop nowhere near (0, 1), so its gain there is reported, not
     judged."""
-    spec, is_default, grid = _problem(spec, nx, nt)
+    spec, is_default, grid = _problem(spec, nx, nt, FORWARD)
     # only the two values are kept: each solve's eta, mask and drift are
     # freed before the next solve
     stopped = hjb.value_from_eta(hjb.solve_forward_obstacle(spec, grid),
@@ -398,7 +404,7 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     martingale property of q along the paths. On the worked example, the
     ensemble's mean action is also judged against the oracle value U at the
     start, as ``sec7`` judges its oracle checks there."""
-    spec, is_default, grid = _problem(spec, nx, nt)
+    spec, is_default, grid = _problem(spec, nx, nt, FORWARD)
     start = _read("start", lambda v: tuple(map(_number, v)),
                   (-spec.half_horizon, 1.0) if start is None else start)
     dt, n_paths = _read("dt", _number, dt), _read("n_paths", _integer, n_paths)

@@ -164,9 +164,7 @@ def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
     svals, psi, ab = _operator(spec, grid, orientation)
     eta, solves = _march(grid.nt, psi, psi, ab)
     field_ = ScalarField(grid, core._marching_rows(orientation, eta))
-    # each row of the obstacle is psi: a read-only view, not a grid of copies
-    obstacle = ScalarField(grid, np.broadcast_to(psi, eta.shape))
-    return EtaSolution(eta=field_, mask=region_from_eta(field_, obstacle),
+    return EtaSolution(eta=field_, mask=region_from_eta(field_, psi),
                        orientation=orientation, stopping_cost=svals,
                        step_solves=solves)
 
@@ -209,15 +207,17 @@ def value_from_eta(sol: EtaSolution, hbar: float) -> ValueSolution:
     )
 
 
-def lcp_residual(sol: EtaSolution, spec: ProblemSpec, grid: SpaceTimeGrid) -> ScalarField:
-    """Nodewise scaled complementarity residual of a solved obstacle problem.
+def lcp_residual(sol: EtaSolution, spec: ProblemSpec) -> ScalarField:
+    """Nodewise scaled complementarity residual of a solved obstacle problem
+    on its own grid.
 
-    At every node of every solved row, min(row of A e - b, eta - obstacle)
+    At every node of every solved row, min(row of A e - b, eta - psi)
     over the node's own scale, as the active-set step judges it
     (``_scaled_residual``): the heat-operator rows inside, and at the edges
     the far-field rows e_0 - r e_1 and their mirror at x_max, with
     right-hand side 0. The data row is not solved and reads 0.
     """
+    grid = sol.eta.grid
     _, psi, ab = _operator(spec, grid, sol.orientation)
     eta = core._marching_rows(sol.orientation, sol.eta.values)
     out = np.zeros_like(eta)

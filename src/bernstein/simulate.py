@@ -20,7 +20,6 @@ node.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -206,9 +205,11 @@ def _crossings(xo, xn, u, barriers, hbar, h):
 _MIN_BLOCK_PATH_STEPS = 1_000_000
 
 
-def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
-                   hbar, cfg: SimConfig):
-    """Forward-time Euler--Maruyama engine shared by both orientations.
+def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
+              barrier) -> PathEnsemble:
+    """The Euler--Maruyama engine of both orientations. A backward run is
+    flipped in time, s = -t, simulated forward from -t0 to T/2 with the
+    drift -b*(-s, x), and its times are mapped back.
 
     The stream groups are cut by ``core.block_bounds`` into contiguous
     blocks of whole groups, at least ``_MIN_BLOCK_PATH_STEPS`` path-steps
@@ -228,10 +229,21 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
     start, after each step and (t = inf) the rest at the stop. The drift at
     the start of a step is the one looked up at the end of the step before.
     """
-    n_steps = max(1, int(math.ceil((t_end - t0) / cfg.dt - 1e-12)))
+    t0, x0 = check_start(spec, orientation, cfg)
+    sign = 1 if orientation == FORWARD else -1
+    cost = spec.terminal_cost if sign == 1 else spec.initial_cost
+    if sign == -1:
+        if drift is not None:
+            drift = ScalarField(drift.grid, -core._marching_rows(orientation, drift.values),
+                                allow_nan=drift.allow_nan)
+        if mask is not None:
+            mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
+    barriers, thick = _stopping_sets(mask, barrier)
     barriers = np.asarray(barriers, dtype=float)
+    t_end, hbar = spec.half_horizon, spec.hbar
+    n_steps = max(1, int(math.ceil((t_end - t0) / cfg.dt - 1e-12)))
 
-    n, cps = cfg.n_paths, sorted(cfg.checkpoints)
+    n, cps = cfg.n_paths, sorted(sign * c for c in cfg.checkpoints)
     # every record lives in one shared anonymous mapping, which the forked
     # path blocks write their slices of
     rows = 3 + 2 * len(cps)
@@ -250,7 +262,7 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         return interpolate(drift, t, xq)
 
     def running(bq, xq):
-        return 0.5 * bq * bq + np.asarray(potential(xq), dtype=float)
+        return 0.5 * bq * bq + np.asarray(spec.potential(xq), dtype=float)
 
     groups = core.block_bounds(-(-n // _GROUP), -(-_MIN_BLOCK_PATH_STEPS
                                                  // (n_steps * _GROUP)))
@@ -327,9 +339,12 @@ def _simulate_core(potential, cost, t0, t_end, x0, drift, thick, barriers,
         see(math.inf)
 
     core.fork_blocks(bounds, run_block)
-    checkpoints = {c: (cp_time[c].copy(), cp_state[c].copy()) for c in cps}
-    return (stop_time.copy(), stopped_state.copy(), action.copy(), hit.copy(),
-            checkpoints)
+    return PathEnsemble(
+        orientation=orientation, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
+        stop_time=sign * stop_time, stopped_state=stopped_state.copy(),
+        action_value=action.copy(), hit_flag=hit.copy(),
+        checkpoints={sign * c: (sign * cp_time[c], cp_state[c].copy()) for c in cps},
+    )
 
 
 def simulate_forward(spec: ProblemSpec, drift: ScalarField,
@@ -375,37 +390,6 @@ def check_start(spec: ProblemSpec, orientation, cfg: SimConfig) -> tuple:
             raise ValueError(f"checkpoint {c} lies before the start time {t0} "
                              f"of the {orientation} run")
     return sign * t0, x0
-
-
-def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
-              barrier) -> PathEnsemble:
-    """Both orientations: a backward run is flipped in time, s = -t, and
-    then simulated forward from -t0 to T/2."""
-    s0, x0 = check_start(spec, orientation, cfg)
-    fwd = orientation == FORWARD
-    cost = spec.terminal_cost if fwd else spec.initial_cost
-    if not fwd:
-        if drift is not None:
-            # the flipped drift is -b*(-s, x)
-            drift = ScalarField(drift.grid, -core._marching_rows(orientation, drift.values),
-                                allow_nan=drift.allow_nan)
-        if mask is not None:
-            mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
-        cfg = dataclasses.replace(cfg, checkpoints=tuple(-c for c in cfg.checkpoints))
-
-    barriers, thick = _stopping_sets(mask, barrier)
-    st, ss, av, hf, cps = _simulate_core(
-        spec.potential, cost, s0, spec.half_horizon, x0, drift,
-        thick, barriers, spec.hbar, cfg,
-    )
-    if not fwd:
-        st = -st
-        cps = {-c: (-tt, xx) for c, (tt, xx) in cps.items()}
-    return PathEnsemble(
-        orientation=orientation, start=cfg.start, dt=cfg.dt, seed=cfg.seed,
-        stop_time=st, stopped_state=ss, action_value=av, hit_flag=hf,
-        checkpoints=cps,
-    )
 
 
 #: density at or below which ``reversed_drift`` flags a node NaN

@@ -151,6 +151,13 @@ def fokker_planck(orientation: str, drift: ScalarField, mask: RegionMask | None,
     on row k's stopping nodes, so sum_j q[k, j] rho[k, j] is the same on
     every row up to the threshold of ``solve_q``'s q on the same drift and
     mask. Without a mask (None) the edges reflect and mass is conserved.
+
+    Row k (in marching order) holds the density before row k's kill, which
+    the march applies on row k + 1. So from a unit mass at one node of the
+    first row, the probability of stopping after t_k (forward; before t_k
+    backward) is the sum of row k off row k's stopping nodes, which is
+    ``solve_q``'s q at that node for the threshold t_k. The whole row's sum
+    overstates it wherever the stopping set grows.
     """
     if np.any(np.asarray(rho0) < 0):
         raise ValueError("rho0 must be nonnegative")

@@ -762,6 +762,11 @@ class TestMain:
                               "for convergence-study")
         assert not (tmp_path / "out" / "convergence.json").exists()
 
+    UNDERFLOWING_SPEC = dict(analytic.WORKED_EXAMPLE, hbar=0.06, terminal_cost={
+        "name": "quadratic", "scale": 3.0, "center": -2.0})
+    NEGATIVE_POTENTIAL_SPEC = dict(analytic.WORKED_EXAMPLE, potential={
+        "name": "constant", "value": -5000.0})
+
     @pytest.mark.parametrize("cfg, message", [
         ({"experiment": "nope"}, "unknown experiment 'nope'"),
         ({"experiment": "sec7-forward", "n_x": 31}, "unknown config keys ['n_x']"),
@@ -966,6 +971,31 @@ class TestMain:
          "0.10000000000000009\n"),
         # the output directory is --out alone
         ({"experiment": "bridge-test", "out": "x"}, "unknown config keys ['out']"),
+        # a spec that hjb._operator rejects on the grid: an obstacle
+        # exp(-cost/hbar) that underflows to 0 (exp(-75/0.06) at x = 3,
+        # exp(-50/0.064) at x = -3) in the orientation the run solves, and a
+        # potential so negative that the step is no M-matrix
+        ({"experiment": "sec7-forward", "nx": 61, "nt": 21,
+          "spec": UNDERFLOWING_SPEC},
+         "obstacle exp(-cost/hbar) must be strictly positive\n"),
+        ({"experiment": "sec7-classical-compare", "nx": 61, "nt": 21,
+          "spec": UNDERFLOWING_SPEC},
+         "obstacle exp(-cost/hbar) must be strictly positive\n"),
+        ({"experiment": "stopping-dist", "nx": 61, "nt": 21, "n_paths": 200,
+          "spec": UNDERFLOWING_SPEC},
+         "obstacle exp(-cost/hbar) must be strictly positive\n"),
+        ({"experiment": "sec7-backward", "nx": 61, "nt": 21,
+          "spec": {"half_horizon": 0.5, "x_min": -3.0, "x_max": 3.0,
+                   "hbar": 0.06392786120670757, "potential": {"name": "zero"},
+                   "terminal_cost": {"name": "zero"},
+                   "initial_cost": {"name": "quadratic", "scale": 2.0, "center": 2.0}}},
+         "obstacle exp(-cost/hbar) must be strictly positive\n"),
+        ({"experiment": "stopping-dist", "nx": 61, "nt": 21, "n_paths": 200,
+          "spec": NEGATIVE_POTENTIAL_SPEC},
+         "potential too negative for this time step: the LU pivot"),
+        ({"experiment": "sec7-forward", "nx": 61, "nt": 21,
+          "spec": NEGATIVE_POTENTIAL_SPEC},
+         "potential too negative for this time step: the LU pivot"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
@@ -986,7 +1016,10 @@ class TestMain:
             "bool-checkpoint", "text-threshold", "fractional-paths",
             "bool-seeds", "bool-hbar", "fractional-level", "bool-seed",
             "negative-seed", "long-seed", "long-last-seed", "repeated-threshold",
-            "repeated-threshold-row", "out-key"])
+            "repeated-threshold-row", "out-key", "obstacle-underflow",
+            "obstacle-underflow-classical", "obstacle-underflow-stopping",
+            "obstacle-underflow-backward", "negative-potential",
+            "negative-potential-sec7"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         self.assert_rejected(tmp_path, capsys, monkeypatch, cfg, message)

@@ -494,32 +494,33 @@ class TestRegionFromEta:
     def setup_method(self):
         self.grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 5),
                                   ts=np.linspace(-0.5, 0.5, 4))
-        self.obstacle = ScalarField(self.grid, np.full((4, 5), 0.5))
+        self.psi = np.full(5, 0.5)
+        self.obstacle = ScalarField(self.grid, np.tile(self.psi, (4, 1)))
 
     def test_equality_is_stopping(self):
-        mask = region_from_eta(self.obstacle, self.obstacle)
+        mask = region_from_eta(self.obstacle, self.psi)
         assert np.all(mask.flags == STOPPING)
 
     def test_strictly_above_is_continuation(self):
         eta = ScalarField(self.grid, 2 * self.obstacle.values)
-        mask = region_from_eta(eta, self.obstacle)
+        mask = region_from_eta(eta, self.psi)
         assert np.all(mask.flags == CONTINUATION)
 
     def test_fixed_tolerances(self):
         # STOPPING within max(1e-9, 1e-8 psi) of psi: the absolute bound
         # decides at psi = 0.05, the relative one at psi = 10
-        psi = np.tile([0.05, 0.05, 10.0, 10.0, 10.0], (4, 1))
+        psi = np.array([0.05, 0.05, 10.0, 10.0, 10.0])
         gap = np.array([0.7e-9, 2e-9, 0.7e-7, 2e-7, 2e-9])
-        mask = region_from_eta(ScalarField(self.grid, psi + gap),
-                               ScalarField(self.grid, psi))
+        mask = region_from_eta(ScalarField(self.grid, np.tile(psi + gap, (4, 1))),
+                               psi)
         assert np.all(mask.flags == [STOPPING, CONTINUATION, STOPPING,
                                      CONTINUATION, STOPPING])
 
-    def test_grid_mismatch(self):
-        other = SpaceTimeGrid(xs=np.linspace(-2, 2, 5), ts=self.grid.ts)
-        eta = ScalarField(other, np.ones((4, 5)))
-        with pytest.raises(ValueError, match="same grid"):
-            region_from_eta(eta, self.obstacle)
+    def test_length_mismatch(self):
+        # psi is one row of the grid's nodes, shared by every time row
+        for psi in (np.full(4, 0.5), self.obstacle.values):
+            with pytest.raises(ValueError, match="obstacle row of shape"):
+                region_from_eta(self.obstacle, psi)
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):

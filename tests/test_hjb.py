@@ -219,14 +219,14 @@ class TestDriftOracle:
 class TestLcpResidual:
     def test_converged_run_small(self, medium_forward):
         spec, grid, sol = medium_forward
-        res = lcp_residual(sol, spec, grid)
+        res = lcp_residual(sol, spec)
         assert np.max(np.abs(res.values)) <= LCP_TOL
 
     def test_obstacle_everywhere_is_zero(self):
         spec = make_spec(terminal_cost=zero)
         grid = build_grid(spec, 31, 11)
         sol = solve_forward_obstacle(spec, grid)
-        res = lcp_residual(sol, spec, grid)
+        res = lcp_residual(sol, spec)
         assert np.max(np.abs(res.values)) <= 1e-12
 
     def test_perturbation_spikes_locally(self, medium_forward):
@@ -237,7 +237,7 @@ class TestLcpResidual:
         fake = type(sol)(eta=ScalarField(grid, bumped), mask=sol.mask,
                          orientation="forward",
                          stopping_cost=sol.stopping_cost)
-        res = lcp_residual(fake, spec, grid)
+        res = lcp_residual(fake, spec)
         # the obstacle row binds, over the node's own scale, the bumped eta
         psi = math.exp(-abs(grid.xs[j]) / spec.hbar)
         assert res.values[k, j] == pytest.approx(1 - psi / bumped[k, j], rel=1e-9)
@@ -251,13 +251,13 @@ class TestLcpResidual:
         # far-field row (up) or the obstacle row (down) is violated
         spec, grid, sol = request.getfixturevalue(f"medium_{orientation}")
         k = grid.nt // 2
-        assert abs(lcp_residual(sol, spec, grid).values[k, j]) <= LCP_TOL
+        assert abs(lcp_residual(sol, spec).values[k, j]) <= LCP_TOL
         pushed = sol.eta.values.copy()
         pushed[k, j] += push
         fake = type(sol)(eta=ScalarField(grid, pushed), mask=sol.mask,
                          orientation=orientation,
                          stopping_cost=sol.stopping_cost)
-        res = lcp_residual(fake, spec, grid).values
+        res = lcp_residual(fake, spec).values
         assert abs(res[k, j]) > LCP_TOL
         # over the node's own scale: the pushed eta, as b = 0 on the edge rows
         assert res[k, j] == pytest.approx(push / pushed[k, j], rel=1e-3)
@@ -319,7 +319,7 @@ class TestErrors:
                 solve(spec, grid)
             return
         sol = solve(spec, grid)
-        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+        assert np.max(np.abs(lcp_residual(sol, spec).values)) <= LCP_TOL
 
     def test_negative_potential_blowup_rejected(self):
         spec = make_spec(potential=lambda x: -1e6 * np.ones_like(np.asarray(x, float)))
@@ -363,7 +363,7 @@ class TestActiveSet:
         spec = make_spec(terminal_cost=f, initial_cost=f)
         grid = build_grid(spec, 301, 501)
         sol = solve(spec, grid)
-        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+        assert np.max(np.abs(lcp_residual(sol, spec).values)) <= LCP_TOL
         assert sol.step_solves.size == grid.nt - 1
         assert sol.psor_sweeps == sol.step_solves.sum()
         assert sol.step_solves.mean() <= mean_solves + 1e-9
@@ -390,7 +390,7 @@ class TestActiveSet:
         ab[0, 1] = -psi[0] / psi[1]
         assert min(lu_pivots(ab)) <= 0
         sol = solve_forward_obstacle(spec, grid)
-        assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+        assert np.max(np.abs(lcp_residual(sol, spec).values)) <= LCP_TOL
         e = sol.eta.values[0]
         assert e[0] == pytest.approx(max(psi[0], e[1]), rel=1e-12)
 
@@ -453,7 +453,7 @@ class TestNodewiseScale:
         ref = nodewise_residual(sol, spec, grid)
         assert np.max(np.abs(ref)) <= LCP_TOL
         # the gate reads what the solver judges
-        assert np.array_equal(lcp_residual(sol, spec, grid).values, ref)
+        assert np.array_equal(lcp_residual(sol, spec).values, ref)
 
 
 #: parameter ranges of the registry's functions in drawn specs, chosen
@@ -506,7 +506,7 @@ class TestRandomSpecs:
         for orientation, solve in (("forward", solve_forward_obstacle),
                                    ("backward", solve_backward_obstacle)):
             sol = solve(spec, grid)
-            assert np.max(np.abs(lcp_residual(sol, spec, grid).values)) <= LCP_TOL
+            assert np.max(np.abs(lcp_residual(sol, spec).values)) <= LCP_TOL
             psi = np.exp(-sol.stopping_cost / spec.hbar)
             assert np.all(sol.eta.values >= psi * (1 - 1e-12))
             stopped = value_from_eta(sol, spec.hbar)

@@ -461,6 +461,29 @@ class TestFokkerPlanck:
         assert 0.1 < pairing[0] < 1
         assert np.max(np.abs(pairing - pairing[0])) <= 1e-12
 
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_stopping_law_read_off_the_rows(self, solved, solved_backward,
+                                            orientation):
+        # from a unit mass at (first row, x = 1), row k summed off row k's
+        # stopping nodes is the probability q of a march to the threshold
+        # t_k reads at the start
+        spec = solved[0]
+        val = solved[3] if orientation == "forward" else solved_backward
+        grid = val.drift.grid
+        first, j = (0 if orientation == "forward" else grid.nt - 1,
+                    grid.nearest_column(1.0))
+        rho0 = np.zeros(grid.nx)
+        rho0[j] = 1.0
+        rho = fokker_planck(orientation, val.drift, val.mask, rho0, spec.hbar)
+        for threshold in (-0.3, -0.1, 0.1, 0.25):
+            k = grid.exact_row(threshold)
+            law = np.sum(rho.values[k], where=val.mask.flags[k] != STOPPING)
+            q = solve_q(SurvivalProblem(
+                orientation=orientation, threshold=threshold, drift=val.drift,
+                mask=val.mask, hbar=spec.hbar)).q
+            assert 0 < law < 1
+            assert abs(law - q.values[first, j]) <= 1e-12
+
     def test_mask_on_another_grid(self, solved):
         spec, grid, _, val = solved
         other = build_grid(spec, 31, 501)
