@@ -4,10 +4,12 @@ operators, and the one place that forks.
 All types here are immutable after construction and safe to share read-only
 between parallel workers. ``_step_matrix`` is the implicit Euler step of
 every parabolic solve and, transposed, of the killed density in
-``stopping``; ``_pin_rows`` holds nodes in it and ``_factor_step`` factors
-it. ``block_bounds`` cuts a job into contiguous blocks, one per usable CPU,
-and ``fork_blocks`` runs them in parallel; the Monte Carlo engine splits
-its paths into such blocks once; its results do not depend on the split.
+``stopping``; ``_pin_rows`` holds nodes in it, ``_factor_step`` factors
+it and ``_solve_step`` solves with it or its transpose. ``block_bounds``
+cuts a job into contiguous blocks, one per usable CPU, and ``fork_blocks``
+runs them in parallel in ``multiprocessing`` fork processes; the Monte
+Carlo engine splits its paths into such blocks once; its results do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
-import signal
 import sys
-import traceback
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -470,11 +470,12 @@ def _factor_step(ab: np.ndarray) -> tuple:
     return lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])[:5]
 
 
-def _solve_step(lu: tuple, b: np.ndarray) -> np.ndarray:
+def _solve_step(lu: tuple, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """x with A x = b, A factored by ``_factor_step`` (LAPACK dgttrs): the
-    bits of ``scipy.linalg.solve_banded((1, 1), A, b)``."""
+    bits of ``scipy.linalg.solve_banded((1, 1), A, b)``; with trans="T",
+    x with A^T x = b from the same factors."""
     from scipy.linalg import lapack
-    return lapack.dgttrs(*lu, b)[0]
+    return lapack.dgttrs(*lu, b, trans=trans)[0]
 
 
 def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -526,49 +527,42 @@ def fork_blocks(bounds: list, fn) -> None:
     """Run ``fn(lo, hi)`` on each block [bounds[i], bounds[i + 1]) of
     ``bounds`` (as ``block_bounds`` returns them), the blocks in parallel.
 
-    This process runs block 0 while a forked child runs each other block;
-    ``fn`` returns nothing, so a block's results must reach this process
-    through shared memory or a file. A child leaves through ``os._exit``:
-    it runs no exit handler and flushes no inherited buffer. Every child is
+    This process runs block 0 while a child started by ``multiprocessing``'s
+    fork start method runs each other block; ``fn`` returns nothing, so a
+    block's results must reach this process through shared memory or a
+    file. That start method flushes ``sys.stdout`` and ``sys.stderr`` before
+    each fork, and a child leaves through ``os._exit``: it runs no exit
+    handler and writes no inherited text a second time. Every child is
     reaped before this returns or raises. A failed child prints its
     traceback to stderr and raises ``ChildProcessError`` here, naming its
-    block. On any error here, that one included, every child still running
-    is killed (SIGKILL) and reaped before the error propagates. With one
-    block ``fn(bounds[0], bounds[1])`` runs here and nothing forks.
+    block and exit status (minus the number of a signal that ended it). On
+    any error here, that one included, every child is killed (SIGKILL) and
+    reaped before the error propagates. With one block ``fn(bounds[0],
+    bounds[1])`` runs here, and nothing forks or loads ``multiprocessing``.
 
     The fork is safe although the process may hold BLAS threads as long as
     ``fn`` calls no BLAS and takes no library lock in the child. From
-    Python 3.12 on, ``os.fork`` warns in a process with threads; that
-    warning is left to the caller's filters.
+    Python 3.12 on, a fork warns in a process with threads; that warning
+    is left to the caller's filters.
     """
-    children = []  # (pid, block) of each child not yet reaped
+    children = []
     try:
         for i in range(1, len(bounds) - 1):
-            pid = os.fork()
-            if pid == 0:  # the child: run block i, then leave
-                code = 1
-                try:
-                    fn(bounds[i], bounds[i + 1])
-                    code = 0
-                except BaseException:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(code)
-            children.append((pid, i))
+            import multiprocessing  # loaded only once a block forks
+            child = multiprocessing.get_context("fork").Process(
+                target=fn, args=bounds[i:i + 2])
+            child.start()
+            children.append(child)
         fn(bounds[0], bounds[1])
-        while children:
-            pid, i = children[0]
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
+        for i, child in enumerate(children, 1):
+            child.join()
+            if child.exitcode != 0:
                 raise ChildProcessError(
                     f"block {i} of {len(bounds) - 1} (items {bounds[i]} to "
                     f"{bounds[i + 1]} of {bounds[-1]}) exited with status "
-                    f"{code}")
+                    f"{child.exitcode}")
     except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            child.kill()
+            child.join()
         raise

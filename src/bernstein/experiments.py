@@ -164,16 +164,23 @@ def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
 def gauge_deviation(factors: schrodinger.SchrodingerFactors, rho: ScalarField,
                     hbar: float) -> float:
     """Infinity norm of the change of the density ``rho`` pinned by
-    ``factors`` when they are rescaled to (c eta*, eta / c), c = 1.7, a
-    gauge that leaves the density as it is."""
-    c = 1.7
+    ``factors`` on its rows 1, nt // 2 and nt - 2 when they are rescaled to
+    (c eta*, eta / c), c = 1.7, a gauge that leaves the density as it is.
+    Each rescaled factor is propagated on a grid of two times, row k's and
+    its data row's, whose one kernel row is row k's on the whole grid."""
+    c, grid = 1.7, rho.grid
     scaled = schrodinger.SchrodingerFactors(
         eta_star_init=factors.eta_star_init * c, eta_final=factors.eta_final / c,
         residual_trace=factors.residual_trace)
-    rescaled = schrodinger.bernstein_density(
-        schrodinger.propagate_eta(scaled, rho.grid, hbar),
-        schrodinger.propagate_eta_star(scaled, rho.grid, hbar))
-    return float(np.max(np.abs(rescaled.values - rho.values)))
+    dev = 0.0
+    for k in {1, grid.nt // 2, grid.nt - 2}:
+        # at nt = 2 the rows are 0 and 1, where one factor is its data
+        eta = (scaled.eta_final if k == grid.nt - 1 else schrodinger.propagate_eta(
+            scaled, core.SpaceTimeGrid(xs=grid.xs, ts=grid.ts[[k, -1]]), hbar).values[0])
+        eta_star = (scaled.eta_star_init if k == 0 else schrodinger.propagate_eta_star(
+            scaled, core.SpaceTimeGrid(xs=grid.xs, ts=grid.ts[[0, k]]), hbar).values[-1])
+        dev = max(dev, float(np.max(np.abs(eta * eta_star - rho.values[k]))))
+    return dev
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,13 +258,20 @@ def _problem(spec, nx, nt, orientation=None):
         raise ConfigError(str(exc)) from None
 
 
-def _check_origin_node(grid):
+def _check_oracle_nodes(grid):
     """A ConfigError unless the grid has a node at x = 0, the worked
-    example's stopping column, which its oracle checks read."""
+    example's stopping column, and one in the band ``in_band``: its oracle
+    checks read both."""
     if abs(grid.xs[grid.nearest_column(0.0)]) > 1e-9 * grid.dx:
         raise ConfigError(
             f"nx = {grid.nx} puts no node at x = 0, the worked example's "
             f"stopping column; take an odd nx")
+    if not in_band(grid.xs).any():
+        # the smallest odd nx whose node spacing is at most BAND[1]
+        nx = 2 * math.ceil((grid.xs[-1] - grid.xs[0]) / (2 * BAND[1])) + 1
+        raise ConfigError(
+            f"nx = {grid.nx} puts no node in the oracle band {BAND[0]} <= |x| "
+            f"<= {BAND[1]}; take nx >= {nx}")
 
 
 def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
@@ -266,7 +280,7 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     x = 0 stopping column."""
     spec, is_default, grid = _problem(spec, nx, nt, orientation)
     if is_default:
-        _check_origin_node(grid)
+        _check_oracle_nodes(grid)
     solve = (hjb.solve_forward_obstacle if orientation == FORWARD
              else hjb.solve_backward_obstacle)
     t0 = time.perf_counter()
@@ -530,7 +544,7 @@ def convergence_study(seed=0, *,
                           f"measure an order, got {len(levels)}")
     problems = [_problem(None, nx, nt) for nx, nt in levels]
     for _, _, grid in problems:
-        _check_origin_node(grid)
+        _check_oracle_nodes(grid)
     errs = [max(e for _, e in band_errors(hjb.solve_forward_obstacle(spec, grid)))
             for spec, _, grid in problems]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

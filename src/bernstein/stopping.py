@@ -17,7 +17,8 @@ is one implicit step ``_step``: ``core._step_matrix`` (upwinded drift,
 reflecting edges, an M-matrix, so the discrete maximum principle holds)
 with the stopping nodes pinned by ``core._pin_rows``. ``fokker_planck``
 steps the density of the process killed on the same mask, in either
-orientation, with the transpose of the same step.
+orientation, with the transpose of the same step: LAPACK's transposed solve
+on the step's own factors.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ def fokker_planck(orientation: str, drift: ScalarField, mask: RegionMask | None,
     killed on the mask's stopping nodes, on the drift's grid: forward in
     s = t from its first row, backward in s = -t from its last (b negated).
 
-    Row k's step solves with the transpose of ``_step`` and zeroes the mass
-    on row k's stopping nodes, so sum_j q[k, j] rho[k, j] is the same on
+    Row k's step solves with the transpose of ``_step`` (LAPACK's transposed
+    solve on the factors ``solve_q`` solves with) and zeroes the mass on
+    row k's stopping nodes, so sum_j q[k, j] rho[k, j] is the same on
     every row up to the threshold of ``solve_q``'s q on the same drift and
     mask. Without a mask (None) the edges reflect and mass is conserved.
 
@@ -176,12 +178,8 @@ def fokker_planck(orientation: str, drift: ScalarField, mask: RegionMask | None,
             warnings.warn(f"advection cell Peclet {peclet:.2f} > 2 at "
                           f"t={ts[k]:.4g}; expect smearing from upwinding",
                           stacklevel=2)
-        ab = _step(orientation, drift, stop, hbar, k)
-        # the transpose: its super-diagonal is the sub-diagonal shifted a
-        # column right, and the zero corners roll into the unused slots (a
-        # transposed solve with the factors of ab differs in the last bits)
-        sol = core._solve_step(core._factor_step(np.array(
-            [np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])), out[k])
+        sol = core._solve_step(core._factor_step(
+            _step(orientation, drift, stop, hbar, k)), out[k], trans="T")
         sol[stop[k]] = 0.0
         if np.min(sol) < -1e-12:
             raise ValueError(f"density undershoot {np.min(sol):.3g} below "

@@ -604,6 +604,21 @@ class TestArtifacts:
         rho = ScalarField(grid, np.full((3, 5), 1e-13))
         assert experiments.drift_reversal_error(ones, ones, rho, 0.5) == (None, 0)
 
+    @pytest.mark.parametrize("nt", [2, 21])
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-3])
+    def test_inhomogeneous_propagation_fails_the_gauge_check(self, monkeypatch,
+                                                             offset, nt):
+        # a propagation that adds a constant to its factor is not linear in
+        # it, so the density moves under the gauge rescaling of the factors;
+        # at nt = 2 each row holds one factor's data
+        propagate = schrodinger._propagate
+        monkeypatch.setattr(schrodinger, "_propagate",
+                            lambda factor, *args: propagate(factor + offset, *args))
+        res = experiments.pinning(nx=101, nt=nt)
+        report = res.reports["schrodinger_report.json"]
+        assert (report["gauge_deviation"] > experiments.GAUGE_TOL) == (offset > 0)
+        assert res.checks["gauge_invariance"] == (offset == 0)
+
     @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
     def test_criterion_reads_what_its_runs_produce(self, tiny_runs, monkeypatch,
                                                    number):
@@ -996,6 +1011,16 @@ class TestMain:
         ({"experiment": "sec7-forward", "nx": 61, "nt": 21,
           "spec": NEGATIVE_POTENTIAL_SPEC},
          "potential too negative for this time step: the LU pivot"),
+        # three nodes, -3, 0 and 3, none in the band the oracle checks read
+        ({"experiment": "sec7-forward", "nx": 3, "nt": 21},
+         "nx = 3 puts no node in the oracle band 0.1 <= |x| <= 2.5; take "
+         "nx >= 5\n"),
+        ({"experiment": "sec7-backward", "nx": 3, "nt": 21},
+         "nx = 3 puts no node in the oracle band 0.1 <= |x| <= 2.5; take "
+         "nx >= 5\n"),
+        ({"experiment": "convergence-study", "levels": [[3, 21], [31, 21]]},
+         "nx = 3 puts no node in the oracle band 0.1 <= |x| <= 2.5; take "
+         "nx >= 5\n"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
@@ -1019,7 +1044,8 @@ class TestMain:
             "repeated-threshold-row", "out-key", "obstacle-underflow",
             "obstacle-underflow-classical", "obstacle-underflow-stopping",
             "obstacle-underflow-backward", "negative-potential",
-            "negative-potential-sec7"])
+            "negative-potential-sec7", "no-band-node", "no-band-node-backward",
+            "study-no-band-node"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         self.assert_rejected(tmp_path, capsys, monkeypatch, cfg, message)

@@ -2,6 +2,8 @@ import json
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -333,6 +335,35 @@ class TestForkBlocks:
         self.assert_reaped(forks)
 
 
+    def test_children_repeat_no_buffered_text_or_exit_handler(self):
+        # text written to a pipe before the fork but not flushed, and an
+        # exit handler, each reach the output once: the children write no
+        # inherited buffer and run no exit handler. PYTHONUNBUFFERED would
+        # flush the text at once
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORK_ONCE_SCRIPT],
+            env=dict(env, PYTHONPATH=src), capture_output=True,
+            text=True, check=True, timeout=60)
+        assert proc.stdout.count("written before the fork") == 1
+        assert proc.stdout.count("exit handler ran") == 1
+
+
+#: run in a fresh interpreter on two usable CPUs: one child runs block 1
+_FORK_ONCE_SCRIPT = """
+import atexit, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from bernstein.core import block_bounds, fork_blocks
+sys.stdout.write("written before the fork\\n")
+atexit.register(print, "exit handler ran")
+bounds = block_bounds(2, 1)
+assert bounds == [0, 1, 2], bounds
+fork_blocks(bounds, lambda lo, hi: None)
+"""
+
+
 class TestNearestNode:
     @pytest.mark.parametrize("lo, hi, n, jitter", [
         (-3.0, 3.0, 601, 0.0), (-0.5, 0.5, 2001, 0.0), (0.0, 5.0, 11, 0.0),
@@ -459,13 +490,18 @@ class TestStepMatrix:
             drift = scale * rng.standard_normal(nx) * (hbar / 2) / dx
             pins = rng.random(nx) < 0.05
             ab = _pin_rows(_step_matrix(drift, hbar, dt, dx), pins)
-            # and the transposed bands, as stopping.fokker_planck builds them
+            # and its transposed bands, a matrix of their own
             at = np.array([np.roll(ab[2], 1), ab[1], np.roll(ab[0], -1)])
             for m in (ab, at):
                 b = rng.random(nx)
                 lu = _factor_step(m)
                 assert np.array_equal(_solve_step(lu, b), solve_banded((1, 1), m, b))
                 pivoted |= np.any(lu[4] != np.arange(1, nx + 1))
+            # the transposed solve from the factors of ab, which
+            # stopping.fokker_planck makes, agrees with it to round-off
+            x = solve_banded((1, 1), at, b)
+            assert (np.max(np.abs(_solve_step(_factor_step(ab), b, trans="T") - x))
+                    <= 1e-12 * np.max(np.abs(x)))
         # at lambda = hbar dt / (2 dx^2) > 1 the column under a pinned row
         # outweighs its diagonal, so both routines exchange rows
         if hbar * dt / (2 * dx * dx) > 1:
