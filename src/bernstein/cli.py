@@ -9,12 +9,14 @@ key that neither it nor the named experiment reads, runs the experiment
 from ``experiments`` (which builds, solves and judges it and returns every
 artifact it emits), and writes what it returned: every t x x field
 through ``field_to_csv``, its one report as JSON with sorted keys, and a
-manifest listing each written file with its sha256 hash, the effective
-config, the pass/fail status of the experiment's checks and, apart from
-those, its ``timings``: the compute time, each file's write time and the
-usable CPU count. Every CSV float is written as its repr; ``_write_rows``
-formats them with orjson, which gives the same bytes faster, and says
-where the two differ. The exit
+manifest listing each written file with the sha256 of the bytes written
+to it, the effective config, the pass/fail status of the experiment's
+checks and, apart from those, its ``timings``: the compute time, each
+file's write time and the usable CPU count. Every CSV float is written as
+its repr; ``_write_rows`` formats each line by one orjson call, which
+gives the same bytes faster, and says where the two differ. A large
+field is written and hashed by one worker thread while the main thread
+formats its next lines, so no file is read back to hash it. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
 line and no traceback: a config file that cannot be read, is not JSON or
 is not a JSON object is one. The output directory is --out, else ./out.
@@ -27,6 +29,7 @@ formats are decided here alone.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import inspect
 import json
@@ -34,6 +37,7 @@ import os
 import platform
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,25 +45,32 @@ from . import __version__, acceptance, core, experiments
 from .core import ScalarField
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_json(doc, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    return path
+    """``doc`` as indented JSON with sorted keys; returns the sha256 of the
+    bytes written."""
+    data = json.dumps(doc, indent=2, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-#: cells formatted by one orjson call. A 601x2001 field formatted at once
-#: raised the obstacle benchmark's peak RSS from 170 to 237 MB. Writing one
-#: such field in blocks of 16 384 cells raises a process's peak by 1.0 MB,
-#: of 8192 by 0.2 MB, in the same time
+#: cells ``_write_rows`` formats between two writes. A 601x2001 field
+#: formatted at once raised the obstacle benchmark's peak RSS from 170 to
+#: 237 MB. Writing one such field in blocks of 16 384 cells raised a
+#: process's peak by 1.0 MB, of 8192 by 0.2 MB, in the same time (measured
+#: with one orjson call per block)
 _BLOCK_CELLS = 8192
+#: blocks ``field_to_csv`` hands its writer thread at a time. Every
+#: hand-over costs the two threads switches of the interpreter lock: one
+#: block at a time, writing on the thread was slower than writing inline
+_HAND_OVER = 4
+#: hand-overs not yet written, at most, while the next ones are formatted
+_IN_FLIGHT = 2
+
+
+def _block_lines(n_cells: int) -> int:
+    """Lines of ``n_cells`` cells in one block of about ``_BLOCK_CELLS``."""
+    return -(-_BLOCK_CELLS // n_cells)
 
 
 def _repr_line(cells) -> bytes:
@@ -71,36 +82,72 @@ def _write_rows(fh, first, rows) -> None:
     """One line per entry of the float array ``first`` (a time): the entry,
     then its row of the 2-d float array ``rows``, each written as its repr,
     as ``csv.writer`` writes them. No cell needs quoting, and lines end
-    in csv's "\\r\\n"; ``fh`` is a binary file.
+    in csv's "\\r\\n"; ``fh`` is anything with a binary ``write``, called
+    once per block of whole lines, about ``_BLOCK_CELLS`` cells each.
 
-    The table is formatted, ``first`` as its column 0, by ``orjson.dumps``
-    in blocks of whole lines, about ``_BLOCK_CELLS`` cells each. orjson
-    writes the shortest round-trip digits, as repr does, and, measured from
-    5e-324 to 1e308 (orjson 3.8.3), the same string but for
-    1e-9 <= |x| < 1e-4 (0.00001 for 1e-05), |x| >= 1e16 (1e16 for 1e+16),
-    NaN and +-inf (null). Each line holding such a cell is rewritten whole
-    by ``_repr_line``.
+    Each line is formatted, its ``first`` entry as cell 0, by one
+    ``orjson.dumps`` of the row. orjson writes the shortest round-trip
+    digits, as repr does, and, measured from 5e-324 to 1e308 (orjson
+    3.8.3), the same string but for 1e-9 <= |x| < 1e-4 (0.00001 for
+    1e-05), |x| >= 1e16 (1e16 for 1e+16), NaN and +-inf (null). Each line
+    holding such a cell is formatted by ``_repr_line`` instead.
     """
     import orjson  # here, not at the top: importing this module loads no orjson
-    step = -(-_BLOCK_CELLS // (rows.shape[1] + 1))
+    dumps, option = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY
+    step = _block_lines(rows.shape[1] + 1)
     for lo in range(0, len(rows), step):
         block = np.column_stack((first[lo:lo + step], rows[lo:lo + step]))
-        lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
         mag = np.abs(block)
-        other = (mag >= 1e-9) & (mag < 1e-4) | ~(mag < 1e16)
-        for i in np.flatnonzero(other.any(axis=1)):
-            lines[i] = _repr_line(block[i].tolist())
-        fh.write(b"\r\n".join(lines) + b"\r\n")
+        by_repr = ((mag >= 1e-9) & (mag < 1e-4) | ~(mag < 1e16)).any(axis=1)
+        lines = [_repr_line(row.tolist()) if rep else dumps(row, option=option)[1:-1]
+                 for row, rep in zip(block, by_repr)]
+        lines.append(b"")
+        fh.write(b"\r\n".join(lines))
 
 
 def field_to_csv(fld: ScalarField, path: str) -> str:
     """Matrix CSV: first row is x nodes, first column is t nodes, then
-    ``_write_rows`` of the values."""
-    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
+    ``_write_rows`` of the values. Returns the sha256 of the bytes written.
+
+    A field of more than ``_HAND_OVER`` blocks is written and hashed by one
+    worker thread, ``_HAND_OVER`` blocks at a time, while the next blocks
+    are formatted, at most ``_IN_FLIGHT`` hand-overs ahead; an error the
+    worker meets is raised here, after it has stopped."""
+    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]).encode()
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\r\n")
-        _write_rows(fh, fld.grid.ts, fld.values)
-    return path
+        def put(data):
+            fh.write(data)
+            digest.update(data)
+
+        put(header + b"\r\n")
+        if len(fld.values) <= _HAND_OVER * _block_lines(fld.grid.nx + 1):
+            _write_rows(SimpleNamespace(write=put), fld.grid.ts, fld.values)
+            return digest.hexdigest()
+        # here, not at the top: only a field of several hand-overs starts a thread
+        from concurrent.futures import ThreadPoolExecutor
+        pool, pending, blocks = ThreadPoolExecutor(max_workers=1), collections.deque(), []
+
+        def hand_over():
+            if len(pending) == _IN_FLIGHT:
+                pending.popleft().result()
+            pending.append(pool.submit(put, b"".join(blocks)))
+            blocks.clear()
+
+        def write(block):
+            blocks.append(block)
+            if len(blocks) == _HAND_OVER:
+                hand_over()
+
+        try:
+            _write_rows(SimpleNamespace(write=write), fld.grid.ts, fld.values)
+            if blocks:
+                hand_over()
+            while pending:
+                pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return digest.hexdigest()
 
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
@@ -128,18 +175,13 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     result = runner(seed, **{k: v for k, v in cfg.items() if k not in TOP_KEYS})
     compute_s = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
-    write_s = {}
-
-    def timed(fname, write):
+    files, write_s = {}, {}  # file name -> its sha256, its write time
+    jobs = [(f, field_to_csv, fld) for f, fld in result.fields.items()]
+    jobs += [(f, _write_json, doc) for f, doc in result.reports.items()]
+    for fname, write, item in jobs:
         t0 = time.perf_counter()
-        path = write(os.path.join(out_dir, fname))
+        files[fname] = write(item, os.path.join(out_dir, fname))
         write_s[fname] = time.perf_counter() - t0
-        return path
-
-    files = [timed(f, lambda p: field_to_csv(fld, p))
-             for f, fld in result.fields.items()]
-    files += [timed(f, lambda p: _write_json(doc, p))
-              for f, doc in result.reports.items()]
 
     # here, not at the top: importing this module loads neither
     import orjson
@@ -155,7 +197,7 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
             "orjson": orjson.__version__,
             "python": platform.python_version(),
         },
-        "files": {os.path.basename(p): _sha256(p) for p in files},
+        "files": files,
         "checks": {k: bool(v) for k, v in result.checks.items()},
         "all_checks_passed": all(result.checks.values()),
         "timings": {"compute_s": compute_s, "write_s": write_s,

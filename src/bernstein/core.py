@@ -479,10 +479,11 @@ def _solve_step(lu: tuple, b: np.ndarray, trans: str = "N") -> np.ndarray:
 
 
 def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The row residual A e - b of the (1, 1)-banded ``ab``."""
+    """The row residual A e - b of the (1, 1)-banded ``ab``; of each row
+    of ``e`` and ``b`` if they are 2-d."""
     r = ab[1] * e - b
-    r[:-1] += ab[0, 1:] * e[1:]
-    r[1:] += ab[2, :-1] * e[:-1]
+    r[..., :-1] += ab[0, 1:] * e[..., 1:]
+    r[..., 1:] += ab[2, :-1] * e[..., :-1]
     return r
 
 

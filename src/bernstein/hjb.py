@@ -39,6 +39,9 @@ from .core import (
 #: degenerate nodes (eta = psi, zero multiplier).
 _STOP_TOL = 1e-12
 _MAX_SOLVES = 50  # per time step, then ConvergenceError
+#: nodes ``lcp_residual`` scores at once: a few rows' worth, so its working
+#: arrays stay a small fraction of the field it returns
+_RESIDUAL_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -125,28 +128,32 @@ def _march(nt, data, psi, ab):
     (``core._marching_rows``), of the LCP A e >= b, e >= psi, complementary,
     b being the previous row with 0 on the far-field rows.
     From the previous step's active set (at first {data <= psi}), solve with
-    the active rows pinned to psi, then set active = {A e - b + psi - e > 0},
-    until the set repeats or every node's scaled complementarity residual
-    (``_scaled_residual``) is at most _STOP_TOL. Returns eta and the banded
-    solves of each step."""
+    the active rows pinned to psi, then set new = {A e - b + psi - e > 0}.
+    The step ends when new repeats the set just solved with; else when
+    every node's scaled complementarity residual (``_scaled_residual``,
+    taken only then) is at most _STOP_TOL; else it solves again with new,
+    refactoring the step matrix as the set changed. Returns eta and the
+    banded solves of each step."""
     eta = np.empty((nt, data.size))
     eta[-1] = data
-    active, factored, solves = data <= psi, None, []
+    active, changed, solves = data <= psi, True, []
     for k in range(nt - 2, -1, -1):
         b = eta[k + 1].copy()
         b[[0, -1]] = 0.0
-        trace = []
+        n, trace = 0, []
         while True:
-            if not np.array_equal(active, factored):
+            if changed:
                 lu = core._factor_step(core._pin_rows(ab.copy(), active))
-                factored = active
             e = core._solve_step(lu, np.where(active, psi, b))
             mult = core._step_residual(ab, e, b)
-            trace.append(float(np.max(np.abs(_scaled_residual(mult, e, b, psi)))))
-            new = mult + (psi - e) > 0
-            if trace[-1] <= _STOP_TOL or np.array_equal(new, active):
+            new, n = mult + (psi - e) > 0, n + 1
+            changed = not np.array_equal(new, active)
+            if not changed:
                 break
-            if len(trace) == _MAX_SOLVES:
+            trace.append(float(np.max(np.abs(_scaled_residual(mult, e, b, psi)))))
+            if trace[-1] <= _STOP_TOL:
+                break
+            if n == _MAX_SOLVES:
                 raise ConvergenceError(
                     f"active-set step did not settle in {_MAX_SOLVES} solves "
                     f"(last residual {trace[-1]:.3g})", residual_trace=trace)
@@ -155,7 +162,7 @@ def _march(nt, data, psi, ab):
             raise ConvergenceError("nonpositive eta produced; check dt/dx "
                                    "ratio and that the potential is bounded below")
         eta[k], active = e, new
-        solves.append(len(trace))
+        solves.append(n)
     return eta, np.array(solves)
 
 
@@ -215,16 +222,20 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec) -> ScalarField:
     over the node's own scale, as the active-set step judges it
     (``_scaled_residual``): the heat-operator rows inside, and at the edges
     the far-field rows e_0 - r e_1 and their mirror at x_max, with
-    right-hand side 0. The data row is not solved and reads 0.
+    right-hand side 0. The data row is not solved and reads 0. Rows are
+    scored in blocks of about _RESIDUAL_CELLS nodes, each node by the same
+    operations as one row at a time.
     """
     grid = sol.eta.grid
     _, psi, ab = _operator(spec, grid, sol.orientation)
     eta = core._marching_rows(sol.orientation, sol.eta.values)
     out = np.zeros_like(eta)
-    for k in range(grid.nt - 2, -1, -1):
-        e, b = eta[k], eta[k + 1].copy()
-        b[[0, -1]] = 0.0
-        out[k] = _scaled_residual(core._step_residual(ab, e, b), e, b, psi)
+    step = max(1, _RESIDUAL_CELLS // grid.nx)
+    for lo in range(0, grid.nt - 1, step):
+        hi = min(lo + step, grid.nt - 1)
+        e, b = eta[lo:hi], eta[lo + 1:hi + 1].copy()
+        b[:, [0, -1]] = 0.0
+        out[lo:hi] = _scaled_residual(core._step_residual(ab, e, b), e, b, psi)
     return ScalarField(grid, core._marching_rows(sol.orientation, out))
 
 

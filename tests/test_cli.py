@@ -1,10 +1,12 @@
 import functools
+import hashlib
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,6 @@ from bernstein import (
 )
 from bernstein.cli import (
     EXPERIMENTS,
-    _sha256,
     field_to_csv,
     main,
     run_experiment,
@@ -67,6 +68,12 @@ def write_config(tmp_path, doc, name="config.json"):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return str(path)
+
+
+def sha256_of(path):
+    """The sha256 of the file at ``path``, as read back."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def small_field(values):
@@ -113,13 +120,59 @@ class TestCompareReport:
             compare_report(a, b)
 
 
-def test_field_to_csv(tmp_path):
+def test_field_to_csv(tmp_path, file_log):
+    # a field of one block is written by the calling thread, and the
+    # digest returned is of the bytes written
     f = small_field(np.arange(6.0).reshape(2, 3))
-    path = field_to_csv(f, str(tmp_path / "f.csv"))
+    path = tmp_path / "f.csv"
+    digest = field_to_csv(f, str(path))
+    assert digest == sha256_of(path)
+    (logged,) = file_log.files
+    assert logged.threads == [threading.current_thread()] * 2
     with open(path) as fh:
         lines = [ln.strip().split(",") for ln in fh]
     assert len(lines) == 3 and len(lines[0]) == 4
     assert float(lines[1][0]) == 0.0 and float(lines[2][3]) == 5.0
+
+
+class LoggedFile:
+    """A binary file opened by ``cli`` for writing: records the thread of
+    each ``write``, and raises ``OSError`` at write number ``fail_at``
+    (the header is write 1)."""
+
+    def __init__(self, path, mode, fail_at):
+        self.fh, self.fail_at, self.threads = open(path, mode), fail_at, []
+
+    def write(self, data):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class FileLog:
+    """Stands for ``open`` in ``cli``: every file it opens is a
+    ``LoggedFile`` failing at write ``fail_at``, kept in ``files``."""
+
+    def __init__(self):
+        self.fail_at, self.files = None, []
+
+    def open(self, path, mode="r"):
+        self.files.append(LoggedFile(path, mode, self.fail_at))
+        return self.files[-1]
+
+
+@pytest.fixture
+def file_log(monkeypatch):
+    log = FileLog()
+    monkeypatch.setattr(cli, "open", log.open, raising=False)
+    return log
 
 
 def test_unknown_experiment_names_choices(tmp_path):
@@ -269,6 +322,53 @@ class TestCsvWriter:
                 text = fh.read()
             assert text == self.expected(first, rows, header), f
 
+    def test_field_of_several_blocks_is_written_by_one_thread(self, tmp_path,
+                                                              table, file_log):
+        # the calling thread writes the header, one other thread the
+        # blocks of rows, _HAND_OVER at a time, in order while the threads
+        # switch as often as they can; the digest returned is of the bytes
+        # written
+        _, rows = table
+        fld = ScalarField(small_field(np.zeros(rows.shape)).grid, rows, allow_nan=True)
+        n_blocks = -(-len(rows) // cli._block_lines(fld.grid.nx + 1))
+        n_hand_overs = -(-n_blocks // cli._HAND_OVER)
+        assert n_hand_overs > cli._IN_FLIGHT
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            digest = field_to_csv(fld, str(tmp_path / "f.csv"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        (logged,) = file_log.files
+        caller, *workers = logged.threads
+        assert caller is threading.current_thread()
+        assert len(workers) == n_hand_overs and set(workers) == {workers[0]} != {caller}
+        header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
+        with open(tmp_path / "f.csv", newline="") as fh:
+            assert fh.read() == self.expected(fld.grid.ts, rows, header)
+        assert digest == sha256_of(tmp_path / "f.csv")
+
+    @pytest.mark.parametrize("call", ["field_to_csv", "run_experiment"])
+    def test_writer_thread_failure_is_raised(self, tmp_path, monkeypatch,
+                                             file_log, call):
+        # writing the third hand-over of rows (of 11) fails on the writer
+        # thread: the call raises that error with the thread stopped, and
+        # writes no other file, the manifest least of all
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 62)  # 1 line of 61 nodes
+        file_log.fail_at = 4
+        before = threading.active_count()
+        with pytest.raises(OSError, match="No space left on device"):
+            if call == "field_to_csv":
+                field_to_csv(small_field(np.ones((41, 61))), str(tmp_path / "f.csv"))
+            else:
+                run_experiment({"experiment": "sec7-forward", "nx": 61, "nt": 41},
+                               str(tmp_path), 0)
+        assert threading.active_count() == before
+        (logged,) = file_log.files
+        assert logged.threads[3] is not threading.current_thread()
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestManifests:
     def test_sec7_forward_small(self, tmp_path):
@@ -282,7 +382,7 @@ class TestManifests:
         for name, digest in man["files"].items():
             path = tmp_path / name
             assert path.exists()
-            assert _sha256(str(path)) == digest
+            assert sha256_of(path) == digest
         with open(tmp_path / "manifest.json") as fh:
             assert json.load(fh) == man
 
@@ -523,7 +623,28 @@ class TestArtifacts:
         out, man, _ = tiny_runs[name]
         assert sorted(os.listdir(out)) == sorted([*man["files"], "manifest.json"])
         for fname, digest in man["files"].items():
-            assert _sha256(str(out / fname)) == digest
+            assert sha256_of(out / fname) == digest
+
+    def test_worker_thread_writes_the_digested_reprs(self, tmp_path,
+                                                     monkeypatch):
+        # in blocks of one line, every field of a small sec7-backward run
+        # spans several hand-overs, so the worker thread writes each one:
+        # its file reads back as the manifest's digest and as the reprs
+        name, results = "sec7-backward", []
+        monkeypatch.setitem(experiments.RUNNERS, name,
+                            keeping(experiments.RUNNERS[name], results))
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+        man = run_experiment({"experiment": name, "nx": 61, "nt": 41},
+                             str(tmp_path), 0)
+        (result,) = results
+        for fname, digest in man["files"].items():
+            assert sha256_of(tmp_path / fname) == digest
+        for fname, fld in result.fields.items():
+            assert len(fld.values) > cli._HAND_OVER * cli._block_lines(fld.grid.nx + 1)
+            header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
+            with open(tmp_path / fname, newline="") as fh:
+                assert fh.read() == TestCsvWriter().expected(
+                    fld.grid.ts, fld.values, header)
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_fields_one_report_and_the_manifest(self, tiny_runs, name):

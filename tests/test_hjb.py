@@ -405,16 +405,21 @@ class TestActiveSet:
 
 
 def nodewise_residual(sol, spec, grid):
-    """Reference for the forward march: at every solved node,
-    min(A e - b, e - psi) over max(|b_i|, psi_i, |e_i|)."""
-    _, psi, ab = hjb._operator(spec, grid, "forward")
-    eta, out = sol.eta.values, np.zeros(sol.eta.values.shape)
+    """Reference, one solved row at a time in marching order: at every
+    solved node, min(A e - b, e - psi) over max(|b_i|, psi_i, |e_i|), with
+    A e taken from the three bands of the step matrix."""
+    _, psi, ab = hjb._operator(spec, grid, sol.orientation)
+    eta = core._marching_rows(sol.orientation, sol.eta.values)
+    out = np.zeros(eta.shape)
     for k in range(grid.nt - 1):
         e, b = eta[k], eta[k + 1].copy()
         b[[0, -1]] = 0.0
+        r = ab[1] * e - b
+        r[:-1] += ab[0, 1:] * e[1:]
+        r[1:] += ab[2, :-1] * e[:-1]
         scale = np.maximum(np.maximum(np.abs(b), psi), np.abs(e))
-        out[k] = np.minimum(core._step_residual(ab, e, b), e - psi) / scale
-    return out
+        out[k] = np.minimum(r, e - psi) / scale
+    return core._marching_rows(sol.orientation, out)
 
 
 def base_doc(**kw):
@@ -455,6 +460,19 @@ class TestNodewiseScale:
         # the gate reads what the solver judges
         assert np.array_equal(lcp_residual(sol, spec).values, ref)
 
+    @pytest.mark.parametrize("solve", [solve_forward_obstacle,
+                                       solve_backward_obstacle])
+    def test_blocks_of_rows_score_as_single_rows(self, solve):
+        # 200 solved rows of 121 nodes in blocks of 67: the last block is
+        # shorter, and every bit is the reference's
+        spec = make_spec()
+        grid = build_grid(spec, 121, 201)
+        rows = hjb._RESIDUAL_CELLS // grid.nx
+        assert (grid.nt - 1) // rows >= 2 and (grid.nt - 1) % rows
+        sol = solve(spec, grid)
+        assert np.array_equal(lcp_residual(sol, spec).values,
+                              nodewise_residual(sol, spec, grid))
+
 
 #: parameter ranges of the registry's functions in drawn specs, chosen
 #: before the property was first run
@@ -490,7 +508,8 @@ def random_specs(test):
 
 class TestRandomSpecs:
     """Properties every spec satisfies, on ``random_specs``, in both
-    orientations: the complementarity gate, eta >= psi, dominance of the
+    orientations: the complementarity gate, scored bit for bit as
+    ``nodewise_residual`` scores it, eta >= psi, dominance of the
     fixed-horizon value, and the duality of the survival march and the
     killed density."""
 
@@ -506,7 +525,9 @@ class TestRandomSpecs:
         for orientation, solve in (("forward", solve_forward_obstacle),
                                    ("backward", solve_backward_obstacle)):
             sol = solve(spec, grid)
-            assert np.max(np.abs(lcp_residual(sol, spec).values)) <= LCP_TOL
+            res = lcp_residual(sol, spec).values
+            assert np.array_equal(res, nodewise_residual(sol, spec, grid))
+            assert np.max(np.abs(res)) <= LCP_TOL
             psi = np.exp(-sol.stopping_cost / spec.hbar)
             assert np.all(sol.eta.values >= psi * (1 - 1e-12))
             stopped = value_from_eta(sol, spec.hbar)
