@@ -470,12 +470,14 @@ def _factor_step(ab: np.ndarray) -> tuple:
     return lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])[:5]
 
 
-def _solve_step(lu: tuple, b: np.ndarray, trans: str = "N") -> np.ndarray:
+def _solve_step(lu: tuple, b: np.ndarray, trans: str = "N",
+                overwrite_b: bool = False) -> np.ndarray:
     """x with A x = b, A factored by ``_factor_step`` (LAPACK dgttrs): the
     bits of ``scipy.linalg.solve_banded((1, 1), A, b)``; with trans="T",
-    x with A^T x = b from the same factors."""
+    x with A^T x = b from the same factors. With overwrite_b, x is written
+    over ``b``, a contiguous float row, and returned as a view of it."""
     from scipy.linalg import lapack
-    return lapack.dgttrs(*lu, b, trans=trans)[0]
+    return lapack.dgttrs(*lu, b, trans=trans, overwrite_b=overwrite_b)[0]
 
 
 def _step_residual(ab: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:

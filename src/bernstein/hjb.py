@@ -7,10 +7,12 @@ eta = exp(-U/hbar), which turns each problem into a linear complementarity
 implicit Euler, ``core._step_matrix`` with drift 0; each step is solved
 directly by the primal-dual active-set method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 2003), almost always in one tridiagonal solve, so
-results are deterministic. The truncation edges carry the data-ratio
-far-field row e_0 = max(psi_0, e_1 psi_0 / psi_1), mirrored at x_max, and
-are rows of the LCP like any other: the solver and ``lcp_residual`` both
-score them. Nothing here is tunable.
+results are deterministic. ``_march`` solves each row in place with the
+set the row above ended with and judges a block of rows at once; the
+result is that of the step taken row by row, bit for bit. The truncation
+edges carry the data-ratio far-field row e_0 = max(psi_0, e_1 psi_0 /
+psi_1), mirrored at x_max, and are rows of the LCP like any other: the
+solver and ``lcp_residual`` both score them. Nothing here is tunable.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .core import (
 #: degenerate nodes (eta = psi, zero multiplier).
 _STOP_TOL = 1e-12
 _MAX_SOLVES = 50  # per time step, then ConvergenceError
-#: nodes ``lcp_residual`` scores at once: a few rows' worth, so its working
-#: arrays stay a small fraction of the field it returns
+#: nodes whose residual is taken at once, a few rows' worth (at least
+#: one): ``lcp_residual``'s working arrays stay a small fraction of the
+#: field it returns, and a block that ``_march`` judges spreads its numpy
+#: calls over many short rows but wastes few long ones when a set changes
 _RESIDUAL_CELLS = 8192
 
 
@@ -58,9 +62,10 @@ class EtaSolution:
     def boundary(self) -> list:
         """The free boundary of each time row: the midpoints between
         neighbouring nodes that the mask classifies differently."""
-        xs = self.mask.grid.xs
-        cuts = (np.nonzero(np.diff(row))[0] for row in self.mask.flags)
-        return [0.5 * (xs[c] + xs[c + 1]) for c in cuts]
+        xs, flags = self.mask.grid.xs, self.mask.flags
+        rows, cuts = np.nonzero(np.diff(flags))
+        mids = 0.5 * (xs[cuts] + xs[cuts + 1])
+        return np.split(mids, np.searchsorted(rows, np.arange(1, len(flags))))
 
     @property
     def psor_sweeps(self) -> int:
@@ -123,47 +128,82 @@ def _scaled_residual(mult, e, b, psi):
                                                   np.abs(e))
 
 
+def _rows_lcp(ab, eta, lo, hi):
+    """Rows lo to hi - 1 of ``eta`` (marching order) as rows of the LCP:
+    their multipliers A e - b and their right-hand sides b, each the row
+    after it with 0 on the far-field rows."""
+    b = eta[lo + 1:hi + 1].copy()
+    b[:, [0, -1]] = 0.0
+    return core._step_residual(ab, eta[lo:hi], b), b
+
+
 def _march(nt, data, psi, ab):
     """Implicit Euler march of nt rows down from the data row, the last one
     (``core._marching_rows``), of the LCP A e >= b, e >= psi, complementary,
-    b being the previous row with 0 on the far-field rows.
-    From the previous step's active set (at first {data <= psi}), solve with
-    the active rows pinned to psi, then set new = {A e - b + psi - e > 0}.
-    The step ends when new repeats the set just solved with; else when
-    every node's scaled complementarity residual (``_scaled_residual``,
-    taken only then) is at most _STOP_TOL; else it solves again with new,
-    refactoring the step matrix as the set changed. Returns eta and the
-    banded solves of each step."""
+    b being the previous row with 0 on the far-field rows (``_rows_lcp``).
+
+    The step: from the previous step's active set (at first
+    {data <= psi}), solve with the active rows pinned to psi, then set
+    new = {A e - b + psi - e > 0}. The step ends when new repeats the set
+    just solved with; else when every node's scaled complementarity
+    residual (``_scaled_residual``, taken only then) is at most _STOP_TOL;
+    else it solves again with new, refactoring the step matrix as the set
+    changed.
+
+    The march: each row is solved in place with the set the row above
+    ended with, a block of rows at a time on one factorisation, and the
+    block is then judged at once. The rows above the first one whose new
+    set differs from the one it was solved with, or whose eta is not
+    positive, took one solve. That row goes on with the step from the
+    solve it has, and the next block starts below it at one row, doubling
+    up to _RESIDUAL_CELLS nodes. So eta, the solves and any error are those
+    of the step taken row by row, bit for bit. Returns eta and the banded
+    solves of each step, in marching order."""
     eta = np.empty((nt, data.size))
     eta[-1] = data
-    active, changed, solves = data <= psi, True, []
-    for k in range(nt - 2, -1, -1):
-        b = eta[k + 1].copy()
-        b[[0, -1]] = 0.0
-        n, trace = 0, []
-        while True:
-            if changed:
-                lu = core._factor_step(core._pin_rows(ab.copy(), active))
-            e = core._solve_step(lu, np.where(active, psi, b))
-            mult = core._step_residual(ab, e, b)
-            new, n = mult + (psi - e) > 0, n + 1
-            changed = not np.array_equal(new, active)
-            if not changed:
-                break
+    solves = np.ones(nt - 1, dtype=int)
+    active = data <= psi
+    lu = core._factor_step(core._pin_rows(ab.copy(), active))
+    top, size, cap = nt - 2, 1, max(1, _RESIDUAL_CELLS // data.size)
+    while top >= 0:
+        lo = max(top + 1 - size, 0)
+        pinned = np.flatnonzero(active)
+        at = psi[pinned]
+        for k in range(top, lo - 1, -1):
+            row = eta[k]
+            row[:] = eta[k + 1]
+            row[0] = row[-1] = 0.0
+            row[pinned] = at
+            core._solve_step(lu, row, overwrite_b=True)
+        mult, b = _rows_lcp(ab, eta, lo, top + 1)
+        e = eta[lo:top + 1]
+        new = mult + (psi - e) > 0
+        held = np.all((new == active) & (e > 0), axis=1)
+        if held.all():
+            top, size = lo - 1, min(2 * size, cap)
+            continue
+        i = np.flatnonzero(~held)[-1]
+        k, e, mult, new, b = lo + i, e[i], mult[i], new[i], b[i]
+        n, trace = 1, []
+        while not np.array_equal(new, active):
             trace.append(float(np.max(np.abs(_scaled_residual(mult, e, b, psi)))))
+            active = new
+            lu = core._factor_step(core._pin_rows(ab.copy(), active))
             if trace[-1] <= _STOP_TOL:
                 break
             if n == _MAX_SOLVES:
                 raise ConvergenceError(
                     f"active-set step did not settle in {_MAX_SOLVES} solves "
                     f"(last residual {trace[-1]:.3g})", residual_trace=trace)
-            active = new
+            e = core._solve_step(lu, np.where(active, psi, b))
+            mult = core._step_residual(ab, e, b)
+            new, n = mult + (psi - e) > 0, n + 1
         if not np.all(e > 0):
             raise ConvergenceError("nonpositive eta produced; check dt/dx "
                                    "ratio and that the potential is bounded below")
-        eta[k], active = e, new
-        solves.append(n)
-    return eta, np.array(solves)
+        eta[k], solves[nt - 2 - k] = e, n
+        top, size = k - 1, 1
+    return eta, solves
 
 
 def _solve_obstacle(spec: ProblemSpec, grid: SpaceTimeGrid,
@@ -233,9 +273,8 @@ def lcp_residual(sol: EtaSolution, spec: ProblemSpec) -> ScalarField:
     step = max(1, _RESIDUAL_CELLS // grid.nx)
     for lo in range(0, grid.nt - 1, step):
         hi = min(lo + step, grid.nt - 1)
-        e, b = eta[lo:hi], eta[lo + 1:hi + 1].copy()
-        b[:, [0, -1]] = 0.0
-        out[lo:hi] = _scaled_residual(core._step_residual(ab, e, b), e, b, psi)
+        mult, b = _rows_lcp(ab, eta, lo, hi)
+        out[lo:hi] = _scaled_residual(mult, eta[lo:hi], b, psi)
     return ScalarField(grid, core._marching_rows(sol.orientation, out))
 
 

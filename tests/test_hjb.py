@@ -22,6 +22,7 @@ from bernstein.core import (
     STOPPING,
     ConvergenceError,
     ProblemSpec,
+    RegionMask,
     ScalarField,
     build_grid,
     function_from_spec,
@@ -189,6 +190,31 @@ class TestBackwardExample:
         fwd = solve_forward_obstacle(spec, grid)
         bwd = solve_backward_obstacle(mirrored, grid)
         assert np.array_equal(bwd.eta.values, fwd.eta.values[::-1])
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_rowwise_cuts(self, seed):
+        # random rows with several cuts, rows with no cut (all continuation
+        # or all stopping) and rows with one cut, in a random order
+        rng = np.random.default_rng(seed)
+        grid = build_grid(make_spec(), 31, 40)
+        flags = rng.integers(0, 2, size=(grid.nt, grid.nx), dtype=np.int8)
+        flags[:10] = 0
+        flags[10:20] = STOPPING
+        for k in range(20, 30):
+            flags[k] = np.arange(grid.nx) >= rng.integers(1, grid.nx)
+        flags = flags[rng.permutation(grid.nt)]
+        sol = hjb.EtaSolution(eta=ScalarField(grid, np.ones(flags.shape)),
+                              mask=RegionMask(grid, flags))
+        xs = grid.xs
+        ref = [0.5 * (xs[c] + xs[c + 1])
+               for c in (np.nonzero(np.diff(row))[0] for row in flags)]
+        got = sol.boundary
+        assert len(got) == grid.nt
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert sum(r.size == 0 for r in ref) >= 20
+        assert sum(r.size == 1 for r in ref) >= 10
 
 
 class TestDriftOracle:
@@ -474,6 +500,166 @@ class TestNodewiseScale:
                               nodewise_residual(sol, spec, grid))
 
 
+def rowwise_march(nt, data, psi, ab):
+    """Reference for ``hjb._march``, one row at a time: each step starts
+    from the set the step above ended with, solves a fresh right-hand side,
+    and judges that one row before the next is solved."""
+    eta = np.empty((nt, data.size))
+    eta[-1] = data
+    active, changed, solves = data <= psi, True, []
+    for k in range(nt - 2, -1, -1):
+        b = eta[k + 1].copy()
+        b[[0, -1]] = 0.0
+        n, trace = 0, []
+        while True:
+            if changed:
+                lu = core._factor_step(core._pin_rows(ab.copy(), active))
+            e = core._solve_step(lu, np.where(active, psi, b))
+            mult = core._step_residual(ab, e, b)
+            new, n = mult + (psi - e) > 0, n + 1
+            changed = not np.array_equal(new, active)
+            if not changed:
+                break
+            trace.append(float(np.max(np.abs(hjb._scaled_residual(mult, e, b, psi)))))
+            if trace[-1] <= hjb._STOP_TOL:
+                break
+            if n == hjb._MAX_SOLVES:
+                raise ConvergenceError(
+                    f"active-set step did not settle in {hjb._MAX_SOLVES} solves "
+                    f"(last residual {trace[-1]:.3g})", residual_trace=trace)
+            active = new
+        if not np.all(e > 0):
+            raise ConvergenceError("nonpositive eta produced; check dt/dx "
+                                   "ratio and that the potential is bounded below")
+        eta[k], active = e, new
+        solves.append(n)
+    return eta, np.array(solves)
+
+
+def assert_marches_agree(nt, data, psi, ab):
+    """``hjb._march`` and ``rowwise_march`` give the same eta and solves
+    bit for bit, or raise the same error with the same residual trace.
+    Returns the error, if any."""
+    outcomes = []
+    for march in (hjb._march, rowwise_march):
+        try:
+            outcomes.append(march(nt, data, psi, ab))
+        except ConvergenceError as exc:
+            outcomes.append(exc)
+    got, ref = outcomes
+    if isinstance(ref, ConvergenceError):
+        assert isinstance(got, ConvergenceError), "the block march did not raise"
+        assert str(got) == str(ref)
+        assert got.residual_trace == ref.residual_trace
+        return ref
+    assert not isinstance(got, ConvergenceError), got
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1]) and got[1].dtype == ref[1].dtype
+    return None
+
+
+def march_inputs(spec, grid, orientation):
+    _, psi, ab = hjb._operator(spec, grid, orientation)
+    return grid.nt, psi, psi, ab
+
+
+class TestBlockMarch:
+    """``hjb._march`` solves a block of rows with the set the row above
+    ended with and judges them at once; every bit, solve count and error is
+    that of the row-by-row march."""
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    @pytest.mark.parametrize("nx, nt", [(121, 201), (601, 2001)])
+    def test_worked_example(self, orientation, nx, nt):
+        spec = make_spec()
+        assert assert_marches_agree(*march_inputs(
+            spec, build_grid(spec, nx, nt), orientation)) is None
+
+    @pytest.mark.parametrize("cost", [
+        {"name": "constant", "value": 0.5},
+        {"name": "linear", "slope": 2.0},
+        # its set changes on rows 0, 1, 3, 7, 12, 19, ...: at every place
+        # in a block, and on consecutive rows
+        {"name": "quadratic", "center": 2.9},
+    ])
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_active_set_costs(self, cost, orientation):
+        f = function_from_spec(cost)
+        spec = make_spec(terminal_cost=f, initial_cost=f)
+        assert assert_marches_agree(*march_inputs(
+            spec, build_grid(spec, 301, 501), orientation)) is None
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_classical(self, orientation):
+        # classical_value's march: an obstacle of 0 never binds
+        spec = make_spec()
+        nt, data, _, ab = march_inputs(spec, build_grid(spec, 301, 501), orientation)
+        assert assert_marches_agree(nt, data, np.zeros(data.size), ab) is None
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_one_solved_row(self, orientation):
+        spec = make_spec()
+        assert assert_marches_agree(*march_inputs(
+            spec, build_grid(spec, 121, 2), orientation)) is None
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_step_cap(self, monkeypatch, cap):
+        # the quadratic cost's first step takes 3 solves, and 19 more take 2
+        monkeypatch.setattr(hjb, "_MAX_SOLVES", cap)
+        f = function_from_spec({"name": "quadratic", "center": 2.9})
+        spec = make_spec(terminal_cost=f, initial_cost=f)
+        exc = assert_marches_agree(*march_inputs(
+            spec, build_grid(spec, 301, 501), "forward"))
+        assert "did not settle" in str(exc) and len(exc.residual_trace) == cap
+
+    # marching indices of the broken row: the first, inside the first
+    # blocks, deep inside a full block of 67 rows, and the last. Its node
+    # x = 0 is set to 0: on the obstacle, where it is pinned, that changes
+    # the row's set; with no obstacle (as in classical_value), and
+    # dt (hbar / 2) / dx^2 = 1/4, it leaves the set as it was
+    @pytest.mark.parametrize("row", [0, 1, 2, 10, 100, -1])
+    @pytest.mark.parametrize("obstacle, nt", [(True, 201), (False, 801)])
+    def test_nonpositive_row(self, monkeypatch, row, obstacle, nt):
+        # from the first solve of that row on (found by its right-hand side
+        # in the reference march), every solve returns 0 at x = 0
+        spec = make_spec()
+        nt, data, psi, ab = march_inputs(spec, build_grid(spec, 121, nt), "forward")
+        if not obstacle:
+            psi = np.zeros(data.size)
+        row %= nt - 1
+        real, rhs = core._solve_step, []
+
+        def recording(lu, b, **kw):
+            rhs.append(b.copy())
+            return real(lu, b, **kw)
+        monkeypatch.setattr(core, "_solve_step", recording)
+        _, solves = rowwise_march(nt, data, psi, ab)
+        target = rhs[int(solves[:row].sum())]
+        broken = [False]
+
+        def breaking(lu, b, **kw):
+            broken[0] = broken[0] or np.array_equal(b, target)
+            x = real(lu, b, **kw)
+            if broken[0]:
+                x[60] = 0.0
+            return x
+        monkeypatch.setattr(core, "_solve_step", breaking)
+        raised = []
+        for march in (hjb._march, rowwise_march):
+            broken[0] = False
+            with pytest.raises(ConvergenceError) as exc:
+                march(nt, data, psi, ab)
+            tb = exc.value.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code is march.__code__
+            raised.append((tb.tb_frame.f_locals["k"], str(exc.value),
+                           exc.value.residual_trace))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == nt - 2 - row  # the broken row, in time order
+        assert raised[0][1].startswith("nonpositive eta")
+
+
 #: parameter ranges of the registry's functions in drawn specs, chosen
 #: before the property was first run
 PARAM_RANGES = {"scale": (0.0, 3.0), "center": (-2.0, 2.0),
@@ -510,8 +696,9 @@ class TestRandomSpecs:
     """Properties every spec satisfies, on ``random_specs``, in both
     orientations: the complementarity gate, scored bit for bit as
     ``nodewise_residual`` scores it, eta >= psi, dominance of the
-    fixed-horizon value, and the duality of the survival march and the
-    killed density."""
+    fixed-horizon value, the obstacle and fixed-horizon marches equal to
+    ``rowwise_march`` bit for bit, and the duality of the survival march
+    and the killed density."""
 
     @random_specs
     def test_obstacle_properties(self, hbar, potential, terminal_cost,
@@ -534,6 +721,24 @@ class TestRandomSpecs:
             free = classical_value(spec, grid, orientation)
             assert (np.max(stopped.value.values - free.value.values)
                     <= DOMINANCE_TOL)
+
+    @random_specs
+    def test_march_matches_rowwise(self, hbar, potential, terminal_cost,
+                                   initial_cost, nx, nt):
+        doc = base_doc(hbar=hbar, potential=potential,
+                       terminal_cost=terminal_cost, initial_cost=initial_cost)
+        note(json.dumps({"experiment": "sec7-classical-compare", "spec": doc,
+                         "nx": nx, "nt": nt}))
+        spec = ProblemSpec.from_json(doc)
+        grid = build_grid(spec, nx, nt)
+        for orientation in ("forward", "backward"):
+            cost = (spec.terminal_cost if orientation == "forward"
+                    else spec.initial_cost)
+            if np.any(np.exp(-cost(grid.xs) / spec.hbar) == 0):
+                continue  # the obstacle underflows: no march
+            steps, data, psi, ab = march_inputs(spec, grid, orientation)
+            assert_marches_agree(steps, data, psi, ab)
+            assert_marches_agree(steps, data, np.zeros(nx), ab)
 
     @pytest.mark.filterwarnings("ignore:advection cell Peclet")
     @random_specs
