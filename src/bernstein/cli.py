@@ -13,10 +13,10 @@ manifest listing each written file with the sha256 of the bytes written
 to it, the effective config, the pass/fail status of the experiment's
 checks and, apart from those, its ``timings``: the compute time, each
 file's write time and the usable CPU count. Every CSV float is written as
-its repr; ``_write_rows`` formats each line by one orjson call, which
-gives the same bytes faster, and says where the two differ. A large
-field is written and hashed by one worker thread while the main thread
-formats its next lines, so no file is read back to hash it. The exit
+its repr; ``_csv_blocks`` formats each line by one orjson call, which
+gives the same bytes faster, and says where the two differ. Every field
+is written and hashed by one worker thread while the main thread formats
+its next lines, so no file is read back to hash it. The exit
 status is 1 if any check fails, and 2 on a config error, which prints one
 line and no traceback: a config file that cannot be read, is not JSON or
 is not a JSON object is one. The output directory is --out, else ./out.
@@ -32,12 +32,12 @@ import argparse
 import collections
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import platform
 import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def _write_json(doc, path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: cells ``_write_rows`` formats between two writes. A 601x2001 field
+#: cells of one block that ``_csv_blocks`` formats. A 601x2001 field
 #: formatted at once raised the obstacle benchmark's peak RSS from 170 to
 #: 237 MB. Writing one such field in blocks of 16 384 cells raised a
 #: process's peak by 1.0 MB, of 8192 by 0.2 MB, in the same time (measured
@@ -68,22 +68,17 @@ _HAND_OVER = 4
 _IN_FLIGHT = 2
 
 
-def _block_lines(n_cells: int) -> int:
-    """Lines of ``n_cells`` cells in one block of about ``_BLOCK_CELLS``."""
-    return -(-_BLOCK_CELLS // n_cells)
-
-
 def _repr_line(cells) -> bytes:
     """The floats ``cells`` as one CSV line of their reprs, unended."""
     return ",".join(map(repr, cells)).encode()
 
 
-def _write_rows(fh, first, rows) -> None:
+def _csv_blocks(first, rows):
     """One line per entry of the float array ``first`` (a time): the entry,
     then its row of the 2-d float array ``rows``, each written as its repr,
     as ``csv.writer`` writes them. No cell needs quoting, and lines end
-    in csv's "\\r\\n"; ``fh`` is anything with a binary ``write``, called
-    once per block of whole lines, about ``_BLOCK_CELLS`` cells each.
+    in csv's "\\r\\n". Yields the lines as bytes, one block of whole lines
+    of about ``_BLOCK_CELLS`` cells at a time.
 
     Each line is formatted, its ``first`` entry as cell 0, by one
     ``orjson.dumps`` of the row. orjson writes the shortest round-trip
@@ -94,7 +89,7 @@ def _write_rows(fh, first, rows) -> None:
     """
     import orjson  # here, not at the top: importing this module loads no orjson
     dumps, option = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY
-    step = _block_lines(rows.shape[1] + 1)
+    step = -(-_BLOCK_CELLS // (rows.shape[1] + 1))
     for lo in range(0, len(rows), step):
         block = np.column_stack((first[lo:lo + step], rows[lo:lo + step]))
         mag = np.abs(block)
@@ -102,18 +97,21 @@ def _write_rows(fh, first, rows) -> None:
         lines = [_repr_line(row.tolist()) if rep else dumps(row, option=option)[1:-1]
                  for row, rep in zip(block, by_repr)]
         lines.append(b"")
-        fh.write(b"\r\n".join(lines))
+        yield b"\r\n".join(lines)
 
 
 def field_to_csv(fld: ScalarField, path: str) -> str:
     """Matrix CSV: first row is x nodes, first column is t nodes, then
-    ``_write_rows`` of the values. Returns the sha256 of the bytes written.
+    ``_csv_blocks`` of the values. Returns the sha256 of the bytes written.
 
-    A field of more than ``_HAND_OVER`` blocks is written and hashed by one
-    worker thread, ``_HAND_OVER`` blocks at a time, while the next blocks
-    are formatted, at most ``_IN_FLIGHT`` hand-overs ahead; an error the
-    worker meets is raised here, after it has stopped."""
+    The calling thread writes the header and formats the blocks; one
+    worker thread writes and hashes them, ``_HAND_OVER`` blocks at a time,
+    at most ``_IN_FLIGHT`` hand-overs behind. An error the worker meets is
+    raised here, after it has stopped."""
+    # here, not at the top: ``check`` writes no field, and the import takes 7 ms
+    from concurrent.futures import ThreadPoolExecutor
     header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]).encode()
+    blocks = _csv_blocks(fld.grid.ts, fld.values)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data):
@@ -121,28 +119,12 @@ def field_to_csv(fld: ScalarField, path: str) -> str:
             digest.update(data)
 
         put(header + b"\r\n")
-        if len(fld.values) <= _HAND_OVER * _block_lines(fld.grid.nx + 1):
-            _write_rows(SimpleNamespace(write=put), fld.grid.ts, fld.values)
-            return digest.hexdigest()
-        # here, not at the top: only a field of several hand-overs starts a thread
-        from concurrent.futures import ThreadPoolExecutor
-        pool, pending, blocks = ThreadPoolExecutor(max_workers=1), collections.deque(), []
-
-        def hand_over():
-            if len(pending) == _IN_FLIGHT:
-                pending.popleft().result()
-            pending.append(pool.submit(put, b"".join(blocks)))
-            blocks.clear()
-
-        def write(block):
-            blocks.append(block)
-            if len(blocks) == _HAND_OVER:
-                hand_over()
-
+        pool, pending = ThreadPoolExecutor(max_workers=1), collections.deque()
         try:
-            _write_rows(SimpleNamespace(write=write), fld.grid.ts, fld.values)
-            if blocks:
-                hand_over()
+            while data := b"".join(itertools.islice(blocks, _HAND_OVER)):
+                if len(pending) == _IN_FLIGHT:
+                    pending.popleft().result()
+                pending.append(pool.submit(put, data))
             while pending:
                 pending.popleft().result()
         finally:

@@ -5,14 +5,13 @@ The nonlinear equations are linearized exactly by the exponential transform
 eta = exp(-U/hbar), which turns each problem into a linear complementarity
 (obstacle) problem for a heat operator with potential. Time stepping is
 implicit Euler, ``core._step_matrix`` with drift 0; each step is solved
-directly by the primal-dual active-set method (Hintermueller, Ito &
-Kunisch, SIAM J. Optim. 2003), almost always in one tridiagonal solve, so
-results are deterministic. ``_march`` solves each row in place with the
-set the row above ended with and judges a block of rows at once; the
-result is that of the step taken row by row, bit for bit. The truncation
-edges carry the data-ratio far-field row e_0 = max(psi_0, e_1 psi_0 /
-psi_1), mirrored at x_max, and are rows of the LCP like any other: the
-solver and ``lcp_residual`` both score them. Nothing here is tunable.
+directly by the primal-dual active-set method (Hintermueller, Ito & Kunisch,
+SIAM J. Optim. 2003), almost always in one tridiagonal solve, so results are
+deterministic. ``_march`` takes the steps a block of rows at a time, with
+the result of the step taken row by row, bit for bit. The truncation edges
+carry the data-ratio far-field row e_0 = max(psi_0, e_1 psi_0 / psi_1),
+mirrored at x_max, and are rows of the LCP like any other: the solver and
+``lcp_residual`` both score them. Nothing here is tunable.
 """
 
 from __future__ import annotations
@@ -150,21 +149,21 @@ def _march(nt, data, psi, ab):
     else it solves again with new, refactoring the step matrix as the set
     changed.
 
-    The march: each row is solved in place with the set the row above
-    ended with, a block of rows at a time on one factorisation, and the
-    block is then judged at once. The rows above the first one whose new
-    set differs from the one it was solved with, or whose eta is not
-    positive, took one solve. That row goes on with the step from the
-    solve it has, and the next block starts below it at one row, doubling
-    up to _RESIDUAL_CELLS nodes. So eta, the solves and any error are those
-    of the step taken row by row, bit for bit. Returns eta and the banded
-    solves of each step, in marching order."""
+    The march is one loop over blocks of rows, each solved in place, row by
+    row, on one factorisation for the set the row above ended with, then
+    judged at once. The rows above the first one whose set changed or whose
+    eta is not positive have ended their steps; so has that row if its step
+    ends, else it is solved again as a block of one row. Blocks start at one
+    row below a changed set and double up to _RESIDUAL_CELLS nodes. So eta,
+    the solves and any error are those of the step taken row by row, bit for
+    bit. Returns eta and the banded solves of each step, in marching order."""
     eta = np.empty((nt, data.size))
     eta[-1] = data
     solves = np.ones(nt - 1, dtype=int)
     active = data <= psi
     lu = core._factor_step(core._pin_rows(ab.copy(), active))
     top, size, cap = nt - 2, 1, max(1, _RESIDUAL_CELLS // data.size)
+    trace = []  # of row top, solved again as a block of one
     while top >= 0:
         lo = max(top + 1 - size, 0)
         pinned = np.flatnonzero(active)
@@ -180,29 +179,26 @@ def _march(nt, data, psi, ab):
         new = mult + (psi - e) > 0
         held = np.all((new == active) & (e > 0), axis=1)
         if held.all():
-            top, size = lo - 1, min(2 * size, cap)
+            top, size, trace = lo - 1, min(2 * size, cap), []
             continue
         i = np.flatnonzero(~held)[-1]
-        k, e, mult, new, b = lo + i, e[i], mult[i], new[i], b[i]
-        n, trace = 1, []
-        while not np.array_equal(new, active):
-            trace.append(float(np.max(np.abs(_scaled_residual(mult, e, b, psi)))))
-            active = new
+        k, e = lo + i, e[i]
+        if not np.array_equal(new[i], active):
+            trace.append(float(np.max(np.abs(_scaled_residual(mult[i], e, b[i], psi)))))
+            active = new[i]
             lu = core._factor_step(core._pin_rows(ab.copy(), active))
-            if trace[-1] <= _STOP_TOL:
-                break
-            if n == _MAX_SOLVES:
-                raise ConvergenceError(
-                    f"active-set step did not settle in {_MAX_SOLVES} solves "
-                    f"(last residual {trace[-1]:.3g})", residual_trace=trace)
-            e = core._solve_step(lu, np.where(active, psi, b))
-            mult = core._step_residual(ab, e, b)
-            new, n = mult + (psi - e) > 0, n + 1
+            if trace[-1] > _STOP_TOL:
+                if solves[nt - 2 - k] == _MAX_SOLVES:
+                    raise ConvergenceError(
+                        f"active-set step did not settle in {_MAX_SOLVES} solves "
+                        f"(last residual {trace[-1]:.3g})", residual_trace=trace)
+                top, size = k, 1
+                solves[nt - 2 - k] += 1
+                continue
         if not np.all(e > 0):
             raise ConvergenceError("nonpositive eta produced; check dt/dx "
                                    "ratio and that the potential is bounded below")
-        eta[k], solves[nt - 2 - k] = e, n
-        top, size = k - 1, 1
+        top, size, trace = k - 1, 1, []
     return eta, solves
 
 

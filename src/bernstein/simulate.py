@@ -34,6 +34,7 @@ from .core import (
     ProblemSpec,
     RegionMask,
     ScalarField,
+    SpaceTimeGrid,
     gradient_rows,
     interpolate,
     mean_stderr,
@@ -233,11 +234,15 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     sign = 1 if orientation == FORWARD else -1
     cost = spec.terminal_cost if sign == 1 else spec.initial_cost
     if sign == -1:
+        # the flipped rows lie at the flipped times s = -t, which are the
+        # grid's own only on a grid symmetric about t = 0
         if drift is not None:
-            drift = ScalarField(drift.grid, -core._marching_rows(orientation, drift.values),
+            grid = SpaceTimeGrid(drift.grid.xs, -drift.grid.ts[::-1])
+            drift = ScalarField(grid, -core._marching_rows(orientation, drift.values),
                                 allow_nan=drift.allow_nan)
         if mask is not None:
-            mask = RegionMask(mask.grid, core._marching_rows(orientation, mask.flags))
+            grid = SpaceTimeGrid(mask.grid.xs, -mask.grid.ts[::-1])
+            mask = RegionMask(grid, core._marching_rows(orientation, mask.flags))
     barriers, thick = _stopping_sets(mask, barrier)
     barriers = np.asarray(barriers, dtype=float)
     t_end, hbar = spec.half_horizon, spec.hbar

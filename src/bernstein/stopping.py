@@ -56,6 +56,8 @@ class SurvivalProblem:
         if self.orientation not in (FORWARD, BACKWARD):
             raise ValueError(f"unknown orientation {self.orientation!r}")
         check_threshold(self.mask.grid.ts, self.threshold)
+        if self.drift.grid != self.mask.grid:
+            raise ValueError("the mask and the drift must share a grid")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 

@@ -121,14 +121,16 @@ class TestCompareReport:
 
 
 def test_field_to_csv(tmp_path, file_log):
-    # a field of one block is written by the calling thread, and the
-    # digest returned is of the bytes written
+    # a field of one block: the calling thread writes the header, the
+    # worker thread the rows, and the digest returned is of the bytes
+    # written
     f = small_field(np.arange(6.0).reshape(2, 3))
     path = tmp_path / "f.csv"
     digest = field_to_csv(f, str(path))
     assert digest == sha256_of(path)
     (logged,) = file_log.files
-    assert logged.threads == [threading.current_thread()] * 2
+    caller, worker = logged.threads
+    assert caller is threading.current_thread() is not worker
     with open(path) as fh:
         lines = [ln.strip().split(",") for ln in fh]
     assert len(lines) == 3 and len(lines[0]) == 4
@@ -204,7 +206,7 @@ def decade_floats():
 
 
 class TestCsvWriter:
-    """``_write_rows`` writes every cell as its repr, whether orjson or repr
+    """``_csv_blocks`` writes every cell as its repr, whether orjson or repr
     formats it."""
 
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
@@ -229,7 +231,7 @@ class TestCsvWriter:
     def write(self, path, first, rows):
         with open(path, "wb") as fh:
             fh.write(b"h,x\r\n")
-            cli._write_rows(fh, first, rows)
+            fh.writelines(cli._csv_blocks(first, rows))
         with open(path, newline="") as fh:
             return fh.read()
 
@@ -330,7 +332,7 @@ class TestCsvWriter:
         # written
         _, rows = table
         fld = ScalarField(small_field(np.zeros(rows.shape)).grid, rows, allow_nan=True)
-        n_blocks = -(-len(rows) // cli._block_lines(fld.grid.nx + 1))
+        n_blocks = len(list(cli._csv_blocks(fld.grid.ts, rows)))
         n_hand_overs = -(-n_blocks // cli._HAND_OVER)
         assert n_hand_overs > cli._IN_FLIGHT
         before, interval = threading.active_count(), sys.getswitchinterval()
@@ -640,7 +642,7 @@ class TestArtifacts:
         for fname, digest in man["files"].items():
             assert sha256_of(tmp_path / fname) == digest
         for fname, fld in result.fields.items():
-            assert len(fld.values) > cli._HAND_OVER * cli._block_lines(fld.grid.nx + 1)
+            assert len(list(cli._csv_blocks(fld.grid.ts, fld.values))) > cli._HAND_OVER
             header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
             with open(tmp_path / fname, newline="") as fh:
                 assert fh.read() == TestCsvWriter().expected(

@@ -91,6 +91,21 @@ class TestBrownianBaseline:
         assert abs(ens.stopped_state.mean() - 0.7) <= 3 * math.sqrt(1.0 / 4000)
         assert np.all(ens.stop_time == -0.5)
 
+    @pytest.mark.parametrize("t_max", [0.5, 0.7])
+    def test_backward_drift_read_at_its_own_time(self, t_max):
+        # b*(t, x) = t^2 on time grids of step 0.1 up to t_max, which only
+        # at 0.5 is symmetric about t = 0; with no noise, the path from
+        # (0.5, 0) ends at -(the integral of b*'s interpolant over the
+        # horizon) = -(1/12 + 1/600) on both
+        spec = make_spec(hbar=1e-14)
+        ts = np.linspace(-0.5, t_max, int(round((t_max + 0.5) / 0.1)) + 1)
+        grid = SpaceTimeGrid(np.linspace(-3.0, 3.0, 61), ts)
+        drift = ScalarField(grid, np.repeat(ts[:, None] ** 2, grid.nx, axis=1))
+        cfg = SimConfig(dt=1e-3, n_paths=1, seed=0, start=(0.5, 0.0))
+        ens = simulate_backward(spec, drift, None, cfg)
+        assert ens.stop_time[0] == -0.5
+        assert ens.stopped_state[0] == pytest.approx(-0.085, abs=1e-6)
+
 
 class TestDeterminism:
     def test_block_boundaries_do_not_change_results(self, monkeypatch):

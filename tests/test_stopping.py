@@ -159,6 +159,15 @@ class TestSurvivalProblemValidation:
         with pytest.raises(ValueError, match="orientation"):
             SurvivalProblem("up", 0.0, val.drift, sol.mask, spec.hbar)
 
+    def test_mask_on_another_grid(self, solved):
+        # the drift's 501 rows against a mask's 251: solve_q would read the
+        # drift's row k at the mask's time k
+        spec, grid, sol, val = solved
+        other = build_grid(spec, grid.nx, 251)
+        mask = RegionMask(other, np.zeros((other.nt, other.nx), dtype=np.int8))
+        with pytest.raises(ValueError, match="share a grid"):
+            SurvivalProblem("forward", 0.0, val.drift, mask, spec.hbar)
+
     def test_threshold_must_be_grid_time(self, solved):
         spec, grid, sol, val = solved
         p = SurvivalProblem("forward", 0.1234567, val.drift, sol.mask, spec.hbar)
