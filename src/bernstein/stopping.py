@@ -13,9 +13,10 @@ it, or continuing before it while no node continues at or past it; PDE (2)
 otherwise. The backward rules are the time mirror. ``solve_q`` takes the
 threshold slice and those past it from the labels, then marches every
 slice before it in full, with zero data on its stopping nodes. Each slice
-is one implicit step ``_step``: ``core._step_matrix`` (upwinded drift,
-reflecting edges, an M-matrix, so the discrete maximum principle holds)
-with the stopping nodes pinned by ``core._pin_rows``. ``fokker_planck``
+is one implicit step ``_step``: ``core._step_matrix`` (exponentially
+fitted drift, second order in x at any cell Peclet number; reflecting
+edges; an M-matrix, so the discrete maximum principle holds) with the
+stopping nodes pinned by ``core._pin_rows``. ``fokker_planck``
 steps the density of the process killed on the same mask, in either
 orientation, with the transpose of the same step: LAPACK's transposed solve
 on the step's own factors.
@@ -24,7 +25,6 @@ on the step's own factors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,16 +170,9 @@ def fokker_planck(orientation: str, drift: ScalarField, mask: RegionMask | None,
         raise ValueError("the mask and the drift must share a grid")
     stop = (np.zeros((grid.nt, grid.nx), dtype=bool) if mask is None
             else core._marching_rows(orientation, mask.flags == STOPPING))
-    ts = core._marching_rows(orientation, grid.ts)
-    b = core._marching_rows(orientation, drift.values)
     out = np.empty((grid.nt, grid.nx))
     out[0] = rho0
     for k in range(grid.nt - 1):
-        peclet = np.max(np.abs(b[k])) * grid.dx / (hbar / 2)
-        if peclet > 2:
-            warnings.warn(f"advection cell Peclet {peclet:.2f} > 2 at "
-                          f"t={ts[k]:.4g}; expect smearing from upwinding",
-                          stacklevel=2)
         sol = core._solve_step(core._factor_step(
             _step(orientation, drift, stop, hbar, k)), out[k], trans="T")
         sol[stop[k]] = 0.0

@@ -407,8 +407,12 @@ class TestManifests:
         assert "oracle_agreement" not in man["checks"]
         assert man["checks"]["lcp_residual"]
 
-    def test_rerun_is_deterministic(self, tmp_path):
-        cfg = tiny("sec7-backward")
+    @pytest.mark.parametrize("name", ["sec7-backward", "schrodinger",
+                                      "stopping-dist"])
+    def test_rerun_is_deterministic(self, tmp_path, name):
+        # the same seed writes the same artifacts: the pinning ones at the
+        # same BLAS thread count, and the Monte Carlo ones
+        cfg = tiny(name)
         a = run_experiment(cfg, str(tmp_path / "a"), 0)
         b = run_experiment(cfg, str(tmp_path / "b"), 0)
         assert a["files"] == b["files"]

@@ -447,12 +447,15 @@ class TestStepMatrix:
         ab = _step_matrix(self.DRIFT, self.HBAR, self.DT, self.DX)
         assert np.all(ab[0, 1:] <= 0) and np.all(ab[2, :-1] <= 0)
         assert np.all(ab[1] > 0)
-        # upwinded: a positive drift couples a node to i + 1 alone
+        # fitted: node i couples to i - 1 with lam B(Pe_i) and to i + 1 with
+        # lam B(-Pe_i), B(z) = z / (e**z - 1)
         lam = self.DT * self.HBAR / 2 / self.DX**2
-        pos = self.DRIFT[:-1] > 0
-        assert np.allclose(ab[0, 1:][pos], -lam - self.DT * self.DRIFT[:-1][pos]
-                           / self.DX, rtol=1e-12)
-        assert np.allclose(ab[2, :-1][self.DRIFT[1:] > 0], -lam, rtol=1e-12)
+        pe = self.DRIFT * self.DX / (self.HBAR / 2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bern = np.where(pe == 0, 1.0, pe / np.expm1(pe))
+            bern_neg = np.where(pe == 0, 1.0, -pe / np.expm1(-pe))
+        assert np.allclose(ab[0, 1:], -lam * bern_neg[:-1], rtol=1e-12, atol=0)
+        assert np.allclose(ab[2, :-1], -lam * bern[1:], rtol=1e-12, atol=0)
 
     def test_applies_the_generator_to_affine_functions(self):
         # (I - M) f / dt = L f = b f' + (hbar/2) f'' - V f / hbar, exactly

@@ -740,14 +740,12 @@ class TestRandomSpecs:
             assert_marches_agree(steps, data, psi, ab)
             assert_marches_agree(steps, data, np.zeros(nx), ab)
 
-    @pytest.mark.filterwarnings("ignore:advection cell Peclet")
     @random_specs
     def test_survival_pairs_with_the_killed_density(
             self, hbar, potential, terminal_cost, initial_cost, nx, nt):
         # sum_j q[k, j] rho[k, j] is constant in marching order up to the
-        # threshold's row, for q and rho on the same solve's drift and mask.
-        # The pairing is exact at any cell Peclet number, so the warning
-        # about upwind smearing says nothing here
+        # threshold's row, for q and rho on the same solve's drift and mask,
+        # at any cell Peclet number
         doc = base_doc(hbar=hbar, potential=potential,
                        terminal_cost=terminal_cost, initial_cost=initial_cost)
         spec = ProblemSpec.from_json(doc)

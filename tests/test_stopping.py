@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bernstein import core, stopping
+from bernstein import analytic, core, stopping
 from bernstein.core import (
     CONTINUATION,
     STOPPING,
@@ -235,6 +235,22 @@ class TestSolveQ:
             j = int(np.argmin(np.abs(grid.xs - x)))
             ref = math.erf(x / math.sqrt(2 * 0.5))
             assert out.q.values[k, j] == pytest.approx(ref, abs=5e-3)
+
+    def test_second_order_in_x_on_a_thick_spec(self):
+        # at hbar 0.082 the cell Peclet number reaches 0.24 at 601 nodes, so
+        # an upwinded drift's diffusion |b| dx / 2 would make q first order
+        spec = ProblemSpec.from_json(dict(
+            analytic.WORKED_EXAMPLE, hbar=0.082, terminal_cost="log1p_abs",
+            initial_cost="zero"))
+        qs = []
+        for nx in (301, 601, 1201):
+            grid = build_grid(spec, nx, 2001)
+            val = value_from_eta(solve_forward_obstacle(spec, grid), spec.hbar)
+            q = solve_q(SurvivalProblem("forward", 0.25, val.drift, val.mask,
+                                        spec.hbar)).q
+            qs.append(core.interpolate(q, -0.5, 1.0))
+        order = math.log2(abs(qs[1] - qs[0]) / abs(qs[2] - qs[1]))
+        assert order >= 1.8, (qs, order)
 
     def test_backward_orientation_mirror(self):
         # a time-symmetric driftless barrier problem: q* marched up from the
@@ -500,13 +516,6 @@ class TestFokkerPlanck:
             fokker_planck("forward", val.drift,
                           RegionMask(other, np.zeros((501, 31))),
                           np.ones(grid.nx), spec.hbar)
-
-    def test_peclet_warning(self):
-        grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 11), ts=np.linspace(0, 0.1, 5))
-        drift = ScalarField(grid, np.full((5, 11), 50.0))
-        rho0 = np.ones(11) / 2
-        with pytest.warns(UserWarning, match="Peclet"):
-            fokker_planck("forward", drift, None, rho0, 1.0)
 
     def test_matches_mc_histogram_under_optimal_drift(self, solved):
         # density of the paths alive at t = 0, killed on the solve's own
