@@ -164,23 +164,16 @@ def drift_reversal_error(eta: ScalarField, eta_star: ScalarField,
 def gauge_deviation(factors: schrodinger.SchrodingerFactors, rho: ScalarField,
                     hbar: float) -> float:
     """Infinity norm of the change of the density ``rho`` pinned by
-    ``factors`` on its rows 1, nt // 2 and nt - 2 when they are rescaled to
-    (c eta*, eta / c), c = 1.7, a gauge that leaves the density as it is.
-    Each rescaled factor is propagated on a grid of two times, row k's and
-    its data row's, whose one kernel row is row k's on the whole grid."""
+    ``factors`` when they are rescaled to (c eta*, eta / c), c = 1.7, a gauge
+    that leaves the density as it is. Both rescaled factors are propagated
+    on rho's grid, as ``schrodinger.pin_endpoints`` propagates them."""
     c, grid = 1.7, rho.grid
     scaled = schrodinger.SchrodingerFactors(
         eta_star_init=factors.eta_star_init * c, eta_final=factors.eta_final / c,
         residual_trace=factors.residual_trace)
-    dev = 0.0
-    for k in {1, grid.nt // 2, grid.nt - 2}:
-        # at nt = 2 the rows are 0 and 1, where one factor is its data
-        eta = (scaled.eta_final if k == grid.nt - 1 else schrodinger.propagate_eta(
-            scaled, core.SpaceTimeGrid(xs=grid.xs, ts=grid.ts[[k, -1]]), hbar).values[0])
-        eta_star = (scaled.eta_star_init if k == 0 else schrodinger.propagate_eta_star(
-            scaled, core.SpaceTimeGrid(xs=grid.xs, ts=grid.ts[[0, k]]), hbar).values[-1])
-        dev = max(dev, float(np.max(np.abs(eta * eta_star - rho.values[k]))))
-    return dev
+    moved = schrodinger.bernstein_density(schrodinger.propagate_eta(scaled, grid, hbar),
+                                          schrodinger.propagate_eta_star(scaled, grid, hbar))
+    return float(np.max(np.abs(moved.values - rho.values)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,6 +414,8 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     spec, is_default, grid = _problem(spec, nx, nt, FORWARD)
     start = _read("start", lambda v: tuple(map(_number, v)),
                   (-spec.half_horizon, 1.0) if start is None else start)
+    if len(start) != 2:
+        raise ConfigError(f"start: expected a pair [t, x], got {list(start)}")
     dt, n_paths = _read("dt", _number, dt), _read("n_paths", _integer, n_paths)
     checkpoints = _read("checkpoints", lambda v: tuple(map(_number, v)),
                         checkpoints)

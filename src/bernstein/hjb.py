@@ -53,9 +53,9 @@ class EtaSolution:
 
     eta: ScalarField
     mask: RegionMask
+    step_solves: np.ndarray  # banded solves per step, marching order
     orientation: str = FORWARD
     stopping_cost: np.ndarray = None  # S (or S*) sampled on xs
-    step_solves: np.ndarray = None  # banded solves per step, marching order
 
     @property
     def boundary(self) -> list:
@@ -70,7 +70,7 @@ class EtaSolution:
     def psor_sweeps(self) -> int:
         """Total banded solves of the march, under the name ``bench/``
         reads."""
-        return 0 if self.step_solves is None else int(np.sum(self.step_solves))
+        return int(np.sum(self.step_solves))
 
 
 @dataclass(frozen=True)
@@ -283,8 +283,8 @@ def classical_value(spec: ProblemSpec, grid: SpaceTimeGrid,
     """
     _, data, ab = _operator(spec, grid, orientation)
     # an obstacle of 0 never binds
-    eta, _ = _march(grid.nt, data, np.zeros(grid.nx), ab)
+    eta, solves = _march(grid.nt, data, np.zeros(grid.nx), ab)
     mask = RegionMask(grid, np.full((grid.nt, grid.nx), CONTINUATION, dtype=np.int8))
     sol = EtaSolution(eta=ScalarField(grid, core._marching_rows(orientation, eta)),
-                      mask=mask, orientation=orientation)
+                      mask=mask, step_solves=solves, orientation=orientation)
     return value_from_eta(sol, spec.hbar)

@@ -746,6 +746,39 @@ class TestArtifacts:
         assert (report["gauge_deviation"] > experiments.GAUGE_TOL) == (offset > 0)
         assert res.checks["gauge_invariance"] == (offset == 0)
 
+    def test_pinning_propagates_on_its_own_grid(self, monkeypatch):
+        # the density's two factors and the gauge check's two rescaled ones
+        grids = []
+        propagate = schrodinger._propagate
+
+        def recording(factor, grid, *args):
+            grids.append(grid)
+            return propagate(factor, grid, *args)
+
+        monkeypatch.setattr(schrodinger, "_propagate", recording)
+        res = experiments.pinning(nx=101, nt=21)
+        assert all(grid == res.fields["rho.csv"].grid for grid in grids)
+        assert len(grids) == 4
+
+    def test_gauge_deviation_is_the_rescaled_density_change(self, tiny_runs):
+        # tests/test_schrodinger.py::test_gauge_invariance's deviation at
+        # c = 1.7, bit for bit, from the factors the report holds
+        _, _, res = tiny_runs["schrodinger"]
+        report = res.reports["schrodinger_report.json"]
+        grid, hbar, c = res.fields["rho.csv"].grid, 0.5, 1.7
+        factors = schrodinger.SchrodingerFactors(
+            eta_star_init=np.array(report["eta_star_init"]),
+            eta_final=np.array(report["eta_final"]),
+            residual_trace=np.array(report["residual_trace"]))
+        scaled = schrodinger.SchrodingerFactors(
+            eta_star_init=factors.eta_star_init * c,
+            eta_final=factors.eta_final / c,
+            residual_trace=factors.residual_trace)
+        rho_a, rho_b = (schrodinger.bernstein_density(
+            schrodinger.propagate_eta(f, grid, hbar),
+            schrodinger.propagate_eta_star(f, grid, hbar)) for f in (factors, scaled))
+        assert report["gauge_deviation"] == np.max(np.abs(rho_a.values - rho_b.values))
+
     @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
     def test_criterion_reads_what_its_runs_produce(self, tiny_runs, monkeypatch,
                                                    number):
@@ -1079,6 +1112,12 @@ class TestMain:
           "start": [-0.5, True]},
          "start: expected a number, got True\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
+          "start": [-0.5, 1, 2]},
+         "start: expected a pair [t, x], got [-0.5, 1.0, 2.0]\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
+          "start": [-0.5]},
+         "start: expected a pair [t, x], got [-0.5]\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "n_paths": 200,
           "checkpoints": [True]},
          "checkpoints: expected a number, got True\n"),
         ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
@@ -1165,6 +1204,7 @@ class TestMain:
             "long-parameter", "nan-parameter", "nan-dt", "infinite-dt", "infinite-nx",
             "infinite-paths", "infinite-seed", "nan-checkpoint",
             "fractional-nx", "text-nx", "bool-nt", "bool-dt", "bool-start",
+            "long-start", "short-start",
             "bool-checkpoint", "text-threshold", "fractional-paths",
             "bool-seeds", "bool-hbar", "fractional-level", "bool-seed",
             "negative-seed", "long-seed", "long-last-seed", "repeated-threshold",

@@ -106,7 +106,7 @@ class TestTrivialProblems:
         grid = build_grid(spec, 31, 11)
         sol = solve_forward_obstacle(spec, grid)
         eta = ScalarField(grid, np.tile(np.exp(grid.xs), (grid.nt, 1)))
-        fake = type(sol)(eta=eta, mask=sol.mask,
+        fake = type(sol)(eta=eta, mask=sol.mask, step_solves=sol.step_solves,
                          orientation="forward", stopping_cost=None)
         val = value_from_eta(fake, 1.0)
         assert np.allclose(val.value.values, -grid.xs, atol=1e-9)
@@ -206,7 +206,8 @@ class TestBoundary:
             flags[k] = np.arange(grid.nx) >= rng.integers(1, grid.nx)
         flags = flags[rng.permutation(grid.nt)]
         sol = hjb.EtaSolution(eta=ScalarField(grid, np.ones(flags.shape)),
-                              mask=RegionMask(grid, flags))
+                              mask=RegionMask(grid, flags),
+                              step_solves=np.ones(grid.nt - 1, dtype=int))
         xs = grid.xs
         ref = [0.5 * (xs[c] + xs[c + 1])
                for c in (np.nonzero(np.diff(row))[0] for row in flags)]
@@ -261,7 +262,7 @@ class TestLcpResidual:
         k, j = grid.nt // 2, int(np.argmin(np.abs(grid.xs - 1.5)))
         bumped[k, j] += 1.0
         fake = type(sol)(eta=ScalarField(grid, bumped), mask=sol.mask,
-                         orientation="forward",
+                         step_solves=sol.step_solves, orientation="forward",
                          stopping_cost=sol.stopping_cost)
         res = lcp_residual(fake, spec)
         # the obstacle row binds, over the node's own scale, the bumped eta
@@ -281,7 +282,7 @@ class TestLcpResidual:
         pushed = sol.eta.values.copy()
         pushed[k, j] += push
         fake = type(sol)(eta=ScalarField(grid, pushed), mask=sol.mask,
-                         orientation=orientation,
+                         step_solves=sol.step_solves, orientation=orientation,
                          stopping_cost=sol.stopping_cost)
         res = lcp_residual(fake, spec).values
         assert abs(res[k, j]) > LCP_TOL
