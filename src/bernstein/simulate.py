@@ -410,9 +410,12 @@ def reversed_drift(drift: ScalarField, rho: ScalarField,
     if np.all(rho.values <= 0):
         raise ValueError("rho is nonpositive everywhere")
     grid = rho.grid
-    safe = np.where(rho.values > _RHO_FLOOR, rho.values, np.nan)
-    grad_log = gradient_rows(np.log(safe), grid.dx)
-    return ScalarField(grid, drift.values - hbar * grad_log, allow_nan=True)
+    log_rho = np.where(rho.values > _RHO_FLOOR, rho.values, np.nan)
+    np.log(log_rho, out=log_rho)
+    out = gradient_rows(log_rho, grid.dx)
+    out *= hbar
+    np.subtract(drift.values, out, out=out)
+    return ScalarField(grid, out, allow_nan=True)
 
 
 #: sub-steps of the bridge sampler from s to t, and the test's level

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bernstein.schrodinger import (
     SchrodingerFactors,
     bernstein_density,
     kernel_matrix,
+    log_kernel,
     propagate_eta,
     propagate_eta_star,
     sinkhorn_solve,
@@ -93,6 +95,41 @@ def assert_wide_log_range_matches_logsumexp(grid, hbar):
         assert np.max(np.abs(got / ref - 1)) <= 1e-12
 
 
+@functools.cache
+def pinned(hbar, nx, nt):
+    """The pinning benchmark's problem, which is also the ``schrodinger``
+    experiment's: N(-1, 0.35^2) to N(1, 0.35^2) on [-4, 4] over
+    [-1/2, 1/2], solved to 1e-8. Returns (grid, marginals, K, factors)."""
+    grid = make_grid(nx=nx, nt=nt)
+    p_init, p_final = (np.exp(-((grid.xs - mean) ** 2) / (2 * 0.35**2))
+                       for mean in (-1.0, 1.0))
+    marg = MarginalPair(xs=grid.xs, p_init=p_init, p_final=p_final)
+    K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
+    K.setflags(write=False)  # shared by every test that asks for the case
+    return grid, marg, K, sinkhorn_solve(marg, K, tol=1e-8)
+
+
+#: the pinning benchmark's two cases that converge, and the ``schrodinger``
+#: experiment's default grid
+PINNED_CASES = [(0.5, 601, 301), (0.1, 401, 201), (0.5, 201, 51)]
+
+
+def unflushed_propagation(factor, grid, hbar, data_row):
+    """The propagated rows as the plain product exp(log_kernel) @ S of
+    every half-kernel row, subnormal entries kept, with the folded factor
+    S[d, i] = f[i - d] + f[i + d] (f[i] once at d = 0), f = factor / max.
+    Returns (half kernel, rows)."""
+    nx, nt, ts = grid.nx, grid.nt, grid.ts
+    rows = slice(0, nt - 1) if data_row == -1 else slice(1, nt)
+    g = np.exp(log_kernel(grid, hbar, np.abs(ts[rows] - ts[data_row])))
+    fmax = float(np.max(factor))
+    padded = np.concatenate((np.zeros(nx - 1), factor / fmax, np.zeros(nx - 1)))
+    d, i = np.arange(nx)[:, None], np.arange(nx)[None, :]
+    folded = padded[nx - 1 + i - d] + padded[nx - 1 + i + d]
+    folded[0] = factor / fmax
+    return g, (g @ folded) * fmax
+
+
 def sinkhorn_four_products(m, K, tol):
     """Reference Sinkhorn loop that takes all four matrix-vector products of
     an iteration afresh: the two updates and the two residuals."""
@@ -156,6 +193,10 @@ class TestKernelMatrix:
     def test_time_ordering(self):
         with pytest.raises(ValueError):
             kernel_matrix(make_grid(), 1.0, 0.5, 0.5)
+
+    def test_rejects_nan_hbar(self):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            kernel_matrix(make_grid(nx=11), float("nan"), 0.0, 0.3)
 
 
 class TestMarginalPair:
@@ -228,20 +269,40 @@ class TestSinkhorn:
         assert not f.monotone
 
     def test_matches_four_product_reference(self, pipeline):
-        # reusing the residual's K @ eta as the next update's product keeps
-        # every bit of the factors and of the trace
-        grid, _, marg, K, factors = pipeline
+        # reusing the residual's K @ eta as the next update's product, and
+        # the update's K^T @ eta* in the residual, keeps every bit of the
+        # factors and of the trace
+        _, _, marg, K, factors = pipeline
         cases = [(marg, K, 1e-10, factors)]
-        grid = make_grid(nx=401)
-        marg = MarginalPair(xs=grid.xs, p_init=gauss(grid.xs, -1, 0.35),
-                            p_final=gauss(grid.xs, 1, 0.35))
-        K = kernel_matrix(grid, 0.1, grid.ts[0], grid.ts[-1])
-        cases.append((marg, K, 1e-8, sinkhorn_solve(marg, K, tol=1e-8)))  # 26 iterations
+        for case in PINNED_CASES:  # 8, 26 and 8 iterations
+            _, marg, K, factors = pinned(*case)
+            cases.append((marg, K, 1e-8, factors))
         for marg, K, tol, factors in cases:
             eta_star, eta, trace = sinkhorn_four_products(marg, K, tol)
             assert np.array_equal(factors.eta_star_init, eta_star)
             assert np.array_equal(factors.eta_final, eta)
             assert np.array_equal(factors.residual_trace, trace)
+
+    @pytest.mark.parametrize("case", PINNED_CASES)
+    def test_two_kernel_products_per_iteration(self, case, monkeypatch):
+        # one product before the first iteration, then the update's two
+        _, marg, K, factors = pinned(*case)
+        products = 0
+
+        class CountingKernel(np.ndarray):
+            def __matmul__(self, other):
+                nonlocal products
+                products += 1
+                return self.view(np.ndarray) @ other
+
+        # sinkhorn_solve takes its kernel through np.asarray, which would
+        # drop the subclass
+        asarray = np.asarray
+        monkeypatch.setattr(np, "asarray", lambda a, *args, **kwargs: (
+            a if isinstance(a, CountingKernel) else asarray(a, *args, **kwargs)))
+        got = sinkhorn_solve(marg, K.view(CountingKernel), tol=1e-8)
+        assert np.array_equal(got.residual_trace, factors.residual_trace)
+        assert products == 1 + 2 * got.iterations
 
     def test_symmetric_inputs_give_equal_factors(self):
         # even marginals on an even grid make the fixed point symmetric:
@@ -270,6 +331,15 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn_solve(marg, np.zeros((11, 11)), tol=1e-8)
 
+    def test_rejects_nan_kernel(self):
+        grid = make_grid(nx=11)
+        p = gauss(grid.xs, 0, 1.0)
+        marg = MarginalPair(xs=grid.xs, p_init=p, p_final=p)
+        K = kernel_matrix(grid, 0.5, grid.ts[0], grid.ts[-1])
+        K[3, 7] = np.nan
+        with pytest.raises(ValueError, match="kernel matrix must be strictly positive"):
+            sinkhorn_solve(marg, K, tol=1e-8)
+
 
 class TestPropagation:
     def test_boundary_rows_exact(self, pipeline):
@@ -294,6 +364,37 @@ class TestPropagation:
             ref = logsumexp_rows(factor, grid, hbar, row)
             assert np.array_equal(got[row], factor)
             assert np.max(np.abs(got / ref - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("hbar, nx, nt", [
+        (0.5, 601, 301), (0.1, 401, 201), (0.1, 1201, 401)])
+    def test_flushing_subnormals_moves_no_bit(self, hbar, nx, nt):
+        # these half kernels hold 268, 600 and 3595 subnormal entries
+        grid, _, _, factors = pinned(hbar, nx, nt)
+        for propagate, factor, row in both_ways(factors):
+            assert np.ptp(np.log(factor)) <= LINEAR_LOG_RANGE
+            g, ref = unflushed_propagation(factor, grid, hbar, row)
+            assert np.count_nonzero((g > 0) & (g < np.finfo(float).tiny)) > 0
+            got = propagate(factors, grid, hbar).values
+            rows = slice(0, -1) if row == -1 else slice(1, None)
+            assert np.array_equal(got[rows], ref)
+            assert np.array_equal(got[row], factor)
+
+    def test_product_multiplies_no_subnormal(self, monkeypatch):
+        grid, _, _, factors = pinned(0.5, 601, 301)
+        kernels = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, **kwargs):
+            kernels.append(a)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        for propagate, _, _ in both_ways(factors):
+            propagate(factors, grid, 0.5)
+        assert len(kernels) == 2
+        for g in kernels:
+            assert g.shape == (grid.nt - 1, grid.nx)
+            assert not np.any((g > 0) & (g < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("nx", [40, 41, 201])
     def test_edge_heavy_factors_match_direct_kernel_sum(self, nx):
