@@ -4,18 +4,21 @@ boundary, action-functional estimation, drift reversal, and the
 statistical two-sided Markov (bridge) test.
 
 Reproducibility contract: the noise comes from counter-based streams keyed
-by (seed, path group, step) (Philox, Salmon et al., SC'11). Path i's normal
-at step k is entry i mod ``_GROUP`` of ``Generator(Philox(key=[seed,
-i // _GROUP], counter=[0, k, 0, 0])).standard_normal(_GROUP)``, and, when a
-point barrier needs the bridge test, its uniform is entry i mod ``_GROUP``
-of the ``.random(_GROUP)`` drawn right after. Each step draws only the
-groups its live paths fall in, so ensembles are bit-identical for a given
-config on any number of CPUs: the paths run in contiguous blocks, one per
-usable CPU, through ``core.fork_blocks``, and each block writes its paths'
-records alone. Paths read the drift through ``core.interpolate``, which
-reads a path off the grid at its edge node. A run's stopping set is point
-barriers, crossed by a bridge test, and a thick region read at the nearest
-node.
+by (seed, path group, step) (Philox, Salmon et al., SC'11), and each step
+draws only what its paths read. At step k the live paths of group g = i //
+``_GROUP``, in index order, take the first entries of
+``Generator(Philox(key=[seed, g], counter=[0, k, 0, 0])).standard_normal``.
+Against point barriers, the paths of g whose step ends near one, 0 < (x0 -
+b)(x1 - b) <= 20 hbar h, take in index order the first entries of the
+``.random`` stream at counter [0, k, 1, 0], one uniform a path whatever the
+number of barriers it is near; a path farther out draws none and does not
+bridge, its crossing probability being below exp(-40). So ensembles are
+bit-identical for a given config on any number of CPUs: the paths run in
+contiguous blocks of whole groups, one per usable CPU, through
+``core.fork_blocks``, and each block writes its paths' records alone.
+Paths read the drift through ``core.interpolate``, which reads a path off
+the grid at its edge node. A run's stopping set is point barriers, crossed
+by a bridge test, and a thick region read at the nearest node.
 """
 
 from __future__ import annotations
@@ -132,62 +135,82 @@ def _stopping_sets(mask: RegionMask, barrier):
     return sorted(barriers), thick
 
 
-#: paths per stream group: each (group, step) pair draws its normals, then
-#: its bridge uniforms, from one Philox stream (see the module docstring)
+#: paths per stream group: each (group, step) pair draws its normals, and
+#: its bridge uniforms, from Philox streams of their own (see the module
+#: docstring)
 _GROUP = 1024
 
 
-def _step_draws(seed, kinds, n_groups):
-    """``draw(k, g_lo, g_hi)`` fills and returns a (kinds, n_groups *
-    _GROUP) buffer: from column (g - g_lo) * _GROUP, group g's step-k
-    normals (kind 0) and uniforms (kind 1), for g_lo <= g < g_hi. One
-    Philox serves all: its state is reset to key (seed, g), counter (0, k,
-    0, 0) and an empty buffer, which is that stream bit for bit."""
+def _step_draws(seed, n):
+    """``draw(k, kind, idx)`` returns, for the sorted path indices ``idx``
+    (at most n of them), their step-k normals (kind 0) or bridge uniforms
+    (kind 1), in a view of one n-entry buffer that the next call refills.
+    The paths of idx in group g take, in index order, the first entries of
+    the Philox stream keyed (seed, g) at counter (0, k, kind, 0). One
+    Philox serves all: its state is reset to that key and counter and an
+    empty buffer, which is that stream bit for bit. The state is held in
+    lists, which the state setter reads in half the time of arrays."""
     gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
     bits, fresh = gen.bit_generator, gen.bit_generator.state
+    fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key, counter = fresh["state"]["key"], fresh["state"]["counter"]
-    buf = np.empty((kinds, n_groups * _GROUP))
+    buf, fill = np.empty(n), (gen.standard_normal, gen.random)
 
-    def draw(k, g_lo, g_hi):
-        counter[1] = k
-        for g in range(g_lo, g_hi):
-            key[1] = g
-            bits.state = fresh
-            group = buf[:, (g - g_lo) * _GROUP:(g - g_lo + 1) * _GROUP]
-            gen.standard_normal(out=group[0])
-            if kinds == 2:
-                gen.random(out=group[1])
-        return buf
+    def draw(k, kind, idx):
+        counter[1], counter[2] = k, kind
+        out = buf[:idx.size]
+        g_lo = int(idx[0]) // _GROUP
+        # where each group's paths start in idx, and where the last ends
+        cuts = np.searchsorted(idx, np.arange(g_lo, int(idx[-1]) // _GROUP + 2)
+                               * _GROUP).tolist()
+        for g, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]), g_lo):
+            if a < b:
+                key[1] = g
+                bits.state = fresh
+                fill[kind](out=out[a:b])
+        return out
 
     return draw
 
 
-def _crossings(xo, xn, u, barriers, hbar, h):
+def _crossings(xo, xn, uniforms, barriers, hbar, h):
     """Steps xo -> xn that reach a point barrier, and where they first do.
 
     A sign change reaches a barrier at the fraction theta of the step linear
-    in d0, d1. A step that stays on one side of it reaches it at theta = 1/2
-    when its uniform ``u`` is below the conditional bridge crossing
+    in d0, d1. A step that stays on one side of it and ends within 20 hbar h
+    of it, 0 < d0 d1 <= 20 hbar h, is near it; ``uniforms(near)`` draws one
+    uniform for each step near a barrier, for their sorted indices ``near``,
+    which every barrier it is near reads. Such a step reaches the barrier at
+    theta = 1/2 when its uniform is below the conditional bridge crossing
     probability exp(-2 d0 d1 / (hbar h)) and no other barrier lies between
-    it and xo. Of the barriers a step reaches, the one with the least theta
-    stops it, the lower on a tie. Returns the indices of those steps, their
-    barriers and their theta.
+    it and xo. A step farther out draws no uniform and does not bridge: its
+    probability is below exp(-40). Of the barriers a step reaches, the one
+    with the least theta stops it, the lower on a tie. Returns the indices
+    of those steps, their barriers and their theta.
     """
+    lim = 20 * hbar * h
+    close = []  # per barrier, the steps that reach it or are near it
+    for bar in barriers:
+        prod = xo - bar
+        prod *= xn - bar
+        i = np.nonzero(prod <= lim)[0]
+        close.append((i, prod[i]))
+    near = [i[p > 0] for i, p in close]
+    near = near[0] if len(near) == 1 else np.unique(np.concatenate(near))
+    u = uniforms(near) if near.size else np.empty(0)
     found = []
     # a bridge crossing of barrier j needs xo between its two neighbours
     edges = np.concatenate(([-math.inf], barriers, [math.inf]))
-    for j, bar in enumerate(barriers):
-        prod = xo - bar
-        prod *= xn - bar
-        reach = np.nonzero(prod <= 0)[0]
+    for j, (bar, (i, p)) in enumerate(zip(barriers, close)):
+        on = p <= 0
+        reach = i[on]
         d0, d1 = np.abs(xo[reach] - bar), np.abs(xn[reach] - bar)
         at = d0 / np.maximum(d0 + d1, 1e-300)
-        # Past prod = 20 hbar h the probability is below exp(-40), under
-        # 2**-53; a uniform from Generator.random is 0 or at least 2**-53,
-        # so there only u == 0 can fall below it. exp runs on the rest.
-        near = np.nonzero((prod > 0) & ((prod <= 20 * hbar * h) | (u == 0)))[0]
-        near = near[(edges[j] < xo[near]) & (xo[near] < edges[j + 2])]
-        bridge = near[u[near] < np.exp(-2 * prod[near] / (hbar * h))]
+        i, p = i[~on], p[~on]
+        between = (edges[j] < xo[i]) & (xo[i] < edges[j + 2])
+        bridge = i[between & (u[np.searchsorted(near, i)]
+                              < np.exp(-2 * p / (hbar * h)))]
         reach = np.concatenate((reach, bridge))
         at = np.append(at, np.full(bridge.size, 0.5))
         found.append((reach, np.full(reach.size, bar), at))
@@ -201,8 +224,11 @@ def _crossings(xo, xn, u, barriers, hbar, h):
 
 
 #: a block of fewer path-steps (paths times steps) is not given a process
-#: of its own. On 2 CPUs, two forked blocks were slower than one process up
-#: to 6e5 path-steps in all and faster from 1e6 on
+#: of its own, so two blocks fork from 2e6 path-steps in all. On 2 CPUs,
+#: against one process (median of 15 runs, 4096 to 20000 paths, the worked
+#: example's optimal ensemble and a driftless one with a barrier), two forked
+#: blocks took 0.70 to 1.34 times as long at 1e6 path-steps in all, 0.80 to
+#: 1.08 at 2e6 and 0.67 to 0.90 at 4e6
 _MIN_BLOCK_PATH_STEPS = 1_000_000
 
 
@@ -217,13 +243,14 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     counted in whole groups, one per usable CPU, and run by
     ``core.fork_blocks``; no group is drawn by two blocks. Each block steps
     all its paths as one array and writes its slice of the records into one
-    shared anonymous mapping. At each step a block draws the stream groups
-    from its first to its last live path into one buffer. A forked block
+    shared anonymous mapping. At each step a block draws its live paths'
+    normals and its near paths' uniforms into one buffer of its own path
+    count (see ``_step_draws``). A forked block
     calls no BLAS: it runs Philox, ufuncs, the lookups of ``core`` and the
     problem's cost functions.
 
     A block keeps its live paths packed: ``live`` holds their indices in
-    the block, and x, b, f and a their position, drift, running-cost
+    the ensemble, and x, b, f and a their position, drift, running-cost
     integrand and action so far. ``stop`` writes the record of paths that
     cross a barrier or land in the thick region and drops them from the
     packed arrays; ``see(t)`` records the checkpoints t reaches, at the
@@ -274,12 +301,9 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
     bounds = [min(g * _GROUP, n) for g in groups]
 
     def run_block(lo, hi):
-        # one buffer, as wide as the stream groups the block's paths span
-        draw = _step_draws(cfg.seed, 2 if barriers.size else 1,
-                           (hi - 1) // _GROUP - lo // _GROUP + 1)
-        tau, state = stop_time[lo:hi], stopped_state[lo:hi]
-        act, hitf = action[lo:hi], hit[lo:hi]
-        live = np.arange(hi - lo)
+        # one buffer, as long as the block: a step's normals, then its uniforms
+        draw = _step_draws(cfg.seed, hi - lo)
+        live = np.arange(lo, hi)
         x = np.full(live.size, float(x0))
         b = drift_at(t0, x)
         f = running(b, x)
@@ -290,7 +314,7 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
             # the paths at packed indices (or mask) i stop at the boundary
             nonlocal live, x, b, f, a
             g = live[i]
-            tau[g], state[g], act[g], hitf[g] = when, where, value, True
+            stop_time[g], stopped_state[g], action[g], hit[g] = when, where, value, True
             keep = np.ones(live.size, dtype=bool)
             keep[i] = False
             live, x, b, f, a = live[keep], x[keep], b[keep], f[keep], a[keep]
@@ -300,9 +324,10 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
             # reaches it, or at the stop for a path stopped before then
             while pending and t >= pending[0] - 1e-12:
                 c = pending.pop(0)
-                cp_time[c][lo:hi] = np.minimum(tau, c if abs(t - c) <= 1e-12 else t)
-                cp_state[c][lo:hi] = state
-                cp_state[c][lo + live] = x
+                cp_time[c][lo:hi] = np.minimum(stop_time[lo:hi],
+                                               c if abs(t - c) <= 1e-12 else t)
+                cp_state[c][lo:hi] = stopped_state[lo:hi]
+                cp_state[c][live] = x
 
         see(t0)
         t = t0
@@ -311,14 +336,11 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
                 break
             h = min(cfg.dt, t_end - t)
             t_next = t + h
-            g_lo = (lo + live[0]) // _GROUP
-            buf = draw(k, g_lo, (lo + live[-1]) // _GROUP + 1)
-            cols = live + (lo - g_lo * _GROUP)  # the live paths' columns
-            xo, x = x, x + b * h + math.sqrt(hbar * h) * buf[0][cols]
+            xo, x = x, x + b * h + math.sqrt(hbar * h) * draw(k, 0, live)
 
             if barriers.size:
-                c, bars, theta = _crossings(xo, x, buf[1][cols], barriers,
-                                            hbar, h)
+                c, bars, theta = _crossings(
+                    xo, x, lambda near: draw(k, 1, live[near]), barriers, hbar, h)
                 if c.size:
                     stop(c, t + theta * h, bars, a[c] + (
                         f[c] * theta * h + np.asarray(cost(bars), dtype=float)))
@@ -339,8 +361,8 @@ def _simulate(spec: ProblemSpec, orientation, drift, mask, cfg: SimConfig,
             t = t_next
 
         # the paths still live ran to the horizon
-        state[live] = x
-        act[live] = a + np.asarray(cost(x), dtype=float)
+        stopped_state[live] = x
+        action[live] = a + np.asarray(cost(x), dtype=float)
         see(math.inf)
 
     core.fork_blocks(bounds, run_block)

@@ -293,12 +293,23 @@ class TestBarrierStopping:
         assert np.all(tt == -0.3) and np.all(xx == x0)
 
     def test_crossing_rule_on_fixed_steps(self):
-        # barriers at 0 and 1, hbar = h = 1; a uniform of 0 always bridges
-        # to a barrier with none between it and the step's start
-        xo = np.array([0.5, 1.5, -0.5, 0.5, 1.5, 0.5, 1.0])
-        xn = np.array([1.5, -0.5, 1.5, 1.5, 1.6, 0.6, 0.5])
-        u = np.array([0.99, 0.99, 0.99, 0.0, 0.0, 0.99, 0.99])
-        c, bars, theta = simulate._crossings(xo, xn, u, np.array([0.0, 1.0]), 1.0, 1.0)
+        # barriers at 0 and 1, hbar = h = 1: the steps ending within 20 of a
+        # barrier, 0 < d0 d1 <= 20, draw one uniform each, in index order;
+        # a uniform of 0 bridges to a barrier with none between it and the
+        # step's start. Step 7 ends beyond 20 of both barriers, so it draws
+        # no uniform and does not bridge, although its uniform here is 0
+        xo = np.array([0.5, 1.5, -0.5, 0.5, 1.5, 0.5, 1.0, 6.0])
+        xn = np.array([1.5, -0.5, 1.5, 1.5, 1.6, 0.6, 0.5, 6.5])
+        u = np.array([0.99, 0.99, 0.99, 0.0, 0.0, 0.99, 0.99, 0.0])
+        asked = []
+
+        def uniforms(near):
+            asked.append(near.tolist())
+            return u[near]
+
+        c, bars, theta = simulate._crossings(xo, xn, uniforms,
+                                             np.array([0.0, 1.0]), 1.0, 1.0)
+        assert asked == [[0, 3, 4, 5, 6]]
         got = sorted(zip(c.tolist(), bars.tolist(), theta.tolist()))
         assert got == [(0, 1.0, 0.5),    # a sign change at 1
                        (1, 1.0, 0.25),   # both crossed, 1 first
@@ -306,6 +317,11 @@ class TestBarrierStopping:
                        (3, 0.0, 0.5),    # a tie of a sign change and a bridge
                        (4, 1.0, 0.5),    # no bridge past 1 to 0
                        (6, 1.0, 0.0)]    # a start on a barrier
+        # no step near a barrier: nothing is drawn
+        asked.clear()
+        c, _, _ = simulate._crossings(xo[[1, 2, 7]], xn[[1, 2, 7]], uniforms,
+                                      np.array([0.0, 1.0]), 1.0, 1.0)
+        assert asked == [] and c.tolist() == [0, 1]
 
     @pytest.mark.parametrize("dt", [1e-2, 0.25])
     def test_the_barrier_reached_first_stops_the_path(self, dt):
@@ -438,10 +454,9 @@ class TestParallelBlocks:
         self.assert_identical(ens)
 
     def test_draw_memory_does_not_grow_with_cpus(self, monkeypatch):
-        # each block holds one per-step buffer: the normals and uniforms of
-        # its paths rounded out to whole stream groups, whatever the number
-        # of steps. A group cut by a block bound is held by both blocks, so
-        # the blocks together hold at most one group more per extra CPU
+        # each block holds one buffer of its own path count, whatever the
+        # number of steps, and every draw is a view of it: the blocks
+        # together hold one entry per path on any number of CPUs
         monkeypatch.setattr(simulate, "_MIN_BLOCK_PATH_STEPS", 1)
         monkeypatch.setattr(simulate, "_GROUP", self.GROUP)
         buffers, block, step_draws = {}, [], simulate._step_draws
@@ -451,17 +466,15 @@ class TestParallelBlocks:
                 block.append((lo, hi))
                 fn(lo, hi)
 
-        def logged_draws(seed, kinds, n_groups):
-            draw = step_draws(seed, kinds, n_groups)
+        def logged_draws(seed, n):
+            draw = step_draws(seed, n)
+            buffers.setdefault(block[-1], set()).add(n)
 
-            def logged(k, g_lo, g_hi):
-                buf = draw(k, g_lo, g_hi)
-                buffers.setdefault(block[-1], set()).add(buf.nbytes)
-                return buf
+            def logged(k, kind, idx):
+                out = draw(k, kind, idx)
+                buffers[block[-1]].add(out.base.nbytes // 8)
+                return out
             return logged
-
-        def rounded_out(lo, hi):  # paths [lo, hi) rounded out to groups
-            return ((hi - 1) // self.GROUP - lo // self.GROUP + 1) * self.GROUP
 
         monkeypatch.setattr(simulate.core, "fork_blocks", blocks_here)
         monkeypatch.setattr(simulate, "_step_draws", logged_draws)
@@ -476,10 +489,88 @@ class TestParallelBlocks:
                                  barrier=0.0)
                 assert len(buffers) == n_cpu
                 for (lo, hi), sizes in buffers.items():
-                    assert sizes == {2 * rounded_out(lo, hi) * 8}
-                held = sum(rounded_out(lo, hi) for lo, hi in buffers)
-                assert held <= (rounded_out(0, self.N_PATHS)
-                                + (n_cpu - 1) * self.GROUP)
+                    assert sizes == {hi - lo}
+                assert sum(hi - lo for lo, hi in buffers) == self.N_PATHS
+
+
+class TestDrawCounts:
+    """Each step draws one normal per live path and one bridge uniform per
+    path whose step ends within 20 hbar h of a point barrier, 0 < (x0 -
+    b)(x1 - b) <= 20 hbar h, however many barriers it is near. A counting
+    stand-in wraps the draw source, and a spy on ``_crossings`` counts the
+    live and near paths it is handed. 1500 paths run in the serial blocks
+    of 3 CPUs, in stream groups of 64."""
+
+    N_PATHS = 1500
+
+    def counted(self, monkeypatch, run, cfg):
+        serial_blocks(monkeypatch, 3, 64)
+        events = []
+        step_draws, crossings = simulate._step_draws, simulate._crossings
+        normals = np.zeros(self.N_PATHS, dtype=int)
+
+        def counting_draws(seed, n):
+            draw = step_draws(seed, n)
+
+            def counting(k, kind, idx):
+                assert np.all(np.diff(idx) > 0)
+                events.append(("draw", k, kind, idx.size))
+                if kind == 0:
+                    np.add.at(normals, idx, 1)
+                return draw(k, kind, idx)
+            return counting
+
+        def spy(xo, xn, uniforms, barriers, hbar, h):
+            prod = (xo[:, None] - barriers) * (xn[:, None] - barriers)
+            near = (prod > 0) & (prod <= 20 * hbar * h)
+            events.append(("crossings", xo.size, int(near.any(axis=1).sum()),
+                           int(near.sum())))
+            return crossings(xo, xn, uniforms, barriers, hbar, h)
+
+        monkeypatch.setattr(simulate, "_step_draws", counting_draws)
+        monkeypatch.setattr(simulate, "_crossings", spy)
+        ens = run(SimConfig(n_paths=self.N_PATHS, **cfg))
+        # each step: its normals, the crossing test on as many live paths,
+        # and one uniform per near path, drawn only when a path is near
+        near_twice = 0
+        while events:
+            (_, k, kind, n_normals), (_, n_live, n_near, n_pairs), *events = events
+            assert kind == 0 and n_normals == n_live
+            if n_near:
+                (_, k1, kind1, n_uniforms), *events = events
+                assert (k1, kind1, n_uniforms) == (k, 1, n_near)
+            near_twice += n_pairs - n_near
+        # a path draws a normal at every step up to the one it stops in
+        hit, dt = ens.hit_flag, cfg["dt"]
+        assert hit.any() and not hit.all()
+        assert np.all(normals[~hit] == round((0.5 - cfg["start"][0]) / dt))
+        reached = cfg["start"][0] + normals[hit] * dt
+        assert np.all(ens.stop_time[hit] >= reached - dt - 1e-9)
+        assert np.all(ens.stop_time[hit] <= reached + 1e-9)
+        return near_twice
+
+    def test_worked_example_forward(self, monkeypatch, sec7_value):
+        spec, val = sec7_value
+        self.counted(monkeypatch, lambda cfg: simulate_forward(
+            spec, val.drift, val.mask, cfg),
+            dict(dt=1e-3, seed=20260823, start=(-0.5, 1.0)))
+
+    def test_driftless_explicit_barrier(self, monkeypatch):
+        self.counted(monkeypatch, lambda cfg: simulate_forward(
+            make_spec(), None, None, cfg, barrier=0.0),
+            dict(dt=1e-2, seed=7, start=(-0.5, 1.0)))
+
+    def test_one_uniform_for_two_barriers(self, monkeypatch):
+        # point barriers at 0 and 0.1 (stopping columns one node wide) at
+        # dt = 0.25, where 20 hbar h = 5: steps near both draw one uniform
+        grid = SpaceTimeGrid(xs=np.linspace(-1, 1, 41),
+                             ts=np.linspace(-0.5, 0.5, 11))
+        flags = np.zeros((grid.nt, grid.nx), dtype=np.int8)
+        flags[:, [20, 22]] = STOPPING
+        near_twice = self.counted(monkeypatch, lambda cfg: simulate_forward(
+            make_spec(), None, RegionMask(grid, flags), cfg),
+            dict(dt=0.25, seed=3, start=(-0.5, 0.2)))
+        assert near_twice > 0
 
 
 class TestFastPath:
@@ -511,27 +602,31 @@ class TestFastPath:
             assert interpolate(fld, np.ones(xq.size), xq).tobytes() == want
 
     def test_streams_equal_per_path_generators(self, monkeypatch):
-        # path i's step-k normal is entry i mod G of
-        # Generator(Philox(key=[seed, i // G], counter=[0, k, 0, 0]))
-        # .standard_normal(G), its uniform entry i mod G of the .random(G)
-        # drawn after, for the engine's G and for a patched one
+        # the paths of idx in group g = i // G take, in index order, the
+        # first entries of Generator(Philox(key=[seed, g], counter=[0, k,
+        # kind, 0])).standard_normal (kind 0) or .random (kind 1): path i's
+        # draw is the entry at its rank among the paths of idx in its group,
+        # for the engine's G and for a patched one
         seed, G = 20260823, simulate._GROUP
 
-        def library(g, k, group):
+        def library(g, k, kind, size):
             gen = np.random.Generator(np.random.Philox(
-                key=[seed, g], counter=[0, k, 0, 0]))
-            return gen.standard_normal(group), gen.random(group)
+                key=[seed, g], counter=[0, k, kind, 0]))
+            return (gen.standard_normal, gen.random)[kind](size)
 
-        draw = simulate._step_draws(seed, 2, 3)
+        # all of group 4, none of 5, 300 of 6 and one path of 9
+        picked = np.random.default_rng(1).choice(G, 300, replace=False)
+        idx = np.concatenate([np.arange(4 * G, 5 * G), 6 * G + np.sort(picked),
+                              [9 * G + 17]])
+        draw = simulate._step_draws(seed, idx.size + 5)
         for k in (0, 1, 999):
-            buf = draw(k, 4, 7)
-            assert buf.shape == (2, 3 * G)
-            for i, g in enumerate((4, 5, 6)):
-                normals, uniforms = library(g, k, G)
-                assert np.array_equal(buf[0, i * G:(i + 1) * G], normals)
-                assert np.array_equal(buf[1, i * G:(i + 1) * G], uniforms)
-        assert np.array_equal(simulate._step_draws(seed, 1, 1)(999, 6, 7)[0],
-                              library(6, 999, G)[0])
+            for kind in (0, 1):
+                got = draw(k, kind, idx)
+                assert got.shape == idx.shape
+                want = np.concatenate([library(4, k, kind, G),
+                                       library(6, k, kind, 300),
+                                       library(9, k, kind, 1)])
+                assert np.array_equal(got, want)
 
         # the engine's noise, read back from a driftless run of 2 steps
         # without stopping in groups of 8: 37 paths from path 0 span groups
@@ -544,7 +639,7 @@ class TestFastPath:
             mid = ens.checkpoints[0.0][1]
             steps = [mid, ens.stopped_state - mid]
             for k, step in enumerate(steps):
-                want = np.concatenate([library(g, k, 8)[0] for g in range(5)])
+                want = np.concatenate([library(g, k, 0, 8) for g in range(5)])
                 np.testing.assert_allclose(step, math.sqrt(0.5) * want[:37],
                                            rtol=1e-12, atol=1e-15)
 
