@@ -4,35 +4,33 @@ Usage:
     bernstein run <config.json> [--out DIR] [--seed N]
     bernstein check [--criteria N [N ...]]
 
-``run`` resolves the config, seed and output directory, rejects any config
-key that neither it nor the named experiment reads, runs the experiment
-from ``experiments`` (which builds, solves and judges it and returns every
-artifact it emits), and writes what it returned: every t x x field
-through ``field_to_csv``, its one report as JSON with sorted keys, and a
-manifest listing each written file with the sha256 of the bytes written
-to it, the effective config, the pass/fail status of the experiment's
-checks and, apart from those, its ``timings``: the compute time, each
-file's write time and the usable CPU count. Every CSV float is written as
-its repr; ``_csv_blocks`` formats each line by one orjson call, which
-gives the same bytes faster, and says where the two differ. Every field
-is written and hashed by one worker thread while the main thread formats
-its next lines, so no file is read back to hash it. The exit
-status is 1 if any check fails, and 2 on a config error, which prints one
-line and no traceback: a config file that cannot be read, is not JSON or
-is not a JSON object is one. The output directory is --out, else ./out.
-``check`` runs the acceptance criteria, which run the same experiments and
-write nothing.
-This is the only module of the package that writes a file, so the artifact
-formats are decided here alone.
+``run`` resolves the config, seed and output directory, rejects an
+``--out`` at which no directory can be made and any config key that
+neither it nor the named experiment reads, runs the experiment from
+``experiments`` (which builds, solves and judges it and returns every
+artifact it emits), and writes what it returned: every t x x field through
+``field_to_csv``, its one report as JSON with sorted keys, and a manifest
+listing each written file with its sha256, the effective config, the
+pass/fail status of the experiment's checks and, apart from those, its
+``timings``: the compute time, each file's write time (formatting, writing
+and hashing it) and the usable CPU count. ``_write`` writes every file on
+the calling thread and hashes each chunk as it writes it, so no file is
+read back; an error it meets stops the run before the manifest. Every CSV
+float is written as its repr; ``_csv_blocks`` formats each line by one
+orjson call, which gives the same bytes faster, and says where the two
+differ. The exit status is 1 if any check fails, and 2 on a config error,
+which prints one line and no traceback: a config file that cannot be read,
+is not JSON or is not a JSON object is one. The output directory is
+--out, else ./out. ``check`` runs the acceptance criteria, which run the
+same experiments and write nothing. This is the only module of the package
+that writes a file, so the artifact formats are decided here alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import hashlib
 import inspect
-import itertools
 import json
 import os
 import platform
@@ -45,13 +43,20 @@ from . import __version__, acceptance, core, experiments
 from .core import ScalarField
 
 
-def _write_json(doc, path: str) -> str:
-    """``doc`` as indented JSON with sorted keys; returns the sha256 of the
-    bytes written."""
-    data = json.dumps(doc, indent=2, sort_keys=True).encode()
+def _write(path: str, chunks) -> str:
+    """Writes the byte strings ``chunks`` to ``path`` in order and returns
+    the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for data in chunks:
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _write_json(doc, path: str) -> str:
+    """``doc`` as indented JSON with sorted keys, by ``_write``."""
+    return _write(path, [json.dumps(doc, indent=2, sort_keys=True).encode()])
 
 
 #: cells of one block that ``_csv_blocks`` formats. A 601x2001 field
@@ -60,12 +65,6 @@ def _write_json(doc, path: str) -> str:
 #: process's peak by 1.0 MB, of 8192 by 0.2 MB, in the same time (measured
 #: with one orjson call per block)
 _BLOCK_CELLS = 8192
-#: blocks ``field_to_csv`` hands its writer thread at a time. Every
-#: hand-over costs the two threads switches of the interpreter lock: one
-#: block at a time, writing on the thread was slower than writing inline
-_HAND_OVER = 4
-#: hand-overs not yet written, at most, while the next ones are formatted
-_IN_FLIGHT = 2
 
 
 def _repr_line(cells) -> bytes:
@@ -102,34 +101,12 @@ def _csv_blocks(first, rows):
 
 def field_to_csv(fld: ScalarField, path: str) -> str:
     """Matrix CSV: first row is x nodes, first column is t nodes, then
-    ``_csv_blocks`` of the values. Returns the sha256 of the bytes written.
+    ``_csv_blocks`` of the values. Returns the sha256 of the bytes written."""
+    def chunks():
+        yield ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]).encode() + b"\r\n"
+        yield from _csv_blocks(fld.grid.ts, fld.values)
 
-    The calling thread writes the header and formats the blocks; one
-    worker thread writes and hashes them, ``_HAND_OVER`` blocks at a time,
-    at most ``_IN_FLIGHT`` hand-overs behind. An error the worker meets is
-    raised here, after it has stopped."""
-    # here, not at the top: ``check`` writes no field, and the import takes 7 ms
-    from concurrent.futures import ThreadPoolExecutor
-    header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())]).encode()
-    blocks = _csv_blocks(fld.grid.ts, fld.values)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def put(data):
-            fh.write(data)
-            digest.update(data)
-
-        put(header + b"\r\n")
-        pool, pending = ThreadPoolExecutor(max_workers=1), collections.deque()
-        try:
-            while data := b"".join(itertools.islice(blocks, _HAND_OVER)):
-                if len(pending) == _IN_FLIGHT:
-                    pending.popleft().result()
-                pending.append(pool.submit(put, data))
-            while pending:
-                pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return digest.hexdigest()
+    return _write(path, chunks())
 
 
 EXPERIMENTS = tuple(experiments.RUNNERS)
@@ -144,8 +121,7 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise experiments.ConfigError(
-            f"unknown experiment {name!r}; valid choices: {', '.join(EXPERIMENTS)}"
-        )
+            f"unknown experiment {name!r}; valid choices: {', '.join(EXPERIMENTS)}")
     runner = experiments.RUNNERS[name]
     valid = TOP_KEYS | set(inspect.signature(runner).parameters) - {"seed"}
     unknown = sorted(set(cfg) - valid)
@@ -172,13 +148,9 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
         "experiment": name,
         "config": cfg,
         "seed": seed,
-        "versions": {
-            "bernstein": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "orjson": orjson.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"bernstein": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "orjson": orjson.__version__,
+                     "python": platform.python_version()},
         "files": files,
         "checks": {k: bool(v) for k, v in result.checks.items()},
         "all_checks_passed": all(result.checks.values()),
@@ -189,17 +161,27 @@ def run_experiment(cfg: dict, out_dir: str, seed: int) -> dict:
     return manifest
 
 
+def _check_out(out: str) -> None:
+    """Raises ``ConfigError`` where no output directory can be made at
+    ``out``: it is empty, or it or a directory above it is not one."""
+    if not out:
+        raise experiments.ConfigError("--out: an empty path names no directory")
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise experiments.ConfigError(f"--out: {path} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bernstein",
         description="Free-boundary diffusion solvers, endpoint pinning, "
-                    "stopping-time distributions, and Monte Carlo checks.",
-    )
+                    "stopping-time distributions, and Monte Carlo checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a named experiment from a JSON config")
     runp.add_argument("config", help="path to the experiment config JSON")
-    runp.add_argument("--out", default="out", help="output directory "
-                                                   "(default: ./out)")
+    runp.add_argument("--out", default="out", help="output directory (default: ./out)")
     runp.add_argument("--seed", type=int, help="override the simulation seed")
     chk = sub.add_parser("check", help="run the acceptance suite")
     chk.add_argument("--criteria", type=int, nargs="+",
@@ -218,6 +200,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        _check_out(args.out)
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)

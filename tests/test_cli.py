@@ -121,16 +121,17 @@ class TestCompareReport:
 
 
 def test_field_to_csv(tmp_path, file_log):
-    # a field of one block: the calling thread writes the header, the
-    # worker thread the rows, and the digest returned is of the bytes
-    # written
+    # a field of one block: the calling thread writes the header and the
+    # rows, and starts no other thread; the digest returned is of the
+    # bytes written
     f = small_field(np.arange(6.0).reshape(2, 3))
     path = tmp_path / "f.csv"
+    before = threading.active_count()
     digest = field_to_csv(f, str(path))
+    assert threading.active_count() == before
     assert digest == sha256_of(path)
     (logged,) = file_log.files
-    caller, worker = logged.threads
-    assert caller is threading.current_thread() is not worker
+    assert logged.threads == [threading.current_thread()] * 2
     with open(path) as fh:
         lines = [ln.strip().split(",") for ln in fh]
     assert len(lines) == 3 and len(lines[0]) == 4
@@ -324,51 +325,40 @@ class TestCsvWriter:
                 text = fh.read()
             assert text == self.expected(first, rows, header), f
 
-    def test_field_of_several_blocks_is_written_by_one_thread(self, tmp_path,
-                                                              table, file_log):
-        # the calling thread writes the header, one other thread the
-        # blocks of rows, _HAND_OVER at a time, in order while the threads
-        # switch as often as they can; the digest returned is of the bytes
-        # written
+    def test_field_of_several_blocks_is_written_in_order_on_the_calling_thread(
+            self, tmp_path, table, file_log):
+        # the calling thread writes the header, then each block of rows as
+        # it is formatted, one write a block; the digest returned is of the
+        # bytes written
         _, rows = table
         fld = ScalarField(small_field(np.zeros(rows.shape)).grid, rows, allow_nan=True)
         n_blocks = len(list(cli._csv_blocks(fld.grid.ts, rows)))
-        n_hand_overs = -(-n_blocks // cli._HAND_OVER)
-        assert n_hand_overs > cli._IN_FLIGHT
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            digest = field_to_csv(fld, str(tmp_path / "f.csv"))
-        finally:
-            sys.setswitchinterval(interval)
+        assert n_blocks > 1
+        before = threading.active_count()
+        digest = field_to_csv(fld, str(tmp_path / "f.csv"))
         assert threading.active_count() == before
         (logged,) = file_log.files
-        caller, *workers = logged.threads
-        assert caller is threading.current_thread()
-        assert len(workers) == n_hand_overs and set(workers) == {workers[0]} != {caller}
+        assert logged.threads == [threading.current_thread()] * (1 + n_blocks)
         header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
         with open(tmp_path / "f.csv", newline="") as fh:
             assert fh.read() == self.expected(fld.grid.ts, rows, header)
         assert digest == sha256_of(tmp_path / "f.csv")
 
     @pytest.mark.parametrize("call", ["field_to_csv", "run_experiment"])
-    def test_writer_thread_failure_is_raised(self, tmp_path, monkeypatch,
-                                             file_log, call):
-        # writing the third hand-over of rows (of 11) fails on the writer
-        # thread: the call raises that error with the thread stopped, and
-        # writes no other file, the manifest least of all
+    def test_write_failure_is_raised(self, tmp_path, monkeypatch, file_log, call):
+        # writing the third block of rows (of 41) fails: the call raises
+        # that error, writes nothing more to the file, and writes no other
+        # file, the manifest least of all
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 62)  # 1 line of 61 nodes
         file_log.fail_at = 4
-        before = threading.active_count()
         with pytest.raises(OSError, match="No space left on device"):
             if call == "field_to_csv":
                 field_to_csv(small_field(np.ones((41, 61))), str(tmp_path / "f.csv"))
             else:
                 run_experiment({"experiment": "sec7-forward", "nx": 61, "nt": 41},
                                str(tmp_path), 0)
-        assert threading.active_count() == before
         (logged,) = file_log.files
-        assert logged.threads[3] is not threading.current_thread()
+        assert len(logged.threads) == 4
         assert not (tmp_path / "manifest.json").exists()
 
 
@@ -634,7 +624,7 @@ class TestArtifacts:
     def test_worker_thread_writes_the_digested_reprs(self, tmp_path,
                                                      monkeypatch):
         # in blocks of one line, every field of a small sec7-backward run
-        # spans several hand-overs, so the worker thread writes each one:
+        # spans several blocks, each written and hashed as it is formatted:
         # its file reads back as the manifest's digest and as the reprs
         name, results = "sec7-backward", []
         monkeypatch.setitem(experiments.RUNNERS, name,
@@ -646,7 +636,7 @@ class TestArtifacts:
         for fname, digest in man["files"].items():
             assert sha256_of(tmp_path / fname) == digest
         for fname, fld in result.fields.items():
-            assert len(list(cli._csv_blocks(fld.grid.ts, fld.values))) > cli._HAND_OVER
+            assert len(list(cli._csv_blocks(fld.grid.ts, fld.values))) > 1
             header = ",".join(["t\\x", *map(repr, fld.grid.xs.tolist())])
             with open(tmp_path / fname, newline="") as fh:
                 assert fh.read() == TestCsvWriter().expected(
@@ -1045,6 +1035,9 @@ class TestMain:
          "levels: too many values to unpack (expected 2)\n"),
         ({"experiment": "schrodinger", "marginals_csv": "a.csv"},
          "marginals_csv must be a pair of paths [init, final], got 'a.csv'\n"),
+        ({"experiment": "schrodinger",
+          "marginals_csv": ["no/such/init.csv", "no/such/final.csv"]},
+         "marginals_csv: [Errno 2] No such file or directory: 'no/such/init.csv'\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21, "seed": "x"},
          "seed: expected an integer, got 'x'\n"),
         ({"experiment": "sec7-forward", "nx": 31, "nt": 21,
@@ -1198,7 +1191,8 @@ class TestMain:
             "no-bins", "few-paths-per-bin", "null-nx", "null-hbar", "list-spec",
             "scalar-thresholds", "scalar-checkpoints", "scalar-start",
             "null-paths", "text-bins", "null-seeds", "scalar-levels",
-            "triple-levels", "one-marginal-path", "text-seed", "null-parameter",
+            "triple-levels", "one-marginal-path", "missing-marginal-file",
+            "text-seed", "null-parameter",
             "text-parameter", "bool-spec-hbar", "text-spec-half-horizon",
             "long-spec-x-min", "misspelt-spec-field", "infinite-parameter",
             "long-parameter", "nan-parameter", "nan-dt", "infinite-dt", "infinite-nx",
@@ -1224,6 +1218,17 @@ class TestMain:
             tmp_path, capsys, monkeypatch, {"experiment": "barrier"},
             f"--seed: expected an integer in [0, 2**63), got {seed}\n",
             "--seed", seed)
+
+    @pytest.mark.parametrize("out", ["", "taken", "taken/out"],
+                             ids=["empty", "file", "below-file"])
+    def test_unusable_out_is_one_line(self, tmp_path, capsys, monkeypatch, out):
+        # an --out at which no directory can be made is named before the
+        # run, not met by os.makedirs after it
+        (tmp_path / "taken").write_text("")
+        message = (f"--out: {tmp_path / 'taken'} is not a directory\n" if out
+                   else "--out: an empty path names no directory\n")
+        self.assert_rejected(tmp_path, capsys, monkeypatch, {"experiment": "sec7-forward"},
+                             message, "--out", str(tmp_path / out) if out else "")
 
     @staticmethod
     def assert_rejected(tmp_path, capsys, monkeypatch, cfg, message, *options):
