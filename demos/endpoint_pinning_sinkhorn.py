@@ -13,18 +13,9 @@ import math
 
 import numpy as np
 
-from bernstein.core import SpaceTimeGrid, gradient_rows
-from bernstein.schrodinger import (
-    MarginalPair,
-    bernstein_density,
-    kernel_matrix,
-    propagate_eta,
-    propagate_eta_star,
-    sinkhorn_solve,
-    slice_mass,
-)
+from bernstein.core import ScalarField, SpaceTimeGrid, gradient_rows
+from bernstein.schrodinger import SINKHORN_TOL, MarginalPair, pin_endpoints, slice_mass
 from bernstein.simulate import reversed_drift
-from bernstein.core import ScalarField
 
 hbar = 0.5
 grid = SpaceTimeGrid(xs=np.linspace(-4, 4, 201), ts=np.linspace(-0.5, 0.5, 51))
@@ -37,15 +28,12 @@ def gauss(mu, sd):
 # pin a left-leaning Gaussian at t = -1/2 and a right-leaning one at t = 1/2
 marginals = MarginalPair(xs=grid.xs, p_init=gauss(-1.0, 0.35),
                          p_final=gauss(1.0, 0.35))
-K = kernel_matrix(grid, hbar, grid.ts[0], grid.ts[-1])
-factors = sinkhorn_solve(marginals, K, tol=1e-10)
-print(f"converged in {factors.iterations} iterations, "
-      f"marginal residual {factors.final_marginal_error:.2e}")
+# the horizon kernel, the Sinkhorn factors and both propagated factors
+factors, eta, eta_star, rho = pin_endpoints(marginals, grid, hbar)
+print(f"converged in {factors.iterations} iterations, marginal residual "
+      f"{factors.final_marginal_error:.2e} (tolerance {SINKHORN_TOL:g})")
 
-# propagate the factors and recompose the density
-eta = propagate_eta(factors, grid, hbar)
-eta_star = propagate_eta_star(factors, grid, hbar)
-rho = bernstein_density(eta, eta_star)
+# rho = eta * eta* is the density of the pinned process
 masses = slice_mass(rho)
 print(f"slice mass deviation: {np.max(np.abs(masses - 1)):.2e}")
 

@@ -9,8 +9,7 @@ P(stop time > threshold), and the martingale property of the survival
 function along paths.
 """
 
-import numpy as np
-
+from bernstein.analytic import WORKED_EXAMPLE
 from bernstein.core import ProblemSpec, build_grid
 from bernstein.hjb import solve_forward_obstacle, value_from_eta
 from bernstein.simulate import SimConfig, simulate_forward
@@ -21,15 +20,7 @@ from bernstein.stopping import (
     solve_q,
 )
 
-spec = ProblemSpec(
-    hbar=1.0,
-    half_horizon=0.5,
-    potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    terminal_cost=lambda x: np.abs(x),
-    initial_cost=lambda x: np.log1p(np.abs(x)),
-    x_min=-3.0,
-    x_max=3.0,
-)
+spec = ProblemSpec.from_json(WORKED_EXAMPLE)
 grid = build_grid(spec, nx=301, nt=501)
 sol = solve_forward_obstacle(spec, grid)
 val = value_from_eta(sol, spec.hbar)

@@ -11,19 +11,11 @@ import math
 
 import numpy as np
 
-from bernstein.analytic import sec7_eta_forward
+from bernstein.analytic import WORKED_EXAMPLE, sec7_eta_forward
 from bernstein.core import ProblemSpec, build_grid
 from bernstein.hjb import lcp_residual, solve_forward_obstacle, value_from_eta
 
-spec = ProblemSpec(
-    hbar=1.0,
-    half_horizon=0.5,
-    potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    terminal_cost=lambda x: np.abs(x),
-    initial_cost=lambda x: np.log1p(np.abs(x)),
-    x_min=-3.0,
-    x_max=3.0,
-)
+spec = ProblemSpec.from_json(WORKED_EXAMPLE)
 grid = build_grid(spec, nx=301, nt=501)
 
 # solve the linear complementarity problem for eta = exp(-U / hbar)

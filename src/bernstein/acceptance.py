@@ -124,9 +124,10 @@ ALL_CRITERIA = {n: functools.partial(evaluate, n) for n in CRITERIA}
 
 
 def run_all(numbers=None) -> list:
-    """Run the criteria in order, each timed into its detail ``wall_s``."""
+    """Run the criteria in order, each once however often it is named, each
+    timed into its detail ``wall_s``."""
     results = []
-    for n in sorted(numbers or ALL_CRITERIA):
+    for n in sorted(set(numbers or ALL_CRITERIA)):
         start = time.perf_counter()
         r = ALL_CRITERIA[n]()
         wall_s = f"{time.perf_counter() - start:.2f}"

@@ -2,14 +2,37 @@
 operators, and the one place that forks.
 
 All types here are immutable after construction and safe to share read-only
-between parallel workers. ``_step_matrix`` is the implicit Euler step of
-every parabolic solve and, transposed, of the killed density in
-``stopping``; ``_pin_rows`` holds nodes in it, ``_factor_step`` factors
-it and ``_solve_step`` solves with it or its transpose. ``block_bounds``
-cuts a job into contiguous blocks, one per usable CPU, and ``fork_blocks``
-runs them in parallel in ``multiprocessing`` fork processes; the Monte
-Carlo engine splits its paths into such blocks once; its results do not
-depend on the split.
+between parallel workers. Three conventions are decided here alone.
+
+How a point (t, x) maps onto a grid: ``SpaceTimeGrid.nearest_row`` and
+``nearest_column`` snap it to a node, and ``interpolate`` reads a field
+between nodes. Every lookup goes through these: the Monte Carlo drift and
+stopping-region lookups, the survival function q at the start and along
+the paths, the band-error slices and the node checks of ``experiments``.
+
+The implicit Euler step: ``_step_matrix`` is the step of every parabolic
+solve and, transposed, of the killed density in ``stopping``; ``_pin_rows``
+holds nodes in it, ``_factor_step`` factors it, ``_solve_step`` solves
+with it or its transpose and ``_step_residual`` is its one mat-vec
+A e - b. ``hjb`` builds it with drift 0, overwrites the two far-field rows
+and pins the active set; ``stopping._step`` builds it with +b (forward)
+or -b (backward) and pins the stopping nodes. A change of the
+discretization is therefore made once, and the forward and backward
+Kolmogorov solves stay discrete adjoints.
+
+The time direction: ``_marching_rows`` returns a field's rows with the
+data row last, next to the orientations FORWARD and BACKWARD. Every march
+(``hjb._march``, ``hjb.lcp_residual``, ``stopping.solve_q``), the data row
+of ``experiments.stopping_columns`` and ``simulate``'s time flip of a
+backward ensemble take their rows from it, so a backward solve with the
+forward data is the forward solve mirrored bit for bit. Only
+``schrodinger._propagate``, a kernel integral rather than a march, keeps a
+data row of its own.
+
+``block_bounds`` cuts a job into contiguous blocks, one per usable CPU,
+and ``fork_blocks``, the one place that forks, runs them in parallel in
+``multiprocessing`` fork processes; the Monte Carlo engine splits its
+paths into such blocks once; its results do not depend on the split.
 """
 
 from __future__ import annotations

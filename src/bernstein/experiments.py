@@ -3,8 +3,12 @@
 Each experiment is one function ``(seed=0, *, key=default, ...) -> Result``
 whose keyword parameters are its config keys: it builds its inputs from
 them (a ``ConfigError`` before anything is computed if it cannot), runs its
-pipeline and judges what it produced with the checks and gates defined here.
-It returns every artifact it emits, keyed by file name, and writes nothing;
+pipeline and judges what it produced with the checks and gates defined here
+once: the oracle band error, the x = 0 stopping-column test, value
+dominance, the drift-reversal error, slice mass, gauge invariance, the
+complementarity residual, the Monte Carlo action against the oracle value
+and the erf survival law. It returns every artifact it emits, keyed by file
+name, and writes nothing;
 ``cli`` writes a result's files. The acceptance criteria (``acceptance``)
 read the checks and reports of the same results, each at a seed and config
 they name, so every figure a criterion judges is in an artifact of
@@ -13,7 +17,17 @@ they name, so every figure a criterion judges is in an artifact of
 The oracle band error has one schedule: the slices ``SLICE_TIMES``, each
 snapped to its nearest grid row and scored against the worked example's
 quadrature oracle at that row's time, over the band ``BAND`` of |x|, in one
-oracle call per row.
+oracle call per row. ``sec7-forward``, ``sec7-backward``,
+``convergence-study`` and criteria 1 and 10 all score this schedule.
+
+An experiment holds at once the fields it returns and one solve's working
+arrays, no more (``tests/test_cli.py::TestPeakMemory``): at most four
+grid-sized float arrays in ``sec7``, five and a half in
+``classical_compare``, which frees each solve's eta, mask and drift before
+the next, and four and a half in ``stopping_dist`` with one threshold (U,
+the drift, the mask and q; the solve's eta is freed once the drift is
+built). ``erf_survival_pde`` holds one 5002 x 1601 field, q, and peaks
+under 120 MB.
 """
 
 from __future__ import annotations
@@ -97,7 +111,9 @@ def _seed(value) -> int:
 
 
 def in_band(xs) -> np.ndarray:
-    """Whether each node of xs lies in BAND[0] <= |x| <= BAND[1], to 1e-12."""
+    """Whether each node of xs lies in BAND[0] <= |x| <= BAND[1], to 1e-12,
+    so that a node such as x = -0.1 at nx = 61, which ``linspace`` puts at
+    -0.09999999999999964, is in it."""
     return (np.abs(xs) >= BAND[0] - 1e-12) & (np.abs(xs) <= BAND[1] + 1e-12)
 
 
@@ -166,7 +182,9 @@ def gauge_deviation(factors: schrodinger.SchrodingerFactors, rho: ScalarField,
     """Infinity norm of the change of the density ``rho`` pinned by
     ``factors`` when they are rescaled to (c eta*, eta / c), c = 1.7, a gauge
     that leaves the density as it is. Both rescaled factors are propagated
-    on rho's grid, as ``schrodinger.pin_endpoints`` propagates them."""
+    on rho's grid, as ``schrodinger.pin_endpoints`` propagates them, so
+    the two propagations differ only in the factors' scale and at c = 1
+    the deviation would read exactly 0."""
     c, grid = 1.7, rho.grid
     scaled = schrodinger.SchrodingerFactors(
         eta_star_init=factors.eta_star_init * c, eta_final=factors.eta_final / c,
@@ -308,8 +326,8 @@ def sec7(orientation, seed=0, *, spec=None, nx=601, nt=2001) -> Result:
 def classical_compare(seed=0, *, spec=None, nx=601, nt=2001) -> Result:
     """The stopped value against the fixed-horizon one: dominance on every
     spec and, on the worked example, a strict gain at (0, 1). Another spec
-    may stop nowhere near (0, 1), so its gain there is reported, not
-    judged."""
+    may stop nowhere near (0, 1), or have zero costs, so its gain there is
+    reported, not judged: 31 of 150 random specs had none."""
     spec, is_default, grid = _problem(spec, nx, nt, FORWARD)
     # only the two values are kept: each solve's eta, mask and drift are
     # freed before the next solve
@@ -331,7 +349,12 @@ def pinning(seed=0, *, hbar=0.5, nx=201, nt=51, marginals_csv=None) -> Result:
     """Endpoint pinning of two marginals: Sinkhorn factors, propagated
     factors and density, judged by convergence, slice mass, the
     drift-reversal identity and the density's invariance under a gauge
-    rescaling of the factors."""
+    rescaling of the factors.
+
+    The marginals are the Gaussians PIN_MARGINALS on the grid of
+    PIN_PROBLEM, or a ``marginals_csv`` pair of x,density files on the
+    grid's nodes. Where no node resolves the density the drift reversal
+    checks nothing: its check fails and its error is None."""
     spec, _, grid = _problem(dict(PIN_PROBLEM, hbar=_read("hbar", _number, hbar)),
                              nx, nt)
     hbar = spec.hbar
@@ -410,7 +433,10 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     a Monte Carlo ensemble: the survival probability at the start and the
     martingale property of q along the paths. On the worked example, the
     ensemble's mean action is also judged against the oracle value U at the
-    start, as ``sec7`` judges its oracle checks there."""
+    start, as ``sec7`` judges its oracle checks there.
+
+    Both checks read the first threshold's q. Its q_pde is q at the exact
+    start, read by the interpolator that reads q along the paths."""
     spec, is_default, grid = _problem(spec, nx, nt, FORWARD)
     start = _read("start", lambda v: tuple(map(_number, v)),
                   (-spec.half_horizon, 1.0) if start is None else start)
@@ -430,6 +456,8 @@ def stopping_dist(seed=0, *, spec=None, nx=601, nt=2001, thresholds=(0.25,),
     if sim.n_paths < 2:
         raise ConfigError(f"stopping-dist needs n_paths >= 2 for a standard "
                           f"error, got {sim.n_paths}")
+    if not sim.checkpoints:
+        raise ConfigError("stopping-dist needs at least one checkpoint")
     if not thresholds:
         raise ConfigError("stopping-dist needs at least one threshold")
     try:

@@ -156,7 +156,8 @@ def _march(nt, data, psi, ab):
     ends, else it is solved again as a block of one row. Blocks start at one
     row below a changed set and double up to _RESIDUAL_CELLS nodes. So eta,
     the solves and any error are those of the step taken row by row, bit for
-    bit. Returns eta and the banded solves of each step, in marching order."""
+    bit (``tests/test_hjb.py::rowwise_march`` is that step). Returns eta and
+    the banded solves of each step, in marching order."""
     eta = np.empty((nt, data.size))
     eta[-1] = data
     solves = np.ones(nt - 1, dtype=int)

@@ -186,8 +186,9 @@ def _crossings(xo, xn, uniforms, barriers, hbar, h):
     probability exp(-2 d0 d1 / (hbar h)) and no other barrier lies between
     it and xo. A step farther out draws no uniform and does not bridge: its
     probability is below exp(-40). Of the barriers a step reaches, the one
-    with the least theta stops it, the lower on a tie. Returns the indices
-    of those steps, their barriers and their theta.
+    with the least theta stops it, the lower on a tie; a step that starts on
+    a barrier reaches it at theta = 0. Returns the indices of those steps,
+    their barriers and their theta.
     """
     lim = 20 * hbar * h
     close = []  # per barrier, the steps that reach it or are near it
@@ -404,18 +405,25 @@ def simulate_backward(spec: ProblemSpec, drift_star: ScalarField,
 def check_start(spec: ProblemSpec, orientation, cfg: SimConfig) -> tuple:
     """The start (s0, x0) of a run in its marching time, s = t forward and
     s = -t backward; a ValueError if s0 lies outside the horizon, x0
-    outside [x_min, x_max] or a checkpoint not finite or before s0."""
+    outside [x_min, x_max], or a checkpoint is not finite, lies before s0 or
+    after the horizon's end (beyond the 1e-12 that ``see`` allows), or is
+    repeated."""
     (t0, x0), sign = cfg.start, 1 if orientation == FORWARD else -1
     if not -spec.half_horizon <= sign * t0 < spec.half_horizon:
         raise ValueError(f"start time {t0} outside horizon")
     if not spec.x_min <= x0 <= spec.x_max:
         raise ValueError(f"start x {x0} outside [{spec.x_min}, {spec.x_max}]")
-    for c in cfg.checkpoints:
+    for i, c in enumerate(cfg.checkpoints):
         if not math.isfinite(c):
             raise ValueError(f"checkpoint {c} is not a finite time")
         if sign * c < sign * t0:
             raise ValueError(f"checkpoint {c} lies before the start time {t0} "
                              f"of the {orientation} run")
+        if sign * c > spec.half_horizon + 1e-12:
+            raise ValueError(f"checkpoint {c} lies after the end "
+                             f"{sign * spec.half_horizon} of the {orientation} run")
+        if c in cfg.checkpoints[:i]:
+            raise ValueError(f"checkpoint {c} is repeated")
     return sign * t0, x0
 
 

@@ -48,3 +48,17 @@ def test_run_all_times_each_criterion(monkeypatch):
     assert len(lines) == 2
     assert re.fullmatch(r"PASS criterion 1: first \(wall_s=\d+\.\d\d\)", lines[0])
     assert re.fullmatch(r"FAIL criterion 2: second \(n=2, wall_s=\d+\.\d\d\)", lines[1])
+
+
+def test_run_all_runs_each_named_criterion_once(monkeypatch):
+    calls = []
+
+    def criterion(n):
+        calls.append(n)
+        return CriterionResult(n, "named", True)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", {
+        n: lambda n=n: criterion(n) for n in (1, 2, 7)})
+    results = acceptance.run_all([7, 2, 7])
+    assert [r.number for r in results] == [2, 7]
+    assert calls == [2, 7]

@@ -1180,6 +1180,15 @@ class TestMain:
         ({"experiment": "convergence-study", "levels": [[3, 21], [31, 21]]},
          "nx = 3 puts no node in the oracle band 0.1 <= |x| <= 2.5; take "
          "nx >= 5\n"),
+        # a martingale check of no checkpoint judges nothing
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "checkpoints": []},
+         "stopping-dist needs at least one checkpoint\n"),
+        # no step reaches it: the paths would be judged at their stop times
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21, "checkpoints": [0.7]},
+         "checkpoint 0.7 lies after the end 0.5 of the forward run\n"),
+        ({"experiment": "stopping-dist", "nx": 31, "nt": 21,
+          "checkpoints": [0.1, 0.1]},
+         "checkpoint 0.1 is repeated\n"),
     ], ids=["experiment", "key", "function-parameter", "spec-field", "empty-spec",
             "function-name", "spec-hbar", "grid-size", "no-thresholds",
             "off-grid-threshold", "one-level", "no-seeds", "end-threshold",
@@ -1206,7 +1215,8 @@ class TestMain:
             "obstacle-underflow-classical", "obstacle-underflow-stopping",
             "obstacle-underflow-backward", "negative-potential",
             "negative-potential-sec7", "no-band-node", "no-band-node-backward",
-            "study-no-band-node"])
+            "study-no-band-node", "no-checkpoints", "checkpoint-past-horizon",
+            "repeated-checkpoint"])
     def test_config_error_is_one_line(self, tmp_path, capsys, monkeypatch,
                                       cfg, message):
         self.assert_rejected(tmp_path, capsys, monkeypatch, cfg, message)

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from bernstein import core, simulate
+from bernstein import analytic, core, experiments, simulate
 from bernstein.core import (
     ProblemSpec,
     RegionMask,
@@ -378,6 +378,16 @@ class TestThickRegion:
                       axis=1)
         assert np.all(flags[k, j] == STOPPING)
         assert np.all(ens.stop_time[~hit] == 0.5)
+
+    def test_first_thick_spec_matches_the_pde(self):
+        # stopping-dist at its defaults on a spec whose stopping mask holds
+        # 5514 thick-region nodes beside the x = 0 barrier: q_pde 0.97623
+        # against q_mc 0.97745 +- 0.00105 at seed 0
+        spec = dict(analytic.WORKED_EXAMPLE, hbar=0.082,
+                    terminal_cost="log1p_abs", initial_cost="zero")
+        result = experiments.stopping_dist(0, spec=spec)
+        assert result.checks["pde_vs_mc"], result.reports
+        assert result.checks["martingale"], result.reports
 
 
 class TestParallelBlocks:
@@ -800,3 +810,38 @@ class TestConfigValidation:
                         checkpoints=(0.2 * sign, c))
         with pytest.raises(ValueError, match=f"checkpoint {c} "):
             simulate(spec, None, None, cfg, barrier=0.0)
+
+    @pytest.mark.parametrize("simulate, sign", [(simulate_forward, 1.0),
+                                                (simulate_backward, -1.0)])
+    def test_checkpoint_past_the_horizon(self, simulate, sign):
+        # no step reaches it: its record would be the stop, under its key
+        c = 0.7 * sign
+        cfg = SimConfig(dt=1e-2, n_paths=10, seed=0, start=(0.0, 1.0),
+                        checkpoints=(0.2 * sign, c))
+        with pytest.raises(ValueError, match=f"checkpoint {c} lies after the "
+                                             f"end {0.5 * sign} "):
+            simulate(make_spec(), None, None, cfg, barrier=0.0)
+
+    @pytest.mark.parametrize("simulate, sign", [(simulate_forward, 1.0),
+                                                (simulate_backward, -1.0)])
+    def test_checkpoint_within_round_off_of_the_horizon(self, simulate, sign):
+        # seen after the last step, as ``see`` allows 1e-12: at the stop,
+        # or at the horizon for a path that ran to it
+        c = (0.5 + 5e-13) * sign
+        cfg = SimConfig(dt=1e-2, n_paths=200, seed=0, start=(0.0, 1.0),
+                        checkpoints=(c,))
+        ens = simulate(make_spec(), None, None, cfg, barrier=0.0)
+        tt, xx = ens.checkpoints[c]
+        assert ens.hit_flag.any() and not ens.hit_flag.all()
+        assert np.array_equal(tt, ens.stop_time)
+        assert np.array_equal(xx, ens.stopped_state)
+
+    @pytest.mark.parametrize("simulate, sign", [(simulate_forward, 1.0),
+                                                (simulate_backward, -1.0)])
+    def test_repeated_checkpoint(self, simulate, sign):
+        # one dict key would own two record rows
+        c = 0.1 * sign
+        cfg = SimConfig(dt=1e-2, n_paths=10, seed=0, start=(0.0, 1.0),
+                        checkpoints=(c, 0.2 * sign, c))
+        with pytest.raises(ValueError, match=f"checkpoint {c} is repeated"):
+            simulate(make_spec(), None, None, cfg, barrier=0.0)
